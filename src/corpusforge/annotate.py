@@ -14,7 +14,6 @@ from .signal_catalog import (
     LINE_SIGNALS,
     ML_SIGNALS,
     SIGNAL_GROUPS,
-    known_signal_names,
 )
 from .signals import (
     content_signals,
@@ -69,20 +68,25 @@ class SignalResources:
         return res
 
 
+# Every signal compute_signals can emit. The catalog also lists names
+# that rules may reference but annotate never writes (rps_code_*).
+_EMITTABLE = frozenset(n for group in SIGNAL_GROUPS.values() for n in group)
+
+
 def resolve_signal_names(selection) -> list[str]:
     """Expand group names (natlang, repetition, content, lines, ccnet,
-    ml) and validate individual names against the catalog."""
-    known = known_signal_names()
+    ml) and validate individual names against the signals annotate
+    emits."""
     names: list[str] = []
     for item in selection:
         if item in SIGNAL_GROUPS:
             names.extend(SIGNAL_GROUPS[item])
-        elif item in known:
+        elif item in _EMITTABLE:
             names.append(item)
         else:
             raise ConfigError(
                 f"unknown signal {item!r}; known: "
-                + ", ".join(sorted(known | set(SIGNAL_GROUPS)))
+                + ", ".join(sorted(_EMITTABLE | set(SIGNAL_GROUPS)))
             )
     seen = set()
     unique = []

@@ -1,6 +1,5 @@
 """Deduplication primitives: Bloom-filter exact dedup, MinHash + LSH
-banding for fuzzy dedup, SimHash near-dedup, union-find clustering, and
-line-level dedup.
+banding for fuzzy dedup, and union-find clustering.
 
 MinHash "permutations" are 128 independent seeded 64-bit affine hashes
 (multiply-add over the base shingle hash, wrapping mod 2^64); the
@@ -9,27 +8,17 @@ estimator's unbiasedness is covered by tests rather than assumed.
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import ConfigError, RecordError
-from .records import Document
-from .textnorm import normalize
-
-# ---------------------------------------------------------------------------
-# Content digest
-
-
-def content_digest(raw: str) -> str:
-    """SHA-256 of the UTF-8 bytes, lowercase hex."""
-    return hashlib.sha256(raw.encode("utf-8")).hexdigest()
+from .records import content_digest  # noqa: F401  (re-exported)
 
 
 def _hash64(data: bytes) -> int:
@@ -86,40 +75,6 @@ class BloomFilter:
     def fill_ratio(self) -> float:
         set_bits = sum(bin(b).count("1") for b in self.bits)
         return set_bits / self.num_bits
-
-    def union(self, other: "BloomFilter") -> "BloomFilter":
-        """Bitwise-OR merge of per-partition filters. Can only increase
-        the false-positive rate, never create false negatives."""
-        if (self.num_bits, self.num_hashes) != (other.num_bits, other.num_hashes):
-            raise ConfigError("cannot merge bloom filters with different geometry")
-        merged = BloomFilter(self.capacity, self.error_rate)
-        merged.bits = bytearray(a | b for a, b in zip(self.bits, other.bits))
-        merged.inserted_count = self.inserted_count + other.inserted_count
-        return merged
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "capacity": self.capacity,
-                    "error_rate": self.error_rate,
-                    "inserted_count": self.inserted_count,
-                    "bits": base64.b64encode(bytes(self.bits)).decode("ascii"),
-                },
-                fh,
-            )
-
-    @classmethod
-    def load(cls, path: str) -> "BloomFilter":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot load bloom filter {path}: {exc}") from exc
-        bloom = cls(raw["capacity"], raw["error_rate"])
-        bloom.bits = bytearray(base64.b64decode(raw["bits"]))
-        bloom.inserted_count = raw["inserted_count"]
-        return bloom
 
 
 # ---------------------------------------------------------------------------
@@ -323,69 +278,3 @@ def cluster_and_select(
             )
     records.sort(key=lambda r: order[r.doc_id])
     return records
-
-
-# ---------------------------------------------------------------------------
-# SimHash
-
-
-def simhash64(words: list[str]) -> int:
-    """64-bit SimHash over hashed word features with +-1 bit voting; one
-    vote per word occurrence, so identical token multisets fingerprint
-    identically."""
-    votes = [0] * 64
-    for w in words:
-        h = _hash64(w.encode("utf-8"))
-        for bit in range(64):
-            if h & (1 << bit):
-                votes[bit] += 1
-            else:
-                votes[bit] -= 1
-    fingerprint = 0
-    for bit in range(64):
-        if votes[bit] > 0:
-            fingerprint |= 1 << bit
-    return fingerprint
-
-
-def hamming_distance(a: int, b: int) -> int:
-    return bin(a ^ b).count("1")
-
-
-def near_dup(a: int, b: int, max_hamming: int = 3) -> bool:
-    return hamming_distance(a, b) <= max_hamming
-
-
-# ---------------------------------------------------------------------------
-# Line-level dedup
-
-
-def line_dedup(
-    docs: Iterable[Document], seen: set[int] | None = None
-) -> Iterator[Document]:
-    """Remove repeated normalized lines within the scope (first
-    occurrence kept). The scope defaults to this call (one shard);
-    passing a shared `seen` set widens it. original_nlines and
-    original_length are preserved; line_ids keeps surviving original
-    indexes."""
-    if seen is None:
-        seen = set()
-    for doc in docs:
-        kept_indexes = []
-        for i, line in enumerate(doc.raw_content.split("\n") if doc.raw_content else []):
-            key = _hash64(normalize(line).encode("utf-8"))
-            if key in seen:
-                continue
-            seen.add(key)
-            kept_indexes.append(i)
-        lines = doc.raw_content.split("\n") if doc.raw_content else []
-        kept_lines = [lines[i] for i in kept_indexes]
-        content = "\n".join(kept_lines)
-        yield replace(
-            doc,
-            raw_content=content,
-            length=len(content),
-            nlines=len(kept_lines),
-            line_ids=[doc.line_ids[i] for i in kept_indexes],
-            digest=content_digest(content),
-        )

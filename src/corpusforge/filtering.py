@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .errors import ConfigError, CorpusForgeError
+from .errors import ConfigError
 from .records import Document, QualitySignalSet, rewrite_document
 from .signal_catalog import DOC_SIGNALS, LINE_SIGNALS, known_signal_names
 
@@ -38,9 +38,10 @@ _OPS = {
 }
 
 
-class SignalMissingError(CorpusForgeError):
+class SignalMissingError(ConfigError):
     """A rule references a signal absent from the record; evaluation
-    never silently passes on missing data."""
+    never silently passes on missing data. The ruleset does not fit the
+    signals the corpus was annotated with, so this is a config error."""
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,10 @@ from __future__ import annotations
 import glob
 import json
 import os
+import sys
+import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from . import annotate as annotate_mod
 from . import dedup as dedup_mod
@@ -36,7 +38,6 @@ from .mlmodels import (
     training_accuracy,
 )
 from .records import (
-    DEFAULT_SIDECAR_EXT,
     Document,
     ShardAddress,
     document_id,
@@ -50,6 +51,9 @@ from .records import (
 from .textnorm import normalize
 
 ENV_PREFIX = "CORPUSFORGE_"
+# A shard whose share of malformed records exceeds this fails with a
+# DataError instead of being processed with the bad lines skipped.
+ERROR_RATE_THRESHOLD = 0.01
 
 
 @dataclass
@@ -66,10 +70,6 @@ class PipelineConfig:
     bloom_capacity: int = 100_000
     bloom_error_rate: float = 0.01
     jaccard: float | None = None
-    bands: int = dedup_mod.DEFAULT_BANDS
-    rows: int = dedup_mod.DEFAULT_ROWS
-    sidecar_ext: str = DEFAULT_SIDECAR_EXT
-    error_rate_threshold: float = 0.01
     apply_dedup: bool = True
     force: bool = False
     stopword_dir: str = ""
@@ -78,26 +78,30 @@ class PipelineConfig:
 
     @classmethod
     def load(cls, path: str | None = None, overrides: dict | None = None) -> "PipelineConfig":
+        """Defaults, then the JSON config file, then CORPUSFORGE_*
+        environment variables, then `overrides` (command-line flags).
+        Every value is checked against the field's annotation."""
         values: dict = {}
         if path:
             try:
                 with open(path, encoding="utf-8") as fh:
-                    values.update(json.load(fh))
+                    values = json.load(fh)
             except (OSError, json.JSONDecodeError) as exc:
                 raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        known = {f.name: f.type for f in fields(cls)}
-        for key in list(values):
-            if key not in known:
+            if not isinstance(values, dict):
+                raise ConfigError(f"config {path} is not a JSON object")
+        hints = typing.get_type_hints(cls)
+        for key in values:
+            if key not in hints:
                 raise ConfigError(f"unknown config key {key!r}")
         # environment overrides, e.g. CORPUSFORGE_WORKERS=4
-        for f in fields(cls):
-            env = os.environ.get(ENV_PREFIX + f.name.upper())
-            if env is None:
-                continue
-            values[f.name] = _parse_env(f.name, env)
+        for name, hint in hints.items():
+            var = ENV_PREFIX + name.upper()
+            if var in os.environ:
+                values[name] = _from_env_string(var, os.environ[var], hint)
         if overrides:
             values.update({k: v for k, v in overrides.items() if v is not None})
-        cfg = cls(**values)
+        cfg = cls(**{k: _checked(k, v, hints[k]) for k, v in values.items()})
         cfg.validate()
         return cfg
 
@@ -109,20 +113,48 @@ class PipelineConfig:
                 "snapshots must be ordered newest to oldest: "
                 + ", ".join(self.snapshots)
             )
-        if self.bands * self.rows > dedup_mod.NUM_PERMUTATIONS:
-            raise ConfigError("bands*rows exceeds the number of minhash components")
 
 
-def _parse_env(name: str, raw: str):
-    if name in ("snapshots", "languages", "signals"):
+def _base_type(hint) -> tuple[type, bool]:
+    """(runtime class, accepts None) of a field annotation:
+    list[str] -> (list, False), float | None -> (float, True)."""
+    args = typing.get_args(hint)
+    optional = type(None) in args
+    if optional:
+        (hint,) = [a for a in args if a is not type(None)]
+    return typing.get_origin(hint) or hint, optional
+
+
+def _from_env_string(var: str, raw: str, hint):
+    """Convert an environment string to the field's type: lists split on
+    commas, dicts parse as JSON, bools accept 1/true/yes."""
+    kind, _ = _base_type(hint)
+    if kind is list:
         return [x for x in raw.split(",") if x]
-    if name in ("workers", "seed", "bloom_capacity", "bands", "rows"):
-        return int(raw)
-    if name in ("bloom_error_rate", "jaccard", "error_rate_threshold"):
-        return float(raw)
-    if name in ("apply_dedup", "force"):
+    if kind is bool:
         return raw.lower() in ("1", "true", "yes")
-    return raw
+    try:
+        return json.loads(raw) if kind is dict else kind(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{var}={raw!r} is not a valid {kind.__name__}: {exc}") from exc
+
+
+def _checked(name: str, value, hint):
+    """value if it has the field's type (an int is accepted for a float,
+    a bool is not accepted for an int), else ConfigError."""
+    kind, optional = _base_type(hint)
+    if value is None and optional:
+        return value
+    if kind is float and type(value) is int:
+        return float(value)
+    ok = isinstance(value, kind) and not (kind is int and type(value) is bool)
+    if ok and kind is list:
+        (item,) = typing.get_args(hint)
+        ok = all(isinstance(x, item) for x in value)
+    if not ok:
+        expected = hint.__name__ if isinstance(hint, type) else hint
+        raise ConfigError(f"config value {name}={value!r} is not of type {expected}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -163,11 +195,11 @@ def _read_shard_documents(cfg: PipelineConfig, path: str) -> list[Document]:
     docs, errors = read_documents(path)
     total = len(docs) + len(errors)
     for err in errors:
-        print(f"warning: {path}: {err}")
-    if total and len(errors) / total > cfg.error_rate_threshold:
+        print(f"warning: {path}: {err}", file=sys.stderr)
+    if total and len(errors) / total > ERROR_RATE_THRESHOLD:
         raise DataError(
             f"{path}: {len(errors)}/{total} bad records exceeds the "
-            f"{cfg.error_rate_threshold:.0%} threshold"
+            f"{ERROR_RATE_THRESHOLD:.0%} threshold"
         )
     return docs
 
@@ -234,14 +266,12 @@ def cmd_annotate(cfg: PipelineConfig) -> dict:
     res = load_resources(cfg)
     shards = discover_document_shards(cfg)
     if not shards:
-        print("no document shards found")
+        print("no document shards found", file=sys.stderr)
 
     def job(path: str) -> tuple[str, int]:
         rel = os.path.relpath(path, cfg.input_root)
         addr, _ = parse_shard_path(rel)
-        out_path = os.path.join(
-            cfg.output_root, shard_path(addr, "quality_signals", cfg.sidecar_ext)
-        )
+        out_path = os.path.join(cfg.output_root, shard_path(addr, "quality_signals"))
         if _output_exists(out_path, cfg.force):
             return rel, -1
         docs = _read_shard_documents(cfg, path)
@@ -303,9 +333,7 @@ def _dedup_exact(cfg: PipelineConfig) -> dict:
 
     total_docs = total_dups = 0
     for rel, (addr, records) in sorted(shard_records.items()):
-        out_path = os.path.join(
-            cfg.output_root, shard_path(addr, "duplicates", cfg.sidecar_ext)
-        )
+        out_path = os.path.join(cfg.output_root, shard_path(addr, "duplicates"))
         write_jsonl_gz(out_path, (r.to_json() for r in records))
         total_dups += len(records)
     for snapshot in cfg.snapshots or sorted(per_snapshot, reverse=True):
@@ -322,7 +350,7 @@ def _dedup_fuzzy(cfg: PipelineConfig) -> dict:
     if cfg.jaccard is not None:
         bands, rows = dedup_mod.pick_banding(cfg.jaccard)
     else:
-        bands, rows = cfg.bands, cfg.rows
+        bands, rows = dedup_mod.DEFAULT_BANDS, dedup_mod.DEFAULT_ROWS
 
     order: dict[str, int] = {}
     shards_by_id: dict[str, str] = {}
@@ -343,9 +371,7 @@ def _dedup_fuzzy(cfg: PipelineConfig) -> dict:
                  "bands": bands, "rows": rows},
                 separators=(",", ":"),
             ))
-        out_path = os.path.join(
-            cfg.output_root, shard_path(addr, "minhash", cfg.sidecar_ext)
-        )
+        out_path = os.path.join(cfg.output_root, shard_path(addr, "minhash"))
         if not _output_exists(out_path, cfg.force):
             write_jsonl_gz(out_path, sig_lines)
 
@@ -362,9 +388,7 @@ def _dedup_fuzzy(cfg: PipelineConfig) -> dict:
     for record in records:
         by_shard[record.shard].append(record)
     for rel, recs in sorted(by_shard.items()):
-        out_path = os.path.join(
-            cfg.output_root, shard_path(addr_by_rel[rel], "duplicates", cfg.sidecar_ext)
-        )
+        out_path = os.path.join(cfg.output_root, shard_path(addr_by_rel[rel], "duplicates"))
         write_jsonl_gz(out_path, (r.to_json() for r in recs))
     frac = len(records) / len(order) if order else 0.0
     print(f"dedup[fuzzy] bands={bands} rows={rows}: {len(order)} docs, "
@@ -379,8 +403,8 @@ def _dedup_fuzzy(cfg: PipelineConfig) -> dict:
     }
 
 
-def _load_duplicate_ids(cfg: PipelineConfig, addr: ShardAddress, root: str) -> set[str]:
-    path = os.path.join(root, shard_path(addr, "duplicates", cfg.sidecar_ext))
+def _load_duplicate_ids(addr: ShardAddress, root: str) -> set[str]:
+    path = os.path.join(root, shard_path(addr, "duplicates"))
     if not os.path.exists(path):
         return set()
     ids = set()
@@ -408,20 +432,18 @@ def cmd_filter(cfg: PipelineConfig) -> dict:
         if _output_exists(out_path, cfg.force):
             return None
         docs = _read_shard_documents(cfg, path)
-        sig_path = os.path.join(
-            cfg.input_root, shard_path(addr, "quality_signals", cfg.sidecar_ext)
-        )
+        sig_path = os.path.join(cfg.input_root, shard_path(addr, "quality_signals"))
         if rs.doc_rules or rs.line_rules:
             if not os.path.exists(sig_path):
                 raise ConfigError(f"missing signals sidecar for shard {rel}: {sig_path}")
             sig_records, sig_errors = read_signal_records(sig_path)
             for err in sig_errors:
-                print(f"warning: {sig_path}: {err}")
+                print(f"warning: {sig_path}: {err}", file=sys.stderr)
             by_id = {s.id: s for s in sig_records}
         else:
             by_id = {}
         duplicates = (
-            _load_duplicate_ids(cfg, addr, cfg.input_root) if cfg.apply_dedup else set()
+            _load_duplicate_ids(addr, cfg.input_root) if cfg.apply_dedup else set()
         )
         out_lines, audit_lines = [], []
         counts = {"kept": 0, "rewritten": 0, "dropped": 0, "duplicates": 0}
@@ -490,7 +512,7 @@ def cmd_stats(cfg: PipelineConfig, as_json: bool = False) -> dict:
         return cols
 
     for rel, addr, docs in _iter_corpus(cfg):
-        duplicates = _load_duplicate_ids(cfg, addr, cfg.input_root)
+        duplicates = _load_duplicate_ids(addr, cfg.input_root)
         lang = per_lang.setdefault(
             addr.language,
             {c: [0, 0] for c in ("all", "tail", "head_middle", "head_middle_dedupe")},

@@ -8,6 +8,7 @@ a fixed key order and gzip with mtime=0 so reruns are byte-comparable.
 from __future__ import annotations
 
 import gzip
+import hashlib
 import json
 import os
 from dataclasses import dataclass, field, replace
@@ -17,13 +18,6 @@ from .errors import RecordError
 
 LANGUAGES = ("en", "de", "fr", "es", "it")
 BUCKETS = ("head", "middle", "tail")
-ARTIFACT_KINDS = ("documents", "quality_signals", "duplicates", "minhash")
-
-# Sidecar format for duplicates/minhash artifacts. The upstream layout
-# stores these as parquet; we default to compressed JSONL with a fixed
-# column order to stay dependency-light at desk scale. The suffix is
-# configurable so parquet-shaped trees can still be addressed.
-DEFAULT_SIDECAR_EXT = "jsonl.gz"
 
 _DOC_FIELDS = (
     ("url", str),
@@ -145,6 +139,12 @@ def parse_document(json_line: str, line_number: int | None = None) -> Document:
     return Document(**values)
 
 
+def content_digest(raw: str) -> str:
+    """The `digest` field of a document with this content: "sha256:"
+    and the lowercase hex SHA-256 of its UTF-8 bytes."""
+    return "sha256:" + hashlib.sha256(raw.encode("utf-8")).hexdigest()
+
+
 def document_id(doc: Document, ordinal: int | None = None) -> tuple[str, int]:
     """Derive (id, id_int). Uses "<cc_segment>/<ordinal>" when a per-shard
     ordinal is available, otherwise the content digest with id_int=-1."""
@@ -246,7 +246,7 @@ class ShardAddress:
         return self.stem
 
 
-def shard_path(addr: ShardAddress, kind: str, sidecar_ext: str = DEFAULT_SIDECAR_EXT) -> str:
+def shard_path(addr: ShardAddress, kind: str) -> str:
     """Relative path of one shard artifact, mirroring the upstream layout:
     documents/<snapshot>/<shard>/<lang>_<bucket>.json.gz etc."""
     if kind == "documents":
@@ -254,9 +254,9 @@ def shard_path(addr: ShardAddress, kind: str, sidecar_ext: str = DEFAULT_SIDECAR
     if kind == "quality_signals":
         return f"quality_signals/{addr.stem}.signals.json.gz"
     if kind == "duplicates":
-        return f"duplicates/{addr.stem}.duplicates.{sidecar_ext}"
+        return f"duplicates/{addr.stem}.duplicates.jsonl.gz"
     if kind == "minhash":
-        return f"minhash/{addr.stem}.minhash.{sidecar_ext}"
+        return f"minhash/{addr.stem}.minhash.jsonl.gz"
     raise ValueError(f"unknown artifact kind {kind!r}")
 
 
@@ -329,7 +329,7 @@ def read_signal_records(path) -> tuple[list[QualitySignalSet], list[RecordError]
 
 def rewrite_document(doc: Document, kept_line_indexes: list[int]) -> Document:
     """Return a copy of doc keeping only the given current-line indexes,
-    with length/nlines/line_ids bookkeeping recomputed."""
+    with length/nlines/line_ids/digest bookkeeping recomputed."""
     lines = doc.raw_content.split("\n")
     kept = [lines[i] for i in kept_line_indexes]
     content = "\n".join(kept)
@@ -339,4 +339,5 @@ def rewrite_document(doc: Document, kept_line_indexes: list[int]) -> Document:
         length=len(content),
         nlines=len(kept),
         line_ids=[doc.line_ids[i] for i in kept_line_indexes],
+        digest=content_digest(content),
     )

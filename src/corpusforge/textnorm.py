@@ -72,23 +72,6 @@ class WordSpan:
     end: int
 
 
-def tokenize_words(text: str) -> list[WordSpan]:
-    """Words of the normalized text with spans into the raw text."""
-    norm, offsets = normalize_with_map(text)
-    words: list[WordSpan] = []
-    i, n = 0, len(norm)
-    while i < n:
-        if norm[i] == " ":
-            i += 1
-            continue
-        j = i
-        while j < n and norm[j] != " ":
-            j += 1
-        words.append(WordSpan(norm[i:j], offsets[i], offsets[j - 1] + 1))
-        i = j
-    return words
-
-
 def split_sentences(text: str) -> int:
     """Count sentences under the three-terminator rule."""
     count = 0

@@ -7,8 +7,7 @@ import random
 
 import pytest
 
-from corpusforge.dedup import content_digest
-from corpusforge.records import Document
+from corpusforge.records import Document, content_digest
 from corpusforge.textnorm import load_stopwords
 
 # Vocabulary pools for randomized documents: ordinary words, stop words,
@@ -54,7 +53,7 @@ def make_doc(text: str, **overrides) -> Document:
     values = dict(
         url="http://example.com/page",
         date_download="2023-04-08T10:00:00Z",
-        digest="sha256:" + content_digest(text),
+        digest=content_digest(text),
         length=len(text),
         nlines=text.count("\n") + 1 if text else 0,
         source_domain="example.com",

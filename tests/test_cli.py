@@ -3,9 +3,13 @@
 import gzip
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import corpusforge
+from corpusforge import pipeline
 from corpusforge.cli import main
 from corpusforge.records import ShardAddress, shard_path, write_jsonl_gz
 
@@ -109,6 +113,14 @@ def test_env_overrides(corpus, capsys, monkeypatch):
     monkeypatch.setenv("CORPUSFORGE_LANGUAGES", "en")
     assert main(["annotate"]) == 0
     assert "1 shard(s) written" in capsys.readouterr().out
+    # values are coerced by the type of their config field
+    monkeypatch.setenv("CORPUSFORGE_WORKERS", "2")
+    monkeypatch.setenv("CORPUSFORGE_JACCARD", "0.8")
+    monkeypatch.setenv("CORPUSFORGE_FORCE", "yes")
+    monkeypatch.setenv("CORPUSFORGE_MODELS", '{"kn_lm": "kn.json"}')
+    cfg = pipeline.PipelineConfig.load()
+    assert (cfg.workers, cfg.jaccard, cfg.force) == (2, 0.8, True)
+    assert cfg.models == {"kn_lm": "kn.json"} and cfg.languages == ["en"]
 
 
 def test_config_file_and_unknown_key(tmp_path, corpus):
@@ -119,6 +131,47 @@ def test_config_file_and_unknown_key(tmp_path, corpus):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"no_such_key": 1}))
     assert main(["annotate", "--config", str(bad)]) == 1
+
+
+@pytest.mark.parametrize("env, config, argv", [
+    pytest.param({"CORPUSFORGE_WORKERS": "abc"}, None, ["annotate"], id="env-int"),
+    pytest.param({"CORPUSFORGE_MODELS": '["kn.json"]'}, None, ["annotate"],
+                 id="env-models-not-object"),
+    pytest.param({}, {"workers": "2"}, ["annotate"], id="json-workers-string"),
+    pytest.param({}, None, ["annotate", "--signals", "rps_code_alnum_prop"],
+                 id="annotate-signal-never-emitted"),
+    pytest.param({}, None, ["filter", "--preset", "rpv1_code"],
+                 id="ruleset-needs-missing-signals"),
+])
+def test_bad_config_exits_1_with_one_error_line(corpus, tmp_path, env, config, argv):
+    # the corpus carries the default signals, which have no rps_code_*
+    assert main(["annotate", "--input", corpus, "--output", corpus]) == 0
+    argv = [*argv, "--input", corpus, "--output", str(tmp_path / "out")]
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    src = os.path.dirname(os.path.dirname(corpusforge.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "corpusforge.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src, **env},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+def test_stats_json_stdout_is_one_object_despite_bad_record(tmp_path, capsys):
+    root = str(tmp_path / "corpus")
+    path = _write_corpus(root, [f"document number {i}." for i in range(99)])
+    with gzip.open(path, "at") as fh:
+        fh.write("{broken\n")  # 1 bad line in 100 is within the 1% threshold
+    assert main(["stats", "--input", root, "--json"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["rows"]["Total"]["all"][0] == 99
+    assert captured.err.startswith("warning: ")
 
 
 def test_train_commands(tmp_path, capsys):

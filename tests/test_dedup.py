@@ -1,4 +1,4 @@
-"""Bloom filter, MinHash/LSH, clustering, SimHash, and line dedup."""
+"""Bloom filter, MinHash/LSH, and clustering."""
 
 import random
 
@@ -13,19 +13,13 @@ from corpusforge.dedup import (
     detection_probability,
     estimate_jaccard,
     exact_dedup_pass,
-    hamming_distance,
-    line_dedup,
     lsh_candidates,
     minhash_for_words,
     minhash_signature,
-    near_dup,
     pick_banding,
     shingles,
-    simhash64,
 )
 from corpusforge.errors import ConfigError
-
-from conftest import make_doc
 
 
 def test_bloom_no_false_negatives():
@@ -52,22 +46,6 @@ def test_bloom_capacity_warning():
         bloom.add(str(i))
     with pytest.warns(UserWarning, match="past design capacity"):
         bloom.add("overflow")
-
-
-def test_bloom_union_and_save_load(tmp_path):
-    a = BloomFilter(capacity=100)
-    b = BloomFilter(capacity=100)
-    a.add("left")
-    b.add("right")
-    merged = a.union(b)
-    assert "left" in merged and "right" in merged
-    path = tmp_path / "bloom.json"
-    merged.save(str(path))
-    restored = BloomFilter.load(str(path))
-    assert "left" in restored and "right" in restored
-    assert restored.inserted_count == 2
-    with pytest.raises(ConfigError):
-        a.union(BloomFilter(capacity=999))
 
 
 def test_exact_dedup_keeps_first_occurrence():
@@ -152,32 +130,6 @@ def test_cluster_rejects_unknown_ids():
 
     with pytest.raises(RecordError):
         cluster_and_select([("a", "b")], {"a": 0}, {})
-
-
-def test_simhash_near_duplicates():
-    words = [f"tok{i}" for i in range(60)]
-    tweaked = words[:-1] + ["changed"]
-    different = [f"other{i}" for i in range(60)]
-    assert simhash64(words) == simhash64(list(words))
-    assert near_dup(simhash64(words), simhash64(words), max_hamming=0)
-    assert hamming_distance(simhash64(words), simhash64(tweaked)) < hamming_distance(
-        simhash64(words), simhash64(different)
-    )
-
-
-def test_line_dedup_within_and_across_documents():
-    d1 = make_doc("alpha one\nshared line\nalpha two")
-    d2 = make_doc("shared line\nbeta one")
-    out = list(line_dedup([d1, d2]))
-    assert out[0].raw_content == d1.raw_content  # first doc untouched
-    assert out[1].raw_content == "beta one"
-    assert out[1].nlines == 1 and out[1].line_ids == [1]
-    assert out[1].digest == content_digest("beta one")
-    assert out[1].original_nlines == d2.original_nlines
-    # repeated line inside one document
-    d3 = make_doc("same\nsame\nnew")
-    out3 = list(line_dedup([d3]))
-    assert out3[0].raw_content == "same\nnew"
 
 
 def test_duplicate_record_json():

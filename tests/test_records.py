@@ -11,6 +11,7 @@ from corpusforge.records import (
     Document,
     QualitySignalSet,
     ShardAddress,
+    content_digest,
     document_id,
     parse_document,
     parse_shard_path,
@@ -141,5 +142,6 @@ def test_rewrite_document():
     assert out.nlines == 2
     assert out.length == len(out.raw_content)
     assert out.line_ids == [0, 2]
+    assert out.digest == content_digest("keep\nalso keep") != doc.digest
     assert out.original_nlines == doc.original_nlines
     assert out.invariant_warnings() == []

@@ -11,7 +11,6 @@ from corpusforge.textnorm import (
     normalize_with_map,
     normalized_word_positions,
     split_sentences,
-    tokenize_words,
 )
 
 from conftest import random_text
@@ -57,8 +56,8 @@ def test_offset_map_points_into_raw():
             assert raw[offsets[i]].lower() == ch
 
 
-def test_tokenize_words_spans():
-    words = tokenize_words("One two, THREE!")
+def test_analyze_word_spans():
+    words = analyze("One two, THREE!").words
     assert [w.text for w in words] == ["one", "two", "three"]
     raw = "One two, THREE!"
     for w in words:
