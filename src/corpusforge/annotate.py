@@ -16,6 +16,7 @@ from .signal_catalog import (
     SIGNAL_GROUPS,
 )
 from .signals import (
+    Blocklist,
     content_signals,
     doc_natlang_signals,
     doc_repetition_signals,
@@ -46,7 +47,7 @@ class SignalResources:
     """Immutable shared lookups and models; safe for parallel readers."""
 
     stopwords: dict[str, frozenset[str]] = field(default_factory=dict)
-    ldnoobw: dict[str, frozenset[str]] = field(default_factory=dict)
+    ldnoobw: dict[str, Blocklist] = field(default_factory=dict)
     ut1: dict[str, set[int]] = field(default_factory=dict)
     ut1_categories: list[str] = field(default_factory=list)
     classifiers: dict[str, LinearClassifier] = field(default_factory=dict)
@@ -98,6 +99,7 @@ def resolve_signal_names(selection) -> list[str]:
 
 
 DEFAULT_SIGNALS = ("ccnet", "natlang", "repetition", "content", "lines")
+_DEFAULT_NAMES = frozenset(resolve_signal_names(DEFAULT_SIGNALS))
 
 
 def compute_signals(
@@ -107,15 +109,19 @@ def compute_signals(
     ordinal: int | None = None,
     snapshot_id: str = "",
 ) -> QualitySignalSet:
-    requested = resolve_signal_names(names if names is not None else DEFAULT_SIGNALS)
+    """Signals of one document. `names` may hold group names; a caller
+    that annotates many documents passes the resolve_signal_names
+    result, so that only signal names remain and nothing is resolved
+    per document. None means the default groups."""
+    wanted = _DEFAULT_NAMES if names is None else frozenset(names)
+    if not wanted <= _EMITTABLE:
+        wanted = frozenset(resolve_signal_names(names))
     view = analyze(doc.raw_content)
     length = len(doc.raw_content)
     signals: dict[str, list[tuple[int, int, float]]] = {}
 
     def doc_signal(name, score):
         signals[name] = [(0, length, float(score))]
-
-    wanted = set(requested)
 
     ccnet_values = {
         "ccnet_bucket": _BUCKET_CODES.get(doc.bucket, 2.0),
@@ -133,7 +139,7 @@ def compute_signals(
             else:
                 doc_signal(name, ccnet_values[name])
 
-    if wanted.intersection(SIGNAL_GROUPS["natlang"]):
+    if not wanted.isdisjoint(SIGNAL_GROUPS["natlang"]):
         stop = res.stopwords.get(doc.language)
         if stop is None:
             raise ConfigError(
@@ -144,13 +150,13 @@ def compute_signals(
             if name in wanted:
                 doc_signal(name, getattr(nl, name))
 
-    if wanted.intersection(SIGNAL_GROUPS["repetition"]):
+    if not wanted.isdisjoint(SIGNAL_GROUPS["repetition"]):
         rep = doc_repetition_signals(view)
         for name in SIGNAL_GROUPS["repetition"]:
             if name in wanted:
                 doc_signal(name, getattr(rep, name))
 
-    if wanted.intersection(SIGNAL_GROUPS["content"]):
+    if not wanted.isdisjoint(SIGNAL_GROUPS["content"]):
         blocklist = res.ldnoobw.get(doc.language)
         if blocklist is None:
             raise ConfigError(
@@ -165,8 +171,8 @@ def compute_signals(
                 (0, length, float(cid)) for cid in cs.rps_doc_ut1_blacklist
             ]
 
-    if wanted.intersection(LINE_SIGNALS):
-        ls = line_signals(doc)
+    if not wanted.isdisjoint(LINE_SIGNALS):
+        ls = line_signals(doc, view)
         per_line = {
             "rps_lines_ending_with_terminal_punctution_mark":
                 ls.ending_with_terminal_punctution_mark,

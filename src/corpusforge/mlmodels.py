@@ -201,6 +201,8 @@ def load_model(path: str, kind: str | None = None) -> tuple[str, dict, str]:
             container = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot load model {path}: {exc}") from exc
+    if not (isinstance(container, dict) and {"kind", "payload", "hash"} <= container.keys()):
+        raise ConfigError(f"model {path} is not a model container with kind, payload and hash")
     if kind is not None and container.get("kind") != kind:
         raise ConfigError(
             f"model {path} has kind {container.get('kind')!r}, expected {kind!r}"

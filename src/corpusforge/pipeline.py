@@ -125,14 +125,23 @@ def _base_type(hint) -> tuple[type, bool]:
     return typing.get_origin(hint) or hint, optional
 
 
+_ENV_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 def _from_env_string(var: str, raw: str, hint):
     """Convert an environment string to the field's type: lists split on
-    commas, dicts parse as JSON, bools accept 1/true/yes."""
+    commas, dicts parse as JSON, bools accept 1/true/yes and 0/false/no
+    in any case."""
     kind, _ = _base_type(hint)
     if kind is list:
         return [x for x in raw.split(",") if x]
     if kind is bool:
-        return raw.lower() in ("1", "true", "yes")
+        try:
+            return _ENV_BOOLS[raw.lower()]
+        except KeyError:
+            raise ConfigError(
+                f"{var}={raw!r} is not a valid bool: use 1/true/yes or 0/false/no"
+            ) from None
     try:
         return json.loads(raw) if kind is dict else kind(raw)
     except ValueError as exc:
@@ -215,6 +224,38 @@ def _run_shard_jobs(cfg: PipelineConfig, jobs, worker) -> list:
     return [worker(job) for job in jobs]
 
 
+def _check_models(models: dict) -> None:
+    """ConfigError unless `models` has the shape load_resources reads:
+    {"classifiers": {name: path}, "importance": {name: {"target": path,
+    "source": path}}, "kn_lm": path}, each part optional."""
+    classifiers = models.get("classifiers", {})
+    if not (isinstance(classifiers, dict)
+            and all(isinstance(p, str) for p in classifiers.values())):
+        raise ConfigError(f"models.classifiers={classifiers!r} must map names to model paths")
+    importance = models.get("importance", {})
+    if not (isinstance(importance, dict) and all(
+            isinstance(pair, dict)
+            and isinstance(pair.get("target"), str)
+            and isinstance(pair.get("source"), str)
+            for pair in importance.values())):
+        raise ConfigError(
+            f"models.importance={importance!r} must map names to "
+            '{"target": path, "source": path}'
+        )
+    if not isinstance(models.get("kn_lm", ""), str):
+        raise ConfigError(f"models.kn_lm={models['kn_lm']!r} must be a model path")
+
+
+def _load_model_as(path: str, kind: str, from_payload):
+    """(model, hash) of the model file at `path`; ConfigError when the
+    file's payload does not fit `kind`."""
+    _, payload, digest = load_model(path, kind)
+    try:
+        return from_payload(payload), digest
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ConfigError(f"model {path} has a malformed {kind} payload: {exc!r}") from exc
+
+
 def load_resources(cfg: PipelineConfig) -> annotate_mod.SignalResources:
     res = annotate_mod.SignalResources.load_default(
         languages=tuple(cfg.languages),
@@ -230,21 +271,18 @@ def load_resources(cfg: PipelineConfig) -> annotate_mod.SignalResources:
         ut1_dir=cfg.ut1_dir or None,
     )
     models = cfg.models or {}
+    _check_models(models)
     for key, path in models.get("classifiers", {}).items():
-        _, payload, digest = load_model(path, "classifier")
-        res.classifiers[key] = classifier_from_payload(payload)
+        res.classifiers[key], digest = _load_model_as(
+            path, "classifier", classifier_from_payload)
         res.provenance = f"{res.provenance}+{key}:{digest}"
     for key, pair in models.get("importance", {}).items():
-        _, target_payload, tdigest = load_model(pair["target"], "hashed_lm")
-        _, source_payload, sdigest = load_model(pair["source"], "hashed_lm")
-        res.importance_models[key] = (
-            hashed_lm_from_payload(target_payload),
-            hashed_lm_from_payload(source_payload),
-        )
+        target, tdigest = _load_model_as(pair["target"], "hashed_lm", hashed_lm_from_payload)
+        source, sdigest = _load_model_as(pair["source"], "hashed_lm", hashed_lm_from_payload)
+        res.importance_models[key] = (target, source)
         res.provenance = f"{res.provenance}+{key}:{tdigest}/{sdigest}"
     if models.get("kn_lm"):
-        _, payload, digest = load_model(models["kn_lm"], "kneser_ney")
-        res.kn_lm = kn_from_payload(payload)
+        res.kn_lm, digest = _load_model_as(models["kn_lm"], "kneser_ney", kn_from_payload)
         res.provenance = f"{res.provenance}+kn:{digest}"
     # fail at startup, not per document, when a requested ML signal has
     # no model behind it
@@ -264,6 +302,7 @@ def load_resources(cfg: PipelineConfig) -> annotate_mod.SignalResources:
 
 def cmd_annotate(cfg: PipelineConfig) -> dict:
     res = load_resources(cfg)
+    names = frozenset(annotate_mod.resolve_signal_names(cfg.signals))
     shards = discover_document_shards(cfg)
     if not shards:
         print("no document shards found", file=sys.stderr)
@@ -277,7 +316,7 @@ def cmd_annotate(cfg: PipelineConfig) -> dict:
         docs = _read_shard_documents(cfg, path)
         lines = (
             annotate_mod.compute_signals(
-                doc, res, names=cfg.signals, ordinal=i, snapshot_id=addr.snapshot_id
+                doc, res, names=names, ordinal=i, snapshot_id=addr.snapshot_id
             ).to_json()
             for i, doc in enumerate(docs)
         )
@@ -611,8 +650,7 @@ def cmd_train(cfg: PipelineConfig, kind: str, args: dict) -> dict:
         return {"kind": kind, "hash": digest, "train_perplexity": ppl}
 
     if kind == "calibrate_buckets":
-        _, payload, _ = load_model(_require(args, "kn_model"), "kneser_ney")
-        lm = kn_from_payload(payload)
+        lm, _ = _load_model_as(_require(args, "kn_model"), "kneser_ney", kn_from_payload)
         ppls = [perplexity(words, lm) for words in
                 _iter_training_texts(_require(args, "corpus"))]
         cutoffs = calibrate_cutoffs(ppls)

@@ -12,12 +12,15 @@ from __future__ import annotations
 
 import math
 import os
+import unicodedata
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 
 from .errors import ConfigError
 from .records import Document
-from .textnorm import TokenizedView, normalize, normalized_word_positions
+from .textnorm import TokenizedView, line_spans, load_wordlist, normalized_word_positions
 
 ELLIPSIS_SUFFIXES = ("...", "…")
 
@@ -60,24 +63,14 @@ class NatLangSignals:
 
 
 def _count_symbols(text: str) -> int:
-    """'#', non-overlapping '...' left-to-right, and U+2026."""
-    count = 0
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "#" or ch == "…":
-            count += 1
-            i += 1
-        elif text.startswith("...", i):
-            count += 1
-            i += 3
-        else:
-            i += 1
-    return count
+    """'#', non-overlapping '...' left-to-right, and U+2026. The three
+    patterns share no character, so counting each on its own gives the
+    same total as one left-to-right scan."""
+    return text.count("#") + text.count("…") + text.count("...")
 
 
 def _is_all_caps(word: str) -> bool:
-    return bool(word) and all(ch.isalpha() and ch.isupper() for ch in word)
+    return word.isalpha() and all(map(str.isupper, word))
 
 
 def _count_occurrences(haystack: str, needle: str) -> int:
@@ -106,16 +99,18 @@ def doc_natlang_signals(
         1 for line in raw_lines if line.rstrip().endswith(ELLIPSIS_SUFFIXES)
     )
 
-    counts: dict[str, int] = {}
-    for w in words:
-        counts[w] = counts.get(w, 0) + 1
+    # first-occurrence order, which fixes the order of the entropy sum
+    counts = Counter(words)
     entropy = 0.0
     if word_count:
         for c in counts.values():
             p = c / word_count
             entropy += -p * math.log(p)
 
-    stop_count = sum(1 for w in words if w in stopwords)
+    stop_count = sum(c for w, c in counts.items() if w in stopwords)
+    no_alpha_count = sum(
+        c for w, c in counts.items() if not any(map(str.isalpha, w))
+    )
 
     return NatLangSignals(
         rps_doc_curly_bracket=(
@@ -130,7 +125,7 @@ def doc_natlang_signals(
             ellipsis_lines / len(raw_lines) if raw_lines else 0.0
         ),
         rps_doc_frac_no_alph_words=(
-            sum(1 for w in words if not any(ch.isalpha() for ch in w)) / word_count
+            no_alpha_count / word_count
             if word_count
             else 0.0
         ),
@@ -140,7 +135,7 @@ def doc_natlang_signals(
             else 0.0
         ),
         rps_doc_mean_word_length=(
-            sum(len(w) for w in words) / word_count if word_count else 0.0
+            sum(map(len, words)) / word_count if word_count else 0.0
         ),
         rps_doc_stop_word_fraction=(
             stop_count / word_count if word_count else 0.0
@@ -156,7 +151,7 @@ def doc_natlang_signals(
         rps_doc_num_sentences=float(view.sentences_count),
         rps_doc_stop_word_count=float(stop_count),
         rps_doc_mean_line_length=(
-            sum(len(line) for line in raw_lines) / len(raw_lines)
+            sum(map(len, raw_lines)) / len(raw_lines)
             if raw_lines
             else 0.0
         ),
@@ -170,31 +165,84 @@ DUPE_NGRAM_SIZES = (5, 6, 7, 8, 9, 10)
 TOP_NGRAM_SIZES = (2, 3, 4)
 
 
+def _gram_ids(words: list[str], max_n: int) -> list[tuple[list[int], int]]:
+    """Entry n - 1 is (ids, distinct) for word n-grams: ids[i] numbers
+    the n-gram that starts at word i (equal n-grams get equal numbers,
+    all below `distinct`, the number of different n-grams). An n-gram's
+    number is that of the pair (number of its (n-1)-gram prefix, number
+    of its last word), so no key is longer than two."""
+    table: dict = {}
+    word_ids = [table.setdefault(w, len(table)) for w in words]
+    out = [(word_ids, len(table))]
+    for n in range(2, max_n + 1):
+        prev, distinct = out[-1]
+        if distinct == len(prev):
+            # every (n-1)-gram is distinct, so every n-gram is as well
+            ids = list(range(len(words) - n + 1))
+            distinct = len(ids)
+        else:
+            table = {}
+            ids = [table.setdefault(k, len(table)) for k in zip(prev, word_ids[n - 1 :])]
+            distinct = len(table)
+        out.append((ids, distinct))
+    return out
+
+
+def _dupe_fraction(ids, distinct, positions, n, total) -> float:
+    """Characters covered by the occurrences of n-grams that occur at
+    least twice, over `total`. Occurrences come in order of their start,
+    and so of their end, so their union is one merge pass. No n-grams
+    (fewer than n words) means 0."""
+    if distinct == len(ids):
+        return 0.0
+    counts = [0] * distinct
+    for g in ids:
+        counts[g] += 1
+    covered = run_lo = run_hi = 0
+    for i, g in enumerate(ids):
+        if counts[g] > 1:
+            lo = positions[i][0]
+            if lo > run_hi:
+                covered += run_hi - run_lo
+                run_lo = lo
+            run_hi = positions[i + n - 1][1]
+    covered += run_hi - run_lo
+    return covered / total
+
+
+def _top_fraction(ids, distinct, positions, n, total) -> float:
+    """Characters of the most frequent n-gram times its count, over
+    `total`, clamped to 1. The value depends only on the maximal
+    (count, character length), so no further tie-break is needed."""
+    if not ids:
+        return 0.0
+    counts = [0] * distinct
+    for g in ids:
+        counts[g] += 1
+    best = max(counts)
+    length = max(
+        positions[i + n - 1][1] - positions[i][0]
+        for i, g in enumerate(ids)
+        if counts[g] == best
+    )
+    return min(1.0, best * length / total)
+
+
+def _ngram_fraction(view: TokenizedView, n: int, fraction) -> float:
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    ids, distinct = _gram_ids(view.word_texts, n)[n - 1]
+    return fraction(
+        ids, distinct, normalized_word_positions(view), n, len(view.normalized)
+    )
+
+
 def frac_chars_dupe_ngrams(view: TokenizedView, n: int) -> float:
     """Fraction of normalized-content characters covered by any word
     n-gram occurring at least twice. Characters inside an occurrence
     include the single internal separator spaces; each character is
     counted at most once even under overlapping occurrences."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    words = view.word_texts
-    total = len(view.normalized)
-    if len(words) < n or total == 0:
-        return 0.0
-    positions = normalized_word_positions(view)
-    occurrences: dict[tuple[str, ...], list[int]] = {}
-    for i in range(len(words) - n + 1):
-        occurrences.setdefault(tuple(words[i : i + n]), []).append(i)
-    marked = bytearray(total)
-    for starts in occurrences.values():
-        if len(starts) < 2:
-            continue
-        for i in starts:
-            lo = positions[i][0]
-            hi = positions[i + n - 1][1]
-            for pos in range(lo, hi):
-                marked[pos] = 1
-    return sum(marked) / total
+    return _ngram_fraction(view, n, _dupe_fraction)
 
 
 def frac_chars_top_ngram(view: TokenizedView, n: int) -> float:
@@ -202,22 +250,7 @@ def frac_chars_top_ngram(view: TokenizedView, n: int) -> float:
     frequent word n-gram. Every occurrence is counted (overlaps
     included) and the ratio is clamped to 1.0; ties break toward the
     n-gram with greater character length, then lexicographically."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    words = view.word_texts
-    total = len(view.normalized)
-    if len(words) < n or total == 0:
-        return 0.0
-    counts: dict[tuple[str, ...], int] = {}
-    for i in range(len(words) - n + 1):
-        gram = tuple(words[i : i + n])
-        counts[gram] = counts.get(gram, 0) + 1
-
-    def gram_len(gram: tuple[str, ...]) -> int:
-        return sum(len(w) for w in gram) + n - 1
-
-    best = min(counts, key=lambda g: (-counts[g], -gram_len(g), g))
-    return min(1.0, counts[best] * gram_len(best) / total)
+    return _ngram_fraction(view, n, _top_fraction)
 
 
 @dataclass
@@ -234,11 +267,20 @@ class RepetitionSignals:
 
 
 def doc_repetition_signals(view: TokenizedView) -> RepetitionSignals:
+    """All repetition signals from one numbering of the document's word
+    n-grams (see _gram_ids) and one list of word positions."""
+    grams = _gram_ids(view.word_texts, max(DUPE_NGRAM_SIZES))
+    positions = normalized_word_positions(view)
+    total = len(view.normalized)
     values = {}
     for n in DUPE_NGRAM_SIZES:
-        values[f"rps_doc_frac_chars_dupe_{n}grams"] = frac_chars_dupe_ngrams(view, n)
+        values[f"rps_doc_frac_chars_dupe_{n}grams"] = _dupe_fraction(
+            *grams[n - 1], positions, n, total
+        )
     for n in TOP_NGRAM_SIZES:
-        values[f"rps_doc_frac_chars_top_{n}gram"] = frac_chars_top_ngram(view, n)
+        values[f"rps_doc_frac_chars_top_{n}gram"] = _top_fraction(
+            *grams[n - 1], positions, n, total
+        )
     return RepetitionSignals(**values)
 
 
@@ -252,30 +294,42 @@ class ContentSignals:
     rps_doc_ut1_blacklist: list[int]
 
 
-def count_blocklist_phrases(words: list[str], phrases: frozenset[str]) -> int:
-    """Non-overlapping left-to-right matches of (possibly multi-word)
-    normalized phrases against the normalized word sequence; longer
-    phrases win at each position."""
-    phrase_words = sorted(
-        (tuple(p.split()) for p in phrases if p), key=len, reverse=True
-    )
-    if not phrase_words:
+# first word -> every phrase that starts with it, as word tuples,
+# longest first
+Blocklist = dict[str, tuple[tuple[str, ...], ...]]
+
+
+def compile_blocklist(phrases) -> Blocklist:
+    """Index normalized (possibly multi-word) phrases by first word for
+    count_blocklist_phrases; empty phrases are dropped."""
+    by_first: dict[str, list[tuple[str, ...]]] = {}
+    for p in phrases:
+        pw = tuple(p.split())
+        if pw:
+            by_first.setdefault(pw[0], []).append(pw)
+    return {
+        first: tuple(sorted(set(group), key=len, reverse=True))
+        for first, group in by_first.items()
+    }
+
+
+def count_blocklist_phrases(words: list[str], blocklist: Blocklist) -> int:
+    """Non-overlapping left-to-right matches of the blocklist's phrases
+    against the normalized word sequence; longer phrases win at each
+    position."""
+    if blocklist.keys().isdisjoint(words):
         return 0
-    max_len = len(phrase_words[0])
     count = 0
     i = 0
     n = len(words)
     while i < n:
-        matched = 0
-        for pw in phrase_words:
-            if len(pw) <= n - i and tuple(words[i : i + len(pw)]) == pw:
+        matched = 1
+        for pw in blocklist.get(words[i], ()):
+            if len(pw) == 1 or tuple(words[i : i + len(pw)]) == pw:
+                count += 1
                 matched = len(pw)
                 break
-        if matched:
-            count += 1
-            i += matched
-        else:
-            i += 1
+        i += matched
     return count
 
 
@@ -292,7 +346,7 @@ def ut1_categories(domain: str, table: dict[str, set[int]]) -> list[int]:
 def content_signals(
     doc: Document,
     view: TokenizedView,
-    ldnoobw: frozenset[str],
+    ldnoobw: Blocklist,
     ut1: dict[str, set[int]],
 ) -> ContentSignals:
     return ContentSignals(
@@ -301,20 +355,19 @@ def content_signals(
     )
 
 
-def load_ldnoobw(language: str, directory=None) -> frozenset[str]:
-    """Per-language blocklist, one phrase per line."""
-    from .textnorm import load_wordlist
-
+def load_ldnoobw(language: str, directory=None) -> Blocklist:
+    """Per-language blocklist, one phrase per line, compiled once here
+    rather than per document."""
     if directory is not None:
         path = os.path.join(directory, f"{language}.txt")
         if not os.path.exists(path):
             raise ConfigError(f"missing LDNOOBW blocklist {path}")
-        return load_wordlist(path)
+        return compile_blocklist(load_wordlist(path))
     ref = resources.files("corpusforge") / "data" / "ldnoobw" / f"{language}.txt"
     if not ref.is_file():
         raise ConfigError(f"no vendored LDNOOBW list for language {language!r}")
     with resources.as_file(ref) as p:
-        return load_wordlist(p)
+        return compile_blocklist(load_wordlist(p))
 
 
 def load_ut1(directory=None) -> tuple[dict[str, set[int]], list[str]]:
@@ -365,31 +418,38 @@ class LineSignals:
     uppercase_letter_fraction: list[float]
 
 
-def _javascript_count(line_norm_words: list[str]) -> int:
-    return sum(1 for w in line_norm_words if w == "javascript")
-
-
-def line_signals(doc: Document) -> LineSignals:
-    from .textnorm import line_spans as _line_spans
-
+def line_signals(doc: Document, view: TokenizedView) -> LineSignals:
+    """Per-line values. A line's normalized text is the part of
+    view.normalized that came from the line, found by bisecting the
+    offset map, minus the separator spaces at its ends: '\\n' is neither
+    alphanumeric nor a composing character, so normalizing the whole
+    document and cutting it at the newlines gives each line's own
+    normalization."""
     raw = doc.raw_content
-    spans = _line_spans(raw)
+    spans = view.lines
+    # norm_to_raw indexes the NFC text, whose lines can be shorter
+    nfc = unicodedata.normalize("NFC", raw)
+    nfc_spans = spans if nfc == raw else line_spans(nfc)
+    normalized = view.normalized
+    offsets = view.norm_to_raw
     terminal, javascript, num_words = [], [], []
     numerical, bullet, uppercase = [], [], []
-    for start, end in spans:
+    for (start, end), (nfc_start, nfc_end) in zip(spans, nfc_spans):
         line = raw[start:end].rstrip("\n")
         stripped = line.strip()
-        norm = normalize(line)
+        norm = normalized[
+            bisect_left(offsets, nfc_start) : bisect_left(offsets, nfc_end)
+        ].strip(" ")
         norm_words = norm.split()
         terminal.append(1 if stripped.endswith(TERMINAL_PUNCTUATION) else 0)
-        javascript.append(_javascript_count(norm_words))
+        javascript.append(norm_words.count("javascript"))
         num_words.append(len(norm_words))
         numerical.append(
-            sum(1 for ch in norm if ch.isdigit()) / len(norm) if norm else 0.0
+            sum(map(str.isdigit, norm)) / len(norm) if norm else 0.0
         )
         bullet.append(1 if stripped.startswith(BULLET_POINTS) else 0)
         uppercase.append(
-            sum(1 for ch in line if ch.isupper()) / len(line) if line else 0.0
+            sum(map(str.isupper, line)) / len(line) if line else 0.0
         )
     return LineSignals(
         spans=spans,

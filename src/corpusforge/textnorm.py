@@ -4,8 +4,10 @@ Every downstream signal number depends on these conventions:
 
 - normalize(): NFC, lowercase, strip Unicode punctuation/symbol
   characters (categories P* and S*) except apostrophes and hyphens that
-  sit between alphanumeric characters, collapse whitespace runs to a
-  single space, strip leading/trailing space.
+  sit between alphanumeric characters (the one before counted after
+  lowercasing), collapse whitespace runs to a single space, strip
+  leading/trailing space, and NFC again the words that lowercasing or
+  stripping left decomposed. Normalizing twice gives the same text.
 - a "word" is a maximal non-space run of the normalized text.
 - a "sentence" is a segment terminated by '.', '!' or '?' followed by
   whitespace or end of text; a trailing unterminated segment containing
@@ -14,6 +16,8 @@ Every downstream signal number depends on these conventions:
 
 from __future__ import annotations
 
+import functools
+import re
 import unicodedata
 from dataclasses import dataclass
 from importlib import resources
@@ -21,44 +25,102 @@ from importlib import resources
 from .errors import ConfigError
 
 _KEEPABLE = {"'", "’", "-"}
-_TERMINATORS = {".", "!", "?"}
+
+# Per-code-point normalization class: code point -> _SPACE, _DROP,
+# _EDGE (an apostrophe or hyphen, kept only between alphanumerics) or,
+# for a kept code point, its lowercase string. One entry per distinct
+# code point ever seen, so it stays small. Annotate threads that race to
+# fill an entry store the same value, so the cache needs no lock.
+_SPACE, _DROP, _EDGE = 0, 1, 2
+_CLASSES: dict[str, object] = {}
+
+# A sentence ends at a terminator followed by whitespace or the end of
+# the text. Python's \s and [^\W_] match exactly the characters for which
+# str.isspace() and str.isalnum() hold.
+_SENTENCE_END = re.compile(r"[.!?](?=\s|\Z)")
+_ALNUM = re.compile(r"[^\W_]")
 
 
 def _is_stripped(ch: str) -> bool:
     return unicodedata.category(ch)[0] in ("P", "S")
 
 
+def _char_class(ch: str):
+    if ch.isspace():
+        return _SPACE
+    if _is_stripped(ch):
+        return _EDGE if ch in _KEEPABLE else _DROP
+    return ch.lower()
+
+
 def normalize_with_map(text: str) -> tuple[str, list[int]]:
-    """Normalize text and return (normalized, raw_offsets) where
-    raw_offsets[i] is the index in `text` the i-th normalized character
-    came from (whitespace maps to the first character of its run)."""
+    """Normalize text and return (normalized, nfc_offsets), where
+    nfc_offsets[i] is the index, in unicodedata.normalize("NFC", text),
+    of the character the i-th normalized character came from (whitespace
+    maps to the first character of its run). The offsets are
+    non-decreasing. They index the NFC text, which differs from `text`
+    when `text` holds decomposed sequences."""
     text = unicodedata.normalize("NFC", text)
+    classes = _CLASSES
     out: list[str] = []
     offsets: list[int] = []
-    pending_space: int | None = None
-    n = len(text)
+    pending_space = -1
+    last = len(text) - 1
     for i, ch in enumerate(text):
-        if ch.isspace():
-            if pending_space is None:
+        c = classes.get(ch)
+        if c is None:
+            c = classes[ch] = _char_class(ch)
+        if c is _SPACE:
+            if pending_space < 0:
                 pending_space = i
             continue
-        if _is_stripped(ch):
-            if ch in _KEEPABLE:
-                prev_ok = i > 0 and text[i - 1].isalnum()
-                next_ok = i + 1 < n and text[i + 1].isalnum()
-                if not (prev_ok and next_ok):
-                    continue
-            else:
+        if c is _DROP:
+            continue
+        if c is _EDGE:
+            # "İ" lowercases to "i" + U+0307, which is not alphanumeric
+            if not (0 < i < last and text[i - 1].lower()[-1].isalnum()
+                    and text[i + 1].isalnum()):
                 continue
-        if pending_space is not None:
+            c = ch
+        if pending_space >= 0:
             if out:
                 out.append(" ")
                 offsets.append(pending_space)
-            pending_space = None
-        for low in ch.lower():
-            out.append(low)
-            offsets.append(i)
-    return "".join(out), offsets
+            pending_space = -1
+        out.append(c)
+        offsets.append(i)
+        if len(c) > 1:  # a lowercase mapping longer than one character
+            offsets.extend([i] * (len(c) - 1))
+    norm = "".join(out)
+    if unicodedata.is_normalized("NFC", norm):
+        return norm, offsets
+    return _recompose(norm, offsets)
+
+
+def _recompose(norm: str, offsets: list[int]) -> tuple[str, list[int]]:
+    """NFC of each word of `norm` (composition never crosses a space),
+    for the rare text where lowercasing or a stripped character left a
+    base and its combining mark apart. A word that changes keeps the
+    offsets of its first and last characters; the characters between
+    take the offsets that follow the first, so the offsets stay
+    non-decreasing."""
+    words: list[str] = []
+    new_offsets: list[int] = []
+    pos = 0
+    for word in norm.split(" "):
+        end = pos + len(word)
+        nfc = unicodedata.normalize("NFC", word)
+        if nfc == word:
+            new_offsets.extend(offsets[pos:end])
+        else:
+            # composing only shortens a word here
+            new_offsets.extend(offsets[pos : pos + len(nfc) - 1])
+            new_offsets.append(offsets[end - 1])
+        if end < len(norm):
+            new_offsets.append(offsets[end])  # the separating space
+        words.append(nfc)
+        pos = end + 1
+    return " ".join(words), new_offsets
 
 
 def normalize(text: str) -> str:
@@ -67,6 +129,9 @@ def normalize(text: str) -> str:
 
 @dataclass(frozen=True)
 class WordSpan:
+    """A word and the [start, end) span it came from in the NFC form of
+    the raw text (see normalize_with_map)."""
+
     text: str
     start: int
     end: int
@@ -75,16 +140,13 @@ class WordSpan:
 def split_sentences(text: str) -> int:
     """Count sentences under the three-terminator rule."""
     count = 0
-    has_content = False
-    n = len(text)
-    for i, ch in enumerate(text):
-        if ch.isalnum():
-            has_content = True
-        if ch in _TERMINATORS and (i + 1 == n or text[i + 1].isspace()):
-            if has_content:
-                count += 1
-            has_content = False
-    if has_content:
+    start = 0
+    for match in _SENTENCE_END.finditer(text):
+        end = match.end()
+        if _ALNUM.search(text, start, end):
+            count += 1
+        start = end
+    if _ALNUM.search(text, start):
         count += 1
     return count
 
@@ -97,48 +159,47 @@ def line_spans(text: str) -> list[tuple[int, int]]:
         return []
     spans = []
     start = 0
-    for i, ch in enumerate(text):
-        if ch == "\n":
-            spans.append((start, i + 1))
-            start = i + 1
-    spans.append((start, len(text)))
+    for line in text.split("\n"):
+        end = start + len(line) + 1
+        spans.append((start, end))
+        start = end
+    spans[-1] = (spans[-1][0], len(text))
     return spans
 
 
 @dataclass
 class TokenizedView:
-    """Pre-tokenized view of one document, shared by all signals."""
+    """Pre-tokenized view of one document, shared by all signals.
+
+    `norm_to_raw[i]` is the index, in the NFC form of `raw`, of the
+    character the i-th character of `normalized` came from (see
+    normalize_with_map); it indexes `raw` itself only when `raw` is
+    already NFC."""
 
     raw: str
     normalized: str
     norm_to_raw: list[int]
-    words: list[WordSpan]
+    word_texts: list[str]
     lines: list[tuple[int, int]]
     sentences_count: int
 
-    @property
-    def word_texts(self) -> list[str]:
-        return [w.text for w in self.words]
+    @functools.cached_property
+    def words(self) -> list[WordSpan]:
+        offsets = self.norm_to_raw
+        return [
+            WordSpan(w, offsets[start], offsets[end - 1] + 1)
+            for w, (start, end) in zip(self.word_texts, normalized_word_positions(self))
+        ]
 
 
 def analyze(text: str) -> TokenizedView:
     norm, offsets = normalize_with_map(text)
-    words: list[WordSpan] = []
-    i, n = 0, len(norm)
-    while i < n:
-        if norm[i] == " ":
-            i += 1
-            continue
-        j = i
-        while j < n and norm[j] != " ":
-            j += 1
-        words.append(WordSpan(norm[i:j], offsets[i], offsets[j - 1] + 1))
-        i = j
     return TokenizedView(
         raw=text,
         normalized=norm,
         norm_to_raw=offsets,
-        words=words,
+        # words are separated by exactly one space in the normalized text
+        word_texts=norm.split(" ") if norm else [],
         lines=line_spans(text),
         sentences_count=split_sentences(text),
     )
@@ -150,13 +211,10 @@ def normalized_word_positions(view: TokenizedView) -> list[tuple[int, int]]:
     without a second scan."""
     spans = []
     pos = 0
-    first = True
-    for w in view.words:
-        if not first:
-            pos += 1
-        spans.append((pos, pos + len(w.text)))
-        pos += len(w.text)
-        first = False
+    for w in view.word_texts:
+        end = pos + len(w)
+        spans.append((pos, end))
+        pos = end + 1
     return spans
 
 

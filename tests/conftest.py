@@ -49,6 +49,37 @@ def random_text(rng: random.Random, max_words: int = 200) -> str:
     return "\n".join(parts)
 
 
+# Pieces for hypothesis-generated text: decomposed combining marks (some
+# with no precomposed capital, one on its own after whatever precedes
+# it), characters whose NFC form or lowercase changes length, apostrophes and
+# hyphens next to line breaks, blank and whitespace-only lines, and
+# separators that are whitespace but not line breaks.
+TRICKY_WORDS = [
+    "a", "b", "Ab", "7", "x1", "A\u0300", "e\u0301", "T\u0308", "\u0301", "İ", "ß",
+    "ﬁ", "ΑΣ",
+    "it's", "'", "’", "-", "-x", "y'", "…", "...", "end.", "”", "•", "#",
+    "{", "javascript", "JavaScript",
+]
+TRICKY_SEPARATORS = [
+    "", " ", "  ", "\n", "\n\n", " \n ", "\n \n", "\t", "\r\n", "\x1c", "'", "-",
+]
+
+
+def tricky_text():
+    """Hypothesis strategy for documents built from the pieces above:
+    either any sequence of pieces, or a sequence drawn from a pool of at
+    most four pieces, which repeats word n-grams."""
+    from hypothesis import strategies as st
+
+    piece = st.tuples(st.sampled_from(TRICKY_WORDS), st.sampled_from(TRICKY_SEPARATORS))
+    repetitive = st.lists(piece, min_size=1, max_size=4).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=12, max_size=80)
+    )
+    return st.one_of(st.lists(piece, max_size=60), repetitive).map(
+        lambda pieces: "".join(w + sep for w, sep in pieces)
+    )
+
+
 def make_doc(text: str, **overrides) -> Document:
     values = dict(
         url="http://example.com/page",

@@ -11,7 +11,8 @@ from collections import Counter
 
 # ---------------------------------------------------------------------------
 # Normalization (reference): NFC, drop punctuation/symbols except
-# apostrophes/hyphens between alphanumerics, lowercase, collapse spaces.
+# apostrophes/hyphens between alphanumerics, lowercase, collapse spaces,
+# NFC again.
 
 
 def oracle_normalize(text: str) -> str:
@@ -20,15 +21,19 @@ def oracle_normalize(text: str) -> str:
     for i, ch in enumerate(nfc):
         if unicodedata.category(ch)[0] in ("P", "S"):
             if ch in ("'", "’", "-"):
+                # the neighbour before counts as lowercased: "İ" becomes
+                # "i" + a combining dot, which is not alphanumeric
                 if (
                     0 < i < len(nfc) - 1
-                    and nfc[i - 1].isalnum()
+                    and nfc[i - 1].lower()[-1].isalnum()
                     and nfc[i + 1].isalnum()
                 ):
                     kept.append(ch.lower())
             continue
         kept.append(ch.lower())
-    return " ".join("".join(kept).split())
+    # lowercasing or a dropped character can leave a base and its
+    # combining mark apart; compose them again
+    return unicodedata.normalize("NFC", " ".join("".join(kept).split()))
 
 
 def oracle_words(text: str) -> list[str]:

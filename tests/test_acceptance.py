@@ -91,7 +91,7 @@ def test_acceptance_1_signals_match_oracle():
         assert got == oracles.oracle_natlang(text, stop)
         got_rep = dataclasses.asdict(doc_repetition_signals(view))
         assert got_rep == oracles.oracle_repetition(text)
-        ls = line_signals(doc)
+        ls = line_signals(doc, view)
         expected = oracles.oracle_line_signals(text)
         assert ls.num_words == expected["rps_lines_num_words"]
         assert ls.numerical_chars_fraction == expected[

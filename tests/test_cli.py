@@ -142,10 +142,19 @@ def test_config_file_and_unknown_key(tmp_path, corpus):
                  id="annotate-signal-never-emitted"),
     pytest.param({}, None, ["filter", "--preset", "rpv1_code"],
                  id="ruleset-needs-missing-signals"),
+    pytest.param({"CORPUSFORGE_FORCE": "ture"}, None, ["annotate"], id="env-bool-typo"),
+    pytest.param({"CORPUSFORGE_MODELS": '{"classifiers": "x"}'}, None, ["annotate"],
+                 id="env-models-classifiers-not-object"),
+    pytest.param({"CORPUSFORGE_MODELS": '{"importance": {"books": "x"}}'}, None,
+                 ["annotate"], id="env-models-importance-not-pair"),
+    pytest.param({"CORPUSFORGE_MODELS": '{"kn_lm": "no_payload.json"}'}, None,
+                 ["annotate"], id="model-file-without-payload"),
 ])
 def test_bad_config_exits_1_with_one_error_line(corpus, tmp_path, env, config, argv):
     # the corpus carries the default signals, which have no rps_code_*
     assert main(["annotate", "--input", corpus, "--output", corpus]) == 0
+    # a model container without payload or hash, for relative model paths
+    (tmp_path / "no_payload.json").write_text('{"kind": "kneser_ney"}')
     argv = [*argv, "--input", corpus, "--output", str(tmp_path / "out")]
     if config is not None:
         path = tmp_path / "cfg.json"
@@ -155,7 +164,7 @@ def test_bad_config_exits_1_with_one_error_line(corpus, tmp_path, env, config, a
     proc = subprocess.run(
         [sys.executable, "-m", "corpusforge.cli", *argv],
         env={**os.environ, "PYTHONPATH": src, **env},
-        capture_output=True, text=True, timeout=120,
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr

@@ -4,11 +4,13 @@ targeted edge cases for blocklists, line signals, and code heuristics."""
 import dataclasses
 
 import pytest
+from hypothesis import example, given
 
 import oracles
 
 from corpusforge.signals import (
     code_quality_metrics,
+    compile_blocklist,
     content_signals,
     count_blocklist_phrases,
     doc_natlang_signals,
@@ -22,7 +24,7 @@ from corpusforge.signals import (
 )
 from corpusforge.textnorm import analyze
 
-from conftest import make_doc, random_text
+from conftest import make_doc, random_text, tricky_text
 
 
 def _natlang_dict(doc, view, stopwords):
@@ -94,8 +96,8 @@ def test_blocklist_phrase_matching(en_stopwords):
     phrases = frozenset({"bad", "very bad", "very bad thing"})
     words = "a very bad thing and a bad one plus very bad stuff".split()
     # longest-match: "very bad thing", then "bad", then "very bad"
-    assert count_blocklist_phrases(words, phrases) == 3
-    assert count_blocklist_phrases(words, frozenset()) == 0
+    assert count_blocklist_phrases(words, compile_blocklist(phrases)) == 3
+    assert count_blocklist_phrases(words, compile_blocklist(frozenset())) == 0
     assert oracles.oracle_blocklist_count(words, phrases) == 3
 
 
@@ -123,7 +125,7 @@ def test_line_signals_match_oracle(rng):
     for _ in range(200):
         text = random_text(rng, max_words=80)
         doc = make_doc(text)
-        ls = line_signals(doc)
+        ls = line_signals(doc, analyze(text))
         expected = oracles.oracle_line_signals(text)
         assert ls.ending_with_terminal_punctution_mark == expected[
             "rps_lines_ending_with_terminal_punctution_mark"
@@ -143,9 +145,42 @@ def test_line_signals_match_oracle(rng):
         assert len(ls.spans) == (len(text.split("\n")) if text else 0)
 
 
+def _line_signals_dict(ls):
+    return {
+        "rps_lines_ending_with_terminal_punctution_mark":
+            ls.ending_with_terminal_punctution_mark,
+        "rps_lines_javascript_counts": ls.javascript_counts,
+        "rps_lines_num_words": ls.num_words,
+        "rps_lines_numerical_chars_fraction": ls.numerical_chars_fraction,
+        "rps_lines_start_with_bulletpoint": ls.start_with_bulletpoint,
+        "rps_lines_uppercase_letter_fraction": ls.uppercase_letter_fraction,
+    }
+
+
+# "A\u0300" composes to one NFC character, so the second line starts one
+# character earlier in the NFC text than in the raw text.
+@given(tricky_text())
+@example("A\u0300\n1")
+@example("e\u0301e\u0301 x\n\n'9 -\n- j'")
+def test_line_signals_match_oracle_on_generated_text(text):
+    ls = line_signals(make_doc(text), analyze(text))
+    assert _line_signals_dict(ls) == oracles.oracle_line_signals(text)
+    # the spans tile the text, one per line
+    assert "".join(text[start:end] for start, end in ls.spans) == text
+    assert [text[start:end].removesuffix("\n") for start, end in ls.spans] == (
+        text.split("\n") if text else []
+    )
+
+
+@given(tricky_text())
+def test_repetition_signals_match_oracle_on_generated_text(text):
+    got = dataclasses.asdict(doc_repetition_signals(analyze(text)))
+    assert got == oracles.oracle_repetition(text)
+
+
 def test_line_signals_specifics():
     doc = make_doc('He said. ”\n• bullet item\nJavaScript and javascript:\n12a')
-    ls = line_signals(doc)
+    ls = line_signals(doc, analyze(doc.raw_content))
     assert ls.ending_with_terminal_punctution_mark == [1, 0, 0, 0]
     assert ls.start_with_bulletpoint == [0, 1, 0, 0]
     assert ls.javascript_counts == [0, 0, 2, 0]

@@ -1,6 +1,9 @@
 """Normalization, tokenization, sentence and line segmentation."""
 
 import random
+import unicodedata
+
+from hypothesis import example, given
 
 from oracles import oracle_normalize, oracle_sentence_count
 
@@ -13,7 +16,7 @@ from corpusforge.textnorm import (
     split_sentences,
 )
 
-from conftest import random_text
+from conftest import random_text, tricky_text
 
 
 def test_normalize_basics():
@@ -101,3 +104,20 @@ def test_normalized_word_positions_roundtrip(rng):
             normalized_word_positions(view), view.word_texts
         ):
             assert view.normalized[start:end] == word
+
+
+@given(tricky_text())
+def test_normalize_is_idempotent(text):
+    once = normalize(text)
+    assert normalize(once) == once
+    assert once == oracle_normalize(text)
+
+
+@given(tricky_text())
+@example("A\u0300\n1")
+def test_offset_map_indexes_nfc_text(text):
+    nfc = unicodedata.normalize("NFC", text)
+    norm, offsets = normalize_with_map(text)
+    assert len(offsets) == len(norm) and offsets == sorted(offsets)
+    for ch, i in zip(norm, offsets):
+        assert nfc[i].isspace() == (ch == " ")
