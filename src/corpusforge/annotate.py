@@ -8,11 +8,12 @@ from dataclasses import dataclass, field
 from .errors import ConfigError
 from .kneser_ney import KneserNeyLM, perplexity
 from .mlmodels import HashedNgramLM, LinearClassifier, dsir_importance
-from .records import Document, QualitySignalSet, document_id
+from .records import CATEGORICAL_SIGNALS, Document, QualitySignalSet, document_id
 from .signal_catalog import (
-    CCNET_SIGNALS,
+    CONTENT_SIGNALS,
     LINE_SIGNALS,
-    ML_SIGNALS,
+    NATLANG_SIGNALS,
+    REPETITION_SIGNALS,
     SIGNAL_GROUPS,
 )
 from .signals import (
@@ -49,7 +50,6 @@ class SignalResources:
     stopwords: dict[str, frozenset[str]] = field(default_factory=dict)
     ldnoobw: dict[str, Blocklist] = field(default_factory=dict)
     ut1: dict[str, set[int]] = field(default_factory=dict)
-    ut1_categories: list[str] = field(default_factory=list)
     classifiers: dict[str, LinearClassifier] = field(default_factory=dict)
     importance_models: dict[str, tuple[HashedNgramLM, HashedNgramLM]] = field(
         default_factory=dict
@@ -65,7 +65,7 @@ class SignalResources:
             path = (stopword_paths or {}).get(lang)
             res.stopwords[lang] = load_stopwords(lang, path)
             res.ldnoobw[lang] = load_ldnoobw(lang, ldnoobw_dir)
-        res.ut1, res.ut1_categories = load_ut1(ut1_dir)
+        res.ut1, _ = load_ut1(ut1_dir)
         return res
 
 
@@ -102,6 +102,12 @@ DEFAULT_SIGNALS = ("ccnet", "natlang", "repetition", "content", "lines")
 _DEFAULT_NAMES = frozenset(resolve_signal_names(DEFAULT_SIGNALS))
 
 
+def _for_language(table: dict, language: str, what: str):
+    if language not in table:
+        raise ConfigError(f"no {what} loaded for language {language!r}")
+    return table[language]
+
+
 def compute_signals(
     doc: Document,
     res: SignalResources,
@@ -117,91 +123,58 @@ def compute_signals(
     if not wanted <= _EMITTABLE:
         wanted = frozenset(resolve_signal_names(names))
     view = analyze(doc.raw_content)
-    length = len(doc.raw_content)
-    signals: dict[str, list[tuple[int, int, float]]] = {}
-
-    def doc_signal(name, score):
-        signals[name] = [(0, length, float(score))]
-
-    ccnet_values = {
+    values: dict = {
         "ccnet_bucket": _BUCKET_CODES.get(doc.bucket, 2.0),
         "ccnet_language_score": doc.language_score,
-        "ccnet_length": float(doc.length),
-        "ccnet_nlines": float(doc.nlines),
-        "ccnet_original_length": float(doc.original_length),
-        "ccnet_original_nlines": float(doc.original_nlines),
-        "ccnet_perplexity": doc.perplexity,
+        "ccnet_length": doc.length,
+        "ccnet_nlines": doc.nlines,
+        "ccnet_original_length": doc.original_length,
+        "ccnet_original_nlines": doc.original_nlines,
+        "ccnet_perplexity": (
+            perplexity(view.word_texts, res.kn_lm)
+            if res.kn_lm is not None and "ccnet_perplexity" in wanted
+            else doc.perplexity
+        ),
     }
-    for name in CCNET_SIGNALS:
-        if name in wanted:
-            if name == "ccnet_perplexity" and res.kn_lm is not None:
-                doc_signal(name, perplexity(view.word_texts, res.kn_lm))
-            else:
-                doc_signal(name, ccnet_values[name])
-
-    if not wanted.isdisjoint(SIGNAL_GROUPS["natlang"]):
-        stop = res.stopwords.get(doc.language)
-        if stop is None:
-            raise ConfigError(
-                f"no stop-word list loaded for language {doc.language!r}"
-            )
-        nl = doc_natlang_signals(doc, view, stop)
-        for name in SIGNAL_GROUPS["natlang"]:
-            if name in wanted:
-                doc_signal(name, getattr(nl, name))
-
-    if not wanted.isdisjoint(SIGNAL_GROUPS["repetition"]):
-        rep = doc_repetition_signals(view)
-        for name in SIGNAL_GROUPS["repetition"]:
-            if name in wanted:
-                doc_signal(name, getattr(rep, name))
-
-    if not wanted.isdisjoint(SIGNAL_GROUPS["content"]):
-        blocklist = res.ldnoobw.get(doc.language)
-        if blocklist is None:
-            raise ConfigError(
-                f"no LDNOOBW blocklist loaded for language {doc.language!r}"
-            )
-        cs = content_signals(doc, view, blocklist, res.ut1)
-        if "rps_doc_ldnoobw_words" in wanted:
-            doc_signal("rps_doc_ldnoobw_words", cs.rps_doc_ldnoobw_words)
-        if "rps_doc_ut1_blacklist" in wanted:
-            # categorical: one triple per category id, empty when clean
-            signals["rps_doc_ut1_blacklist"] = [
-                (0, length, float(cid)) for cid in cs.rps_doc_ut1_blacklist
-            ]
-
+    if not wanted.isdisjoint(NATLANG_SIGNALS):
+        stop = _for_language(res.stopwords, doc.language, "stop-word list")
+        values.update(doc_natlang_signals(doc, view, stop))
+    if not wanted.isdisjoint(REPETITION_SIGNALS):
+        values.update(doc_repetition_signals(view))
+    if not wanted.isdisjoint(CONTENT_SIGNALS):
+        blocklist = _for_language(res.ldnoobw, doc.language, "LDNOOBW blocklist")
+        values.update(content_signals(doc, view, blocklist, res.ut1))
     if not wanted.isdisjoint(LINE_SIGNALS):
-        ls = line_signals(doc, view)
-        per_line = {
-            "rps_lines_ending_with_terminal_punctution_mark":
-                ls.ending_with_terminal_punctution_mark,
-            "rps_lines_javascript_counts": ls.javascript_counts,
-            "rps_lines_num_words": ls.num_words,
-            "rps_lines_numerical_chars_fraction": ls.numerical_chars_fraction,
-            "rps_lines_start_with_bulletpoint": ls.start_with_bulletpoint,
-            "rps_lines_uppercase_letter_fraction": ls.uppercase_letter_fraction,
-        }
-        for name, values in per_line.items():
-            if name in wanted:
-                signals[name] = [
-                    (start, end, float(v))
-                    for (start, end), v in zip(ls.spans, values)
-                ]
-
-    for name in ML_SIGNALS:
+        values.update(line_signals(doc, view))
+    for name, key in CLASSIFIER_SIGNALS.items():
         if name not in wanted:
             continue
-        if name in CLASSIFIER_SIGNALS:
-            clf = res.classifiers.get(CLASSIFIER_SIGNALS[name])
-            if clf is None:
-                raise ConfigError(f"signal {name} requested but no model loaded")
-            doc_signal(name, clf.score_words(view.word_texts))
+        clf = res.classifiers.get(key)
+        if clf is None:
+            raise ConfigError(f"signal {name} requested but no model loaded")
+        values[name] = clf.score_words(view.word_texts)
+    for name, key in IMPORTANCE_SIGNALS.items():
+        if name not in wanted:
+            continue
+        pair = res.importance_models.get(key)
+        if pair is None:
+            raise ConfigError(f"signal {name} requested but no model pair loaded")
+        values[name] = dsir_importance(view.word_texts, pair[0], pair[1])
+
+    length = len(doc.raw_content)
+    signals: dict[str, list[tuple[int, int, float]]] = {}
+    for name, value in values.items():
+        if name not in wanted:
+            continue
+        if name in LINE_SIGNALS:
+            signals[name] = [
+                (start, end, float(v)) for (start, end), v in zip(view.lines, value)
+            ]
+        elif name in CATEGORICAL_SIGNALS:
+            # one triple per category id, none when clean
+            signals[name] = [(0, length, float(v)) for v in value]
         else:
-            pair = res.importance_models.get(IMPORTANCE_SIGNALS[name])
-            if pair is None:
-                raise ConfigError(f"signal {name} requested but no model pair loaded")
-            doc_signal(name, dsir_importance(view.word_texts, pair[0], pair[1]))
+            signals[name] = [(0, length, float(value))]
 
     doc_id, id_int = document_id(doc, ordinal)
     return QualitySignalSet(

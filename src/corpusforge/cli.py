@@ -9,10 +9,15 @@ variable; command-line flags win.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import pipeline
 from .errors import ConfigError, DataError, RecordError
+
+
+def _comma_list(value: str) -> list[str]:
+    return [x for x in value.split(",") if x]
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -20,10 +25,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input", dest="input_root", help="corpus root directory")
     parser.add_argument("--output", dest="output_root", help="output root directory")
     parser.add_argument(
-        "--snapshots",
+        "--snapshots", type=_comma_list,
         help="comma-separated snapshot ids, newest first (e.g. 2023-14,2022-49)",
     )
-    parser.add_argument("--languages", help="comma-separated language codes")
+    parser.add_argument("--languages", type=_comma_list,
+                        help="comma-separated language codes")
     parser.add_argument("--workers", type=int, help="parallel shard workers")
     parser.add_argument("--seed", type=int, help="random seed for training")
     parser.add_argument(
@@ -42,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("annotate", help="compute quality-signal sidecars")
     _add_common(p)
     p.add_argument(
-        "--signals",
+        "--signals", type=_comma_list,
         help="comma-separated signal names or groups "
         "(ccnet, natlang, repetition, content, lines, ml)",
     )
@@ -64,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="preset name ('+'-composable) or path to a rule JSON",
     )
     p.add_argument(
-        "--no-dedup", action="store_true",
+        "--no-dedup", dest="apply_dedup", action="store_false", default=None,
         help="ignore duplicate sidecars while filtering",
     )
 
@@ -82,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--negative", help="JSONL(.gz) of negative examples")
     p.add_argument("--corpus", help="JSONL(.gz) training corpus")
     p.add_argument("--kn-model", dest="kn_model", help="trained 5-gram model path")
-    p.add_argument("--model-output", dest="model_output", required=True,
+    p.add_argument("--model-output", dest="output", required=True,
                    help="where to write the model JSON")
     p.add_argument("--epochs", type=int, default=20)
     p.add_argument("--lr", type=float, default=0.5)
@@ -95,28 +101,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--corpus", required=True)
     p.add_argument("--kn-model", dest="kn_model", required=True)
-    p.add_argument("--model-output", dest="model_output", required=True)
+    p.add_argument("--model-output", dest="output", required=True)
 
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> pipeline.PipelineConfig:
-    overrides = {}
-    for key in ("input_root", "output_root", "workers", "seed", "jaccard",
-                "bloom_capacity", "bloom_error_rate", "ruleset"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    for key in ("snapshots", "languages"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = [x for x in value.split(",") if x]
-    if getattr(args, "signals", None) is not None:
-        overrides["signals"] = [x for x in args.signals.split(",") if x]
-    if getattr(args, "force", None):
-        overrides["force"] = True
-    if getattr(args, "no_dedup", False):
-        overrides["apply_dedup"] = False
+    """Every given option whose dest is a PipelineConfig field overrides
+    that field; an absent option is None and leaves it alone."""
+    fields = {f.name for f in dataclasses.fields(pipeline.PipelineConfig)}
+    overrides = {k: v for k, v in vars(args).items() if k in fields and v is not None}
     return pipeline.PipelineConfig.load(args.config, overrides)
 
 
@@ -133,23 +127,9 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "stats":
             pipeline.cmd_stats(cfg, as_json=args.json)
         elif args.command == "train":
-            pipeline.cmd_train(cfg, args.kind, {
-                "positive": args.positive,
-                "negative": args.negative,
-                "corpus": args.corpus,
-                "kn_model": args.kn_model,
-                "output": args.model_output,
-                "epochs": args.epochs,
-                "lr": args.lr,
-                "buckets": args.buckets,
-                "order": args.order,
-            })
+            pipeline.cmd_train(cfg, args.kind, vars(args))
         elif args.command == "calibrate":
-            pipeline.cmd_train(cfg, "calibrate_buckets", {
-                "corpus": args.corpus,
-                "kn_model": args.kn_model,
-                "output": args.model_output,
-            })
+            pipeline.cmd_train(cfg, "calibrate_buckets", vars(args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -171,7 +171,6 @@ def estimate_jaccard(sig_a: np.ndarray, sig_b: np.ndarray) -> float:
 
 DEFAULT_BANDS = 9
 DEFAULT_ROWS = 13
-JACCARD_LEVELS = (0.7, 0.8, 0.9, 1.0)
 
 
 def pick_banding(level: float, num_perm: int = NUM_PERMUTATIONS) -> tuple[int, int]:

@@ -14,10 +14,9 @@ class RecordError(CorpusForgeError):
     """A single bad record in a shard. Carries enough context to report
     and skip the record without aborting the shard."""
 
-    def __init__(self, message, line_number=None, field=None):
+    def __init__(self, message, line_number=None):
         super().__init__(message)
         self.line_number = line_number
-        self.field = field
 
     def __str__(self):
         base = super().__str__()

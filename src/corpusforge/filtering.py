@@ -15,7 +15,7 @@ from importlib import resources
 
 from .errors import ConfigError
 from .records import Document, QualitySignalSet, rewrite_document
-from .signal_catalog import DOC_SIGNALS, LINE_SIGNALS, known_signal_names
+from .signal_catalog import LINE_SIGNALS, known_signal_names
 
 PRESET_NAMES = (
     "c4_full",

@@ -110,6 +110,12 @@ def train_kn_lm(
             cc[g[1:]] = cc.get(g[1:], 0) + 1
         counts[k] = cc
 
+    return _build_lm(order, discount, vocab, counts)
+
+
+def _build_lm(order: int, discount: float, vocab: set[str],
+              counts: dict[int, dict[tuple[str, ...], int]]) -> KneserNeyLM:
+    """The model with its per-history totals derived from `counts`."""
     hist_total: dict[int, dict[tuple[str, ...], int]] = {}
     n1plus: dict[int, dict[tuple[str, ...], int]] = {}
     for k in range(1, order + 1):
@@ -122,7 +128,6 @@ def train_kn_lm(
                 np_[h] = np_.get(h, 0) + 1
         hist_total[k] = ht
         n1plus[k] = np_
-
     return KneserNeyLM(
         order=order,
         discount=discount,
@@ -195,25 +200,5 @@ def kn_from_payload(payload: dict) -> KneserNeyLM:
             tuple(key.split("\x1f")) if key else (): c for key, c in d.items()
         }
 
-    order = payload["order"]
     counts = {int(k): dec(v) for k, v in payload["counts"].items()}
-    hist_total: dict[int, dict[tuple[str, ...], int]] = {}
-    n1plus: dict[int, dict[tuple[str, ...], int]] = {}
-    for k in range(1, order + 1):
-        ht: dict[tuple[str, ...], int] = {}
-        np_: dict[tuple[str, ...], int] = {}
-        for g, c in counts[k].items():
-            h = g[:-1]
-            ht[h] = ht.get(h, 0) + c
-            if c > 0:
-                np_[h] = np_.get(h, 0) + 1
-        hist_total[k] = ht
-        n1plus[k] = np_
-    return KneserNeyLM(
-        order=order,
-        discount=payload["discount"],
-        vocab=set(payload["vocab"]),
-        counts=counts,
-        hist_total=hist_total,
-        n1plus=n1plus,
-    )
+    return _build_lm(payload["order"], payload["discount"], set(payload["vocab"]), counts)

@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import typing
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -170,10 +171,13 @@ def _checked(name: str, value, hint):
 # Shard discovery
 
 
-def discover_document_shards(cfg: PipelineConfig) -> list[str]:
-    """Document shard paths under input_root, restricted to the
-    configured snapshots/languages, in (config snapshot order, shard id,
-    language, bucket) order."""
+def discover_document_shards(
+    cfg: PipelineConfig,
+) -> list[tuple[str, ShardAddress, str]]:
+    """(path relative to input_root, address, path) of the document
+    shards under input_root, restricted to the configured
+    snapshots/languages, in (config snapshot order, shard id, language,
+    bucket) order."""
     pattern = os.path.join(cfg.input_root, "documents", "*", "*", "*.json.gz")
     found = []
     for path in glob.glob(pattern):
@@ -186,21 +190,21 @@ def discover_document_shards(cfg: PipelineConfig) -> list[str]:
             continue
         if cfg.languages and addr.language not in cfg.languages:
             continue
-        found.append((addr, path))
+        found.append((rel, addr, path))
     snap_order = {s: i for i, s in enumerate(cfg.snapshots)}
     found.sort(
         key=lambda item: (
-            snap_order.get(item[0].snapshot_id, len(snap_order)),
-            item[0].snapshot_id,
-            item[0].shard_id,
-            item[0].language,
-            item[0].bucket,
+            snap_order.get(item[1].snapshot_id, len(snap_order)),
+            item[1].snapshot_id,
+            item[1].shard_id,
+            item[1].language,
+            item[1].bucket,
         )
     )
-    return [path for _, path in found]
+    return found
 
 
-def _read_shard_documents(cfg: PipelineConfig, path: str) -> list[Document]:
+def _read_shard_documents(path: str) -> list[Document]:
     docs, errors = read_documents(path)
     total = len(docs) + len(errors)
     for err in errors:
@@ -307,13 +311,12 @@ def cmd_annotate(cfg: PipelineConfig) -> dict:
     if not shards:
         print("no document shards found", file=sys.stderr)
 
-    def job(path: str) -> tuple[str, int]:
-        rel = os.path.relpath(path, cfg.input_root)
-        addr, _ = parse_shard_path(rel)
+    def job(shard: tuple[str, ShardAddress, str]) -> tuple[str, int]:
+        rel, addr, path = shard
         out_path = os.path.join(cfg.output_root, shard_path(addr, "quality_signals"))
         if _output_exists(out_path, cfg.force):
             return rel, -1
-        docs = _read_shard_documents(cfg, path)
+        docs = _read_shard_documents(path)
         lines = (
             annotate_mod.compute_signals(
                 doc, res, names=names, ordinal=i, snapshot_id=addr.snapshot_id
@@ -336,10 +339,8 @@ def cmd_annotate(cfg: PipelineConfig) -> dict:
 
 def _iter_corpus(cfg: PipelineConfig):
     """(shard_rel, addr, docs) in the canonical newest-to-oldest order."""
-    for path in discover_document_shards(cfg):
-        rel = os.path.relpath(path, cfg.input_root)
-        addr, _ = parse_shard_path(rel)
-        yield rel, addr, _read_shard_documents(cfg, path)
+    for rel, addr, path in discover_document_shards(cfg):
+        yield rel, addr, _read_shard_documents(path)
 
 
 def cmd_dedup(cfg: PipelineConfig, mode: str) -> dict:
@@ -352,37 +353,41 @@ def cmd_dedup(cfg: PipelineConfig, mode: str) -> dict:
 
 def _dedup_exact(cfg: PipelineConfig) -> dict:
     bloom = dedup_mod.BloomFilter(cfg.bloom_capacity, cfg.bloom_error_rate)
-    per_snapshot: dict[str, list[int]] = {}
-    shard_records: dict[str, tuple[ShardAddress, list]] = {}
-    snapshot_of: dict[str, str] = {}
+    addrs: dict[str, ShardAddress] = {}
+    docs_per_snapshot: Counter[str] = Counter()
 
     def entries():
         for rel, addr, docs in _iter_corpus(cfg):
-            shard_records.setdefault(rel, (addr, []))
-            snapshot_of[rel] = addr.snapshot_id
-            stats = per_snapshot.setdefault(addr.snapshot_id, [0, 0])
+            addrs[rel] = addr
+            docs_per_snapshot[addr.snapshot_id] += len(docs)
             for i, doc in enumerate(docs):
-                stats[0] += 1
                 doc_id, _ = document_id(doc, i)
                 yield doc_id, rel, doc.digest
 
-    for record in dedup_mod.exact_dedup_pass(entries(), bloom):
-        per_snapshot[snapshot_of[record.shard]][1] += 1
-        shard_records[record.shard][1].append(record)
-
-    total_docs = total_dups = 0
-    for rel, (addr, records) in sorted(shard_records.items()):
-        out_path = os.path.join(cfg.output_root, shard_path(addr, "duplicates"))
-        write_jsonl_gz(out_path, (r.to_json() for r in records))
-        total_dups += len(records)
-    for snapshot in cfg.snapshots or sorted(per_snapshot, reverse=True):
-        docs, dups = per_snapshot.get(snapshot, (0, 0))
+    records = list(dedup_mod.exact_dedup_pass(entries(), bloom))
+    _write_duplicates(cfg, addrs, records)
+    dups_per_snapshot = Counter(addrs[r.shard].snapshot_id for r in records)
+    total_docs = 0
+    for snapshot in cfg.snapshots or sorted(docs_per_snapshot, reverse=True):
+        docs, dups = docs_per_snapshot[snapshot], dups_per_snapshot[snapshot]
         frac = dups / docs if docs else 0.0
         total_docs += docs
         print(f"dedup[exact] {snapshot}: {docs} docs, {dups} duplicates ({frac:.2%})")
-    print(f"dedup[exact] total: {total_docs} docs, {total_dups} duplicates; "
+    print(f"dedup[exact] total: {total_docs} docs, {len(records)} duplicates; "
           f"bloom fill {bloom.fill_ratio():.3f}")
-    return {"mode": "exact", "documents": total_docs, "duplicates": total_dups}
+    return {"mode": "exact", "documents": total_docs, "duplicates": len(records)}
+
+
+def _write_duplicates(cfg: PipelineConfig, addrs: dict[str, ShardAddress],
+                      records) -> None:
+    """One duplicates sidecar for each shard in `addrs` (keyed by the
+    shard's relative path), empty when it has no duplicate records."""
+    by_shard: dict[str, list] = {rel: [] for rel in addrs}
+    for record in records:
+        by_shard[record.shard].append(record)
+    for rel, recs in sorted(by_shard.items()):
+        out_path = os.path.join(cfg.output_root, shard_path(addrs[rel], "duplicates"))
+        write_jsonl_gz(out_path, (r.to_json() for r in recs))
 
 
 def _dedup_fuzzy(cfg: PipelineConfig) -> dict:
@@ -393,10 +398,10 @@ def _dedup_fuzzy(cfg: PipelineConfig) -> dict:
 
     order: dict[str, int] = {}
     shards_by_id: dict[str, str] = {}
-    addr_by_rel: dict[str, ShardAddress] = {}
+    addrs: dict[str, ShardAddress] = {}
     signatures = []
     for rel, addr, docs in _iter_corpus(cfg):
-        addr_by_rel[rel] = addr
+        addrs[rel] = addr
         sig_lines = []
         for i, doc in enumerate(docs):
             doc_id, _ = document_id(doc, i)
@@ -423,12 +428,7 @@ def _dedup_fuzzy(cfg: PipelineConfig) -> dict:
             if dedup_mod.estimate_jaccard(sig_by_id[a], sig_by_id[b]) >= cfg.jaccard
         }
     records = dedup_mod.cluster_and_select(pairs, order, shards_by_id)
-    by_shard: dict[str, list] = {rel: [] for rel in addr_by_rel}
-    for record in records:
-        by_shard[record.shard].append(record)
-    for rel, recs in sorted(by_shard.items()):
-        out_path = os.path.join(cfg.output_root, shard_path(addr_by_rel[rel], "duplicates"))
-        write_jsonl_gz(out_path, (r.to_json() for r in recs))
+    _write_duplicates(cfg, addrs, records)
     frac = len(records) / len(order) if order else 0.0
     print(f"dedup[fuzzy] bands={bands} rows={rows}: {len(order)} docs, "
           f"{len(pairs)} candidate pairs, {len(records)} duplicates ({frac:.2%})")
@@ -447,13 +447,24 @@ def _load_duplicate_ids(addr: ShardAddress, root: str) -> set[str]:
     if not os.path.exists(path):
         return set()
     ids = set()
-    for _num, line in iter_jsonl_gz(path):
-        ids.add(json.loads(line)["doc_id"])
+    for num, line in iter_jsonl_gz(path):
+        try:
+            ids.add(json.loads(line)["doc_id"])
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise DataError(f"{path}: line {num}: bad duplicate record: {exc!r}") from exc
     return ids
 
 
 # ---------------------------------------------------------------------------
 # filter
+
+
+def _audit_line(doc_id: str, verdict: str, fired_rules) -> str:
+    return json.dumps(
+        {"doc_id": doc_id, "verdict": verdict,
+         "fired_rules": [[r, v] for r, v in fired_rules]},
+        separators=(",", ":"),
+    )
 
 
 def cmd_filter(cfg: PipelineConfig) -> dict:
@@ -463,24 +474,22 @@ def cmd_filter(cfg: PipelineConfig) -> dict:
     shards = discover_document_shards(cfg)
     totals = {"kept": 0, "rewritten": 0, "dropped": 0, "duplicates": 0}
 
-    def job(path: str):
-        rel = os.path.relpath(path, cfg.input_root)
-        addr, _ = parse_shard_path(rel)
+    def job(shard: tuple[str, ShardAddress, str]):
+        rel, addr, path = shard
         out_path = os.path.join(cfg.output_root, shard_path(addr, "documents"))
         audit_path = out_path.replace(".json.gz", ".audit.jsonl.gz")
         if _output_exists(out_path, cfg.force):
             return None
-        docs = _read_shard_documents(cfg, path)
-        sig_path = os.path.join(cfg.input_root, shard_path(addr, "quality_signals"))
+        docs = _read_shard_documents(path)
+        by_id = None
         if rs.doc_rules or rs.line_rules:
+            sig_path = os.path.join(cfg.input_root, shard_path(addr, "quality_signals"))
             if not os.path.exists(sig_path):
                 raise ConfigError(f"missing signals sidecar for shard {rel}: {sig_path}")
             sig_records, sig_errors = read_signal_records(sig_path)
             for err in sig_errors:
                 print(f"warning: {sig_path}: {err}", file=sys.stderr)
             by_id = {s.id: s for s in sig_records}
-        else:
-            by_id = {}
         duplicates = (
             _load_duplicate_ids(addr, cfg.input_root) if cfg.apply_dedup else set()
         )
@@ -490,30 +499,21 @@ def cmd_filter(cfg: PipelineConfig) -> dict:
             doc_id, _ = document_id(doc, i)
             if doc_id in duplicates:
                 counts["duplicates"] += 1
-                audit_lines.append(json.dumps(
-                    {"doc_id": doc_id, "verdict": "drop",
-                     "fired_rules": [["duplicate", 1.0]]},
-                    separators=(",", ":"),
-                ))
+                audit_lines.append(_audit_line(doc_id, "drop", [("duplicate", 1.0)]))
                 continue
-            if rs.doc_rules or rs.line_rules:
+            decision = None
+            if by_id is not None:
                 signals = by_id.get(doc_id)
                 if signals is None:
                     raise ConfigError(
                         f"no signal record for document {doc_id} in shard {rel}"
                     )
                 decision = evaluate(doc, signals, rs)
-            else:
-                decision = None
             if decision is None or decision.verdict == "keep":
                 counts["kept"] += 1
                 out_lines.append(doc.to_json())
                 continue
-            audit_lines.append(json.dumps(
-                {"doc_id": doc_id, "verdict": decision.verdict,
-                 "fired_rules": [[r, v] for r, v in decision.fired_rules]},
-                separators=(",", ":"),
-            ))
+            audit_lines.append(_audit_line(doc_id, decision.verdict, decision.fired_rules))
             if decision.verdict == "rewrite":
                 counts["rewritten"] += 1
                 out_lines.append(decision.rewritten.to_json())

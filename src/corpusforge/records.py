@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator
 
-from .errors import RecordError
+from .errors import DataError, RecordError
 
 LANGUAGES = ("en", "de", "fr", "es", "it")
 BUCKETS = ("head", "middle", "tail")
@@ -114,27 +114,24 @@ def parse_document(json_line: str, line_number: int | None = None) -> Document:
                 values[name] = _OPTIONAL_DOC_DEFAULTS[name]
                 continue
             raise RecordError(
-                f"missing required field {name}", line_number=line_number, field=name
+                f"missing required field {name}", line_number=line_number
             )
         value = raw[name]
         if typ is float and isinstance(value, int) and not isinstance(value, bool):
             value = float(value)
         if typ is int and isinstance(value, bool):
             raise RecordError(
-                f"field {name} has wrong type bool", line_number=line_number, field=name
+                f"field {name} has wrong type bool", line_number=line_number
             )
         if not isinstance(value, typ):
             raise RecordError(
                 f"field {name} has wrong type {type(value).__name__}",
                 line_number=line_number,
-                field=name,
             )
         values[name] = value
     if any(not isinstance(i, int) or isinstance(i, bool) for i in values["line_ids"]):
         raise RecordError(
-            "field line_ids must be a list of integers",
-            line_number=line_number,
-            field="line_ids",
+            "field line_ids must be a list of integers", line_number=line_number
         )
     return Document(**values)
 
@@ -305,6 +302,9 @@ def iter_jsonl_gz(path: str | os.PathLike) -> Iterator[tuple[int, str]]:
                     yield line_number, line
     except OSError as exc:
         raise OSError(f"failed reading {path}: {exc}") from exc
+    except (EOFError, UnicodeDecodeError) as exc:
+        # a truncated gzip stream or bytes that are not UTF-8
+        raise DataError(f"failed reading {path}: {exc}") from exc
 
 
 def read_shard(path, parser):

@@ -42,26 +42,6 @@ BULLET_POINTS = (
 )
 
 
-@dataclass
-class NatLangSignals:
-    rps_doc_curly_bracket: float
-    rps_doc_frac_all_caps_words: float
-    rps_doc_frac_lines_end_with_ellipsis: float
-    rps_doc_frac_no_alph_words: float
-    rps_doc_lorem_ipsum: float
-    rps_doc_mean_word_length: float
-    rps_doc_stop_word_fraction: float
-    rps_doc_symbol_to_word_ratio: float
-    rps_doc_frac_unique_words: float
-    rps_doc_unigram_entropy: float
-    rps_doc_word_count: float
-    rps_doc_num_sentences: float
-    # Not part of the upstream catalog; needed by the Gopher and
-    # custom-rules presets (stop-word count >= 2, mean line length).
-    rps_doc_stop_word_count: float
-    rps_doc_mean_line_length: float
-
-
 def _count_symbols(text: str) -> int:
     """'#', non-overlapping '...' left-to-right, and U+2026. The three
     patterns share no character, so counting each on its own gives the
@@ -73,22 +53,9 @@ def _is_all_caps(word: str) -> bool:
     return word.isalpha() and all(map(str.isupper, word))
 
 
-def _count_occurrences(haystack: str, needle: str) -> int:
-    if not needle:
-        return 0
-    count = 0
-    start = 0
-    while True:
-        idx = haystack.find(needle, start)
-        if idx < 0:
-            return count
-        count += 1
-        start = idx + len(needle)
-
-
 def doc_natlang_signals(
     doc: Document, view: TokenizedView, stopwords: frozenset[str]
-) -> NatLangSignals:
+) -> dict[str, float]:
     raw = doc.raw_content
     words = view.word_texts
     word_count = len(words)
@@ -112,50 +79,50 @@ def doc_natlang_signals(
         c for w, c in counts.items() if not any(map(str.isalpha, w))
     )
 
-    return NatLangSignals(
-        rps_doc_curly_bracket=(
+    return {
+        "rps_doc_curly_bracket": (
             (raw.count("{") + raw.count("}")) / len(raw) if raw else 0.0
         ),
-        rps_doc_frac_all_caps_words=(
+        "rps_doc_frac_all_caps_words": (
             sum(1 for w in raw_words if _is_all_caps(w)) / len(raw_words)
             if raw_words
             else 0.0
         ),
-        rps_doc_frac_lines_end_with_ellipsis=(
+        "rps_doc_frac_lines_end_with_ellipsis": (
             ellipsis_lines / len(raw_lines) if raw_lines else 0.0
         ),
-        rps_doc_frac_no_alph_words=(
+        "rps_doc_frac_no_alph_words": (
             no_alpha_count / word_count
             if word_count
             else 0.0
         ),
-        rps_doc_lorem_ipsum=(
-            _count_occurrences(view.normalized, "lorem ipsum") / len(view.normalized)
+        "rps_doc_lorem_ipsum": (
+            view.normalized.count("lorem ipsum") / len(view.normalized)
             if view.normalized
             else 0.0
         ),
-        rps_doc_mean_word_length=(
+        "rps_doc_mean_word_length": (
             sum(map(len, words)) / word_count if word_count else 0.0
         ),
-        rps_doc_stop_word_fraction=(
+        "rps_doc_stop_word_fraction": (
             stop_count / word_count if word_count else 0.0
         ),
-        rps_doc_symbol_to_word_ratio=(
+        "rps_doc_symbol_to_word_ratio": (
             _count_symbols(raw) / word_count if word_count else 0.0
         ),
-        rps_doc_frac_unique_words=(
+        "rps_doc_frac_unique_words": (
             len(counts) / word_count if word_count else 0.0
         ),
-        rps_doc_unigram_entropy=entropy,
-        rps_doc_word_count=float(word_count),
-        rps_doc_num_sentences=float(view.sentences_count),
-        rps_doc_stop_word_count=float(stop_count),
-        rps_doc_mean_line_length=(
+        "rps_doc_unigram_entropy": entropy,
+        "rps_doc_word_count": float(word_count),
+        "rps_doc_num_sentences": float(view.sentences_count),
+        "rps_doc_stop_word_count": float(stop_count),
+        "rps_doc_mean_line_length": (
             sum(map(len, raw_lines)) / len(raw_lines)
             if raw_lines
             else 0.0
         ),
-    )
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -228,47 +195,11 @@ def _top_fraction(ids, distinct, positions, n, total) -> float:
     return min(1.0, best * length / total)
 
 
-def _ngram_fraction(view: TokenizedView, n: int, fraction) -> float:
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    ids, distinct = _gram_ids(view.word_texts, n)[n - 1]
-    return fraction(
-        ids, distinct, normalized_word_positions(view), n, len(view.normalized)
-    )
-
-
-def frac_chars_dupe_ngrams(view: TokenizedView, n: int) -> float:
-    """Fraction of normalized-content characters covered by any word
-    n-gram occurring at least twice. Characters inside an occurrence
-    include the single internal separator spaces; each character is
-    counted at most once even under overlapping occurrences."""
-    return _ngram_fraction(view, n, _dupe_fraction)
-
-
-def frac_chars_top_ngram(view: TokenizedView, n: int) -> float:
-    """Fraction of normalized-content characters attributed to the most
-    frequent word n-gram. Every occurrence is counted (overlaps
-    included) and the ratio is clamped to 1.0; ties break toward the
-    n-gram with greater character length, then lexicographically."""
-    return _ngram_fraction(view, n, _top_fraction)
-
-
-@dataclass
-class RepetitionSignals:
-    rps_doc_frac_chars_dupe_5grams: float
-    rps_doc_frac_chars_dupe_6grams: float
-    rps_doc_frac_chars_dupe_7grams: float
-    rps_doc_frac_chars_dupe_8grams: float
-    rps_doc_frac_chars_dupe_9grams: float
-    rps_doc_frac_chars_dupe_10grams: float
-    rps_doc_frac_chars_top_2gram: float
-    rps_doc_frac_chars_top_3gram: float
-    rps_doc_frac_chars_top_4gram: float
-
-
-def doc_repetition_signals(view: TokenizedView) -> RepetitionSignals:
+def doc_repetition_signals(view: TokenizedView) -> dict[str, float]:
     """All repetition signals from one numbering of the document's word
-    n-grams (see _gram_ids) and one list of word positions."""
+    n-grams (see _gram_ids) and one list of word positions. Characters
+    are those of the normalized content; an occurrence covers its
+    internal separator spaces."""
     grams = _gram_ids(view.word_texts, max(DUPE_NGRAM_SIZES))
     positions = normalized_word_positions(view)
     total = len(view.normalized)
@@ -281,17 +212,11 @@ def doc_repetition_signals(view: TokenizedView) -> RepetitionSignals:
         values[f"rps_doc_frac_chars_top_{n}gram"] = _top_fraction(
             *grams[n - 1], positions, n, total
         )
-    return RepetitionSignals(**values)
+    return values
 
 
 # ---------------------------------------------------------------------------
 # Content signals (blocklists)
-
-
-@dataclass
-class ContentSignals:
-    rps_doc_ldnoobw_words: int
-    rps_doc_ut1_blacklist: list[int]
 
 
 # first word -> every phrase that starts with it, as word tuples,
@@ -348,11 +273,12 @@ def content_signals(
     view: TokenizedView,
     ldnoobw: Blocklist,
     ut1: dict[str, set[int]],
-) -> ContentSignals:
-    return ContentSignals(
-        rps_doc_ldnoobw_words=count_blocklist_phrases(view.word_texts, ldnoobw),
-        rps_doc_ut1_blacklist=ut1_categories(doc.source_domain, ut1),
-    )
+) -> dict:
+    """The blocklist phrase count and the UT1 category ids (a list)."""
+    return {
+        "rps_doc_ldnoobw_words": count_blocklist_phrases(view.word_texts, ldnoobw),
+        "rps_doc_ut1_blacklist": ut1_categories(doc.source_domain, ut1),
+    }
 
 
 def load_ldnoobw(language: str, directory=None) -> Blocklist:
@@ -405,21 +331,8 @@ def load_ut1(directory=None) -> tuple[dict[str, set[int]], list[str]]:
 # Line-level signals
 
 
-@dataclass
-class LineSignals:
-    """Per-line values; spans (from textnorm.line_spans) tile the doc."""
-
-    spans: list[tuple[int, int]]
-    ending_with_terminal_punctution_mark: list[int]
-    javascript_counts: list[int]
-    num_words: list[int]
-    numerical_chars_fraction: list[float]
-    start_with_bulletpoint: list[int]
-    uppercase_letter_fraction: list[float]
-
-
-def line_signals(doc: Document, view: TokenizedView) -> LineSignals:
-    """Per-line values. A line's normalized text is the part of
+def line_signals(doc: Document, view: TokenizedView) -> dict[str, list]:
+    """Per-line values, one per span of view.lines. A line's normalized text is the part of
     view.normalized that came from the line, found by bisecting the
     offset map, minus the separator spaces at its ends: '\\n' is neither
     alphanumeric nor a composing character, so normalizing the whole
@@ -451,15 +364,14 @@ def line_signals(doc: Document, view: TokenizedView) -> LineSignals:
         uppercase.append(
             sum(map(str.isupper, line)) / len(line) if line else 0.0
         )
-    return LineSignals(
-        spans=spans,
-        ending_with_terminal_punctution_mark=terminal,
-        javascript_counts=javascript,
-        num_words=num_words,
-        numerical_chars_fraction=numerical,
-        start_with_bulletpoint=bullet,
-        uppercase_letter_fraction=uppercase,
-    )
+    return {
+        "rps_lines_ending_with_terminal_punctution_mark": terminal,
+        "rps_lines_javascript_counts": javascript,
+        "rps_lines_num_words": num_words,
+        "rps_lines_numerical_chars_fraction": numerical,
+        "rps_lines_start_with_bulletpoint": bullet,
+        "rps_lines_uppercase_letter_fraction": uppercase,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@ pipeline, from signal/oracle equivalence through an end-to-end
 bit-reproducible run. Each test is self-contained and prints a single
 pass/fail line under pytest -v."""
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -44,8 +43,6 @@ from corpusforge.signals import (
     code_quality_metrics,
     doc_natlang_signals,
     doc_repetition_signals,
-    frac_chars_dupe_ngrams,
-    frac_chars_top_ngram,
     line_signals,
 )
 from corpusforge.textnorm import analyze, load_stopwords
@@ -87,26 +84,9 @@ def test_acceptance_1_signals_match_oracle():
         text = random_text(rng, max_words=200)
         doc = make_doc(text)
         view = analyze(text)
-        got = dataclasses.asdict(doc_natlang_signals(doc, view, stop))
-        assert got == oracles.oracle_natlang(text, stop)
-        got_rep = dataclasses.asdict(doc_repetition_signals(view))
-        assert got_rep == oracles.oracle_repetition(text)
-        ls = line_signals(doc, view)
-        expected = oracles.oracle_line_signals(text)
-        assert ls.num_words == expected["rps_lines_num_words"]
-        assert ls.numerical_chars_fraction == expected[
-            "rps_lines_numerical_chars_fraction"
-        ]
-        assert ls.uppercase_letter_fraction == expected[
-            "rps_lines_uppercase_letter_fraction"
-        ]
-        assert ls.ending_with_terminal_punctution_mark == expected[
-            "rps_lines_ending_with_terminal_punctution_mark"
-        ]
-        assert ls.start_with_bulletpoint == expected[
-            "rps_lines_start_with_bulletpoint"
-        ]
-        assert ls.javascript_counts == expected["rps_lines_javascript_counts"]
+        assert doc_natlang_signals(doc, view, stop) == oracles.oracle_natlang(text, stop)
+        assert doc_repetition_signals(view) == oracles.oracle_repetition(text)
+        assert line_signals(doc, view) == oracles.oracle_line_signals(text)
 
     # exhaustive n-gram check over all sequences of length <= 12 on a
     # 3-letter alphabet, via canonical equality patterns
@@ -114,13 +94,13 @@ def test_acceptance_1_signals_match_oracle():
     sizes = (2, 3, 4, 5, 6, 7, 8, 9, 10)
     for seq in _equality_patterns(12):
         words = [alphabet[i] for i in seq]
-        view = analyze(" ".join(words))
+        rep = doc_repetition_signals(analyze(" ".join(words)))
         for n in sizes:
             if n in (2, 3, 4):
-                got = frac_chars_top_ngram(view, n)
+                got = rep[f"rps_doc_frac_chars_top_{n}gram"]
                 want = oracles.oracle_top_ngram_fraction_words(words, n)
             else:
-                got = frac_chars_dupe_ngrams(view, n)
+                got = rep[f"rps_doc_frac_chars_dupe_{n}grams"]
                 want = oracles.oracle_dupe_ngram_fraction_words(words, n)
             assert got == want, (words, n)
 
@@ -131,13 +111,9 @@ def test_acceptance_1_signals_match_oracle():
         length = rng.randint(2, 12)
         seq = [rng.randint(0, 2) for _ in range(length)]
         mapping = rng.sample(letters, 3)
-        base = analyze(" ".join(alphabet[i] for i in seq))
-        renamed = analyze(" ".join(mapping[i] for i in seq))
-        for n in sizes:
-            if n in (2, 3, 4):
-                assert frac_chars_top_ngram(base, n) == frac_chars_top_ngram(renamed, n)
-            else:
-                assert frac_chars_dupe_ngrams(base, n) == frac_chars_dupe_ngrams(renamed, n)
+        base = doc_repetition_signals(analyze(" ".join(alphabet[i] for i in seq)))
+        renamed = doc_repetition_signals(analyze(" ".join(mapping[i] for i in seq)))
+        assert base == renamed
 
     assert time.monotonic() - started < 120.0
 

@@ -50,6 +50,13 @@ def test_compute_signals_shapes(resources):
             assert name in record.quality_signals
 
 
+def test_compute_signals_emits_exactly_the_requested_names(resources):
+    doc = make_doc("Some words.\nMore words on a line.")
+    names = resolve_signal_names([g for g in SIGNAL_GROUPS if g != "ml"])
+    record = compute_signals(doc, resources, names=names, ordinal=0)
+    assert sorted(record.quality_signals) == sorted(names)
+
+
 def test_compute_signals_subset(resources):
     doc = make_doc("just a few words")
     record = compute_signals(doc, resources, names=["rps_doc_word_count"], ordinal=0)

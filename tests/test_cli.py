@@ -5,11 +5,12 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import corpusforge
-from corpusforge import pipeline
+from corpusforge import cli, pipeline
 from corpusforge.cli import main
 from corpusforge.records import ShardAddress, shard_path, write_jsonl_gz
 
@@ -123,6 +124,37 @@ def test_env_overrides(corpus, capsys, monkeypatch):
     assert cfg.models == {"kn_lm": "kn.json"} and cfg.languages == ["en"]
 
 
+def test_flags_override_config(monkeypatch):
+    for var in list(os.environ):
+        if var.startswith(pipeline.ENV_PREFIX):
+            monkeypatch.delenv(var)
+    parser = cli.build_parser()
+    common = ["--input", "in", "--output", "out", "--snapshots", "2023-14,2022-49",
+              "--languages", "en,de", "--workers", "3", "--seed", "7", "--force"]
+    cases = [
+        (["annotate", *common, "--signals", "natlang,rps_doc_word_count"], {
+            "input_root": "in", "output_root": "out",
+            "snapshots": ["2023-14", "2022-49"], "languages": ["en", "de"],
+            "workers": 3, "seed": 7, "force": True,
+            "signals": ["natlang", "rps_doc_word_count"],
+        }),
+        (["dedup", "--jaccard", "0.8", "--bloom-capacity", "10",
+          "--bloom-error-rate", "0.05"],
+         {"jaccard": 0.8, "bloom_capacity": 10, "bloom_error_rate": 0.05}),
+        (["filter", "--preset", "gopher_full", "--no-dedup"],
+         {"ruleset": "gopher_full", "apply_dedup": False}),
+        (["filter"], {"force": False, "apply_dedup": True}),
+    ]
+    for argv, want in cases:
+        cfg = cli._config_from_args(parser.parse_args(argv))
+        assert {key: getattr(cfg, key) for key in want} == want, argv
+    # an environment value survives when its flag is absent
+    monkeypatch.setenv("CORPUSFORGE_FORCE", "yes")
+    monkeypatch.setenv("CORPUSFORGE_APPLY_DEDUP", "0")
+    cfg = cli._config_from_args(parser.parse_args(["filter", "--preset", "c4_full"]))
+    assert (cfg.force, cfg.apply_dedup) == (True, False)
+
+
 def test_config_file_and_unknown_key(tmp_path, corpus):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"input_root": corpus, "output_root": corpus,
@@ -160,16 +192,46 @@ def test_bad_config_exits_1_with_one_error_line(corpus, tmp_path, env, config, a
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
         argv += ["--config", str(path)]
-    src = os.path.dirname(os.path.dirname(corpusforge.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-m", "corpusforge.cli", *argv],
-        env={**os.environ, "PYTHONPATH": src, **env},
-        cwd=tmp_path, capture_output=True, text=True, timeout=120,
-    )
+    proc = _run_cli(argv, env, cwd=tmp_path)
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+def _run_cli(argv, env, cwd):
+    """The CLI in its own process, so a traceback would reach stderr."""
+    src = os.path.dirname(os.path.dirname(corpusforge.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "corpusforge.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src, **env},
+        cwd=cwd, capture_output=True, text=True, timeout=120,
+    )
+
+
+@pytest.mark.parametrize("damage", ["truncated-shard", "non-utf8-shard",
+                                    "sidecar-not-json", "sidecar-without-doc-id"])
+def test_bad_shard_or_sidecar_exits_2_with_one_error_line(tmp_path, damage):
+    root = tmp_path / "corpus"
+    shard = Path(_write_corpus(str(root), [f"document number {i}." for i in range(50)]))
+    sidecar = root / shard_path(ShardAddress("2023-14", 0, "en", "head"), "duplicates")
+    if damage == "truncated-shard":
+        data = shard.read_bytes()
+        shard.write_bytes(data[: len(data) // 2])
+        bad = shard
+    elif damage == "non-utf8-shard":
+        shard.write_bytes(gzip.compress(b"\xff\xfe\n"))
+        bad = shard
+    else:
+        line = "{not json" if damage == "sidecar-not-json" else '{"id": 1}'
+        write_jsonl_gz(sidecar, [line])
+        bad = sidecar
+    proc = _run_cli(["stats", "--input", str(root)], {}, cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert str(bad) in lines[0]
 
 
 def test_stats_json_stdout_is_one_object_despite_bad_record(tmp_path, capsys):

@@ -4,6 +4,7 @@ filter bookkeeping, and stats rendering."""
 import gzip
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -103,9 +104,9 @@ def test_annotate_rerun_is_byte_identical(tmp_path):
         root, "quality_signals/2023-14/0000/en_head.signals.json.gz"
     )
     pipeline.cmd_annotate(_cfg(root))
-    first = open(sig_path, "rb").read()
+    first = Path(sig_path).read_bytes()
     pipeline.cmd_annotate(_cfg(root, force=True))
-    assert open(sig_path, "rb").read() == first
+    assert Path(sig_path).read_bytes() == first
 
 
 def test_empty_ruleset_passes_documents_through(tmp_path):
@@ -190,7 +191,4 @@ def test_workers_parallel_matches_serial(tmp_path):
     pipeline.cmd_annotate(_cfg(parallel, workers=4))
     for shard in (0, 1):
         rel = f"quality_signals/2023-14/{shard:04d}/en_head.signals.json.gz"
-        assert (
-            open(os.path.join(serial, rel), "rb").read()
-            == open(os.path.join(parallel, rel), "rb").read()
-        )
+        assert Path(serial, rel).read_bytes() == Path(parallel, rel).read_bytes()

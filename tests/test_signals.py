@@ -1,8 +1,6 @@
 """Rule-based quality signals against the brute-force references, plus
 targeted edge cases for blocklists, line signals, and code heuristics."""
 
-import dataclasses
-
 import pytest
 from hypothesis import example, given
 
@@ -15,34 +13,29 @@ from corpusforge.signals import (
     count_blocklist_phrases,
     doc_natlang_signals,
     doc_repetition_signals,
-    frac_chars_dupe_ngrams,
-    frac_chars_top_ngram,
     line_signals,
     load_ldnoobw,
     load_ut1,
     ut1_categories,
 )
+from corpusforge.signal_catalog import SIGNAL_GROUPS
 from corpusforge.textnorm import analyze
 
 from conftest import make_doc, random_text, tricky_text
-
-
-def _natlang_dict(doc, view, stopwords):
-    return dataclasses.asdict(doc_natlang_signals(doc, view, stopwords))
 
 
 def test_natlang_signals_match_oracle(rng, en_stopwords):
     for _ in range(200):
         text = random_text(rng, max_words=120)
         doc = make_doc(text)
-        got = _natlang_dict(doc, analyze(text), en_stopwords)
+        got = doc_natlang_signals(doc, analyze(text), en_stopwords)
         expected = oracles.oracle_natlang(text, en_stopwords)
         assert got == expected, text
 
 
 def test_natlang_empty_document(en_stopwords):
     doc = make_doc("")
-    values = _natlang_dict(doc, analyze(""), en_stopwords)
+    values = doc_natlang_signals(doc, analyze(""), en_stopwords)
     assert all(v == 0.0 for v in values.values())
 
 
@@ -51,7 +44,7 @@ def test_symbol_counting_is_left_to_right():
     doc = make_doc("word .... more ……")
     view = analyze(doc.raw_content)
     sig = doc_natlang_signals(doc, view, frozenset())
-    assert sig.rps_doc_symbol_to_word_ratio == 3 / 2
+    assert sig["rps_doc_symbol_to_word_ratio"] == 3 / 2
 
 
 def test_all_caps_requires_alpha_only():
@@ -59,14 +52,14 @@ def test_all_caps_requires_alpha_only():
     view = analyze(doc.raw_content)
     sig = doc_natlang_signals(doc, view, frozenset())
     # raw whitespace words: NASA, C3PO, A, HTTP2, OK! -> caps: NASA, A
-    assert sig.rps_doc_frac_all_caps_words == 2 / 5
+    assert sig["rps_doc_frac_all_caps_words"] == 2 / 5
 
 
 def test_repetition_signals_match_oracle(rng):
     for _ in range(200):
         text = random_text(rng, max_words=120)
         view = analyze(text)
-        got = dataclasses.asdict(doc_repetition_signals(view))
+        got = doc_repetition_signals(view)
         assert got == oracles.oracle_repetition(text), text
 
 
@@ -74,22 +67,23 @@ def test_dupe_ngrams_counts_characters_once():
     # "a b c d e" twice: both occurrences of the repeated 5-gram are
     # covered (18 of 19 chars; the separating space is outside both)
     view = analyze("a b c d e a b c d e")
-    assert frac_chars_dupe_ngrams(view, 5) == 18 / 19
+    assert doc_repetition_signals(view)["rps_doc_frac_chars_dupe_5grams"] == 18 / 19
     # no repeated 5-gram in distinct words
-    assert frac_chars_dupe_ngrams(analyze("a b c d e f g h i j"), 5) == 0.0
+    distinct = analyze("a b c d e f g h i j")
+    assert doc_repetition_signals(distinct)["rps_doc_frac_chars_dupe_5grams"] == 0.0
 
 
 def test_top_ngram_tie_breaks_to_longer_gram():
     # "aa bb" and "c d" both occur twice; the longer one is attributed
     view = analyze("aa bb x c d y aa bb z c d")
-    got = frac_chars_top_ngram(view, 2)
+    got = doc_repetition_signals(view)["rps_doc_frac_chars_top_2gram"]
     assert got == 2 * len("aa bb") / len(view.normalized)
 
 
 def test_top_ngram_clamps_to_one():
     # "x x" occurs 5 times overlapping; 5 * 3 chars > 11 total, so clamp
     view = analyze("x x x x x x")
-    assert frac_chars_top_ngram(view, 2) == 1.0
+    assert doc_repetition_signals(view)["rps_doc_frac_chars_top_2gram"] == 1.0
 
 
 def test_blocklist_phrase_matching(en_stopwords):
@@ -117,44 +111,33 @@ def test_content_signals(en_stopwords):
     blocklist = load_ldnoobw("en")
     doc = make_doc("nothing objectionable here", source_domain="nsfw.example.com")
     cs = content_signals(doc, analyze(doc.raw_content), blocklist, table)
-    assert cs.rps_doc_ldnoobw_words == 0
-    assert cs.rps_doc_ut1_blacklist == [names.index("adult")]
+    assert cs == {
+        "rps_doc_ldnoobw_words": 0,
+        "rps_doc_ut1_blacklist": [names.index("adult")],
+    }
+
+
+def test_group_keys_are_the_catalog_names(en_stopwords):
+    doc = make_doc("A first line, with words.\nA second line", source_domain="x.org")
+    view = analyze(doc.raw_content)
+    groups = {
+        "natlang": doc_natlang_signals(doc, view, en_stopwords),
+        "repetition": doc_repetition_signals(view),
+        "content": content_signals(doc, view, load_ldnoobw("en"), load_ut1()[0]),
+        "lines": line_signals(doc, view),
+    }
+    for group, values in groups.items():
+        assert tuple(values) == SIGNAL_GROUPS[group], group
 
 
 def test_line_signals_match_oracle(rng):
     for _ in range(200):
         text = random_text(rng, max_words=80)
         doc = make_doc(text)
-        ls = line_signals(doc, analyze(text))
-        expected = oracles.oracle_line_signals(text)
-        assert ls.ending_with_terminal_punctution_mark == expected[
-            "rps_lines_ending_with_terminal_punctution_mark"
-        ]
-        assert ls.javascript_counts == expected["rps_lines_javascript_counts"]
-        assert ls.num_words == expected["rps_lines_num_words"]
-        assert ls.numerical_chars_fraction == expected[
-            "rps_lines_numerical_chars_fraction"
-        ]
-        assert ls.start_with_bulletpoint == expected[
-            "rps_lines_start_with_bulletpoint"
-        ]
-        assert ls.uppercase_letter_fraction == expected[
-            "rps_lines_uppercase_letter_fraction"
-        ]
+        view = analyze(text)
+        assert line_signals(doc, view) == oracles.oracle_line_signals(text)
         # spans tile the document and match nlines
-        assert len(ls.spans) == (len(text.split("\n")) if text else 0)
-
-
-def _line_signals_dict(ls):
-    return {
-        "rps_lines_ending_with_terminal_punctution_mark":
-            ls.ending_with_terminal_punctution_mark,
-        "rps_lines_javascript_counts": ls.javascript_counts,
-        "rps_lines_num_words": ls.num_words,
-        "rps_lines_numerical_chars_fraction": ls.numerical_chars_fraction,
-        "rps_lines_start_with_bulletpoint": ls.start_with_bulletpoint,
-        "rps_lines_uppercase_letter_fraction": ls.uppercase_letter_fraction,
-    }
+        assert len(view.lines) == (len(text.split("\n")) if text else 0)
 
 
 # "A\u0300" composes to one NFC character, so the second line starts one
@@ -163,28 +146,28 @@ def _line_signals_dict(ls):
 @example("A\u0300\n1")
 @example("e\u0301e\u0301 x\n\n'9 -\n- j'")
 def test_line_signals_match_oracle_on_generated_text(text):
-    ls = line_signals(make_doc(text), analyze(text))
-    assert _line_signals_dict(ls) == oracles.oracle_line_signals(text)
+    view = analyze(text)
+    assert line_signals(make_doc(text), view) == oracles.oracle_line_signals(text)
     # the spans tile the text, one per line
-    assert "".join(text[start:end] for start, end in ls.spans) == text
-    assert [text[start:end].removesuffix("\n") for start, end in ls.spans] == (
+    assert "".join(text[start:end] for start, end in view.lines) == text
+    assert [text[start:end].removesuffix("\n") for start, end in view.lines] == (
         text.split("\n") if text else []
     )
 
 
 @given(tricky_text())
 def test_repetition_signals_match_oracle_on_generated_text(text):
-    got = dataclasses.asdict(doc_repetition_signals(analyze(text)))
+    got = doc_repetition_signals(analyze(text))
     assert got == oracles.oracle_repetition(text)
 
 
 def test_line_signals_specifics():
     doc = make_doc('He said. ”\n• bullet item\nJavaScript and javascript:\n12a')
     ls = line_signals(doc, analyze(doc.raw_content))
-    assert ls.ending_with_terminal_punctution_mark == [1, 0, 0, 0]
-    assert ls.start_with_bulletpoint == [0, 1, 0, 0]
-    assert ls.javascript_counts == [0, 0, 2, 0]
-    assert ls.numerical_chars_fraction[3] == 2 / 3
+    assert ls["rps_lines_ending_with_terminal_punctution_mark"] == [1, 0, 0, 0]
+    assert ls["rps_lines_start_with_bulletpoint"] == [0, 1, 0, 0]
+    assert ls["rps_lines_javascript_counts"] == [0, 0, 2, 0]
+    assert ls["rps_lines_numerical_chars_fraction"][3] == 2 / 3
 
 
 def test_code_quality_metrics():
@@ -207,5 +190,6 @@ def test_code_quality_metrics():
 
 @pytest.mark.parametrize("n", [5, 7, 10])
 def test_dupe_fraction_handles_short_docs(n):
-    assert frac_chars_dupe_ngrams(analyze("one two three"), n) == 0.0
-    assert frac_chars_dupe_ngrams(analyze(""), n) == 0.0
+    name = f"rps_doc_frac_chars_dupe_{n}grams"
+    assert doc_repetition_signals(analyze("one two three"))[name] == 0.0
+    assert doc_repetition_signals(analyze(""))[name] == 0.0
