@@ -58,7 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exact", "fuzzy"), default="exact")
     p.add_argument(
         "--jaccard", type=float,
-        help="target Jaccard similarity level for fuzzy mode (picks the banding)",
+        help="target Jaccard similarity level in (0, 1] for fuzzy mode; picks "
+        "the banding and drops candidates below it (default 0.8)",
     )
     p.add_argument("--bloom-capacity", type=int, dest="bloom_capacity")
     p.add_argument("--bloom-error-rate", type=float, dest="bloom_error_rate")

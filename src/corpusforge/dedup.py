@@ -17,8 +17,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import ConfigError, RecordError
-from .records import content_digest  # noqa: F401  (re-exported)
+from .errors import ConfigError
 
 
 def _hash64(data: bytes) -> int:
@@ -42,7 +41,6 @@ class BloomFilter:
         if not 0.0 < error_rate < 1.0:
             raise ConfigError("bloom error rate must be in (0, 1)")
         self.capacity = capacity
-        self.error_rate = error_rate
         self.num_bits = max(8, math.ceil(-capacity * math.log(error_rate) / (LN2 * LN2)))
         self.num_hashes = max(1, round(self.num_bits / capacity * LN2))
         self.bits = bytearray((self.num_bits + 7) // 8)
@@ -103,21 +101,16 @@ def exact_dedup_pass(
     entries: Iterable[tuple[str, str, str]], bloom: BloomFilter
 ) -> Iterator[DuplicateRecord]:
     """entries: (doc_id, shard, digest) in newest-to-oldest snapshot
-    order. The Bloom filter decides membership (so its false positives
-    surface as duplicates, matching the 1%-error design); a side table
-    attributes the kept representative where the digest was really seen.
-    The first occurrence of a digest is never emitted."""
-    representatives: dict[str, str] = {}
+    order. The Bloom filter alone decides membership, so memory stays at
+    the filter's size and its false positives surface as duplicates,
+    matching the 1%-error design. A filter cannot name the document it
+    saw first, so records carry no representative. The first occurrence
+    of a digest is never emitted."""
     for doc_id, shard, digest in entries:
         if digest in bloom:
-            yield DuplicateRecord(
-                doc_id=doc_id,
-                shard=shard,
-                kept_representative_id=representatives.get(digest),
-            )
+            yield DuplicateRecord(doc_id=doc_id, shard=shard, kept_representative_id=None)
         else:
             bloom.add(digest)
-            representatives[digest] = doc_id
 
 
 # ---------------------------------------------------------------------------
@@ -169,9 +162,6 @@ def estimate_jaccard(sig_a: np.ndarray, sig_b: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # LSH banding
 
-DEFAULT_BANDS = 9
-DEFAULT_ROWS = 13
-
 
 def pick_banding(level: float, num_perm: int = NUM_PERMUTATIONS) -> tuple[int, int]:
     """(bands, rows) minimizing |(1/b)^(1/r) - level| subject to
@@ -188,31 +178,24 @@ def pick_banding(level: float, num_perm: int = NUM_PERMUTATIONS) -> tuple[int, i
     return best[1], best[2]
 
 
-def detection_probability(jaccard: float, bands: int, rows: int) -> float:
-    return 1.0 - (1.0 - jaccard**rows) ** bands
-
-
 def lsh_candidates(
-    signatures: Iterable[tuple[str, np.ndarray]],
-    bands: int = DEFAULT_BANDS,
-    rows: int = DEFAULT_ROWS,
-) -> set[tuple[str, str]]:
-    """Pairs of ids sharing at least one identical band of `rows`
-    consecutive signature components."""
+    signatures: list[np.ndarray], bands: int, rows: int
+) -> set[tuple[int, int]]:
+    """Position pairs (i, j), i < j, of signatures sharing at least one
+    identical band of `rows` consecutive components."""
     if bands * rows > NUM_PERMUTATIONS:
         raise ConfigError(
             f"bands*rows = {bands * rows} exceeds {NUM_PERMUTATIONS} components"
         )
-    tables: list[dict[bytes, list[str]]] = [{} for _ in range(bands)]
-    pairs: set[tuple[str, str]] = set()
-    for doc_id, sig in signatures:
+    tables: list[dict[bytes, list[int]]] = [{} for _ in range(bands)]
+    pairs: set[tuple[int, int]] = set()
+    for pos, sig in enumerate(signatures):
         for band in range(bands):
             key = sig[band * rows : (band + 1) * rows].tobytes()
             bucket = tables[band].setdefault(key, [])
             for other in bucket:
-                if other != doc_id:
-                    pairs.add((other, doc_id) if other < doc_id else (doc_id, other))
-            bucket.append(doc_id)
+                pairs.add((other, pos))
+            bucket.append(pos)
     return pairs
 
 
@@ -220,60 +203,29 @@ def lsh_candidates(
 # Union-find clustering
 
 
-class UnionFind:
-    def __init__(self):
-        self.parent: dict[str, str] = {}
-
-    def find(self, x: str) -> str:
-        root = x
-        while self.parent.get(root, root) != root:
-            root = self.parent[root]
-        while self.parent.get(x, x) != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: str, b: str) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent.setdefault(ra, ra)
-            self.parent[rb] = ra
-
-    def clusters(self) -> dict[str, list[str]]:
-        groups: dict[str, list[str]] = {}
-        for node in self.parent:
-            groups.setdefault(self.find(node), []).append(node)
-        return groups
-
-
 def cluster_and_select(
-    candidates: Iterable[tuple[str, str]],
-    order: dict[str, int],
-    shards: dict[str, str] | None = None,
+    candidates: Iterable[tuple[int, int]], docs: list[tuple[str, str]]
 ) -> list[DuplicateRecord]:
-    """Union-find over candidate pairs; within each cluster the document
-    first in the canonical order (snapshot newest-first, shard,
-    position) is kept and all others are emitted. Output is sorted, so
-    shuffled pair input yields identical records."""
-    uf = UnionFind()
+    """Union-find over candidate position pairs into `docs`, the
+    (doc_id, shard) of each document in canonical order (snapshot
+    newest-first, shard, position). Each root is the smallest position
+    of its cluster, so the root is the kept representative, and records
+    come out in canonical order whatever the order of the pairs."""
+    parent = list(range(len(docs)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]  # path halving
+            x = parent[x]
+        return x
+
     for a, b in candidates:
-        if a not in order:
-            raise RecordError(f"unknown doc id {a!r} in candidate pair")
-        if b not in order:
-            raise RecordError(f"unknown doc id {b!r} in candidate pair")
-        uf.union(a, b)
+        ra, rb = find(a), find(b)
+        parent[max(ra, rb)] = min(ra, rb)
     records = []
-    for members in uf.clusters().values():
-        if len(members) < 2:
-            continue
-        members.sort(key=lambda d: order[d])
-        representative = members[0]
-        for doc_id in members[1:]:
-            records.append(
-                DuplicateRecord(
-                    doc_id=doc_id,
-                    shard=shards.get(doc_id, "") if shards else "",
-                    kept_representative_id=representative,
-                )
-            )
-    records.sort(key=lambda r: order[r.doc_id])
+    for pos, (doc_id, shard) in enumerate(docs):
+        root = find(pos)
+        if root != pos:
+            records.append(DuplicateRecord(
+                doc_id=doc_id, shard=shard, kept_representative_id=docs[root][0]))
     return records

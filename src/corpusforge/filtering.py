@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .records import Document, QualitySignalSet, rewrite_document
 from .signal_catalog import LINE_SIGNALS, known_signal_names
 
@@ -92,6 +92,13 @@ def _make_rule(signal: str, op: str, threshold, reason: str | None, known) -> Ru
     )
 
 
+def _entry_rule(entry, known) -> Rule:
+    if not (isinstance(entry, dict) and {"signal", "op", "value"} <= entry.keys()):
+        raise ConfigError(f"rule entry {entry!r} needs signal, op and value")
+    return _make_rule(entry["signal"], entry["op"], entry["value"],
+                      entry.get("reason"), known)
+
+
 def compile_ruleset(config: dict, name: str = "custom") -> Ruleset:
     """Compile a declarative rule document. Two accepted shapes:
 
@@ -104,13 +111,9 @@ def compile_ruleset(config: dict, name: str = "custom") -> Ruleset:
     rs = Ruleset(name=config.get("name", name))
     if "doc_rules" in config or "line_rules" in config:
         for entry in config.get("doc_rules", []):
-            rs.doc_rules.append(
-                _make_rule(entry["signal"], entry["op"], entry["value"],
-                           entry.get("reason"), known)
-            )
+            rs.doc_rules.append(_entry_rule(entry, known))
         for entry in config.get("line_rules", []):
-            rule = _make_rule(entry["signal"], entry["op"], entry["value"],
-                              entry.get("reason"), known)
+            rule = _entry_rule(entry, known)
             if rule.signal not in LINE_SIGNALS:
                 raise ConfigError(
                     f"line rule on document-level signal {rule.signal!r}"
@@ -187,32 +190,46 @@ def load_ruleset(spec: str) -> Ruleset:
         ) from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"rule file {spec} is not valid JSON: {exc}") from exc
-    return compile_ruleset(config, name=spec)
+    if not isinstance(config, dict):
+        raise ConfigError(f"rule file {spec} is not a JSON object")
+    try:
+        return compile_ruleset(config, name=spec)
+    except ConfigError as exc:
+        raise ConfigError(f"rule file {spec}: {exc}") from exc
+
+
+def _scores(name: str, signals: QualitySignalSet) -> list:
+    """The score of each (start, end, score) triple of one signal;
+    DataError when a triple is not three long or its score is not a
+    number."""
+    triples = signals.quality_signals.get(name)
+    if triples is None:
+        raise SignalMissingError(f"signal {name} missing from record {signals.id}")
+    for t in triples:
+        if len(t) != 3 or not isinstance(t[2], (int, float)):
+            raise DataError(
+                f"record {signals.id}: signal {name} has a malformed triple {list(t)!r}"
+            )
+    return [t[2] for t in triples]
 
 
 def _doc_value(name: str, signals: QualitySignalSet):
-    triples = signals.quality_signals.get(name)
-    if triples is None:
-        raise SignalMissingError(f"signal {name} missing from record {signals.id}")
+    scores = _scores(name, signals)
+    if not scores:
+        return 0.0  # no lines, or a categorical signal with no category
     if name in LINE_SIGNALS:
         # Document-level rule over a line signal: mean of per-line scores.
-        if not triples:
-            return 0.0
-        return sum(t[2] for t in triples) / len(triples)
-    if not triples:
-        return 0.0  # categorical signals may be empty (no category)
-    return triples[0][2]
+        return sum(scores) / len(scores)
+    return scores[0]
 
 
 def _line_values(name: str, signals: QualitySignalSet, nlines: int):
-    triples = signals.quality_signals.get(name)
-    if triples is None:
-        raise SignalMissingError(f"signal {name} missing from record {signals.id}")
-    if len(triples) != nlines:
+    scores = _scores(name, signals)
+    if len(scores) != nlines:
         raise SignalMissingError(
-            f"signal {name} has {len(triples)} line spans, document has {nlines}"
+            f"signal {name} has {len(scores)} line spans, document has {nlines}"
         )
-    return [t[2] for t in triples]
+    return scores
 
 
 def evaluate(doc: Document, signals: QualitySignalSet, rs: Ruleset) -> Decision:

@@ -70,7 +70,7 @@ class PipelineConfig:
     models: dict = field(default_factory=dict)
     bloom_capacity: int = 100_000
     bloom_error_rate: float = 0.01
-    jaccard: float | None = None
+    jaccard: float = 0.8
     apply_dedup: bool = True
     force: bool = False
     stopword_dir: str = ""
@@ -114,16 +114,8 @@ class PipelineConfig:
                 "snapshots must be ordered newest to oldest: "
                 + ", ".join(self.snapshots)
             )
-
-
-def _base_type(hint) -> tuple[type, bool]:
-    """(runtime class, accepts None) of a field annotation:
-    list[str] -> (list, False), float | None -> (float, True)."""
-    args = typing.get_args(hint)
-    optional = type(None) in args
-    if optional:
-        (hint,) = [a for a in args if a is not type(None)]
-    return typing.get_origin(hint) or hint, optional
+        if not 0.0 < self.jaccard <= 1.0:
+            raise ConfigError(f"jaccard must be in (0, 1], got {self.jaccard}")
 
 
 _ENV_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
@@ -133,7 +125,7 @@ def _from_env_string(var: str, raw: str, hint):
     """Convert an environment string to the field's type: lists split on
     commas, dicts parse as JSON, bools accept 1/true/yes and 0/false/no
     in any case."""
-    kind, _ = _base_type(hint)
+    kind = typing.get_origin(hint) or hint
     if kind is list:
         return [x for x in raw.split(",") if x]
     if kind is bool:
@@ -152,9 +144,7 @@ def _from_env_string(var: str, raw: str, hint):
 def _checked(name: str, value, hint):
     """value if it has the field's type (an int is accepted for a float,
     a bool is not accepted for an int), else ConfigError."""
-    kind, optional = _base_type(hint)
-    if value is None and optional:
-        return value
+    kind = typing.get_origin(hint) or hint
     if kind is float and type(value) is int:
         return float(value)
     ok = isinstance(value, kind) and not (kind is int and type(value) is bool)
@@ -352,64 +342,49 @@ def cmd_dedup(cfg: PipelineConfig, mode: str) -> dict:
 
 
 def _dedup_exact(cfg: PipelineConfig) -> dict:
+    """Streams shard by shard: each shard's sidecar is written before the
+    next shard is read, so memory is the Bloom filter plus one shard."""
     bloom = dedup_mod.BloomFilter(cfg.bloom_capacity, cfg.bloom_error_rate)
-    addrs: dict[str, ShardAddress] = {}
     docs_per_snapshot: Counter[str] = Counter()
-
-    def entries():
-        for rel, addr, docs in _iter_corpus(cfg):
-            addrs[rel] = addr
-            docs_per_snapshot[addr.snapshot_id] += len(docs)
-            for i, doc in enumerate(docs):
-                doc_id, _ = document_id(doc, i)
-                yield doc_id, rel, doc.digest
-
-    records = list(dedup_mod.exact_dedup_pass(entries(), bloom))
-    _write_duplicates(cfg, addrs, records)
-    dups_per_snapshot = Counter(addrs[r.shard].snapshot_id for r in records)
-    total_docs = 0
+    dups_per_snapshot: Counter[str] = Counter()
+    for rel, addr, shard_docs in _iter_corpus(cfg):
+        entries = (
+            (document_id(doc, i)[0], rel, doc.digest)
+            for i, doc in enumerate(shard_docs)
+        )
+        records = dedup_mod.exact_dedup_pass(entries, bloom)
+        docs_per_snapshot[addr.snapshot_id] += len(shard_docs)
+        dups_per_snapshot[addr.snapshot_id] += _write_duplicates(cfg, addr, records)
     for snapshot in cfg.snapshots or sorted(docs_per_snapshot, reverse=True):
         docs, dups = docs_per_snapshot[snapshot], dups_per_snapshot[snapshot]
         frac = dups / docs if docs else 0.0
-        total_docs += docs
         print(f"dedup[exact] {snapshot}: {docs} docs, {dups} duplicates ({frac:.2%})")
-    print(f"dedup[exact] total: {total_docs} docs, {len(records)} duplicates; "
+    total_docs, total_dups = docs_per_snapshot.total(), dups_per_snapshot.total()
+    print(f"dedup[exact] total: {total_docs} docs, {total_dups} duplicates; "
           f"bloom fill {bloom.fill_ratio():.3f}")
-    return {"mode": "exact", "documents": total_docs, "duplicates": len(records)}
+    return {"mode": "exact", "documents": total_docs, "duplicates": total_dups}
 
 
-def _write_duplicates(cfg: PipelineConfig, addrs: dict[str, ShardAddress],
-                      records) -> None:
-    """One duplicates sidecar for each shard in `addrs` (keyed by the
-    shard's relative path), empty when it has no duplicate records."""
-    by_shard: dict[str, list] = {rel: [] for rel in addrs}
-    for record in records:
-        by_shard[record.shard].append(record)
-    for rel, recs in sorted(by_shard.items()):
-        out_path = os.path.join(cfg.output_root, shard_path(addrs[rel], "duplicates"))
-        write_jsonl_gz(out_path, (r.to_json() for r in recs))
+def _write_duplicates(cfg: PipelineConfig, addr: ShardAddress, records) -> int:
+    """The duplicates sidecar of one shard, empty when it has no
+    duplicate records; returns the number of records written."""
+    out_path = os.path.join(cfg.output_root, shard_path(addr, "duplicates"))
+    return write_jsonl_gz(out_path, (r.to_json() for r in records))
 
 
 def _dedup_fuzzy(cfg: PipelineConfig) -> dict:
-    if cfg.jaccard is not None:
-        bands, rows = dedup_mod.pick_banding(cfg.jaccard)
-    else:
-        bands, rows = dedup_mod.DEFAULT_BANDS, dedup_mod.DEFAULT_ROWS
-
-    order: dict[str, int] = {}
-    shards_by_id: dict[str, str] = {}
-    addrs: dict[str, ShardAddress] = {}
+    bands, rows = dedup_mod.pick_banding(cfg.jaccard)
+    shards: list[tuple[str, ShardAddress]] = []
+    docs: list[tuple[str, str]] = []  # (doc_id, shard) in canonical order
     signatures = []
-    for rel, addr, docs in _iter_corpus(cfg):
-        addrs[rel] = addr
+    for rel, addr, shard_docs in _iter_corpus(cfg):
+        shards.append((rel, addr))
         sig_lines = []
-        for i, doc in enumerate(docs):
+        for i, doc in enumerate(shard_docs):
             doc_id, _ = document_id(doc, i)
-            words = normalize(doc.raw_content).split()
-            sig = dedup_mod.minhash_for_words(words)
-            order[doc_id] = len(order)
-            shards_by_id[doc_id] = rel
-            signatures.append((doc_id, sig))
+            sig = dedup_mod.minhash_for_words(normalize(doc.raw_content).split())
+            docs.append((doc_id, rel))
+            signatures.append(sig)
             sig_lines.append(json.dumps(
                 {"doc_id": doc_id, "signature": [int(x) for x in sig],
                  "bands": bands, "rows": rows},
@@ -419,22 +394,23 @@ def _dedup_fuzzy(cfg: PipelineConfig) -> dict:
         if not _output_exists(out_path, cfg.force):
             write_jsonl_gz(out_path, sig_lines)
 
-    pairs = dedup_mod.lsh_candidates(signatures, bands, rows)
-    if cfg.jaccard is not None:
-        sig_by_id = dict(signatures)
-        pairs = {
-            (a, b)
-            for a, b in pairs
-            if dedup_mod.estimate_jaccard(sig_by_id[a], sig_by_id[b]) >= cfg.jaccard
-        }
-    records = dedup_mod.cluster_and_select(pairs, order, shards_by_id)
-    _write_duplicates(cfg, addrs, records)
-    frac = len(records) / len(order) if order else 0.0
-    print(f"dedup[fuzzy] bands={bands} rows={rows}: {len(order)} docs, "
+    pairs = {
+        (a, b)
+        for a, b in dedup_mod.lsh_candidates(signatures, bands, rows)
+        if dedup_mod.estimate_jaccard(signatures[a], signatures[b]) >= cfg.jaccard
+    }
+    records = dedup_mod.cluster_and_select(pairs, docs)
+    by_shard: dict[str, list] = {rel: [] for rel, _ in shards}
+    for record in records:
+        by_shard[record.shard].append(record)
+    for rel, addr in shards:
+        _write_duplicates(cfg, addr, by_shard[rel])
+    frac = len(records) / len(docs) if docs else 0.0
+    print(f"dedup[fuzzy] bands={bands} rows={rows}: {len(docs)} docs, "
           f"{len(pairs)} candidate pairs, {len(records)} duplicates ({frac:.2%})")
     return {
         "mode": "fuzzy",
-        "documents": len(order),
+        "documents": len(docs),
         "candidates": len(pairs),
         "duplicates": len(records),
         "bands": bands,
@@ -602,11 +578,15 @@ def cmd_stats(cfg: PipelineConfig, as_json: bool = False) -> dict:
 def _iter_training_texts(path: str):
     """Accepts JSONL(.gz) with either {"text": ...} or full document
     records; yields normalized word lists."""
-    for _num, line in iter_jsonl_gz(path):
-        record = json.loads(line)
-        text = record.get("text", record.get("raw_content"))
-        if text is None:
-            raise DataError(f"{path}: record without text/raw_content field")
+    for num, line in iter_jsonl_gz(path):
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: line {num}: malformed JSON: {exc}") from exc
+        text = record.get("text", record.get("raw_content")) if isinstance(record, dict) else None
+        if not isinstance(text, str):
+            raise DataError(f"{path}: line {num}: not a JSON object with a string "
+                            "text or raw_content field")
         yield normalize(text).split()
 
 

@@ -18,7 +18,6 @@ from corpusforge import pipeline
 from corpusforge.dedup import (
     BloomFilter,
     cluster_and_select,
-    content_digest,
     estimate_jaccard,
     exact_dedup_pass,
     lsh_candidates,
@@ -36,6 +35,7 @@ from corpusforge.mlmodels import (
 from corpusforge.records import (
     QualitySignalSet,
     ShardAddress,
+    content_digest,
     shard_path,
     write_jsonl_gz,
 )
@@ -232,12 +232,9 @@ def test_acceptance_5_dedup_semantics():
     assert list(exact_dedup_pass(again, BloomFilter(capacity=1000))) == []
 
     # fuzzy path: identical texts collide in every band
-    signatures = [
-        (doc_id, minhash_for_words(text.split())) for doc_id, text in texts
-    ]
-    records = cluster_and_select(
-        lsh_candidates(signatures), order, {d: "shard" for d, _ in texts}
-    )
+    signatures = [minhash_for_words(text.split()) for _, text in texts]
+    docs = [(doc_id, "shard") for doc_id, _ in texts]
+    records = cluster_and_select(lsh_candidates(signatures, 9, 13), docs)
     dropped = {r.doc_id for r in records}
     fuzzy_surv = [d for d, _ in texts if d not in dropped]
     per_cluster = {}
@@ -249,9 +246,9 @@ def test_acceptance_5_dedup_semantics():
     for r in records:
         assert order[r.kept_representative_id] < order[r.doc_id]
     # idempotent
-    surv_sigs = [(d, s) for d, s in signatures if d not in dropped]
+    surv = [i for i, (d, _) in enumerate(docs) if d not in dropped]
     assert cluster_and_select(
-        lsh_candidates(surv_sigs), order, {}
+        lsh_candidates([signatures[i] for i in surv], 9, 13), [docs[i] for i in surv]
     ) == []
 
 

@@ -12,7 +12,12 @@ import pytest
 import corpusforge
 from corpusforge import cli, pipeline
 from corpusforge.cli import main
-from corpusforge.records import ShardAddress, shard_path, write_jsonl_gz
+from corpusforge.records import (
+    QualitySignalSet,
+    ShardAddress,
+    shard_path,
+    write_jsonl_gz,
+)
 
 from conftest import make_doc
 
@@ -181,12 +186,22 @@ def test_config_file_and_unknown_key(tmp_path, corpus):
                  ["annotate"], id="env-models-importance-not-pair"),
     pytest.param({"CORPUSFORGE_MODELS": '{"kn_lm": "no_payload.json"}'}, None,
                  ["annotate"], id="model-file-without-payload"),
+    pytest.param({}, None, ["filter", "--preset", "rules_list.json"],
+                 id="rule-file-not-object"),
+    pytest.param({}, None, ["filter", "--preset", "rules_no_op.json"],
+                 id="rule-entry-without-op"),
+    pytest.param({}, None, ["dedup", "--mode", "fuzzy", "--jaccard", "1.5"],
+                 id="jaccard-above-1"),
 ])
 def test_bad_config_exits_1_with_one_error_line(corpus, tmp_path, env, config, argv):
     # the corpus carries the default signals, which have no rps_code_*
     assert main(["annotate", "--input", corpus, "--output", corpus]) == 0
-    # a model container without payload or hash, for relative model paths
+    # a model container without payload or hash, and two broken rule
+    # files, for relative paths
     (tmp_path / "no_payload.json").write_text('{"kind": "kneser_ney"}')
+    (tmp_path / "rules_list.json").write_text("[1, 2]")
+    (tmp_path / "rules_no_op.json").write_text(
+        '{"doc_rules": [{"signal": "rps_doc_word_count", "value": 5}]}')
     argv = [*argv, "--input", corpus, "--output", str(tmp_path / "out")]
     if config is not None:
         path = tmp_path / "cfg.json"
@@ -232,6 +247,37 @@ def test_bad_shard_or_sidecar_exits_2_with_one_error_line(tmp_path, damage):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
     assert str(bad) in lines[0]
+
+
+@pytest.mark.parametrize("triple", [[0, 5], [0, 5, "many"]])
+def test_malformed_signal_triple_exits_2_with_one_error_line(tmp_path, triple):
+    root = tmp_path / "corpus"
+    _write_corpus(str(root), ["one two three"])
+    doc_id = "2023-14/seg0/0"
+    signals = QualitySignalSet(doc_id, 0, {}, {"rps_doc_word_count": [triple]})
+    write_jsonl_gz(root / shard_path(ShardAddress("2023-14", 0, "en", "head"),
+                                     "quality_signals"), [signals.to_json()])
+    (tmp_path / "rules.json").write_text('{"rps_doc_word_count": {"<": 2}}')
+    proc = _run_cli(["filter", "--preset", "rules.json", "--input", str(root),
+                     "--output", str(tmp_path / "out")], {}, cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert doc_id in lines[0] and "rps_doc_word_count" in lines[0]
+
+
+@pytest.mark.parametrize("line", ["{not json", "[1, 2]", '{"text": 5}'])
+def test_bad_training_corpus_exits_2_with_one_error_line(tmp_path, line):
+    corpus = tmp_path / "bad.jsonl"
+    corpus.write_text('{"text": "a fine line"}\n' + line + "\n")
+    proc = _run_cli(["train", "hashed_lm", "--corpus", str(corpus),
+                     "--model-output", str(tmp_path / "lm.json")], {}, cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith(f"error: {corpus}: line 2: "), proc.stderr
 
 
 def test_stats_json_stdout_is_one_object_despite_bad_record(tmp_path, capsys):

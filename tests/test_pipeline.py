@@ -4,13 +4,16 @@ filter bookkeeping, and stats rendering."""
 import gzip
 import json
 import os
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpusforge import pipeline
 from corpusforge.errors import ConfigError
-from corpusforge.records import ShardAddress, shard_path, write_jsonl_gz
+from corpusforge.records import QualitySignalSet, ShardAddress, shard_path, write_jsonl_gz
 
 from conftest import make_doc
 
@@ -138,6 +141,60 @@ def test_filter_audit_bookkeeping(tmp_path):
         lines = [json.loads(line) for line in fh]
     assert len(lines) == totals["dropped"] + totals["rewritten"] + totals["duplicates"]
     assert all(entry["fired_rules"] for entry in lines)
+
+
+# One generated document: for each line whether the line rule fires on
+# it, whether the document rule fires, and whether it is a duplicate.
+_filter_doc = st.tuples(
+    st.lists(st.booleans(), min_size=1, max_size=4), st.booleans(), st.booleans()
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.lists(_filter_doc, max_size=5), min_size=1, max_size=3))
+def test_filter_counts_reconcile(shards):
+    """kept + rewritten + dropped + duplicates = docs read; written docs =
+    kept + rewritten; audit lines = rewritten + dropped + duplicates."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root, out = os.path.join(tmp, "in"), os.path.join(tmp, "out")
+        rules = os.path.join(tmp, "rules.json")
+        Path(rules).write_text(json.dumps({
+            "doc_rules": [{"signal": "rps_doc_word_count", "op": "<", "value": 1}],
+            "line_rules": [{"signal": "rps_lines_num_words", "op": "<", "value": 1}],
+        }))
+        for shard, docs in enumerate(shards):
+            addr = ShardAddress("2023-14", shard, "en", "head")
+            texts = ["\n".join(f"w{i}" for i in range(len(lines)))
+                     for lines, _, _ in docs]
+            _write_corpus(root, texts, shard=shard)
+            signal_lines, dup_lines = [], []
+            for i, (text, (lines, doc_fires, duplicate)) in enumerate(zip(texts, docs)):
+                doc_id = f"2023-14/seg{shard}/{i}"
+                # line k is "w<k>\n", three characters from 3 * k
+                signal_lines.append(QualitySignalSet(doc_id, i, {}, {
+                    "rps_doc_word_count": [(0, len(text), 0 if doc_fires else 5)],
+                    "rps_lines_num_words": [
+                        (3 * k, 3 * k + 3, 0 if fires else 1) for k, fires in enumerate(lines)
+                    ],
+                }).to_json())
+                if duplicate:
+                    dup_lines.append(json.dumps({"doc_id": doc_id}))
+            write_jsonl_gz(os.path.join(root, shard_path(addr, "quality_signals")),
+                           signal_lines)
+            write_jsonl_gz(os.path.join(root, shard_path(addr, "duplicates")), dup_lines)
+
+        totals = pipeline.cmd_filter(_cfg(root, output_root=out, ruleset=rules))
+        written = audited = 0
+        for shard in range(len(shards)):
+            doc_path = os.path.join(
+                out, shard_path(ShardAddress("2023-14", shard, "en", "head"), "documents"))
+            with gzip.open(doc_path, "rt") as fh:
+                written += sum(1 for _ in fh)
+            with gzip.open(doc_path.replace(".json.gz", ".audit.jsonl.gz"), "rt") as fh:
+                audited += sum(1 for _ in fh)
+    assert sum(totals.values()) == sum(len(docs) for docs in shards)
+    assert written == totals["kept"] + totals["rewritten"]
+    assert audited == totals["rewritten"] + totals["dropped"] + totals["duplicates"]
 
 
 def test_filter_requires_signal_sidecar(tmp_path):
