@@ -1,5 +1,6 @@
 """Deduplication primitives: Bloom-filter exact dedup, MinHash + LSH
-banding for fuzzy dedup, and union-find clustering.
+banding for fuzzy dedup over signatures grouped by identity, and
+union-find clustering.
 
 MinHash "permutations" are 128 independent seeded 64-bit affine hashes
 (multiply-add over the base shingle hash, wrapping mod 2^64); the
@@ -18,6 +19,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import ConfigError
+from .textnorm import normalize
 
 
 def _hash64(data: bytes) -> int:
@@ -229,3 +231,64 @@ def cluster_and_select(
             records.append(DuplicateRecord(
                 doc_id=doc_id, shard=shard, kept_representative_id=docs[root][0]))
     return records
+
+
+# ---------------------------------------------------------------------------
+# Fuzzy dedup over distinct signatures
+
+
+class SignatureGroups:
+    """Documents in canonical order and their MinHash signatures over
+    the words of the normalized content. A signature is computed once per
+    distinct content and stored once per distinct signature (a group)."""
+
+    def __init__(self) -> None:
+        self.docs: list[tuple[str, str]] = []  # (doc_id, shard) by position
+        self.groups: list[int] = []  # group of each position
+        self.signatures: list[np.ndarray] = []  # one per group, by first position
+        self._by_content: dict[bytes, int] = {}  # SHA-256 of raw content -> group
+        self._by_signature: dict[bytes, int] = {}
+
+    def add(self, doc_id: str, shard: str, raw_content: str) -> np.ndarray:
+        """Append the next document in canonical order; returns its signature."""
+        key = hashlib.sha256(raw_content.encode("utf-8")).digest()
+        group = self._by_content.get(key)
+        if group is None:
+            sig = minhash_for_words(normalize(raw_content).split()).tobytes()
+            group = self._by_signature.setdefault(sig, len(self.signatures))
+            if group == len(self.signatures):
+                self.signatures.append(np.frombuffer(sig, dtype=np.uint64))
+            self._by_content[key] = group
+        self.docs.append((doc_id, shard))
+        self.groups.append(group)
+        return self.signatures[group]
+
+    def duplicates(
+        self, bands: int, rows: int, threshold: float
+    ) -> tuple[list[DuplicateRecord], int]:
+        """(records, pairs): the records of cluster_and_select, and the
+        number of document pairs that share an LSH band and estimate
+        Jaccard >= threshold, both as if computed over every document's
+        own signature. Members of a group share a signature, so each pair
+        of them passes at any threshold in (0, 1], and two groups pass for
+        every pair of their members or for none. So LSH and the Jaccard
+        check run once per group pair, and linking each member to its
+        group's first position, and each passing group pair through their
+        first positions, gives the same clusters with the same roots."""
+        first: list[int] = []
+        sizes: list[int] = []
+        edges: list[tuple[int, int]] = []
+        for pos, group in enumerate(self.groups):
+            if group == len(first):  # groups are numbered by first position
+                first.append(pos)
+                sizes.append(1)
+            else:
+                edges.append((first[group], pos))
+                sizes[group] += 1
+        pairs = sum(n * (n - 1) // 2 for n in sizes)
+        sigs = self.signatures
+        for a, b in lsh_candidates(sigs, bands, rows):
+            if estimate_jaccard(sigs[a], sigs[b]) >= threshold:
+                edges.append((first[a], first[b]))
+                pairs += sizes[a] * sizes[b]
+        return cluster_and_select(edges, self.docs), pairs

@@ -95,6 +95,8 @@ def _make_rule(signal: str, op: str, threshold, reason: str | None, known) -> Ru
 def _entry_rule(entry, known) -> Rule:
     if not (isinstance(entry, dict) and {"signal", "op", "value"} <= entry.keys()):
         raise ConfigError(f"rule entry {entry!r} needs signal, op and value")
+    if not (isinstance(entry["signal"], str) and isinstance(entry["op"], str)):
+        raise ConfigError(f"rule entry {entry!r}: signal and op must be strings")
     return _make_rule(entry["signal"], entry["op"], entry["value"],
                       entry.get("reason"), known)
 
@@ -110,6 +112,9 @@ def compile_ruleset(config: dict, name: str = "custom") -> Ruleset:
     known = known_signal_names()
     rs = Ruleset(name=config.get("name", name))
     if "doc_rules" in config or "line_rules" in config:
+        for key in ("doc_rules", "line_rules"):
+            if not isinstance(config.get(key, []), list):
+                raise ConfigError(f"{key} must be a list of rule entries")
         for entry in config.get("doc_rules", []):
             rs.doc_rules.append(_entry_rule(entry, known))
         for entry in config.get("line_rules", []):

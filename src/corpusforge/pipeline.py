@@ -375,16 +375,13 @@ def _write_duplicates(cfg: PipelineConfig, addr: ShardAddress, records) -> int:
 def _dedup_fuzzy(cfg: PipelineConfig) -> dict:
     bands, rows = dedup_mod.pick_banding(cfg.jaccard)
     shards: list[tuple[str, ShardAddress]] = []
-    docs: list[tuple[str, str]] = []  # (doc_id, shard) in canonical order
-    signatures = []
+    index = dedup_mod.SignatureGroups()
     for rel, addr, shard_docs in _iter_corpus(cfg):
         shards.append((rel, addr))
         sig_lines = []
         for i, doc in enumerate(shard_docs):
             doc_id, _ = document_id(doc, i)
-            sig = dedup_mod.minhash_for_words(normalize(doc.raw_content).split())
-            docs.append((doc_id, rel))
-            signatures.append(sig)
+            sig = index.add(doc_id, rel, doc.raw_content)
             sig_lines.append(json.dumps(
                 {"doc_id": doc_id, "signature": [int(x) for x in sig],
                  "bands": bands, "rows": rows},
@@ -394,24 +391,20 @@ def _dedup_fuzzy(cfg: PipelineConfig) -> dict:
         if not _output_exists(out_path, cfg.force):
             write_jsonl_gz(out_path, sig_lines)
 
-    pairs = {
-        (a, b)
-        for a, b in dedup_mod.lsh_candidates(signatures, bands, rows)
-        if dedup_mod.estimate_jaccard(signatures[a], signatures[b]) >= cfg.jaccard
-    }
-    records = dedup_mod.cluster_and_select(pairs, docs)
+    records, pairs = index.duplicates(bands, rows, cfg.jaccard)
     by_shard: dict[str, list] = {rel: [] for rel, _ in shards}
     for record in records:
         by_shard[record.shard].append(record)
     for rel, addr in shards:
         _write_duplicates(cfg, addr, by_shard[rel])
-    frac = len(records) / len(docs) if docs else 0.0
-    print(f"dedup[fuzzy] bands={bands} rows={rows}: {len(docs)} docs, "
-          f"{len(pairs)} candidate pairs, {len(records)} duplicates ({frac:.2%})")
+    documents = len(index.docs)
+    frac = len(records) / documents if documents else 0.0
+    print(f"dedup[fuzzy] bands={bands} rows={rows}: {documents} docs, "
+          f"{pairs} candidate pairs, {len(records)} duplicates ({frac:.2%})")
     return {
         "mode": "fuzzy",
-        "documents": len(docs),
-        "candidates": len(pairs),
+        "documents": documents,
+        "candidates": pairs,
         "duplicates": len(records),
         "bands": bands,
         "rows": rows,
@@ -495,8 +488,9 @@ def cmd_filter(cfg: PipelineConfig) -> dict:
                 out_lines.append(decision.rewritten.to_json())
             else:
                 counts["dropped"] += 1
-        write_jsonl_gz(out_path, out_lines)
+        # the documents file, written last, marks the shard as done
         write_jsonl_gz(audit_path, audit_lines)
+        write_jsonl_gz(out_path, out_lines)
         return counts
 
     for counts in _run_shard_jobs(cfg, shards, job):

@@ -123,8 +123,40 @@ def _recompose(norm: str, offsets: list[int]) -> tuple[str, list[int]]:
     return " ".join(words), new_offsets
 
 
+# An apostrophe or hyphen that does not sit between alphanumerics, the
+# character before it counted after lowercasing: of all alphanumerics,
+# only "İ" lowercases to a string that ends in a non-alphanumeric. The
+# lookbehinds come after the character so that the scan looks for it
+# first.
+_LONE_EDGE = re.compile(r"['’-](?:(?<![^\W_].)|(?<=İ.)|(?![^\W_]))")
+
+
+class _Translation(dict):
+    """str.translate table from code point to normalized text: a space,
+    None (dropped), or the character lowercased. An apostrophe or hyphen
+    maps to itself, as _LONE_EDGE has already removed those to drop.
+    Entries are added on first lookup from _CLASSES."""
+
+    def __missing__(self, code_point: int):
+        ch = chr(code_point)
+        c = _CLASSES.get(ch)
+        if c is None:
+            c = _CLASSES[ch] = _char_class(ch)
+        value = " " if c is _SPACE else None if c is _DROP else ch if c is _EDGE else c
+        self[code_point] = value
+        return value
+
+
+_TRANSLATION = _Translation()
+
+
 def normalize(text: str) -> str:
-    return normalize_with_map(text)[0]
+    """normalize_with_map(text)[0], without building the offsets."""
+    text = _LONE_EDGE.sub("", unicodedata.normalize("NFC", text))
+    norm = " ".join(text.translate(_TRANSLATION).split())
+    if unicodedata.is_normalized("NFC", norm):
+        return norm
+    return " ".join(unicodedata.normalize("NFC", word) for word in norm.split(" "))
 
 
 @dataclass(frozen=True)

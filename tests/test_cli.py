@@ -81,6 +81,35 @@ def test_annotate_dedup_filter_stats(corpus, capsys):
     assert "Total" in table and "head_middle_dedupe" in table
 
 
+def test_dedup_fuzzy_end_to_end(tmp_path, capsys):
+    root = str(tmp_path / "corpus")
+    # a cluster of three copies of LONG_A plus a near copy (one word
+    # appended: Jaccard 48/49 over the 13-word shingles), and LONG_B alone
+    near = LONG_A + " omega"
+    _write_corpus(root, [LONG_A, LONG_B, LONG_A, LONG_A, near])
+    assert main(["dedup", "--mode", "fuzzy", "--jaccard", "0.8",
+                 "--input", root, "--output", root]) == 0
+    # C(3, 2) pairs among the copies, plus 3 * 1 with the near copy
+    assert capsys.readouterr().out == (
+        "dedup[fuzzy] bands=6 rows=8: 5 docs, 6 candidate pairs, "
+        "3 duplicates (60.00%)\n")
+    addr = ShardAddress("2023-14", 0, "en", "head")
+    with gzip.open(os.path.join(root, shard_path(addr, "duplicates")), "rt") as fh:
+        records = [json.loads(line) for line in fh]
+    assert records == [
+        {"doc_id": f"2023-14/seg0/{i}", "shard": shard_path(addr, "documents"),
+         "representative_id": "2023-14/seg0/0"}
+        for i in (2, 3, 4)
+    ]
+    with gzip.open(os.path.join(root, shard_path(addr, "minhash")), "rt") as fh:
+        sigs = [json.loads(line) for line in fh]
+    assert [s["doc_id"] for s in sigs] == [f"2023-14/seg0/{i}" for i in range(5)]
+    assert all(len(s["signature"]) == 128 and (s["bands"], s["rows"]) == (6, 8)
+               for s in sigs)
+    assert sigs[0]["signature"] == sigs[2]["signature"] == sigs[3]["signature"]
+    assert sigs[0]["signature"] != sigs[4]["signature"]
+
+
 def test_annotate_is_restartable(corpus, capsys):
     common = ["--input", corpus, "--output", corpus,
               "--snapshots", "2023-14", "--languages", "en"]
@@ -190,6 +219,10 @@ def test_config_file_and_unknown_key(tmp_path, corpus):
                  id="rule-file-not-object"),
     pytest.param({}, None, ["filter", "--preset", "rules_no_op.json"],
                  id="rule-entry-without-op"),
+    pytest.param({}, None, ["filter", "--preset", "rules_doc_rules_int.json"],
+                 id="rule-doc-rules-not-list"),
+    pytest.param({}, None, ["filter", "--preset", "rules_signal_list.json"],
+                 id="rule-signal-not-string"),
     pytest.param({}, None, ["dedup", "--mode", "fuzzy", "--jaccard", "1.5"],
                  id="jaccard-above-1"),
 ])
@@ -202,6 +235,9 @@ def test_bad_config_exits_1_with_one_error_line(corpus, tmp_path, env, config, a
     (tmp_path / "rules_list.json").write_text("[1, 2]")
     (tmp_path / "rules_no_op.json").write_text(
         '{"doc_rules": [{"signal": "rps_doc_word_count", "value": 5}]}')
+    (tmp_path / "rules_doc_rules_int.json").write_text('{"doc_rules": 5}')
+    (tmp_path / "rules_signal_list.json").write_text(
+        '{"doc_rules": [{"signal": ["rps_doc_word_count"], "op": "<", "value": 5}]}')
     argv = [*argv, "--input", corpus, "--output", str(tmp_path / "out")]
     if config is not None:
         path = tmp_path / "cfg.json"
@@ -212,6 +248,8 @@ def test_bad_config_exits_1_with_one_error_line(corpus, tmp_path, env, config, a
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    if argv[1] == "--preset" and argv[2].endswith(".json"):
+        assert argv[2] in lines[0], proc.stderr  # the error names the rule file
 
 
 def _run_cli(argv, env, cwd):

@@ -4,10 +4,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpusforge.dedup import (
     BloomFilter,
     DuplicateRecord,
+    SignatureGroups,
     cluster_and_select,
     estimate_jaccard,
     exact_dedup_pass,
@@ -19,6 +22,7 @@ from corpusforge.dedup import (
 )
 from corpusforge.errors import ConfigError
 from corpusforge.records import content_digest
+from corpusforge.textnorm import normalize
 
 
 def test_bloom_no_false_negatives():
@@ -125,3 +129,44 @@ def test_cluster_and_select_deterministic_under_shuffle():
 def test_duplicate_record_json():
     rec = DuplicateRecord("d1", "shard", "d0")
     assert '"representative_id":"d0"' in rec.to_json()
+
+
+_WORDS = [f"w{i}" for i in range(8)]
+
+
+@st.composite
+def _fuzzy_corpus(draw):
+    """Documents drawn from a few sources (empty, shorter than a shingle,
+    or longer): exact copies, copies that differ only in case and
+    punctuation (a different content with the same signature), and near
+    copies with one word appended (Jaccard n/(n+1) over n shingles)."""
+    sources = draw(st.lists(
+        st.lists(st.sampled_from(_WORDS), max_size=40).map(" ".join),
+        min_size=1, max_size=4))
+    texts = []
+    for _ in range(draw(st.integers(1, 20))):
+        words = draw(st.sampled_from(sources)).split()
+        edit = draw(st.sampled_from(["copy", "copy", "shout", "near"]))
+        if edit == "near":
+            words.append(draw(st.sampled_from(_WORDS)))
+        text = " ".join(words)
+        texts.append(text.upper() + "!" if edit == "shout" else text)
+    return texts
+
+
+@settings(deadline=None)
+@given(_fuzzy_corpus())
+def test_signature_groups_match_per_document_reference(texts):
+    docs = [(f"d{i}", f"s{i % 3}") for i in range(len(texts))]
+    sigs = [minhash_for_words(normalize(t).split()) for t in texts]
+    groups = SignatureGroups()
+    for (doc_id, shard), text, sig in zip(docs, texts, sigs):
+        assert np.array_equal(groups.add(doc_id, shard, text), sig)
+    for threshold in (0.5, 0.8, 1.0):
+        bands, rows = pick_banding(threshold)
+        pairs = {
+            (a, b) for a, b in lsh_candidates(sigs, bands, rows)
+            if estimate_jaccard(sigs[a], sigs[b]) >= threshold
+        }
+        expected = cluster_and_select(pairs, docs)
+        assert groups.duplicates(bands, rows, threshold) == (expected, len(pairs))

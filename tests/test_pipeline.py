@@ -197,6 +197,39 @@ def test_filter_counts_reconcile(shards):
     assert audited == totals["rewritten"] + totals["dropped"] + totals["duplicates"]
 
 
+def _tree_bytes(root):
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in Path(root).rglob("*") if p.is_file()}
+
+
+def test_filter_rerun_after_crash_between_shard_writes(tmp_path, monkeypatch):
+    """A crash between a shard's audit and documents writes leaves a
+    shard that the rerun processes again, so the tree matches a clean
+    run's."""
+    root = str(tmp_path / "in")
+    for shard in (0, 1):
+        _write_corpus(root, [LONG, "too short.", LONG, OTHER], shard=shard)
+    pipeline.cmd_annotate(_cfg(root))
+    pipeline.cmd_dedup(_cfg(root), "exact")
+    clean, crashed = str(tmp_path / "clean"), str(tmp_path / "crashed")
+    pipeline.cmd_filter(_cfg(root, output_root=clean, ruleset="gopher_full"))
+
+    write = pipeline.write_jsonl_gz
+    calls = []
+
+    def fail_second_write(path, lines):
+        calls.append(path)
+        if len(calls) == 2:  # the first shard's second write
+            raise OSError(f"failed writing {path}: injected fault")
+        return write(path, lines)
+
+    monkeypatch.setattr(pipeline, "write_jsonl_gz", fail_second_write)
+    with pytest.raises(OSError, match="injected fault"):
+        pipeline.cmd_filter(_cfg(root, output_root=crashed, ruleset="gopher_full"))
+    pipeline.cmd_filter(_cfg(root, output_root=crashed, ruleset="gopher_full"))
+    assert _tree_bytes(crashed) == _tree_bytes(clean)
+
+
 def test_filter_requires_signal_sidecar(tmp_path):
     root = str(tmp_path / "in")
     _write_corpus(root, [LONG])

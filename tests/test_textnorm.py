@@ -4,6 +4,7 @@ import random
 import unicodedata
 
 from hypothesis import example, given
+from hypothesis import strategies as st
 
 from oracles import oracle_normalize, oracle_sentence_count
 
@@ -111,6 +112,14 @@ def test_normalize_is_idempotent(text):
     once = normalize(text)
     assert normalize(once) == once
     assert once == oracle_normalize(text)
+
+
+@given(st.one_of(tricky_text(), st.text()))
+@example("İ'a x-'y z'-w -v- ’")
+def test_normalize_equals_offset_path(text):
+    norm = normalize(text)
+    assert norm == normalize_with_map(text)[0]
+    assert normalize(norm) == norm
 
 
 @given(tricky_text())
