@@ -1,9 +1,12 @@
 """Pipeline orchestration: shard discovery, per-shard jobs for
 annotate/dedup/filter/stats, and model training entry points.
 
-Every command is restartable per shard: outputs that already exist are
-skipped unless force is set. With a fixed config and seed the whole
-output tree is bit-reproducible (gzip mtime is pinned to 0)."""
+Every command is restartable per shard: annotate and filter skip shard
+outputs that already exist unless force is set, and dedup rewrites both
+its sidecars (duplicates/ and, in fuzzy mode, minhash/) on every run,
+since whether a document is a duplicate depends on the whole corpus.
+With a fixed config and seed the whole output tree is bit-reproducible
+(gzip mtime is pinned to 0)."""
 
 from __future__ import annotations
 
@@ -388,8 +391,7 @@ def _dedup_fuzzy(cfg: PipelineConfig) -> dict:
                 separators=(",", ":"),
             ))
         out_path = os.path.join(cfg.output_root, shard_path(addr, "minhash"))
-        if not _output_exists(out_path, cfg.force):
-            write_jsonl_gz(out_path, sig_lines)
+        write_jsonl_gz(out_path, sig_lines)
 
     records, pairs = index.duplicates(bands, rows, cfg.jaccard)
     by_shard: dict[str, list] = {rel: [] for rel, _ in shards}

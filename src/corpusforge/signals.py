@@ -12,15 +12,13 @@ from __future__ import annotations
 
 import math
 import os
-import unicodedata
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 
 from .errors import ConfigError
 from .records import Document
-from .textnorm import TokenizedView, line_spans, load_wordlist, normalized_word_positions
+from .textnorm import TokenizedView, load_wordlist, normalized_word_positions
 
 ELLIPSIS_SUFFIXES = ("...", "…")
 
@@ -332,27 +330,15 @@ def load_ut1(directory=None) -> tuple[dict[str, set[int]], list[str]]:
 
 
 def line_signals(doc: Document, view: TokenizedView) -> dict[str, list]:
-    """Per-line values, one per span of view.lines. A line's normalized text is the part of
-    view.normalized that came from the line, found by bisecting the
-    offset map, minus the separator spaces at its ends: '\\n' is neither
-    alphanumeric nor a composing character, so normalizing the whole
-    document and cutting it at the newlines gives each line's own
-    normalization."""
+    """Per-line values, one per span of view.lines. The raw-text values
+    read the line itself; the word and digit values read its normalized
+    text from view.normalized_lines."""
     raw = doc.raw_content
-    spans = view.lines
-    # norm_to_raw indexes the NFC text, whose lines can be shorter
-    nfc = unicodedata.normalize("NFC", raw)
-    nfc_spans = spans if nfc == raw else line_spans(nfc)
-    normalized = view.normalized
-    offsets = view.norm_to_raw
     terminal, javascript, num_words = [], [], []
     numerical, bullet, uppercase = [], [], []
-    for (start, end), (nfc_start, nfc_end) in zip(spans, nfc_spans):
+    for (start, end), norm in zip(view.lines, view.normalized_lines):
         line = raw[start:end].rstrip("\n")
         stripped = line.strip()
-        norm = normalized[
-            bisect_left(offsets, nfc_start) : bisect_left(offsets, nfc_end)
-        ].strip(" ")
         norm_words = norm.split()
         terminal.append(1 if stripped.endswith(TERMINAL_PUNCTUATION) else 0)
         javascript.append(norm_words.count("javascript"))

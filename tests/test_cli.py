@@ -110,6 +110,20 @@ def test_dedup_fuzzy_end_to_end(tmp_path, capsys):
     assert sigs[0]["signature"] != sigs[4]["signature"]
 
 
+def test_dedup_fuzzy_rewrites_minhash_sidecar_after_shard_changes(tmp_path):
+    root = str(tmp_path / "corpus")
+    argv = ["dedup", "--mode", "fuzzy", "--input", root, "--output", root]
+    sidecar = os.path.join(
+        root, shard_path(ShardAddress("2023-14", 0, "en", "head"), "minhash"))
+    for texts in ([LONG_A, LONG_B], [LONG_A, LONG_B, LONG_A + " omega"]):
+        _write_corpus(root, texts)
+        assert main(argv) == 0
+        with gzip.open(sidecar, "rt") as fh:
+            sigs = [json.loads(line) for line in fh]
+        assert [s["doc_id"] for s in sigs] == [
+            f"2023-14/seg0/{i}" for i in range(len(texts))]
+
+
 def test_annotate_is_restartable(corpus, capsys):
     common = ["--input", corpus, "--output", corpus,
               "--snapshots", "2023-14", "--languages", "en"]
@@ -139,6 +153,27 @@ def test_data_error_exit_code(tmp_path, capsys):
     write_jsonl_gz(path, [make_doc("ok").to_json(), "{broken", "{also broken"])
     assert main(["annotate", "--input", root, "--output", root]) == 2
     assert "threshold" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("total, code", [(100, 0), (99, 2)])
+def test_bad_record_threshold_boundary(tmp_path, capsys, total, code):
+    # one bad record in `total`: a share of exactly 1% is processed, above it fails
+    root = str(tmp_path / "corpus")
+    addr = ShardAddress("2023-14", 0, "en", "head")
+    lines = [make_doc(f"document number {i}.").to_json() for i in range(total - 1)]
+    lines.insert(total // 2, "{broken")
+    write_jsonl_gz(os.path.join(root, shard_path(addr, "documents")), lines)
+    assert main(["annotate", "--input", root, "--output", root]) == code
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    signals = os.path.join(root, shard_path(addr, "quality_signals"))
+    if code == 0:
+        assert errors == []
+        with gzip.open(signals, "rt") as fh:
+            assert sum(1 for _ in fh) == total - 1
+    else:
+        assert len(errors) == 1 and "threshold" in errors[0]
+        assert not os.path.exists(signals)
 
 
 def test_env_overrides(corpus, capsys, monkeypatch):

@@ -1,8 +1,5 @@
 """Normalization, tokenization, sentence and line segmentation."""
 
-import random
-import unicodedata
-
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -12,7 +9,6 @@ from corpusforge.textnorm import (
     analyze,
     line_spans,
     normalize,
-    normalize_with_map,
     normalized_word_positions,
     split_sentences,
 )
@@ -47,25 +43,6 @@ def test_normalize_matches_oracle_randomized(rng):
     for _ in range(300):
         text = random_text(rng, max_words=60)
         assert normalize(text) == oracle_normalize(text)
-
-
-def test_offset_map_points_into_raw():
-    raw = "  Hello,   WORLD-wide  (web)! "
-    norm, offsets = normalize_with_map(raw)
-    assert len(offsets) == len(norm)
-    for i, ch in enumerate(norm):
-        if ch == " ":
-            assert raw[offsets[i]].isspace()
-        else:
-            assert raw[offsets[i]].lower() == ch
-
-
-def test_analyze_word_spans():
-    words = analyze("One two, THREE!").words
-    assert [w.text for w in words] == ["one", "two", "three"]
-    raw = "One two, THREE!"
-    for w in words:
-        assert raw[w.start:w.end].lower() == w.text
 
 
 def test_sentence_counting():
@@ -116,17 +93,12 @@ def test_normalize_is_idempotent(text):
 
 @given(st.one_of(tricky_text(), st.text()))
 @example("İ'a x-'y z'-w -v- ’")
-def test_normalize_equals_offset_path(text):
-    norm = normalize(text)
-    assert norm == normalize_with_map(text)[0]
-    assert normalize(norm) == norm
-
-
-@given(tricky_text())
 @example("A\u0300\n1")
-def test_offset_map_indexes_nfc_text(text):
-    nfc = unicodedata.normalize("NFC", text)
-    norm, offsets = normalize_with_map(text)
-    assert len(offsets) == len(norm) and offsets == sorted(offsets)
-    for ch, i in zip(norm, offsets):
-        assert nfc[i].isspace() == (ch == " ")
+@example("x'\n'y")
+@example("İ\n'a")
+def test_analyze_matches_normalize(text):
+    view = analyze(text)
+    assert view.normalized == normalize(text) == oracle_normalize(text)
+    assert normalize(view.normalized) == view.normalized
+    lines = text.split("\n") if text else []
+    assert view.normalized_lines == [oracle_normalize(line) for line in lines]
