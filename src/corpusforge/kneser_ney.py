@@ -5,11 +5,27 @@ The top order uses raw counts; lower orders use continuation counts
 (number of distinct left contexts). Out-of-vocabulary words map to an
 unknown symbol that is part of the vocabulary, so every conditional
 distribution sums to one over the full vocabulary.
+
+Tables are keyed by packed vocabulary ids, as in KenLM: tokens get ids
+in sorted order (the unknown symbol always gets one, even when it is
+not in the vocabulary), and a k-gram packs to sum(id_j * base**j) with
+the newest token as the lowest digit. A gram's history is then
+`gram // base` and a history's suffix one order down is
+`history % base**(k-2)`. Per order the model keeps gram -> count and
+history -> (denominator, backoff weight), plus the order-1 probability
+of every id. A token's probability starts at its order-1 probability and
+climbs one order at a time, p = max(c - d, 0)/denominator + weight * p:
+the floating-point operations, in the same order, of the recursive
+definition that backs off from the top order. The climb stops at the
+first order whose history is absent. That is exact because histories
+are suffix-closed (a present history's suffix is present one order
+down), which training guarantees and loading checks.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -18,60 +34,83 @@ from .errors import ConfigError
 UNK = "<unk>"
 DEFAULT_ORDER = 5
 DEFAULT_DISCOUNT = 0.75
+_SEP = "\x1f"
 
 
 @dataclass
 class KneserNeyLM:
     order: int
     discount: float
-    vocab: set[str]
-    # counts[k] maps k-gram tuples to either raw counts (k == order) or
-    # continuation counts (k < order).
-    counts: dict[int, dict[tuple[str, ...], int]]
-    # hist_total[k][h] = sum over w of counts[k][h + (w,)]
-    hist_total: dict[int, dict[tuple[str, ...], int]]
-    # n1plus[k][h] = number of distinct w with counts[k][h + (w,)] > 0
-    n1plus: dict[int, dict[tuple[str, ...], int]]
+    # id -> token in sorted order; always holds UNK. Packing uses
+    # base = len(words).
+    words: list[str]
+    ids: dict[str, int]
+    base: int
+    unk_in_vocab: bool
+    # grams[k] maps packed k-grams to raw counts (k == order) or
+    # continuation counts (k < order)
+    grams: dict[int, dict[int, int]]
+    # levels[k - 2] = (histories, grams[k]) of order k >= 2; histories
+    # maps each packed history whose count total is non-zero to
+    # (total, discount * distinct next words / total)
+    levels: list[tuple[dict[int, tuple[int, float]], dict[int, int]]]
+    unigram_probs: list[float]
 
     @property
-    def vocab_size(self) -> int:
-        return len(self.vocab)
-
-    def map_token(self, token: str) -> str:
-        return token if token in self.vocab else UNK
+    def vocab(self) -> list[str]:
+        return [w for w in self.words if w != UNK or self.unk_in_vocab]
 
     def prob(self, word: str, history: Iterable[str]) -> float:
         """P(word | history) with backoff through all lower orders.
         Histories longer than order-1 are truncated; unseen histories
         back off entirely."""
-        word = self.map_token(word)
-        h = tuple(self.map_token(t) for t in history)[-(self.order - 1):] if self.order > 1 else ()
-        return self._prob(word, h, len(h) + 1)
+        unk = self.ids[UNK]
+        h = [self.ids.get(t, unk) for t in history][-(self.order - 1):] if self.order > 1 else []
+        ctx = 0
+        for i in h:
+            ctx = ctx * self.base + i
+        return self._prob_at(self.ids.get(word, unk), ctx, len(h))
 
-    def _prob(self, word: str, h: tuple[str, ...], k: int) -> float:
+    def _prob_at(self, w: int, ctx: int, n: int) -> float:
+        """P(w | the n newest ids packed in ctx)."""
+        p = self.unigram_probs[w]
+        base = self.base
         d = self.discount
-        if k == 1:
-            denom = self.hist_total[1].get((), 0)
-            uniform = 1.0 / self.vocab_size
-            if denom == 0:
-                return uniform
-            num = self.counts[1].get((word,), 0)
-            lam = d * self.n1plus[1].get((), 0) / denom
-            return max(num - d, 0.0) / denom + lam * uniform
-        denom = self.hist_total[k].get(h, 0)
-        if denom == 0:
-            return self._prob(word, h[1:], k - 1)
-        num = self.counts[k].get(h + (word,), 0)
-        lam = d * self.n1plus[k].get(h, 0) / denom
-        return max(num - d, 0.0) / denom + lam * self._prob(word, h[1:], k - 1)
+        span = 1
+        for histories, grams in self.levels[:n]:
+            span *= base
+            h = ctx % span
+            entry = histories.get(h)
+            if entry is None:
+                break
+            p = max(grams.get(h * base + w, 0) - d, 0.0) / entry[0] + entry[1] * p
+        return p
 
     def sequence_logprob(self, tokens: list[str]) -> float:
+        ids = self.ids
+        unk = ids[UNK]
+        base = self.base
+        longest = self.order - 1
+        span = base ** longest
         total = 0.0
-        mapped = [self.map_token(t) for t in tokens]
-        for i, w in enumerate(mapped):
-            h = tuple(mapped[max(0, i - self.order + 1):i])
-            total += math.log(self._prob(w, h, len(h) + 1))
+        ctx = 0
+        for i, t in enumerate(tokens):
+            w = ids.get(t, unk)
+            total += math.log(self._prob_at(w, ctx, min(i, longest)))
+            ctx = (ctx * base + w) % span
         return total
+
+
+def _packed_grams(seq: list[int], k: int, base: int) -> list[int]:
+    """Every k-gram of `seq`, packed, in order."""
+    span = base ** k
+    out = []
+    g = 0
+    for i, t in enumerate(seq):
+        g = (g * base + t) % span
+        if i >= k - 1:
+            out.append(g)
+    return out
 
 
 def train_kn_lm(
@@ -89,52 +128,70 @@ def train_kn_lm(
             f"training corpus has {len(tokens)} tokens, need >= order {order}"
         )
     vocab = set(tokens)
-    if include_unk:
-        vocab.add(UNK)
-
-    raw: dict[int, dict[tuple[str, ...], int]] = {
-        k: {} for k in range(1, order + 1)
-    }
-    for k in range(1, order + 1):
-        grams = raw[k]
-        for i in range(len(tokens) - k + 1):
-            g = tuple(tokens[i : i + k])
-            grams[g] = grams.get(g, 0) + 1
-
-    counts: dict[int, dict[tuple[str, ...], int]] = {order: raw[order]}
-    # Continuation counts for every lower order, derived from the raw
-    # counts one order up: cc_k(g) = |{v : raw_{k+1}(v + g) > 0}|.
+    ids = _vocab_ids(vocab)
+    seq = [ids[t] for t in tokens]
+    base = len(ids)
+    grams: dict[int, dict[int, int]] = {order: Counter(_packed_grams(seq, order, base))}
+    # Continuation counts for every lower order, derived from the
+    # distinct grams one order up: cc_k(g) = |{v : raw_{k+1}(v + g) > 0}|.
     for k in range(order - 1, 0, -1):
-        cc: dict[tuple[str, ...], int] = {}
-        for g in raw[k + 1]:
-            cc[g[1:]] = cc.get(g[1:], 0) + 1
-        counts[k] = cc
-
-    return _build_lm(order, discount, vocab, counts)
+        span = base ** k
+        grams[k] = Counter(g % span for g in set(_packed_grams(seq, k + 1, base)))
+    return _build_lm(order, discount, ids, include_unk or UNK in vocab, grams)
 
 
-def _build_lm(order: int, discount: float, vocab: set[str],
-              counts: dict[int, dict[tuple[str, ...], int]]) -> KneserNeyLM:
-    """The model with its per-history totals derived from `counts`."""
-    hist_total: dict[int, dict[tuple[str, ...], int]] = {}
-    n1plus: dict[int, dict[tuple[str, ...], int]] = {}
+def _vocab_ids(vocab: set[str]) -> dict[str, int]:
+    """Ids in sorted token order; UNK always gets one."""
+    return {w: i for i, w in enumerate(sorted(vocab | {UNK}))}
+
+
+def _build_lm(order: int, discount: float, ids: dict[str, int], unk_in_vocab: bool,
+              grams: dict[int, dict[int, int]]) -> KneserNeyLM:
+    """The model with its history and order-1 tables derived from
+    `grams`; ConfigError when the histories are not suffix-closed."""
+    base = len(ids)
+    histories: dict[int, dict[int, tuple[int, float]]] = {}
     for k in range(1, order + 1):
-        ht: dict[tuple[str, ...], int] = {}
-        np_: dict[tuple[str, ...], int] = {}
-        for g, c in counts[k].items():
-            h = g[:-1]
-            ht[h] = ht.get(h, 0) + c
+        totals: dict[int, int] = {}
+        distinct: dict[int, int] = {}
+        for g, c in grams[k].items():
+            h = g // base
+            totals[h] = totals.get(h, 0) + c
             if c > 0:
-                np_[h] = np_.get(h, 0) + 1
-        hist_total[k] = ht
-        n1plus[k] = np_
+                distinct[h] = distinct.get(h, 0) + 1
+        histories[k] = {
+            h: (total, discount * distinct.get(h, 0) / total)
+            for h, total in totals.items() if total != 0
+        }
+    for k in range(3, order + 1):
+        span = base ** (k - 2)
+        lower = histories[k - 1]
+        for h in histories[k]:
+            if h % span not in lower:
+                raise ConfigError(
+                    f"Kneser-Ney model is not suffix-closed: an order-{k} "
+                    f"history has no order-{k - 1} suffix")
+    vocab_size = base - (not unk_in_vocab)
+    if vocab_size == 0:
+        raise ValueError("empty vocabulary")
+    uniform = 1.0 / vocab_size
+    first = histories.pop(1).get(0)
+    if first is None:
+        unigram_probs = [uniform] * base
+    else:
+        den, lam = first
+        unigram_probs = [max(grams[1].get(i, 0) - discount, 0.0) / den + lam * uniform
+                         for i in range(base)]
     return KneserNeyLM(
         order=order,
         discount=discount,
-        vocab=vocab,
-        counts=counts,
-        hist_total=hist_total,
-        n1plus=n1plus,
+        words=list(ids),
+        ids=ids,
+        base=base,
+        unk_in_vocab=unk_in_vocab,
+        grams=grams,
+        levels=[(histories[k], grams[k]) for k in range(2, order + 1)],
+        unigram_probs=unigram_probs,
     )
 
 
@@ -183,22 +240,44 @@ def calibrate_cutoffs(ppls: list[float]) -> BucketCutoffs:
 
 
 def kn_payload(lm: KneserNeyLM) -> dict:
-    def enc(d):
-        return {"\x1f".join(g): c for g, c in d.items()}
+    base = lm.base
+
+    def key(g: int, k: int) -> str:
+        parts = []
+        for _ in range(k):
+            g, i = divmod(g, base)
+            parts.append(lm.words[i])
+        return _SEP.join(reversed(parts))
 
     return {
         "order": lm.order,
         "discount": lm.discount,
-        "vocab": sorted(lm.vocab),
-        "counts": {str(k): enc(v) for k, v in lm.counts.items()},
+        "vocab": lm.vocab,
+        "counts": {
+            str(k): {key(g, k): c for g, c in lm.grams[k].items()}
+            for k in range(lm.order, 0, -1)
+        },
     }
 
 
 def kn_from_payload(payload: dict) -> KneserNeyLM:
-    def dec(d):
-        return {
-            tuple(key.split("\x1f")) if key else (): c for key, c in d.items()
-        }
-
-    counts = {int(k): dec(v) for k, v in payload["counts"].items()}
-    return _build_lm(payload["order"], payload["discount"], set(payload["vocab"]), counts)
+    """The model of a kn_payload dict, packed straight from its string
+    keys. ValueError/KeyError when a gram does not fit its order or
+    vocabulary, ConfigError when the histories are not suffix-closed."""
+    order = payload["order"]
+    vocab = set(payload["vocab"])
+    ids = _vocab_ids(vocab)
+    base = len(ids)
+    grams: dict[int, dict[int, int]] = {}
+    for k in range(1, order + 1):
+        table: dict[int, int] = {}
+        for key, c in payload["counts"][str(k)].items():
+            parts = key.split(_SEP)
+            if len(parts) != k:
+                raise ValueError(f"order-{k} gram {key!r} has {len(parts)} tokens")
+            g = 0
+            for t in parts:
+                g = g * base + ids[t]
+            table[g] = c
+        grams[k] = table
+    return _build_lm(order, payload["discount"], ids, UNK in vocab, grams)

@@ -2,9 +2,13 @@
 linear bag-of-words quality classifier.
 
 Feature hashing is 64-bit FNV-1a over the UTF-8 bytes of "w1" and
-"w1\\x1fw2", reduced mod the bucket count. Importance weights are the
-log-likelihood ratio of a document under the target vs. source hashed
-n-gram models with add-alpha smoothing.
+"w1\\x1fw2", reduced mod the bucket count. `fnv1a64_batch` hashes all of
+a document's keys at once in numpy uint64: the keys are sorted by byte
+length and each byte position updates only the keys still that long, so
+the results equal the per-byte definition bit for bit. Importance weights
+are the log-likelihood ratio of a document under the target vs. source
+hashed n-gram models with add-alpha smoothing; each model holds its
+per-bucket log-probability table, built once with the model.
 """
 
 from __future__ import annotations
@@ -13,53 +17,67 @@ import hashlib
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import ConfigError
 
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_MASK64 = (1 << 64) - 1
+_FNV_OFFSET = np.uint64(0xCBF29CE484222325)
+_FNV_PRIME = np.uint64(0x100000001B3)
 
 BIGRAM_SEP = "\x1f"
 DEFAULT_BUCKETS = 10_000
 
 
-def fnv1a64(data: bytes) -> int:
-    h = _FNV_OFFSET
-    for byte in data:
-        h ^= byte
-        h = (h * _FNV_PRIME) & _MASK64
-    return h
+def fnv1a64_batch(keys: list[str]) -> np.ndarray:
+    """64-bit FNV-1a of the UTF-8 bytes of every key, as uint64, in key
+    order."""
+    data = [k.encode("utf-8") for k in keys]
+    lengths = np.fromiter(map(len, data), dtype=np.intp, count=len(data))
+    order = np.argsort(-lengths, kind="stable")  # longest first
+    starts = (np.cumsum(lengths) - lengths)[order]
+    by_length = lengths[order]
+    buf = np.frombuffer(b"".join(data), dtype=np.uint8)
+    h = np.full(len(data), _FNV_OFFSET, dtype=np.uint64)
+    # live[j]: how many keys (a prefix of `order`) have a byte at position j
+    live = np.searchsorted(-by_length, -np.arange(lengths.max(initial=0)), side="left")
+    for j, m in enumerate(live.tolist()):
+        part = h[:m]
+        part ^= buf[starts[:m] + j]
+        part *= _FNV_PRIME
+    out = np.empty_like(h)
+    out[order] = h
+    return out
 
 
-def hashed_features(words: list[str], buckets: int) -> list[int]:
-    """Bucket indexes of every word unigram and bigram, with multiplicity."""
-    feats = [fnv1a64(w.encode("utf-8")) % buckets for w in words]
-    for w1, w2 in zip(words, words[1:]):
-        feats.append(fnv1a64((w1 + BIGRAM_SEP + w2).encode("utf-8")) % buckets)
-    return feats
+def hashed_features(words: list[str], buckets: int) -> np.ndarray:
+    """Bucket indexes of every word unigram, then every bigram, with
+    multiplicity."""
+    keys = words + [w1 + BIGRAM_SEP + w2 for w1, w2 in zip(words, words[1:])]
+    return (fnv1a64_batch(keys) % np.uint64(buckets)).astype(np.intp)
 
 
 @dataclass
 class HashedNgramLM:
-    """Bag of hashed {1,2}-wordgram counts with add-alpha smoothing."""
+    """Bag of hashed {1,2}-wordgram counts with add-alpha smoothing.
+    `log_probs[b]` is the smoothed log-probability of bucket b."""
 
     bucket_count: int
     counts: list[int]
     total: int
     smoothing_alpha: float = 1.0
+    log_probs: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def log_prob(self, bucket: int) -> float:
-        return math.log(
-            (self.counts[bucket] + self.smoothing_alpha)
-            / (self.total + self.smoothing_alpha * self.bucket_count)
-        )
-
-    def add(self, words: list[str]) -> None:
-        for f in hashed_features(words, self.bucket_count):
-            self.counts[f] += 1
-            self.total += 1
+    def __post_init__(self):
+        if len(self.counts) != self.bucket_count:
+            raise ValueError(
+                f"{len(self.counts)} counts for {self.bucket_count} buckets")
+        alpha = self.smoothing_alpha
+        denom = self.total + alpha * self.bucket_count
+        self.log_probs = np.array(
+            [math.log((c + alpha) / denom) for c in self.counts], dtype=np.float64)
 
 
 def train_hashed_lm(corpus, buckets: int = DEFAULT_BUCKETS, alpha: float = 1.0) -> HashedNgramLM:
@@ -67,28 +85,31 @@ def train_hashed_lm(corpus, buckets: int = DEFAULT_BUCKETS, alpha: float = 1.0) 
     shuffled corpus yields an identical model."""
     if buckets < 2:
         raise ConfigError("bucket count must be >= 2")
-    lm = HashedNgramLM(bucket_count=buckets, counts=[0] * buckets, total=0,
-                       smoothing_alpha=alpha)
+    counts = np.zeros(buckets, dtype=np.int64)
     seen = 0
     for words in corpus:
         seen += 1
-        lm.add(words)
+        np.add.at(counts, hashed_features(words, buckets), 1)
     if seen == 0:
         raise ConfigError("empty training corpus")
-    return lm
+    return HashedNgramLM(bucket_count=buckets, counts=counts.tolist(),
+                         total=int(counts.sum()), smoothing_alpha=alpha)
 
 
 def dsir_importance(words: list[str], target: HashedNgramLM, source: HashedNgramLM) -> float:
     """Sum over the document's hashed {1,2}-gram features (with
-    multiplicity) of log p_target - log p_source."""
+    multiplicity, in hashed_features order) of log p_target -
+    log p_source."""
     if target.bucket_count != source.bucket_count:
         raise ConfigError(
             f"bucket_count mismatch: target {target.bucket_count}, "
             f"source {source.bucket_count}"
         )
+    feats = hashed_features(words, target.bucket_count)
     score = 0.0
-    for f in hashed_features(words, target.bucket_count):
-        score += target.log_prob(f) - source.log_prob(f)
+    # left to right, as the per-feature definition adds them
+    for diff in (target.log_probs[feats] - source.log_probs[feats]).tolist():
+        score += diff
     return score
 
 
@@ -112,15 +133,11 @@ class LinearClassifier:
     bias: float = 0.0
 
     def features(self, words: list[str]) -> dict[int, float]:
-        counts: dict[int, float] = {}
-        for w in words:
-            f = fnv1a64(w.encode("utf-8")) % self.dim
-            counts[f] = counts.get(f, 0.0) + 1.0
-        norm = math.sqrt(sum(v * v for v in counts.values()))
-        if norm > 0:
-            for f in counts:
-                counts[f] /= norm
-        return counts
+        """L2-normalized unigram bucket counts, keyed in first-occurrence
+        order."""
+        counts = Counter((fnv1a64_batch(words) % np.uint64(self.dim)).tolist())
+        norm = math.sqrt(sum(float(c) * c for c in counts.values()))
+        return {f: c / norm for f, c in counts.items()}
 
     def score_words(self, words: list[str]) -> float:
         feats = self.features(words)
@@ -236,7 +253,11 @@ def classifier_payload(clf: LinearClassifier) -> dict:
 
 
 def classifier_from_payload(payload: dict) -> LinearClassifier:
-    weights = [0.0] * payload["dim"]
+    dim = payload["dim"]
+    weights = [0.0] * dim
     for key, w in payload["weights"].items():
-        weights[int(key)] = w
-    return LinearClassifier(dim=payload["dim"], weights=weights, bias=payload["bias"])
+        index = int(key)
+        if not 0 <= index < dim:
+            raise ValueError(f"weight index {key} outside [0, {dim})")
+        weights[index] = w
+    return LinearClassifier(dim=dim, weights=weights, bias=payload["bias"])

@@ -249,7 +249,7 @@ def _load_model_as(path: str, kind: str, from_payload):
     _, payload, digest = load_model(path, kind)
     try:
         return from_payload(payload), digest
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (ConfigError, KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ConfigError(f"model {path} has a malformed {kind} payload: {exc!r}") from exc
 
 
@@ -276,6 +276,11 @@ def load_resources(cfg: PipelineConfig) -> annotate_mod.SignalResources:
     for key, pair in models.get("importance", {}).items():
         target, tdigest = _load_model_as(pair["target"], "hashed_lm", hashed_lm_from_payload)
         source, sdigest = _load_model_as(pair["source"], "hashed_lm", hashed_lm_from_payload)
+        if target.bucket_count != source.bucket_count:
+            raise ConfigError(
+                f"importance pair {key!r}: target {pair['target']} has "
+                f"{target.bucket_count} buckets, source {pair['source']} has "
+                f"{source.bucket_count}")
         res.importance_models[key] = (target, source)
         res.provenance = f"{res.provenance}+{key}:{tdigest}/{sdigest}"
     if models.get("kn_lm"):

@@ -100,7 +100,8 @@ class Document:
 
 def parse_document(json_line: str, line_number: int | None = None) -> Document:
     """Parse one JSONL document record. Raises RecordError for malformed
-    JSON or wrong field types; invariant violations are only warnings."""
+    JSON, wrong field types or a string holding a lone surrogate;
+    invariant violations are only warnings."""
     try:
         raw = json.loads(json_line)
     except json.JSONDecodeError as exc:
@@ -128,6 +129,16 @@ def parse_document(json_line: str, line_number: int | None = None) -> Document:
                 f"field {name} has wrong type {type(value).__name__}",
                 line_number=line_number,
             )
+        if typ is str and not value.isascii():
+            # a JSON escape such as "\ud800" decodes to a lone surrogate,
+            # which no UTF-8 writer or hash can encode
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise RecordError(
+                    f"field {name} holds a lone surrogate at character {exc.start}",
+                    line_number=line_number,
+                )
         values[name] = value
     if any(not isinstance(i, int) or isinstance(i, bool) for i in values["line_ids"]):
         raise RecordError(
@@ -283,10 +294,13 @@ def write_jsonl_gz(path: str | os.PathLike, lines: Iterable[str]) -> int:
                     gz.write(b"\n")
                     count += 1
         os.replace(tmp, path)
-    except OSError as exc:
+    except BaseException as exc:
+        # also when producing a line fails: no partial .tmp stays behind
         if os.path.exists(tmp):
             os.unlink(tmp)
-        raise OSError(f"failed writing {path}: {exc}") from exc
+        if isinstance(exc, OSError):
+            raise OSError(f"failed writing {path}: {exc}") from exc
+        raise
     return count
 
 

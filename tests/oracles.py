@@ -284,3 +284,119 @@ def oracle_line_signals(raw: str) -> dict[str, list]:
         "rps_lines_start_with_bulletpoint": bullet,
         "rps_lines_uppercase_letter_fraction": uppercase,
     }
+
+
+# ---------------------------------------------------------------------------
+# ML models (reference): per-byte FNV-1a, per-feature DSIR and classifier
+# scores, and the recursive Kneser-Ney backoff over string-tuple tables,
+# all read from model payloads.
+
+_FNV_OFFSET = 0xCBF29CE484222325
+_FNV_PRIME = 0x100000001B3
+_MASK64 = (1 << 64) - 1
+
+
+def oracle_fnv1a64(data: bytes) -> int:
+    h = _FNV_OFFSET
+    for byte in data:
+        h ^= byte
+        h = (h * _FNV_PRIME) & _MASK64
+    return h
+
+
+def oracle_hashed_features(words: list[str], buckets: int) -> list[int]:
+    feats = [oracle_fnv1a64(w.encode("utf-8")) % buckets for w in words]
+    for w1, w2 in zip(words, words[1:]):
+        feats.append(oracle_fnv1a64((w1 + "\x1f" + w2).encode("utf-8")) % buckets)
+    return feats
+
+
+def _oracle_log_prob(payload: dict, bucket: int) -> float:
+    alpha = payload["smoothing_alpha"]
+    return math.log(
+        (payload["counts"][bucket] + alpha)
+        / (payload["total"] + alpha * payload["bucket_count"])
+    )
+
+
+def oracle_dsir(words: list[str], target: dict, source: dict) -> float:
+    score = 0.0
+    for f in oracle_hashed_features(words, target["bucket_count"]):
+        score += _oracle_log_prob(target, f) - _oracle_log_prob(source, f)
+    return score
+
+
+def oracle_classifier_score(words: list[str], payload: dict) -> float:
+    dim = payload["dim"]
+    counts: dict[int, float] = {}
+    for w in words:
+        f = oracle_fnv1a64(w.encode("utf-8")) % dim
+        counts[f] = counts.get(f, 0.0) + 1.0
+    norm = math.sqrt(sum(v * v for v in counts.values()))
+    if norm > 0:
+        for f in counts:
+            counts[f] /= norm
+    weights = {int(k): w for k, w in payload["weights"].items()}
+    z = payload["bias"] + sum(weights.get(f, 0.0) * v for f, v in counts.items())
+    if z >= 0:
+        return 1.0 / (1.0 + math.exp(-z))
+    e = math.exp(z)
+    return e / (1.0 + e)
+
+
+class OracleKneserNey:
+    """Interpolated Kneser-Ney over tuple-keyed counts, backing off
+    recursively from the top order."""
+
+    def __init__(self, payload: dict):
+        self.order = payload["order"]
+        self.discount = payload["discount"]
+        self.vocab = set(payload["vocab"])
+        self.counts = {
+            int(k): {tuple(key.split("\x1f")): c for key, c in grams.items()}
+            for k, grams in payload["counts"].items()
+        }
+        self.hist_total: dict[int, dict] = {}
+        self.n1plus: dict[int, dict] = {}
+        for k, grams in self.counts.items():
+            ht: dict = {}
+            n1: dict = {}
+            for g, c in grams.items():
+                ht[g[:-1]] = ht.get(g[:-1], 0) + c
+                if c > 0:
+                    n1[g[:-1]] = n1.get(g[:-1], 0) + 1
+            self.hist_total[k] = ht
+            self.n1plus[k] = n1
+
+    def _map(self, token: str) -> str:
+        return token if token in self.vocab else "<unk>"
+
+    def _prob(self, word: str, h: tuple, k: int) -> float:
+        d = self.discount
+        if k == 1:
+            denom = self.hist_total[1].get((), 0)
+            uniform = 1.0 / len(self.vocab)
+            if denom == 0:
+                return uniform
+            num = self.counts[1].get((word,), 0)
+            lam = d * self.n1plus[1].get((), 0) / denom
+            return max(num - d, 0.0) / denom + lam * uniform
+        denom = self.hist_total[k].get(h, 0)
+        if denom == 0:
+            return self._prob(word, h[1:], k - 1)
+        num = self.counts[k].get(h + (word,), 0)
+        lam = d * self.n1plus[k].get(h, 0) / denom
+        return max(num - d, 0.0) / denom + lam * self._prob(word, h[1:], k - 1)
+
+    def prob(self, word: str, history) -> float:
+        h = tuple(self._map(t) for t in history)
+        h = h[len(h) - (self.order - 1):] if len(h) > self.order - 1 else h
+        return self._prob(self._map(word), h, len(h) + 1)
+
+    def sequence_logprob(self, tokens: list[str]) -> float:
+        mapped = [self._map(t) for t in tokens]
+        total = 0.0
+        for i, w in enumerate(mapped):
+            h = tuple(mapped[max(0, i - self.order + 1):i])
+            total += math.log(self._prob(w, h, len(h) + 1))
+        return total

@@ -12,6 +12,14 @@ import pytest
 import corpusforge
 from corpusforge import cli, pipeline
 from corpusforge.cli import main
+from corpusforge.kneser_ney import kn_payload, train_kn_lm
+from corpusforge.mlmodels import (
+    classifier_payload,
+    hashed_lm_payload,
+    save_model,
+    train_classifier,
+    train_hashed_lm,
+)
 from corpusforge.records import (
     QualitySignalSet,
     ShardAddress,
@@ -295,6 +303,73 @@ def _run_cli(argv, env, cwd):
         env={**os.environ, "PYTHONPATH": src, **env},
         cwd=cwd, capture_output=True, text=True, timeout=120,
     )
+
+
+def _write_models(root):
+    """Model files, valid and broken, under `root`."""
+    lm = hashed_lm_payload(train_hashed_lm([["alpha0", "beta0"]], buckets=16))
+    clf = classifier_payload(train_classifier([["alpha0"]], [["delta0"]], epochs=2, dim=64))
+    kn = kn_payload(train_kn_lm(LONG_A.split(), order=3))
+    kn["counts"]["2"] = {}  # order-3 histories lose their order-2 suffixes
+    for name, kind, payload in [
+        ("lm16.json", "hashed_lm", lm),
+        ("lm32.json", "hashed_lm", hashed_lm_payload(train_hashed_lm([["x"]], buckets=32))),
+        ("lm_short.json", "hashed_lm", {**lm, "counts": lm["counts"][:-1]}),
+        ("clf_at_dim.json", "classifier", {**clf, "weights": {"64": 0.5}}),
+        ("clf_negative.json", "classifier", {**clf, "weights": {"-1": 0.5}}),
+        ("kn_open.json", "kneser_ney", kn),
+    ]:
+        save_model(str(root / name), kind, payload)
+
+
+@pytest.mark.parametrize("models, signal", [
+    pytest.param({"importance": {"wikipedia": {"target": "lm_short.json",
+                                               "source": "lm16.json"}}},
+                 "rps_doc_wikipedia_importance", id="hashed-lm-counts-short"),
+    pytest.param({"importance": {"wikipedia": {"target": "lm16.json",
+                                               "source": "lm32.json"}}},
+                 "rps_doc_wikipedia_importance", id="importance-pair-bucket-mismatch"),
+    pytest.param({"classifiers": {"wikiref": "clf_at_dim.json"}},
+                 "rps_doc_ml_wikiref_score", id="classifier-weight-key-at-dim"),
+    pytest.param({"classifiers": {"wikiref": "clf_negative.json"}},
+                 "rps_doc_ml_wikiref_score", id="classifier-weight-key-negative"),
+    pytest.param({"kn_lm": "kn_open.json"}, "ccnet_perplexity",
+                 id="kn-not-suffix-closed"),
+])
+def test_malformed_model_exits_1_at_startup(corpus, tmp_path, models, signal):
+    _write_models(tmp_path)
+    out = tmp_path / "out"
+    proc = _run_cli(["annotate", "--signals", signal, "--input", corpus, "--output", str(out)],
+                    {"CORPUSFORGE_MODELS": json.dumps(models)}, cwd=tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert ".json" in lines[0], proc.stderr  # the error names a model file
+    assert not out.exists() or not any(out.rglob("*")), "annotate wrote output"
+
+
+@pytest.mark.parametrize("argv", [
+    ["annotate", "--signals", "natlang,rps_doc_ml_wikiref_score"],
+    ["dedup", "--mode", "fuzzy"],
+])
+def test_lone_surrogate_is_a_bad_record(tmp_path, argv, monkeypatch):
+    root = tmp_path / "corpus"
+    addr = ShardAddress("2023-14", 0, "en", "head")
+    lines = [make_doc(f"document number {i}.").to_json() for i in range(99)]
+    # json.dumps escapes the surrogate as \ud800, the way it reaches a shard
+    lines.insert(50, json.dumps(json.loads(make_doc("x").to_json())
+                                | {"raw_content": "bad \ud800 text"}))
+    write_jsonl_gz(root / shard_path(addr, "documents"), lines)
+    save_model(str(tmp_path / "clf.json"), "classifier", classifier_payload(
+        train_classifier([["document"]], [["number"]], epochs=2, dim=64)))
+    monkeypatch.setenv("CORPUSFORGE_MODELS", json.dumps(
+        {"classifiers": {"wikiref": str(tmp_path / "clf.json")}}))
+    assert main([*argv, "--input", str(root), "--output", str(root)]) == 0
+    kind = "quality_signals" if argv[0] == "annotate" else "minhash"
+    with gzip.open(root / shard_path(addr, kind), "rt") as fh:
+        assert sum(1 for _ in fh) == 99
+    assert not list(root.rglob("*.tmp"))
 
 
 @pytest.mark.parametrize("damage", ["truncated-shard", "non-utf8-shard",

@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpusforge.errors import ConfigError
 from corpusforge.kneser_ney import (
@@ -17,6 +19,11 @@ from corpusforge.kneser_ney import (
     perplexity,
     train_kn_lm,
 )
+
+from oracles import OracleKneserNey
+
+TRAIN_VOCAB = ("a", "b", "c", "dé", "e", UNK)
+QUERY_VOCAB = TRAIN_VOCAB + ("zz", "日本")  # the last two are never trained
 
 
 def _random_tokens(rng, n, vocab=("a", "b", "c", "d", "e")):
@@ -76,6 +83,39 @@ def test_payload_roundtrip():
         h = _random_tokens(rng, 2, vocab=("the", "cat", "on", "zzz"))
         w = rng.choice(("the", "cat", "mat", "zzz"))
         assert restored.prob(w, h) == lm.prob(w, h)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5), st.booleans(), st.data())
+def test_scores_equal_recursive_oracle(order, include_unk, data):
+    tokens = data.draw(st.lists(st.sampled_from(TRAIN_VOCAB), min_size=order, max_size=60))
+    lm = train_kn_lm(tokens, order=order, include_unk=include_unk)
+    payload = kn_payload(lm)
+    oracle = OracleKneserNey(payload)
+    text = data.draw(st.lists(st.sampled_from(QUERY_VOCAB), max_size=30))
+    assert lm.sequence_logprob(text) == oracle.sequence_logprob(text)
+    history = data.draw(st.lists(st.sampled_from(QUERY_VOCAB), max_size=7))
+    for word in QUERY_VOCAB:
+        assert lm.prob(word, history) == oracle.prob(word, history)
+    restored = kn_from_payload(payload)
+    assert restored.sequence_logprob(text) == lm.sequence_logprob(text)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 5), st.booleans(),
+       st.lists(st.sampled_from(TRAIN_VOCAB), min_size=5, max_size=60))
+def test_payload_roundtrips_exactly(order, include_unk, tokens):
+    payload = kn_payload(train_kn_lm(tokens, order=order, include_unk=include_unk))
+    assert kn_payload(kn_from_payload(payload)) == payload
+
+
+def test_payload_without_suffix_closure_is_a_config_error():
+    payload = kn_payload(train_kn_lm(list("abcab"), order=3))
+    # the order-3 history "c a" stays, its order-2 suffix "a" goes
+    payload["counts"]["2"] = {k: c for k, c in payload["counts"]["2"].items()
+                              if not k.startswith("a\x1f")}
+    with pytest.raises(ConfigError, match="suffix-closed"):
+        kn_from_payload(payload)
 
 
 def test_bucket_assignment_and_calibration():

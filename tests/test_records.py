@@ -52,6 +52,16 @@ def test_parse_document_errors():
         parse_document(json.dumps(record))
 
 
+def test_parse_document_rejects_lone_surrogates():
+    record = json.loads(make_doc("fine").to_json())
+    record["raw_content"] = "ok \ud800 then"
+    line = json.dumps(record)  # ensure_ascii: the surrogate is a \ud800 escape
+    with pytest.raises(RecordError, match="field raw_content holds a lone surrogate"):
+        parse_document(line, line_number=4)
+    record["raw_content"] = "pair \ud83d\ude00 and naïve"  # an escaped pair is fine
+    assert parse_document(json.dumps(record)).raw_content == "pair \U0001f600 and naïve"
+
+
 def test_parse_document_title_optional_and_int_as_float():
     record = json.loads(make_doc("x").to_json())
     del record["title"]
@@ -121,6 +131,20 @@ def test_write_jsonl_gz_deterministic(tmp_path):
     assert write_jsonl_gz(p2, lines) == 2
     assert p1.read_bytes() == p2.read_bytes()  # gzip mtime pinned
     assert [line for _, line in iter_jsonl_gz(p1)] == lines
+
+
+def test_write_jsonl_gz_leaves_no_tmp_when_a_line_fails(tmp_path):
+    def lines(exc):
+        yield '{"a":1}'
+        raise exc
+
+    path = tmp_path / "out.json.gz"
+    with pytest.raises(ZeroDivisionError):
+        write_jsonl_gz(path, lines(ZeroDivisionError()))
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(OSError, match=f"failed writing {path}: disk full"):
+        write_jsonl_gz(path, lines(OSError("disk full")))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_read_documents_collects_errors(tmp_path):
