@@ -4,12 +4,16 @@ resources (stop words, blocklists, optional ML models)."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from urllib.parse import urlsplit
 
 from .errors import ConfigError
 from .kneser_ney import KneserNeyLM, perplexity
 from .mlmodels import HashedNgramLM, LinearClassifier, dsir_importance
-from .records import CATEGORICAL_SIGNALS, Document, QualitySignalSet, document_id
+from .records import Document, QualitySignalSet, document_id
 from .signal_catalog import (
+    ALL_SIGNALS,
+    CATEGORICAL_SIGNALS,
+    CODE_SIGNALS,
     CONTENT_SIGNALS,
     LINE_SIGNALS,
     NATLANG_SIGNALS,
@@ -18,6 +22,7 @@ from .signal_catalog import (
 )
 from .signals import (
     Blocklist,
+    code_signals,
     content_signals,
     doc_natlang_signals,
     doc_repetition_signals,
@@ -69,33 +74,21 @@ class SignalResources:
         return res
 
 
-# Every signal compute_signals can emit. The catalog also lists names
-# that rules may reference but annotate never writes (rps_code_*).
-_EMITTABLE = frozenset(n for group in SIGNAL_GROUPS.values() for n in group)
-
-
 def resolve_signal_names(selection) -> list[str]:
-    """Expand group names (natlang, repetition, content, lines, ccnet,
-    ml) and validate individual names against the signals annotate
-    emits."""
+    """Expand group names (see SIGNAL_GROUPS) and validate individual
+    names against the catalog."""
     names: list[str] = []
     for item in selection:
         if item in SIGNAL_GROUPS:
             names.extend(SIGNAL_GROUPS[item])
-        elif item in _EMITTABLE:
+        elif item in ALL_SIGNALS:
             names.append(item)
         else:
             raise ConfigError(
                 f"unknown signal {item!r}; known: "
-                + ", ".join(sorted(_EMITTABLE | set(SIGNAL_GROUPS)))
+                + ", ".join(sorted(ALL_SIGNALS | set(SIGNAL_GROUPS)))
             )
-    seen = set()
-    unique = []
-    for n in names:
-        if n not in seen:
-            seen.add(n)
-            unique.append(n)
-    return unique
+    return list(dict.fromkeys(names))  # first mention wins
 
 
 DEFAULT_SIGNALS = ("ccnet", "natlang", "repetition", "content", "lines")
@@ -106,6 +99,15 @@ def _for_language(table: dict, language: str, what: str):
     if language not in table:
         raise ConfigError(f"no {what} loaded for language {language!r}")
     return table[language]
+
+
+def _url_path(url: str) -> str:
+    """The path of a URL; "" when urlsplit rejects it (an unclosed IPv6
+    bracket), so that no file name is known."""
+    try:
+        return urlsplit(url).path
+    except ValueError:
+        return ""
 
 
 def compute_signals(
@@ -120,7 +122,7 @@ def compute_signals(
     result, so that only signal names remain and nothing is resolved
     per document. None means the default groups."""
     wanted = _DEFAULT_NAMES if names is None else frozenset(names)
-    if not wanted <= _EMITTABLE:
+    if not wanted <= ALL_SIGNALS:
         wanted = frozenset(resolve_signal_names(names))
     view = analyze(doc.raw_content)
     values: dict = {
@@ -146,6 +148,8 @@ def compute_signals(
         values.update(content_signals(doc, view, blocklist, res.ut1))
     if not wanted.isdisjoint(LINE_SIGNALS):
         values.update(line_signals(doc, view))
+    if not wanted.isdisjoint(CODE_SIGNALS):
+        values.update(code_signals(_url_path(doc.url), doc.raw_content))
     for name, key in CLASSIFIER_SIGNALS.items():
         if name not in wanted:
             continue

@@ -14,6 +14,7 @@ import sys
 
 from . import pipeline
 from .errors import ConfigError, DataError, RecordError
+from .signal_catalog import SIGNAL_GROUPS
 
 
 def _comma_list(value: str) -> list[str]:
@@ -50,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--signals", type=_comma_list,
         help="comma-separated signal names or groups "
-        "(ccnet, natlang, repetition, content, lines, ml)",
+        f"({', '.join(SIGNAL_GROUPS)})",
     )
 
     p = sub.add_parser("dedup", help="build duplicate sidecars")

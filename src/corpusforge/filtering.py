@@ -15,18 +15,13 @@ from importlib import resources
 
 from .errors import ConfigError, DataError
 from .records import Document, QualitySignalSet, rewrite_document
-from .signal_catalog import LINE_SIGNALS, known_signal_names
+from .signal_catalog import ALL_SIGNALS, LINE_SIGNALS
 
-PRESET_NAMES = (
-    "c4_full",
-    "c4_lines",
-    "gopher_full",
-    "gopher_natlang",
-    "gopher_repetition",
-    "custom_rules",
-    "rpv1_wikiref",
-    "rpv1_code",
-)
+_PRESET_DIR = resources.files("corpusforge") / "data" / "presets"
+PRESET_NAMES = tuple(sorted(
+    ref.name[: -len(".json")] for ref in _PRESET_DIR.iterdir()
+    if ref.name.endswith(".json")
+))
 
 _OPS = {
     "<": lambda v, t: v < t,
@@ -69,10 +64,11 @@ class Decision:
     rewritten: Document | None = None
 
 
-def _make_rule(signal: str, op: str, threshold, reason: str | None, known) -> Rule:
-    if signal not in known:
+def _make_rule(signal: str, op: str, threshold, reason: str | None) -> Rule:
+    if signal not in ALL_SIGNALS:
         raise ConfigError(
-            f"unknown signal {signal!r}; known signals: {', '.join(sorted(known))}"
+            f"unknown signal {signal!r}; known signals: "
+            + ", ".join(sorted(ALL_SIGNALS))
         )
     if op not in _OPS:
         raise ConfigError(f"unknown comparator {op!r}; use one of {sorted(_OPS)}")
@@ -92,13 +88,13 @@ def _make_rule(signal: str, op: str, threshold, reason: str | None, known) -> Ru
     )
 
 
-def _entry_rule(entry, known) -> Rule:
+def _entry_rule(entry) -> Rule:
     if not (isinstance(entry, dict) and {"signal", "op", "value"} <= entry.keys()):
         raise ConfigError(f"rule entry {entry!r} needs signal, op and value")
     if not (isinstance(entry["signal"], str) and isinstance(entry["op"], str)):
         raise ConfigError(f"rule entry {entry!r}: signal and op must be strings")
     return _make_rule(entry["signal"], entry["op"], entry["value"],
-                      entry.get("reason"), known)
+                      entry.get("reason"))
 
 
 def compile_ruleset(config: dict, name: str = "custom") -> Ruleset:
@@ -109,16 +105,15 @@ def compile_ruleset(config: dict, name: str = "custom") -> Ruleset:
 
     or the shorthand mapping {"<signal>": {"<op>": <threshold>, ...}}
     which compiles to document rules (line rules for rps_lines_*)."""
-    known = known_signal_names()
     rs = Ruleset(name=config.get("name", name))
     if "doc_rules" in config or "line_rules" in config:
         for key in ("doc_rules", "line_rules"):
             if not isinstance(config.get(key, []), list):
                 raise ConfigError(f"{key} must be a list of rule entries")
         for entry in config.get("doc_rules", []):
-            rs.doc_rules.append(_entry_rule(entry, known))
+            rs.doc_rules.append(_entry_rule(entry))
         for entry in config.get("line_rules", []):
-            rule = _entry_rule(entry, known)
+            rule = _entry_rule(entry)
             if rule.signal not in LINE_SIGNALS:
                 raise ConfigError(
                     f"line rule on document-level signal {rule.signal!r}"
@@ -133,7 +128,7 @@ def compile_ruleset(config: dict, name: str = "custom") -> Ruleset:
                     f"rule spec for {signal!r} must be an object of comparators"
                 )
             for op, threshold in spec.items():
-                rule = _make_rule(signal, op, threshold, None, known)
+                rule = _make_rule(signal, op, threshold, None)
                 if signal in LINE_SIGNALS:
                     rs.line_rules.append(rule)
                 else:
@@ -146,12 +141,11 @@ def compile_ruleset(config: dict, name: str = "custom") -> Ruleset:
 
 
 def _load_preset_config(name: str) -> dict:
-    ref = resources.files("corpusforge") / "data" / "presets" / f"{name}.json"
-    if not ref.is_file():
+    if name not in PRESET_NAMES:
         raise ConfigError(
             f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}"
         )
-    with ref.open(encoding="utf-8") as fh:
+    with (_PRESET_DIR / f"{name}.json").open(encoding="utf-8") as fh:
         return json.load(fh)
 
 

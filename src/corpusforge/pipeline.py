@@ -46,6 +46,7 @@ from .records import (
     ShardAddress,
     document_id,
     iter_jsonl_gz,
+    lone_surrogate,
     parse_shard_path,
     read_documents,
     read_signal_records,
@@ -588,6 +589,9 @@ def _iter_training_texts(path: str):
         if not isinstance(text, str):
             raise DataError(f"{path}: line {num}: not a JSON object with a string "
                             "text or raw_content field")
+        if (at := lone_surrogate(text)) is not None:
+            raise DataError(f"{path}: line {num}: text holds a lone surrogate "
+                            f"at character {at}")
         yield normalize(text).split()
 
 

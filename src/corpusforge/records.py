@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator
 
 from .errors import DataError, RecordError
+from .signal_catalog import CATEGORICAL_SIGNALS, LINE_SIGNALS
 
 LANGUAGES = ("en", "de", "fr", "es", "it")
 BUCKETS = ("head", "middle", "tail")
@@ -63,7 +64,8 @@ class Document:
     bucket: str
 
     def invariant_warnings(self) -> list[str]:
-        """Check schema invariants; violations are reported, not fatal."""
+        """Schema invariant violations, checked on demand: reading a
+        document does not check them, and none is fatal."""
         warnings = []
         nlines = self.raw_content.count("\n") + 1 if self.raw_content else 0
         if self.nlines != nlines:
@@ -100,8 +102,8 @@ class Document:
 
 def parse_document(json_line: str, line_number: int | None = None) -> Document:
     """Parse one JSONL document record. Raises RecordError for malformed
-    JSON, wrong field types or a string holding a lone surrogate;
-    invariant violations are only warnings."""
+    JSON, wrong field types or a string holding a lone surrogate; schema
+    invariants are not checked here (see Document.invariant_warnings)."""
     try:
         raw = json.loads(json_line)
     except json.JSONDecodeError as exc:
@@ -129,22 +131,30 @@ def parse_document(json_line: str, line_number: int | None = None) -> Document:
                 f"field {name} has wrong type {type(value).__name__}",
                 line_number=line_number,
             )
-        if typ is str and not value.isascii():
-            # a JSON escape such as "\ud800" decodes to a lone surrogate,
-            # which no UTF-8 writer or hash can encode
-            try:
-                value.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                raise RecordError(
-                    f"field {name} holds a lone surrogate at character {exc.start}",
-                    line_number=line_number,
-                )
+        if typ is str and (at := lone_surrogate(value)) is not None:
+            raise RecordError(
+                f"field {name} holds a lone surrogate at character {at}",
+                line_number=line_number,
+            )
         values[name] = value
     if any(not isinstance(i, int) or isinstance(i, bool) for i in values["line_ids"]):
         raise RecordError(
             "field line_ids must be a list of integers", line_number=line_number
         )
     return Document(**values)
+
+
+def lone_surrogate(text: str) -> int | None:
+    """Index of the first lone surrogate in text, or None. A JSON escape
+    such as "\\ud800" decodes to one, and no UTF-8 writer or hash can
+    encode it."""
+    if text.isascii():
+        return None
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        return exc.start
+    return None
 
 
 def content_digest(raw: str) -> str:
@@ -159,11 +169,6 @@ def document_id(doc: Document, ordinal: int | None = None) -> tuple[str, int]:
     if ordinal is not None:
         return f"{doc.cc_segment}/{ordinal}", ordinal
     return doc.digest, -1
-
-
-# Signals whose score encodes a category id and may legitimately carry
-# zero or several document-level triples.
-CATEGORICAL_SIGNALS = frozenset({"rps_doc_ut1_blacklist"})
 
 
 @dataclass
@@ -185,7 +190,7 @@ class QualitySignalSet:
                     warnings.append(f"{name}: start {start} > end {end}")
             if name in CATEGORICAL_SIGNALS:
                 continue
-            if name.startswith("rps_lines_"):
+            if name in LINE_SIGNALS:
                 pos = 0
                 for start, end, _score in triples:
                     if start != pos:
@@ -207,13 +212,11 @@ class QualitySignalSet:
         record = {
             "id": self.id,
             "id_int": self.id_int,
-            "metadata": {k: self.metadata[k] for k in sorted(self.metadata)},
-            "quality_signals": {
-                name: [list(t) for t in self.quality_signals[name]]
-                for name in sorted(self.quality_signals)
-            },
+            "metadata": self.metadata,
+            "quality_signals": self.quality_signals,
         }
-        return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
+        return json.dumps(record, ensure_ascii=False, separators=(",", ":"),
+                          sort_keys=True)
 
 
 def parse_signal_record(json_line: str, line_number: int | None = None) -> QualitySignalSet:

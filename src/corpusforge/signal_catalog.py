@@ -1,7 +1,8 @@
-"""Catalog of every signal name the pipeline can emit.
+"""Catalog of every signal the pipeline can emit and of its shape.
 
-Rule compilation validates against this catalog so a typo in a config
-fails at compile time with the list of known names.
+Annotate emits exactly these names, and rule compilation validates
+against them, so a typo in a config fails at compile time with the list
+of known names.
 """
 
 from __future__ import annotations
@@ -79,15 +80,6 @@ CODE_SIGNALS = (
     "rps_code_extension_ok",
 )
 
-DOC_SIGNALS = (
-    CCNET_SIGNALS
-    + NATLANG_SIGNALS
-    + REPETITION_SIGNALS
-    + CONTENT_SIGNALS
-    + ML_SIGNALS
-    + CODE_SIGNALS
-)
-
 SIGNAL_GROUPS = {
     "ccnet": CCNET_SIGNALS,
     "natlang": NATLANG_SIGNALS,
@@ -95,8 +87,11 @@ SIGNAL_GROUPS = {
     "content": CONTENT_SIGNALS,
     "ml": ML_SIGNALS,
     "lines": LINE_SIGNALS,
+    "code": CODE_SIGNALS,
 }
 
+ALL_SIGNALS = frozenset(n for group in SIGNAL_GROUPS.values() for n in group)
 
-def known_signal_names() -> frozenset[str]:
-    return frozenset(DOC_SIGNALS) | frozenset(LINE_SIGNALS)
+# Signals whose score encodes a category id and may legitimately carry
+# zero or several document-level triples.
+CATEGORICAL_SIGNALS = frozenset({"rps_doc_ut1_blacklist"})

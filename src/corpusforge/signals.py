@@ -10,10 +10,10 @@ every signal is total and filterable.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass
 from importlib import resources
 
 from .errors import ConfigError
@@ -364,48 +364,35 @@ def line_signals(doc: Document, view: TokenizedView) -> dict[str, list]:
 # Code file heuristics
 
 
-@dataclass
-class CodeFileMetrics:
-    max_line_length: int
-    avg_line_length: float
-    alnum_prop: float
-    alpha_token_ratio: float
-    extension_ok: bool
-
-
-def load_code_extensions() -> frozenset[str]:
+@functools.cache
+def _code_extensions() -> frozenset[str]:
+    """The allow-list: file extensions (".py") and whole file names
+    ("Makefile")."""
     ref = resources.files("corpusforge") / "data" / "code_extensions.txt"
     with ref.open(encoding="utf-8") as fh:
         return frozenset(line.strip() for line in fh if line.strip())
 
 
-_CODE_EXTENSIONS: frozenset[str] | None = None
-
-
-def code_quality_metrics(path: str, content: str) -> CodeFileMetrics:
-    """Raw-content metrics behind the code-file keep/drop heuristics."""
-    global _CODE_EXTENSIONS
-    if _CODE_EXTENSIONS is None:
-        _CODE_EXTENSIONS = load_code_extensions()
+def code_signals(path: str, content: str) -> dict[str, float]:
+    """The raw-content metrics behind the code-file heuristics, for a
+    file at `path` (annotate passes the path of the document's URL)."""
     lines = content.split("\n") if content else []
     tokens = content.split()
     alpha = sum(1 for ch in content if ch.isalpha())
     name = os.path.basename(path)
-    if name in _CODE_EXTENSIONS:
-        extension_ok = True
-    else:
-        dot = name.rfind(".")
-        extension_ok = dot >= 0 and name[dot:] in _CODE_EXTENSIONS
-    return CodeFileMetrics(
-        max_line_length=max((len(l) for l in lines), default=0),
-        avg_line_length=(
+    extensions = _code_extensions()
+    dot = name.rfind(".")
+    extension_ok = name in extensions or (dot >= 0 and name[dot:] in extensions)
+    return {
+        "rps_code_max_line_length": max((len(l) for l in lines), default=0),
+        "rps_code_avg_line_length": (
             sum(len(l) for l in lines) / len(lines) if lines else 0.0
         ),
-        alnum_prop=(
+        "rps_code_alnum_prop": (
             sum(1 for ch in content if ch.isalnum()) / len(content)
             if content
             else 0.0
         ),
-        alpha_token_ratio=alpha / len(tokens) if tokens else 0.0,
-        extension_ok=extension_ok,
-    )
+        "rps_code_alpha_token_ratio": alpha / len(tokens) if tokens else 0.0,
+        "rps_code_extension_ok": 1.0 if extension_ok else 0.0,
+    }

@@ -40,7 +40,7 @@ from corpusforge.records import (
     write_jsonl_gz,
 )
 from corpusforge.signals import (
-    code_quality_metrics,
+    code_signals,
     doc_natlang_signals,
     doc_repetition_signals,
     line_signals,
@@ -285,14 +285,7 @@ def test_acceptance_6_threshold_fidelity():
     code = preset("rpv1_code")
 
     def code_verdict(path, content):
-        m = code_quality_metrics(path, content)
-        record = _signal_record(
-            rps_code_max_line_length=m.max_line_length,
-            rps_code_avg_line_length=m.avg_line_length,
-            rps_code_alnum_prop=m.alnum_prop,
-            rps_code_alpha_token_ratio=m.alpha_token_ratio,
-            rps_code_extension_ok=1.0 if m.extension_ok else 0.0,
-        )
+        record = _signal_record(**code_signals(path, content))
         return evaluate(doc, record, code).verdict
 
     filler = "\n".join(["abcd"] * 99)

@@ -31,6 +31,19 @@ def test_resolve_signal_names_expands_groups():
         resolve_signal_names(["rps_doc_bogus"])
 
 
+@pytest.mark.parametrize("url, extension_ok", [
+    ("https://example.org/src/app.py?raw=1#L2", 1.0),
+    ("https://example.org/Makefile", 1.0),
+    ("https://example.org/notes.txt", 0.0),
+    ("https://example.py/", 0.0),  # the host is not a file name
+    ("http://[::1/app.py", 0.0),  # urlsplit rejects it: no file name
+])
+def test_code_signals_read_the_url_path(resources, url, extension_ok):
+    record = compute_signals(make_doc("x = 1", url=url), resources, names=["code"])
+    assert set(record.quality_signals) == set(SIGNAL_GROUPS["code"])
+    assert record.quality_signals["rps_code_extension_ok"] == [(0, 5, extension_ok)]
+
+
 def test_compute_signals_shapes(resources):
     text = "First line with several words here.\nSecond line also has words."
     doc = make_doc(text)

@@ -26,6 +26,7 @@ from corpusforge.records import (
     shard_path,
     write_jsonl_gz,
 )
+from corpusforge.signal_catalog import SIGNAL_GROUPS
 
 from conftest import make_doc
 
@@ -247,8 +248,8 @@ def test_config_file_and_unknown_key(tmp_path, corpus):
     pytest.param({"CORPUSFORGE_MODELS": '["kn.json"]'}, None, ["annotate"],
                  id="env-models-not-object"),
     pytest.param({}, {"workers": "2"}, ["annotate"], id="json-workers-string"),
-    pytest.param({}, None, ["annotate", "--signals", "rps_code_alnum_prop"],
-                 id="annotate-signal-never-emitted"),
+    pytest.param({}, None, ["annotate", "--signals", "rps_doc_bogus"],
+                 id="annotate-unknown-signal"),
     pytest.param({}, None, ["filter", "--preset", "rpv1_code"],
                  id="ruleset-needs-missing-signals"),
     pytest.param({"CORPUSFORGE_FORCE": "ture"}, None, ["annotate"], id="env-bool-typo"),
@@ -426,6 +427,64 @@ def test_bad_training_corpus_exits_2_with_one_error_line(tmp_path, line):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
     assert lines[0].startswith(f"error: {corpus}: line 2: "), proc.stderr
+
+
+@pytest.mark.parametrize("kind, inputs", [
+    ("hashed_lm", ["--corpus"]),
+    ("classifier", ["--positive", "--negative"]),
+    ("kn_lm", ["--corpus"]),
+], ids=["hashed_lm", "classifier", "kn_lm"])
+def test_lone_surrogate_in_training_corpus_exits_2(tmp_path, kind, inputs):
+    corpus = tmp_path / "bad.jsonl"
+    # json.dumps escapes the surrogate as \ud800, the way it reaches a file
+    corpus.write_text('{"text": "a fine line"}\n'
+                      + json.dumps({"text": "bad \ud800 words"}) + "\n")
+    model = tmp_path / "model.json"
+    argv = ["train", kind, "--model-output", str(model)]
+    for flag in inputs:
+        argv += [flag, str(corpus)]
+    proc = _run_cli(argv, {}, cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith(f"error: {corpus}: line 2: "), proc.stderr
+    assert "surrogate" in lines[0]
+    assert not model.exists()
+
+
+def test_code_signals_feed_rpv1_code(tmp_path, capsys):
+    root = str(tmp_path / "corpus")
+    code = "def main():\n    return compute(value)\n"
+    long_line = "a" * 1001 + "\n" + "\n".join(["abcd"] * 99)
+    docs = [
+        make_doc(code, url="https://example.org/src/app.py?raw=1"),
+        make_doc(code, url="https://example.org/notes/app.txt"),
+        make_doc(long_line, url="https://example.org/src/long.py"),
+    ]
+    addr = ShardAddress("2023-14", 0, "en", "head")
+    write_jsonl_gz(os.path.join(root, shard_path(addr, "documents")),
+                   (d.to_json() for d in docs))
+    assert main(["annotate", "--signals", "code", "--input", root,
+                 "--output", root]) == 0
+    with gzip.open(os.path.join(root, shard_path(addr, "quality_signals")), "rt") as fh:
+        names = {n for line in fh for n in json.loads(line)["quality_signals"]}
+    assert names == set(SIGNAL_GROUPS["code"])
+
+    out = str(tmp_path / "out")
+    assert main(["filter", "--preset", "rpv1_code", "--input", root,
+                 "--output", out]) == 0
+    assert "kept 1, rewritten 0, dropped 2" in capsys.readouterr().out
+    seg = docs[0].cc_segment
+    audit = os.path.join(out, shard_path(addr, "documents")).replace(
+        ".json.gz", ".audit.jsonl.gz")
+    with gzip.open(audit, "rt") as fh:
+        fired = {r["doc_id"]: [reason for reason, _ in r["fired_rules"]]
+                 for r in map(json.loads, fh)}
+    assert fired == {f"{seg}/1": ["extension-not-whitelisted"],
+                     f"{seg}/2": ["max-line-length-above-1000"]}
+    with gzip.open(os.path.join(out, shard_path(addr, "documents")), "rt") as fh:
+        assert [json.loads(line)["url"] for line in fh] == [docs[0].url]
 
 
 def test_stats_json_stdout_is_one_object_despite_bad_record(tmp_path, capsys):

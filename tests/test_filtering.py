@@ -15,6 +15,7 @@ from corpusforge.filtering import (
     preset,
 )
 from corpusforge.records import QualitySignalSet
+from corpusforge.signal_catalog import SIGNAL_GROUPS
 
 from conftest import make_doc
 
@@ -76,6 +77,20 @@ def test_all_presets_compile():
     assert combined.doc_rules and combined.line_rules
     with pytest.raises(ConfigError, match="unknown preset"):
         preset("nope")
+
+
+def test_every_preset_signal_belongs_to_a_signal_group():
+    # a signal outside every group could be named by a rule but never
+    # selected for annotate
+    assert set(PRESET_NAMES) == {
+        "c4_full", "c4_lines", "custom_rules", "gopher_full", "gopher_natlang",
+        "gopher_repetition", "rpv1_code", "rpv1_wikiref",
+    }
+    grouped = {name for group in SIGNAL_GROUPS.values() for name in group}
+    for name in PRESET_NAMES:
+        rs = preset(name)
+        for rule in rs.doc_rules + rs.line_rules:
+            assert rule.signal in grouped, (name, rule.signal)
 
 
 def test_gopher_full_is_composition():

@@ -7,7 +7,7 @@ from hypothesis import example, given
 import oracles
 
 from corpusforge.signals import (
-    code_quality_metrics,
+    code_signals,
     compile_blocklist,
     content_signals,
     count_blocklist_phrases,
@@ -125,6 +125,7 @@ def test_group_keys_are_the_catalog_names(en_stopwords):
         "repetition": doc_repetition_signals(view),
         "content": content_signals(doc, view, load_ldnoobw("en"), load_ut1()[0]),
         "lines": line_signals(doc, view),
+        "code": code_signals("pkg/module.py", doc.raw_content),
     }
     for group, values in groups.items():
         assert tuple(values) == SIGNAL_GROUPS[group], group
@@ -170,22 +171,27 @@ def test_line_signals_specifics():
     assert ls["rps_lines_numerical_chars_fraction"][3] == 2 / 3
 
 
-def test_code_quality_metrics():
-    m = code_quality_metrics("pkg/module.py", "abc def\nxy")
-    assert m.max_line_length == 7
-    assert m.avg_line_length == (7 + 2) / 2
-    assert m.alnum_prop == 8 / 10
-    assert m.alpha_token_ratio == 8 / 3
-    assert m.extension_ok
+def test_code_signals():
+    assert code_signals("pkg/module.py", "abc def\nxy") == {
+        "rps_code_max_line_length": 7,
+        "rps_code_avg_line_length": (7 + 2) / 2,
+        "rps_code_alnum_prop": 8 / 10,
+        "rps_code_alpha_token_ratio": 8 / 3,
+        "rps_code_extension_ok": 1.0,
+    }
 
-    assert code_quality_metrics("Dockerfile", "FROM x").extension_ok
-    assert code_quality_metrics("deep/path/Makefile", "all:").extension_ok
-    assert not code_quality_metrics("notes.txt", "hi").extension_ok
-    assert not code_quality_metrics("noext", "hi").extension_ok
+    def extension_ok(path):
+        return code_signals(path, "x")["rps_code_extension_ok"]
+
+    assert extension_ok("Dockerfile") == 1.0
+    assert extension_ok("deep/path/Makefile") == 1.0
+    assert extension_ok("notes.txt") == 0.0
+    assert extension_ok("noext") == 0.0
     # extension matching is case-sensitive: .C is whitelisted, .c also is
-    assert code_quality_metrics("a.C", "x").extension_ok
-    empty = code_quality_metrics("a.py", "")
-    assert empty.max_line_length == 0 and empty.avg_line_length == 0.0
+    assert extension_ok("a.C") == 1.0
+    empty = code_signals("a.py", "")
+    assert empty["rps_code_max_line_length"] == 0
+    assert empty["rps_code_avg_line_length"] == 0.0
 
 
 @pytest.mark.parametrize("n", [5, 7, 10])
