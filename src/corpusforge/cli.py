@@ -13,7 +13,7 @@ import dataclasses
 import sys
 
 from . import pipeline
-from .errors import ConfigError, DataError, RecordError
+from .errors import ConfigError, DataError
 from .signal_catalog import SIGNAL_GROUPS
 
 
@@ -135,7 +135,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, RecordError, OSError) as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

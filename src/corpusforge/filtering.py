@@ -199,15 +199,20 @@ def load_ruleset(spec: str) -> Ruleset:
 
 def _scores(name: str, signals: QualitySignalSet) -> list:
     """The score of each (start, end, score) triple of one signal;
-    DataError when a triple is not three long or its score is not a
-    number."""
+    DataError when the value is not a list of triples or a score is not
+    a number (a bool is not one)."""
     triples = signals.quality_signals.get(name)
     if triples is None:
         raise SignalMissingError(f"signal {name} missing from record {signals.id}")
+    if not isinstance(triples, list):
+        raise DataError(
+            f"record {signals.id}: signal {name} is not a list of triples: {triples!r}"
+        )
     for t in triples:
-        if len(t) != 3 or not isinstance(t[2], (int, float)):
+        if not (isinstance(t, (list, tuple)) and len(t) == 3
+                and type(t[2]) in (int, float)):
             raise DataError(
-                f"record {signals.id}: signal {name} has a malformed triple {list(t)!r}"
+                f"record {signals.id}: signal {name} has a malformed triple {t!r}"
             )
     return [t[2] for t in triples]
 
@@ -225,8 +230,9 @@ def _doc_value(name: str, signals: QualitySignalSet):
 def _line_values(name: str, signals: QualitySignalSet, nlines: int):
     scores = _scores(name, signals)
     if len(scores) != nlines:
-        raise SignalMissingError(
-            f"signal {name} has {len(scores)} line spans, document has {nlines}"
+        raise DataError(
+            f"record {signals.id}: signal {name} has {len(scores)} line spans, "
+            f"document has {nlines}"
         )
     return scores
 

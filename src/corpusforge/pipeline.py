@@ -42,23 +42,19 @@ from .mlmodels import (
     training_accuracy,
 )
 from .records import (
-    Document,
     ShardAddress,
     document_id,
     iter_jsonl_gz,
     lone_surrogate,
     parse_shard_path,
     read_documents,
-    read_signal_records,
+    read_signals,
     shard_path,
     write_jsonl_gz,
 )
 from .textnorm import normalize
 
 ENV_PREFIX = "CORPUSFORGE_"
-# A shard whose share of malformed records exceeds this fails with a
-# DataError instead of being processed with the bad lines skipped.
-ERROR_RATE_THRESHOLD = 0.01
 
 
 @dataclass
@@ -198,19 +194,6 @@ def discover_document_shards(
     return found
 
 
-def _read_shard_documents(path: str) -> list[Document]:
-    docs, errors = read_documents(path)
-    total = len(docs) + len(errors)
-    for err in errors:
-        print(f"warning: {path}: {err}", file=sys.stderr)
-    if total and len(errors) / total > ERROR_RATE_THRESHOLD:
-        raise DataError(
-            f"{path}: {len(errors)}/{total} bad records exceeds the "
-            f"{ERROR_RATE_THRESHOLD:.0%} threshold"
-        )
-    return docs
-
-
 def _output_exists(path: str, force: bool) -> bool:
     return not force and os.path.exists(path) and os.path.getsize(path) > 0
 
@@ -315,7 +298,7 @@ def cmd_annotate(cfg: PipelineConfig) -> dict:
         out_path = os.path.join(cfg.output_root, shard_path(addr, "quality_signals"))
         if _output_exists(out_path, cfg.force):
             return rel, -1
-        docs = _read_shard_documents(path)
+        docs = read_documents(path)
         lines = (
             annotate_mod.compute_signals(
                 doc, res, names=names, ordinal=i, snapshot_id=addr.snapshot_id
@@ -339,7 +322,7 @@ def cmd_annotate(cfg: PipelineConfig) -> dict:
 def _iter_corpus(cfg: PipelineConfig):
     """(shard_rel, addr, docs) in the canonical newest-to-oldest order."""
     for rel, addr, path in discover_document_shards(cfg):
-        yield rel, addr, _read_shard_documents(path)
+        yield rel, addr, read_documents(path)
 
 
 def cmd_dedup(cfg: PipelineConfig, mode: str) -> dict:
@@ -457,35 +440,30 @@ def cmd_filter(cfg: PipelineConfig) -> dict:
         audit_path = out_path.replace(".json.gz", ".audit.jsonl.gz")
         if _output_exists(out_path, cfg.force):
             return None
-        docs = _read_shard_documents(path)
-        by_id = None
+        docs = read_documents(path)
+        ids = [document_id(doc, i)[0] for i, doc in enumerate(docs)]
+        signals = None
         if rs.doc_rules or rs.line_rules:
             sig_path = os.path.join(cfg.input_root, shard_path(addr, "quality_signals"))
             if not os.path.exists(sig_path):
                 raise ConfigError(f"missing signals sidecar for shard {rel}: {sig_path}")
-            sig_records, sig_errors = read_signal_records(sig_path)
-            for err in sig_errors:
-                print(f"warning: {sig_path}: {err}", file=sys.stderr)
-            by_id = {s.id: s for s in sig_records}
+            signals = read_signals(sig_path, ids)
         duplicates = (
             _load_duplicate_ids(addr, cfg.input_root) if cfg.apply_dedup else set()
         )
         out_lines, audit_lines = [], []
         counts = {"kept": 0, "rewritten": 0, "dropped": 0, "duplicates": 0}
-        for i, doc in enumerate(docs):
-            doc_id, _ = document_id(doc, i)
+        for i, (doc, doc_id) in enumerate(zip(docs, ids)):
             if doc_id in duplicates:
                 counts["duplicates"] += 1
                 audit_lines.append(_audit_line(doc_id, "drop", [("duplicate", 1.0)]))
                 continue
             decision = None
-            if by_id is not None:
-                signals = by_id.get(doc_id)
-                if signals is None:
-                    raise ConfigError(
-                        f"no signal record for document {doc_id} in shard {rel}"
-                    )
-                decision = evaluate(doc, signals, rs)
+            if signals is not None:
+                try:
+                    decision = evaluate(doc, signals[i], rs)
+                except DataError as exc:
+                    raise DataError(f"{sig_path}: {exc}") from exc
             if decision is None or decision.verdict == "keep":
                 counts["kept"] += 1
                 out_lines.append(doc.to_json())

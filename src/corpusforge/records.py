@@ -11,8 +11,9 @@ import gzip
 import hashlib
 import json
 import os
+import sys
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, get_origin, get_type_hints
 
 from .errors import DataError, RecordError
 from .signal_catalog import CATEGORICAL_SIGNALS, LINE_SIGNALS
@@ -20,26 +21,10 @@ from .signal_catalog import CATEGORICAL_SIGNALS, LINE_SIGNALS
 LANGUAGES = ("en", "de", "fr", "es", "it")
 BUCKETS = ("head", "middle", "tail")
 
-_DOC_FIELDS = (
-    ("url", str),
-    ("date_download", str),
-    ("digest", str),
-    ("length", int),
-    ("nlines", int),
-    ("source_domain", str),
-    ("title", str),
-    ("raw_content", str),
-    ("cc_segment", str),
-    ("original_nlines", int),
-    ("original_length", int),
-    ("line_ids", list),
-    ("language", str),
-    ("language_score", float),
-    ("perplexity", float),
-    ("bucket", str),
-)
-
 _OPTIONAL_DOC_DEFAULTS = {"title": ""}
+# A shard whose share of malformed document records exceeds this fails
+# with a DataError instead of being read with the bad lines skipped.
+ERROR_RATE_THRESHOLD = 0.01
 
 
 @dataclass
@@ -98,6 +83,14 @@ class Document:
     def to_json(self) -> str:
         record = {name: getattr(self, name) for name, _ in _DOC_FIELDS}
         return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
+
+
+# (field name, runtime type) in declaration order, which is the key
+# order of Document.to_json; list[int] checks as list
+_DOC_FIELDS = tuple(
+    (name, get_origin(hint) or hint)
+    for name, hint in get_type_hints(Document).items()
+)
 
 
 def parse_document(json_line: str, line_number: int | None = None) -> Document:
@@ -173,14 +166,13 @@ def document_id(doc: Document, ordinal: int | None = None) -> tuple[str, int]:
 
 @dataclass
 class QualitySignalSet:
-    """Dolma-style signal record: signal name -> [(start, end, score)]."""
+    """Dolma-style signal record: signal name -> [(start, end, score)]
+    (lists, not tuples, in a record read from a sidecar)."""
 
     id: str
     id_int: int
     metadata: dict
-    quality_signals: dict[str, list[tuple[int, int, float]]] = field(
-        default_factory=dict
-    )
+    quality_signals: dict[str, list] = field(default_factory=dict)
 
     def invariant_warnings(self, doc_length: int | None = None) -> list[str]:
         warnings = []
@@ -217,25 +209,6 @@ class QualitySignalSet:
         }
         return json.dumps(record, ensure_ascii=False, separators=(",", ":"),
                           sort_keys=True)
-
-
-def parse_signal_record(json_line: str, line_number: int | None = None) -> QualitySignalSet:
-    try:
-        raw = json.loads(json_line)
-    except json.JSONDecodeError as exc:
-        raise RecordError(f"malformed JSON: {exc}", line_number=line_number)
-    try:
-        return QualitySignalSet(
-            id=raw["id"],
-            id_int=raw["id_int"],
-            metadata=dict(raw["metadata"]),
-            quality_signals={
-                name: [tuple(t) for t in triples]
-                for name, triples in raw["quality_signals"].items()
-            },
-        )
-    except (KeyError, TypeError) as exc:
-        raise RecordError(f"bad signal record: {exc!r}", line_number=line_number)
 
 
 @dataclass(frozen=True)
@@ -324,24 +297,54 @@ def iter_jsonl_gz(path: str | os.PathLike) -> Iterator[tuple[int, str]]:
         raise DataError(f"failed reading {path}: {exc}") from exc
 
 
-def read_shard(path, parser):
-    """Read a full shard, tolerating malformed lines: returns
-    (records, errors) where len(records) + len(errors) == total lines."""
-    records, errors = [], []
+def read_documents(path) -> list[Document]:
+    """The documents of a shard. A malformed line is skipped with one
+    warning on stderr; a shard whose share of them is above
+    ERROR_RATE_THRESHOLD is a DataError."""
+    docs, bad = [], 0
     for line_number, line in iter_jsonl_gz(path):
         try:
-            records.append(parser(line, line_number=line_number))
+            docs.append(parse_document(line, line_number=line_number))
         except RecordError as exc:
-            errors.append(exc)
-    return records, errors
+            print(f"warning: {path}: {exc}", file=sys.stderr)
+            bad += 1
+    total = len(docs) + bad
+    if total and bad / total > ERROR_RATE_THRESHOLD:
+        raise DataError(
+            f"{path}: {bad}/{total} bad records exceeds the "
+            f"{ERROR_RATE_THRESHOLD:.0%} threshold"
+        )
+    return docs
 
 
-def read_documents(path) -> tuple[list[Document], list[RecordError]]:
-    return read_shard(path, parse_document)
-
-
-def read_signal_records(path) -> tuple[list[QualitySignalSet], list[RecordError]]:
-    return read_shard(path, parse_signal_record)
+def read_signals(path, ids: list[str]) -> list[QualitySignalSet]:
+    """The signal records of a shard whose documents have `ids`, which
+    the sidecar holds one per document in document order: record i must
+    carry ids[i] and a JSON object of signals. Anything else is a
+    DataError naming the file and the line. The signal lists are kept as
+    parsed; evaluate checks the triples of the signals it reads."""
+    records = []
+    for line_number, line in iter_jsonl_gz(path):
+        where = f"{path}: line {line_number}"
+        try:
+            raw = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{where}: malformed JSON: {exc}") from exc
+        i = len(records)
+        if i == len(ids):
+            raise DataError(f"{where}: extra record, the shard has {len(ids)} documents")
+        found = raw.get("id") if isinstance(raw, dict) else None
+        if found != ids[i]:
+            raise DataError(f"{where}: record id {found!r}, expected {ids[i]!r}")
+        signals = raw.get("quality_signals")
+        if not isinstance(signals, dict):
+            raise DataError(f"{where}: quality_signals is not a JSON object")
+        records.append(QualitySignalSet(
+            ids[i], raw.get("id_int", -1), raw.get("metadata", {}), signals))
+    if len(records) < len(ids):
+        raise DataError(f"{path}: {len(records)} records for {len(ids)} documents; "
+                        f"no record for {ids[len(records)]}")
+    return records
 
 
 def rewrite_document(doc: Document, kept_line_indexes: list[int]) -> Document:

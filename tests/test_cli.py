@@ -398,12 +398,18 @@ def test_bad_shard_or_sidecar_exits_2_with_one_error_line(tmp_path, damage):
     assert str(bad) in lines[0]
 
 
-@pytest.mark.parametrize("triple", [[0, 5], [0, 5, "many"]])
+# each case but the last is one bad triple in the signal's list; the last
+# gives the signal the value 5, which is no list at all
+@pytest.mark.parametrize("triple", [[0, 5], [0, 5, "many"],
+                                    pytest.param(5, id="triple-not-a-list"),
+                                    pytest.param([0, 5, True], id="score-bool"),
+                                    pytest.param(None, id="value-not-a-list")])
 def test_malformed_signal_triple_exits_2_with_one_error_line(tmp_path, triple):
     root = tmp_path / "corpus"
     _write_corpus(str(root), ["one two three"])
     doc_id = "2023-14/seg0/0"
-    signals = QualitySignalSet(doc_id, 0, {}, {"rps_doc_word_count": [triple]})
+    value = 5 if triple is None else [triple]
+    signals = QualitySignalSet(doc_id, 0, {}, {"rps_doc_word_count": value})
     write_jsonl_gz(root / shard_path(ShardAddress("2023-14", 0, "en", "head"),
                                      "quality_signals"), [signals.to_json()])
     (tmp_path / "rules.json").write_text('{"rps_doc_word_count": {"<": 2}}')
@@ -414,6 +420,60 @@ def test_malformed_signal_triple_exits_2_with_one_error_line(tmp_path, triple):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
     assert doc_id in lines[0] and "rps_doc_word_count" in lines[0]
+
+
+def _damage_sidecar(lines: list[str], damage: str) -> list[str]:
+    """The records of a five-document sidecar with one fault."""
+    third = json.loads(lines[2])
+    if damage == "truncated-line":
+        lines[2] = lines[2][: len(lines[2]) // 2]
+    elif damage == "signals-not-object":
+        lines[2] = json.dumps({**third, "quality_signals": []})
+    elif damage == "record-missing":
+        del lines[2]
+    elif damage == "extra-record":
+        lines.append(json.dumps({**third, "id": third["id"].rsplit("/", 1)[0] + "/5"}))
+    elif damage == "records-swapped":
+        lines[1], lines[2] = lines[2], lines[1]
+    elif damage == "repeated-id":
+        lines.insert(2, lines[1])
+    return lines
+
+
+@pytest.mark.parametrize("damage", ["truncated-line", "signals-not-object",
+                                    "record-missing", "extra-record",
+                                    "records-swapped", "repeated-id"])
+def test_misaligned_signal_sidecar_exits_2_with_one_error_line(tmp_path, damage):
+    root = tmp_path / "corpus"
+    _write_corpus(str(root), [f"document number {i} has a few words." for i in range(5)])
+    assert main(["annotate", "--input", str(root), "--output", str(root)]) == 0
+    sidecar = root / shard_path(ShardAddress("2023-14", 0, "en", "head"),
+                                "quality_signals")
+    with gzip.open(sidecar, "rt") as fh:
+        lines = fh.read().splitlines()
+    write_jsonl_gz(sidecar, _damage_sidecar(lines, damage))
+    out = tmp_path / "out"
+    proc = _run_cli(["filter", "--preset", "gopher_natlang", "--input", str(root),
+                     "--output", str(out)], {}, cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {sidecar}"), proc.stderr
+    assert not out.exists() or not list(out.rglob("*.json.gz"))
+
+
+def test_document_changed_after_annotate_exits_2(tmp_path, capsys):
+    root = str(tmp_path / "corpus")
+    text = "A first line with enough words here.\nA second line with enough words."
+    _write_corpus(root, [text])
+    assert main(["annotate", "--input", root, "--output", root]) == 0
+    _write_corpus(root, [text + "\nA third line the signals never saw."])
+    argv = ["filter", "--preset", "c4_lines", "--input", root,
+            "--output", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "2023-14/seg0/0" in err and "rps_lines_num_words" in err
 
 
 @pytest.mark.parametrize("line", ["{not json", "[1, 2]", '{"text": 5}'])

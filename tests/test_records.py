@@ -1,12 +1,11 @@
 """Record schemas, shard naming, and compressed JSONL IO."""
 
-import gzip
 import hashlib
 import json
 
 import pytest
 
-from corpusforge.errors import RecordError
+from corpusforge.errors import DataError, RecordError
 from corpusforge.records import (
     Document,
     QualitySignalSet,
@@ -15,8 +14,8 @@ from corpusforge.records import (
     document_id,
     parse_document,
     parse_shard_path,
-    parse_signal_record,
     read_documents,
+    read_signals,
     rewrite_document,
     shard_path,
     write_jsonl_gz,
@@ -101,7 +100,7 @@ def test_shard_path_roundtrip():
         ShardAddress("2023-06", 5000, "de", "middle")
 
 
-def test_signal_record_roundtrip_and_invariants():
+def test_signal_record_roundtrip_and_invariants(tmp_path):
     rec = QualitySignalSet(
         id="seg/0",
         id_int=0,
@@ -112,16 +111,22 @@ def test_signal_record_roundtrip_and_invariants():
             "rps_doc_ut1_blacklist": [],
         },
     )
-    parsed = parse_signal_record(rec.to_json())
-    assert parsed.quality_signals == rec.quality_signals
+    path = tmp_path / "shard.signals.json.gz"
+    write_jsonl_gz(path, [rec.to_json()])
+    (parsed,) = read_signals(path, ["seg/0"])
+    assert (parsed.id, parsed.id_int, parsed.metadata) == ("seg/0", 0, {"language": "en"})
+    assert parsed.quality_signals == {
+        name: [list(t) for t in triples] for name, triples in rec.quality_signals.items()
+    }
     assert rec.invariant_warnings(doc_length=10) == []
     bad = QualitySignalSet(
         id="x", id_int=0, metadata={},
         quality_signals={"rps_lines_num_words": [(0, 4, 2.0), (5, 10, 1.0)]},
     )
     assert any("tile" in w for w in bad.invariant_warnings(doc_length=10))
-    with pytest.raises(RecordError):
-        parse_signal_record('{"id": "x"}')
+    write_jsonl_gz(path, ['{"id": "x"}'])
+    with pytest.raises(DataError, match=f"{path}: line 1: quality_signals"):
+        read_signals(path, ["x"])
 
 
 def test_write_jsonl_gz_deterministic(tmp_path):
@@ -147,16 +152,21 @@ def test_write_jsonl_gz_leaves_no_tmp_when_a_line_fails(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_read_documents_collects_errors(tmp_path):
+def test_read_documents_collects_errors(tmp_path, capsys):
     path = tmp_path / "shard.json.gz"
     good = make_doc("fine").to_json()
-    with gzip.open(path, "wt", encoding="utf-8") as fh:
-        fh.write(good + "\n")
-        fh.write("{broken\n")
-        fh.write(good + "\n")
-    docs, errors = read_documents(path)
-    assert len(docs) == 2
-    assert len(errors) == 1 and errors[0].line_number == 2
+    lines = [good] * 99
+    lines.insert(1, "{broken")
+    write_jsonl_gz(path, lines)
+    # one bad line in 100 is skipped with one warning naming its line
+    assert len(read_documents(path)) == 99
+    warnings = capsys.readouterr().err.splitlines()
+    assert len(warnings) == 1
+    assert warnings[0].startswith(f"warning: {path}: line 2: malformed JSON")
+    # one in 3 is above the threshold
+    write_jsonl_gz(path, lines[:3])
+    with pytest.raises(DataError, match="1/3 bad records exceeds the 1% threshold"):
+        read_documents(path)
 
 
 def test_rewrite_document():
