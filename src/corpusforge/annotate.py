@@ -8,7 +8,7 @@ from urllib.parse import urlsplit
 
 from .errors import ConfigError
 from .kneser_ney import KneserNeyLM, perplexity
-from .mlmodels import HashedNgramLM, LinearClassifier, dsir_importance
+from .mlmodels import HashedNgramLM, LinearClassifier, dsir_importance, fnv1a64_batch
 from .records import Document, QualitySignalSet, document_id
 from .signal_catalog import (
     ALL_SIGNALS,
@@ -16,6 +16,7 @@ from .signal_catalog import (
     CODE_SIGNALS,
     CONTENT_SIGNALS,
     LINE_SIGNALS,
+    ML_SIGNALS,
     NATLANG_SIGNALS,
     REPETITION_SIGNALS,
     SIGNAL_GROUPS,
@@ -50,7 +51,8 @@ CLASSIFIER_SIGNALS = {
 
 @dataclass
 class SignalResources:
-    """Immutable shared lookups and models; safe for parallel readers."""
+    """Immutable lookups and models, loaded once; forked shard workers
+    inherit them."""
 
     stopwords: dict[str, frozenset[str]] = field(default_factory=dict)
     ldnoobw: dict[str, Blocklist] = field(default_factory=dict)
@@ -150,20 +152,24 @@ def compute_signals(
         values.update(line_signals(doc, view))
     if not wanted.isdisjoint(CODE_SIGNALS):
         values.update(code_signals(_url_path(doc.url), doc.raw_content))
+    # the classifiers and the importance models share the word hashes
+    word_hashes = (
+        fnv1a64_batch(view.word_texts) if not wanted.isdisjoint(ML_SIGNALS) else None
+    )
     for name, key in CLASSIFIER_SIGNALS.items():
         if name not in wanted:
             continue
         clf = res.classifiers.get(key)
         if clf is None:
             raise ConfigError(f"signal {name} requested but no model loaded")
-        values[name] = clf.score_words(view.word_texts)
+        values[name] = clf.score_words(view.word_texts, word_hashes)
     for name, key in IMPORTANCE_SIGNALS.items():
         if name not in wanted:
             continue
         pair = res.importance_models.get(key)
         if pair is None:
             raise ConfigError(f"signal {name} requested but no model pair loaded")
-        values[name] = dsir_importance(view.word_texts, pair[0], pair[1])
+        values[name] = dsir_importance(view.word_texts, pair[0], pair[1], word_hashes)
 
     length = len(doc.raw_content)
     signals: dict[str, list[tuple[int, int, float]]] = {}

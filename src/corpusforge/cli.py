@@ -31,7 +31,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--languages", type=_comma_list,
                         help="comma-separated language codes")
-    parser.add_argument("--workers", type=int, help="parallel shard workers")
+    parser.add_argument(
+        "--workers", type=int,
+        help="forked worker processes for the shard jobs of annotate, filter "
+        "and fuzzy-dedup signatures (exact dedup and stats run serially); "
+        "each worker adds its own memory",
+    )
     parser.add_argument("--seed", type=int, help="random seed for training")
     parser.add_argument(
         "--force", action="store_true", default=None,

@@ -157,6 +157,26 @@ def minhash_for_words(words: list[str], width: int = SHINGLE_WIDTH) -> np.ndarra
     return minhash_signature(shingles(words, width))
 
 
+def content_signatures(contents: list[str]) -> tuple[list[bytes], list[int], np.ndarray]:
+    """(keys, slots, signatures) of a list of raw contents: the SHA-256
+    of each content, and the row of `signatures` holding the MinHash of
+    its normalized words. Each distinct content gets one row, computed
+    once."""
+    keys: list[bytes] = []
+    slots: list[int] = []
+    slot_of: dict[bytes, int] = {}
+    rows: list[np.ndarray] = []
+    for text in contents:
+        key = hashlib.sha256(text.encode("utf-8")).digest()
+        slot = slot_of.setdefault(key, len(rows))
+        if slot == len(rows):
+            rows.append(minhash_for_words(normalize(text).split()))
+        keys.append(key)
+        slots.append(slot)
+    signatures = np.stack(rows) if rows else np.empty((0, NUM_PERMUTATIONS), np.uint64)
+    return keys, slots, signatures
+
+
 def estimate_jaccard(sig_a: np.ndarray, sig_b: np.ndarray) -> float:
     return float(np.mean(sig_a == sig_b))
 
@@ -239,8 +259,8 @@ def cluster_and_select(
 
 class SignatureGroups:
     """Documents in canonical order and their MinHash signatures over
-    the words of the normalized content. A signature is computed once per
-    distinct content and stored once per distinct signature (a group)."""
+    the words of the normalized content, stored once per distinct
+    signature (a group)."""
 
     def __init__(self) -> None:
         self.docs: list[tuple[str, str]] = []  # (doc_id, shard) by position
@@ -249,19 +269,19 @@ class SignatureGroups:
         self._by_content: dict[bytes, int] = {}  # SHA-256 of raw content -> group
         self._by_signature: dict[bytes, int] = {}
 
-    def add(self, doc_id: str, shard: str, raw_content: str) -> np.ndarray:
-        """Append the next document in canonical order; returns its signature."""
-        key = hashlib.sha256(raw_content.encode("utf-8")).digest()
+    def add(self, doc_id: str, shard: str, key: bytes, signature: np.ndarray) -> None:
+        """Append the next document in canonical order, given the SHA-256
+        of its raw content and that content's signature (see
+        content_signatures)."""
         group = self._by_content.get(key)
         if group is None:
-            sig = minhash_for_words(normalize(raw_content).split()).tobytes()
+            sig = signature.tobytes()
             group = self._by_signature.setdefault(sig, len(self.signatures))
             if group == len(self.signatures):
                 self.signatures.append(np.frombuffer(sig, dtype=np.uint64))
             self._by_content[key] = group
         self.docs.append((doc_id, shard))
         self.groups.append(group)
-        return self.signatures[group]
 
     def duplicates(
         self, bands: int, rows: int, threshold: float

@@ -52,11 +52,14 @@ def fnv1a64_batch(keys: list[str]) -> np.ndarray:
     return out
 
 
-def hashed_features(words: list[str], buckets: int) -> np.ndarray:
+def hashed_features(words: list[str], buckets: int,
+                    word_hashes: np.ndarray | None = None) -> np.ndarray:
     """Bucket indexes of every word unigram, then every bigram, with
-    multiplicity."""
-    keys = words + [w1 + BIGRAM_SEP + w2 for w1, w2 in zip(words, words[1:])]
-    return (fnv1a64_batch(keys) % np.uint64(buckets)).astype(np.intp)
+    multiplicity. `word_hashes`, when given, is fnv1a64_batch(words)."""
+    if word_hashes is None:
+        word_hashes = fnv1a64_batch(words)
+    bigrams = fnv1a64_batch([w1 + BIGRAM_SEP + w2 for w1, w2 in zip(words, words[1:])])
+    return (np.concatenate((word_hashes, bigrams)) % np.uint64(buckets)).astype(np.intp)
 
 
 @dataclass
@@ -96,16 +99,17 @@ def train_hashed_lm(corpus, buckets: int = DEFAULT_BUCKETS, alpha: float = 1.0) 
                          total=int(counts.sum()), smoothing_alpha=alpha)
 
 
-def dsir_importance(words: list[str], target: HashedNgramLM, source: HashedNgramLM) -> float:
+def dsir_importance(words: list[str], target: HashedNgramLM, source: HashedNgramLM,
+                    word_hashes: np.ndarray | None = None) -> float:
     """Sum over the document's hashed {1,2}-gram features (with
     multiplicity, in hashed_features order) of log p_target -
-    log p_source."""
+    log p_source. `word_hashes` is as for hashed_features."""
     if target.bucket_count != source.bucket_count:
         raise ConfigError(
             f"bucket_count mismatch: target {target.bucket_count}, "
             f"source {source.bucket_count}"
         )
-    feats = hashed_features(words, target.bucket_count)
+    feats = hashed_features(words, target.bucket_count, word_hashes)
     score = 0.0
     # left to right, as the per-feature definition adds them
     for diff in (target.log_probs[feats] - source.log_probs[feats]).tolist():
@@ -132,15 +136,19 @@ class LinearClassifier:
     weights: list[float]
     bias: float = 0.0
 
-    def features(self, words: list[str]) -> dict[int, float]:
+    def features(self, words: list[str],
+                 word_hashes: np.ndarray | None = None) -> dict[int, float]:
         """L2-normalized unigram bucket counts, keyed in first-occurrence
-        order."""
-        counts = Counter((fnv1a64_batch(words) % np.uint64(self.dim)).tolist())
+        order. `word_hashes`, when given, is fnv1a64_batch(words)."""
+        if word_hashes is None:
+            word_hashes = fnv1a64_batch(words)
+        counts = Counter((word_hashes % np.uint64(self.dim)).tolist())
         norm = math.sqrt(sum(float(c) * c for c in counts.values()))
         return {f: c / norm for f, c in counts.items()}
 
-    def score_words(self, words: list[str]) -> float:
-        feats = self.features(words)
+    def score_words(self, words: list[str],
+                    word_hashes: np.ndarray | None = None) -> float:
+        feats = self.features(words, word_hashes)
         z = self.bias + sum(self.weights[f] * v for f, v in feats.items())
         return _sigmoid(z)
 

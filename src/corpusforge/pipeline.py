@@ -1,6 +1,14 @@
 """Pipeline orchestration: shard discovery, per-shard jobs for
 annotate/dedup/filter/stats, and model training entry points.
 
+With `workers` > 1, `annotate`, `filter` and the MinHash signatures of
+fuzzy dedup run their shard jobs in that many forked worker processes
+(`_run_shard_jobs`); exact dedup and stats run serially. Workers inherit
+the loaded resources and models from the parent instead of receiving
+them, and send back only each shard's small result, in shard order.
+Each worker adds its own memory (about 51 MB resident on a 240-page
+annotate with ML models).
+
 Every command is restartable per shard: annotate and filter skip shard
 outputs that already exist unless force is set, and dedup rewrites both
 its sidecars (duplicates/ and, in fuzzy mode, minhash/) on every run,
@@ -13,10 +21,10 @@ from __future__ import annotations
 import glob
 import json
 import os
+import signal
 import sys
 import typing
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import annotate as annotate_mod
@@ -198,11 +206,58 @@ def _output_exists(path: str, force: bool) -> bool:
     return not force and os.path.exists(path) and os.path.getsize(path) > 0
 
 
-def _run_shard_jobs(cfg: PipelineConfig, jobs, worker) -> list:
-    if cfg.workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            return list(pool.map(worker, jobs))
-    return [worker(job) for job in jobs]
+# (job, shards, first_failed) of the running pooled _run_shard_jobs. The
+# pool forks its workers after this is set, so they inherit the job's
+# closure and the resources it holds (numpy model tables stay shared
+# copy-on-write) instead of unpickling them.
+_POOLED = None
+
+
+def _unwind(signum, frame):
+    raise SystemExit(128 + signum)
+
+
+def _pooled_job(index: int):
+    """Run shard job `index` in a worker. Once a job has raised, the jobs
+    after it that have not started return None without running: the
+    parent, taking results in shard order, raises that job's error
+    before it reaches them. Jobs before it run, as they would serially."""
+    job, shards, first_failed = _POOLED
+    if index > first_failed.value:
+        return None
+    # Pool.terminate() sends SIGTERM: unwind as an exception, so that
+    # write_jsonl_gz removes the .tmp file it is writing
+    signal.signal(signal.SIGTERM, _unwind)
+    try:
+        return job(shards[index])
+    except Exception:
+        with first_failed.get_lock():
+            first_failed.value = min(first_failed.value, index)
+        raise
+    finally:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
+def _run_shard_jobs(cfg: PipelineConfig, shards: list, job):
+    """job(shard) for each shard, yielded in shard order as each one
+    finishes. Runs in-process with one worker or one shard, else in a
+    pool of forked worker processes. A job's exception reaches the
+    caller with its type and message."""
+    global _POOLED
+    workers = min(cfg.workers, len(shards))
+    if workers <= 1:
+        yield from map(job, shards)
+        return
+    # imported here: a serial run does not load it (about 0.2 MB resident)
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    _POOLED = (job, shards, ctx.Value("q", len(shards)))
+    try:
+        with ctx.Pool(workers) as pool:
+            yield from pool.imap(_pooled_job, range(len(shards)), chunksize=1)
+    finally:
+        _POOLED = None
 
 
 def _check_models(models: dict) -> None:
@@ -308,11 +363,11 @@ def cmd_annotate(cfg: PipelineConfig) -> dict:
         count = write_jsonl_gz(out_path, lines)
         return rel, count
 
-    results = _run_shard_jobs(cfg, shards, job)
-    written = sum(1 for _, c in results if c >= 0)
-    skipped = sum(1 for _, c in results if c < 0)
+    counts = [count for _, count in _run_shard_jobs(cfg, shards, job)]
+    written = sum(1 for c in counts if c >= 0)
+    skipped = len(counts) - written
     print(f"annotate: {written} shard(s) written, {skipped} skipped")
-    return {"shards": len(results), "written": written, "skipped": skipped}
+    return {"shards": len(counts), "written": written, "skipped": skipped}
 
 
 # ---------------------------------------------------------------------------
@@ -365,28 +420,35 @@ def _write_duplicates(cfg: PipelineConfig, addr: ShardAddress, records) -> int:
 
 
 def _dedup_fuzzy(cfg: PipelineConfig) -> dict:
+    """Shard jobs compute the signatures of each shard's distinct contents
+    and write its minhash sidecar; the parent groups them in canonical
+    order, then runs LSH and clustering over the whole corpus."""
     bands, rows = dedup_mod.pick_banding(cfg.jaccard)
-    shards: list[tuple[str, ShardAddress]] = []
-    index = dedup_mod.SignatureGroups()
-    for rel, addr, shard_docs in _iter_corpus(cfg):
-        shards.append((rel, addr))
-        sig_lines = []
-        for i, doc in enumerate(shard_docs):
-            doc_id, _ = document_id(doc, i)
-            sig = index.add(doc_id, rel, doc.raw_content)
-            sig_lines.append(json.dumps(
-                {"doc_id": doc_id, "signature": [int(x) for x in sig],
-                 "bands": bands, "rows": rows},
-                separators=(",", ":"),
-            ))
+    shards = discover_document_shards(cfg)
+
+    def job(shard: tuple[str, ShardAddress, str]):
+        rel, addr, path = shard
+        docs = read_documents(path)
+        ids = [document_id(doc, i)[0] for i, doc in enumerate(docs)]
+        keys, slots, sigs = dedup_mod.content_signatures([doc.raw_content for doc in docs])
         out_path = os.path.join(cfg.output_root, shard_path(addr, "minhash"))
-        write_jsonl_gz(out_path, sig_lines)
+        write_jsonl_gz(out_path, (
+            json.dumps({"doc_id": doc_id, "signature": sigs[slot].tolist(),
+                        "bands": bands, "rows": rows}, separators=(",", ":"))
+            for doc_id, slot in zip(ids, slots)
+        ))
+        return rel, ids, keys, slots, sigs
+
+    index = dedup_mod.SignatureGroups()
+    for rel, ids, keys, slots, sigs in _run_shard_jobs(cfg, shards, job):
+        for doc_id, key, slot in zip(ids, keys, slots):
+            index.add(doc_id, rel, key, sigs[slot])
 
     records, pairs = index.duplicates(bands, rows, cfg.jaccard)
-    by_shard: dict[str, list] = {rel: [] for rel, _ in shards}
+    by_shard: dict[str, list] = {rel: [] for rel, _, _ in shards}
     for record in records:
         by_shard[record.shard].append(record)
-    for rel, addr in shards:
+    for rel, addr, _ in shards:
         _write_duplicates(cfg, addr, by_shard[rel])
     documents = len(index.docs)
     frac = len(records) / documents if documents else 0.0

@@ -65,9 +65,8 @@ class _Translation(dict):
     """str.translate table from code point to _char_class of its
     character, added on first lookup. An apostrophe or hyphen maps to
     itself, as _LONE_EDGE has already removed those to drop. One entry
-    per distinct code point ever seen, so it stays small. Annotate
-    threads that race to fill an entry store the same value, so the
-    table needs no lock."""
+    per distinct code point ever seen, so it stays small. Each forked
+    shard worker fills its own copy."""
 
     def __missing__(self, code_point: int):
         value = self[code_point] = _char_class(chr(code_point))

@@ -398,6 +398,76 @@ def test_bad_shard_or_sidecar_exits_2_with_one_error_line(tmp_path, damage):
     assert str(bad) in lines[0]
 
 
+@pytest.mark.parametrize("argv, kind", [
+    (["annotate"], "quality_signals"),
+    (["dedup", "--mode", "fuzzy"], "minhash"),
+])
+@pytest.mark.parametrize("sizes, bad", [
+    pytest.param((3000, 300), 0, id="cut-shard-first"),
+    pytest.param((1500, 50), 1, id="cut-shard-second"),
+])
+def test_truncated_shard_under_workers_exits_2_and_stops(tmp_path, argv, kind, sizes, bad):
+    """Shards 0 and 1 have `sizes` documents, and shard `bad` is cut in
+    half; six small shards follow. When the cut shard comes first, its
+    error terminates the worker busy writing shard 1, which must remove
+    its .tmp file. When it comes second, the other worker is still busy
+    with the large shard 0, and the small shards, not yet started, must
+    not run."""
+    root = tmp_path / "corpus"
+    paths = [
+        Path(_write_corpus(str(root), [f"shard {s} document {i} has a few words."
+                                       for i in range((*sizes, *[50] * 6)[s])], shard=s))
+        for s in range(8)
+    ]
+    data = paths[bad].read_bytes()
+    paths[bad].write_bytes(data[: len(data) // 2])
+    proc = _run_cli([*argv, "--workers", "2", "--input", str(root), "--output", str(root)],
+                    {}, cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith(f"error: failed reading {paths[bad]}"), proc.stderr
+    assert not list(root.rglob("*.tmp"))
+    assert len(list(root.glob(f"{kind}/**/*.gz"))) <= 2
+
+
+def test_filter_missing_sidecar_under_workers_exits_1(tmp_path):
+    root = tmp_path / "corpus"
+    for shard in range(4):
+        _write_corpus(str(root), [f"document number {i} has a few words." for i in range(50)],
+                      shard=shard)
+    assert main(["annotate", "--input", str(root), "--output", str(root)]) == 0
+    addr = ShardAddress("2023-14", 2, "en", "head")
+    missing = root / shard_path(addr, "quality_signals")
+    missing.unlink()
+    out = tmp_path / "out"
+    proc = _run_cli(["filter", "--preset", "gopher_natlang", "--workers", "2",
+                     "--input", str(root), "--output", str(out)], {}, cwd=tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert lines == [f"error: missing signals sidecar for shard "
+                     f"{shard_path(addr, 'documents')}: {missing}"], proc.stderr
+    assert not list(out.rglob("*.tmp"))
+
+
+@pytest.mark.parametrize("argv", [["annotate"], ["dedup", "--mode", "fuzzy"]])
+def test_worker_warning_reaches_stderr(tmp_path, argv):
+    """A forked worker's warning reaches the command's stderr, which
+    capsys cannot see, so the CLI runs in its own process."""
+    root = tmp_path / "corpus"
+    path = _write_corpus(str(root), [f"document number {i}." for i in range(100)])
+    _write_corpus(str(root), [f"document number {i}." for i in range(100)], shard=1)
+    with gzip.open(path, "at") as fh:
+        fh.write("{broken\n")  # line 101: 1 bad line in 101 is within the threshold
+    proc = _run_cli([*argv, "--workers", "2", "--input", str(root), "--output", str(root)],
+                    {}, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"warning: {path}: line 101: "), proc.stderr
+
+
 # each case but the last is one bad triple in the signal's list; the last
 # gives the signal the value 5, which is no list at all
 @pytest.mark.parametrize("triple", [[0, 5], [0, 5, "many"],

@@ -12,6 +12,7 @@ from corpusforge.dedup import (
     DuplicateRecord,
     SignatureGroups,
     cluster_and_select,
+    content_signatures,
     estimate_jaccard,
     exact_dedup_pass,
     lsh_candidates,
@@ -159,9 +160,20 @@ def _fuzzy_corpus(draw):
 def test_signature_groups_match_per_document_reference(texts):
     docs = [(f"d{i}", f"s{i % 3}") for i in range(len(texts))]
     sigs = [minhash_for_words(normalize(t).split()) for t in texts]
+    # each shard's signatures, one per content distinct within the shard
+    by_shard = {}
+    for pos, (_, shard) in enumerate(docs):
+        by_shard.setdefault(shard, []).append(pos)
+    signed = {}
+    for positions in by_shard.values():
+        keys, slots, shard_sigs = content_signatures([texts[p] for p in positions])
+        assert len(shard_sigs) == len({texts[p] for p in positions})
+        for p, key, slot in zip(positions, keys, slots):
+            assert np.array_equal(shard_sigs[slot], sigs[p])
+            signed[p] = key, shard_sigs[slot]
     groups = SignatureGroups()
-    for (doc_id, shard), text, sig in zip(docs, texts, sigs):
-        assert np.array_equal(groups.add(doc_id, shard, text), sig)
+    for pos, (doc_id, shard) in enumerate(docs):
+        groups.add(doc_id, shard, *signed[pos])
     for threshold in (0.5, 0.8, 1.0):
         bands, rows = pick_banding(threshold)
         pairs = {

@@ -272,13 +272,29 @@ def test_train_same_seed_identical_bytes(tmp_path):
 
 
 def test_workers_parallel_matches_serial(tmp_path):
-    serial = str(tmp_path / "serial")
-    parallel = str(tmp_path / "par")
-    for root in (serial, parallel):
-        _write_corpus(root, [LONG, OTHER], shard=0)
-        _write_corpus(root, [OTHER, LONG], shard=1)
-    pipeline.cmd_annotate(_cfg(serial, workers=1))
-    pipeline.cmd_annotate(_cfg(parallel, workers=4))
+    """annotate, fuzzy dedup and filter write the same bytes with one
+    worker and with two. A near-duplicate cluster spans both shards, so
+    fuzzy group numbering and representatives are compared too."""
+    near = LONG + " appendix"  # Jaccard 51/52 over LONG's 13-word shingles
+    page = "A first sentence here.\nnav menu\nPlease enable javascript.\nA last sentence."
+    trees = {}
+    for workers in (1, 2):
+        root = str(tmp_path / f"workers{workers}")
+        _write_corpus(root, [LONG, OTHER, page, "too short."], shard=0)
+        _write_corpus(root, [OTHER.upper(), near, page + "\nOne more.", LONG], shard=1)
+        pipeline.cmd_annotate(_cfg(root, workers=workers))
+        pipeline.cmd_dedup(_cfg(root, workers=workers), "fuzzy")
+        pipeline.cmd_filter(_cfg(root, output_root=os.path.join(root, "filtered"),
+                                 ruleset="c4_full+gopher_full", workers=workers))
+        trees[workers] = _tree_bytes(root)
+    assert trees[1] == trees[2]
     for shard in (0, 1):
-        rel = f"quality_signals/2023-14/{shard:04d}/en_head.signals.json.gz"
-        assert Path(serial, rel).read_bytes() == Path(parallel, rel).read_bytes()
+        stem = f"2023-14/{shard:04d}/en_head"
+        assert {f"quality_signals/{stem}.signals.json.gz", f"minhash/{stem}.minhash.jsonl.gz",
+                f"duplicates/{stem}.duplicates.jsonl.gz", f"filtered/documents/{stem}.json.gz",
+                f"filtered/documents/{stem}.audit.jsonl.gz"} <= trees[2].keys()
+    dup = "duplicates/2023-14/0001/en_head.duplicates.jsonl.gz"
+    with gzip.open(os.path.join(str(tmp_path / "workers2"), dup), "rt") as fh:
+        records = {r["doc_id"]: r["representative_id"] for r in map(json.loads, fh)}
+    assert records == {"2023-14/seg1/0": "2023-14/seg0/1", "2023-14/seg1/1": "2023-14/seg0/0",
+                       "2023-14/seg1/3": "2023-14/seg0/0"}
