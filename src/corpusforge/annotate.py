@@ -116,13 +116,15 @@ def compute_signals(
     doc: Document,
     res: SignalResources,
     names=None,
-    ordinal: int | None = None,
+    *,
+    ordinal: int,
     snapshot_id: str = "",
 ) -> QualitySignalSet:
-    """Signals of one document. `names` may hold group names; a caller
-    that annotates many documents passes the resolve_signal_names
-    result, so that only signal names remain and nothing is resolved
-    per document. None means the default groups."""
+    """Signals of the document at position `ordinal` of its shard.
+    `names` may hold group names; a caller that annotates many documents
+    passes the resolve_signal_names result, so that only signal names
+    remain and nothing is resolved per document. None means the default
+    groups."""
     wanted = _DEFAULT_NAMES if names is None else frozenset(names)
     if not wanted <= ALL_SIGNALS:
         wanted = frozenset(resolve_signal_names(names))

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: annotate, dedup, filter, stats, train, calibrate. Exit
+Subcommands: annotate, dedup, filter, stats, train. Exit
 codes: 0 success, 1 configuration error, 2 data error. Every option can
 also come from a JSON config file (--config) or a CORPUSFORGE_* env
 variable; command-line flags win.
@@ -33,8 +33,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="comma-separated language codes")
     parser.add_argument(
         "--workers", type=int,
-        help="forked worker processes for the shard jobs of annotate, filter "
-        "and fuzzy-dedup signatures (exact dedup and stats run serially); "
+        help="forked worker processes that read and process the shards; "
         "each worker adds its own memory",
     )
     parser.add_argument("--seed", type=int, help="random seed for training")
@@ -102,14 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--buckets", type=int, default=10_000)
     p.add_argument("--order", type=int, default=5)
 
-    p = sub.add_parser(
-        "calibrate", help="alias for 'train calibrate_buckets'"
-    )
-    _add_common(p)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--kn-model", dest="kn_model", required=True)
-    p.add_argument("--model-output", dest="output", required=True)
-
     return parser
 
 
@@ -135,8 +126,6 @@ def main(argv: list[str] | None = None) -> int:
             pipeline.cmd_stats(cfg, as_json=args.json)
         elif args.command == "train":
             pipeline.cmd_train(cfg, args.kind, vars(args))
-        elif args.command == "calibrate":
-            pipeline.cmd_train(cfg, "calibrate_buckets", vars(args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -157,24 +157,20 @@ def minhash_for_words(words: list[str], width: int = SHINGLE_WIDTH) -> np.ndarra
     return minhash_signature(shingles(words, width))
 
 
-def content_signatures(contents: list[str]) -> tuple[list[bytes], list[int], np.ndarray]:
-    """(keys, slots, signatures) of a list of raw contents: the SHA-256
-    of each content, and the row of `signatures` holding the MinHash of
-    its normalized words. Each distinct content gets one row, computed
-    once."""
-    keys: list[bytes] = []
+def content_signatures(contents: list[str]) -> tuple[list[int], np.ndarray]:
+    """(slots, signatures) of a list of raw contents: the row of
+    `signatures` holding the MinHash of each content's normalized words.
+    Each distinct content gets one row, computed once."""
     slots: list[int] = []
-    slot_of: dict[bytes, int] = {}
+    slot_of: dict[str, int] = {}
     rows: list[np.ndarray] = []
     for text in contents:
-        key = hashlib.sha256(text.encode("utf-8")).digest()
-        slot = slot_of.setdefault(key, len(rows))
+        slot = slot_of.setdefault(text, len(rows))
         if slot == len(rows):
             rows.append(minhash_for_words(normalize(text).split()))
-        keys.append(key)
         slots.append(slot)
     signatures = np.stack(rows) if rows else np.empty((0, NUM_PERMUTATIONS), np.uint64)
-    return keys, slots, signatures
+    return slots, signatures
 
 
 def estimate_jaccard(sig_a: np.ndarray, sig_b: np.ndarray) -> float:
@@ -266,20 +262,15 @@ class SignatureGroups:
         self.docs: list[tuple[str, str]] = []  # (doc_id, shard) by position
         self.groups: list[int] = []  # group of each position
         self.signatures: list[np.ndarray] = []  # one per group, by first position
-        self._by_content: dict[bytes, int] = {}  # SHA-256 of raw content -> group
         self._by_signature: dict[bytes, int] = {}
 
-    def add(self, doc_id: str, shard: str, key: bytes, signature: np.ndarray) -> None:
-        """Append the next document in canonical order, given the SHA-256
-        of its raw content and that content's signature (see
-        content_signatures)."""
-        group = self._by_content.get(key)
-        if group is None:
-            sig = signature.tobytes()
-            group = self._by_signature.setdefault(sig, len(self.signatures))
-            if group == len(self.signatures):
-                self.signatures.append(np.frombuffer(sig, dtype=np.uint64))
-            self._by_content[key] = group
+    def add(self, doc_id: str, shard: str, signature: np.ndarray) -> None:
+        """Append the next document in canonical order, given its
+        signature (see content_signatures)."""
+        sig = signature.tobytes()
+        group = self._by_signature.setdefault(sig, len(self.signatures))
+        if group == len(self.signatures):
+            self.signatures.append(np.frombuffer(sig, dtype=np.uint64))
         self.docs.append((doc_id, shard))
         self.groups.append(group)
 

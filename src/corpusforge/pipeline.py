@@ -1,11 +1,11 @@
 """Pipeline orchestration: shard discovery, per-shard jobs for
 annotate/dedup/filter/stats, and model training entry points.
 
-With `workers` > 1, `annotate`, `filter` and the MinHash signatures of
-fuzzy dedup run their shard jobs in that many forked worker processes
-(`_run_shard_jobs`); exact dedup and stats run serially. Workers inherit
-the loaded resources and models from the parent instead of receiving
-them, and send back only each shard's small result, in shard order.
+Every command reads its shards in shard jobs (`_run_shard_jobs`); with
+`workers` > 1 they run in that many forked worker processes. Workers
+inherit the loaded resources and models from the parent instead of
+receiving them, and send back only each shard's small result, in shard
+order.
 Each worker adds its own memory (about 51 MB resident on a 240-page
 annotate with ML models).
 
@@ -374,12 +374,6 @@ def cmd_annotate(cfg: PipelineConfig) -> dict:
 # dedup
 
 
-def _iter_corpus(cfg: PipelineConfig):
-    """(shard_rel, addr, docs) in the canonical newest-to-oldest order."""
-    for rel, addr, path in discover_document_shards(cfg):
-        yield rel, addr, read_documents(path)
-
-
 def cmd_dedup(cfg: PipelineConfig, mode: str) -> dict:
     if mode == "exact":
         return _dedup_exact(cfg)
@@ -389,18 +383,23 @@ def cmd_dedup(cfg: PipelineConfig, mode: str) -> dict:
 
 
 def _dedup_exact(cfg: PipelineConfig) -> dict:
-    """Streams shard by shard: each shard's sidecar is written before the
-    next shard is read, so memory is the Bloom filter plus one shard."""
+    """Shard jobs read each shard's (doc_id, shard, digest) entries; the
+    parent runs them through the Bloom filter in shard order and writes
+    each shard's sidecar before it takes the next shard's entries. So
+    the parent holds the filter plus the entries of shards that finished
+    early, never a shard's documents."""
     bloom = dedup_mod.BloomFilter(cfg.bloom_capacity, cfg.bloom_error_rate)
     docs_per_snapshot: Counter[str] = Counter()
     dups_per_snapshot: Counter[str] = Counter()
-    for rel, addr, shard_docs in _iter_corpus(cfg):
-        entries = (
-            (document_id(doc, i)[0], rel, doc.digest)
-            for i, doc in enumerate(shard_docs)
-        )
+
+    def job(shard: tuple[str, ShardAddress, str]):
+        rel, addr, path = shard
+        docs = read_documents(path)
+        return addr, [(document_id(doc, i)[0], rel, doc.digest) for i, doc in enumerate(docs)]
+
+    for addr, entries in _run_shard_jobs(cfg, discover_document_shards(cfg), job):
         records = dedup_mod.exact_dedup_pass(entries, bloom)
-        docs_per_snapshot[addr.snapshot_id] += len(shard_docs)
+        docs_per_snapshot[addr.snapshot_id] += len(entries)
         dups_per_snapshot[addr.snapshot_id] += _write_duplicates(cfg, addr, records)
     for snapshot in cfg.snapshots or sorted(docs_per_snapshot, reverse=True):
         docs, dups = docs_per_snapshot[snapshot], dups_per_snapshot[snapshot]
@@ -430,19 +429,19 @@ def _dedup_fuzzy(cfg: PipelineConfig) -> dict:
         rel, addr, path = shard
         docs = read_documents(path)
         ids = [document_id(doc, i)[0] for i, doc in enumerate(docs)]
-        keys, slots, sigs = dedup_mod.content_signatures([doc.raw_content for doc in docs])
+        slots, sigs = dedup_mod.content_signatures([doc.raw_content for doc in docs])
         out_path = os.path.join(cfg.output_root, shard_path(addr, "minhash"))
         write_jsonl_gz(out_path, (
             json.dumps({"doc_id": doc_id, "signature": sigs[slot].tolist(),
                         "bands": bands, "rows": rows}, separators=(",", ":"))
             for doc_id, slot in zip(ids, slots)
         ))
-        return rel, ids, keys, slots, sigs
+        return rel, ids, slots, sigs
 
     index = dedup_mod.SignatureGroups()
-    for rel, ids, keys, slots, sigs in _run_shard_jobs(cfg, shards, job):
-        for doc_id, key, slot in zip(ids, keys, slots):
-            index.add(doc_id, rel, key, sigs[slot])
+    for rel, ids, slots, sigs in _run_shard_jobs(cfg, shards, job):
+        for doc_id, slot in zip(ids, slots):
+            index.add(doc_id, rel, sigs[slot])
 
     records, pairs = index.duplicates(bands, rows, cfg.jaccard)
     by_shard: dict[str, list] = {rel: [] for rel, _, _ in shards}
@@ -561,42 +560,37 @@ def cmd_stats(cfg: PipelineConfig, as_json: bool = False) -> dict:
     (all / tail / head+middle / head+middle deduped). Word counts are a
     proxy for BPE token counts. as_json switches the rendering from the
     human table to one machine-readable JSON object."""
-    per_lang: dict[str, dict[str, list[int]]] = {}
-
-    def bucket_cols(bucket: str) -> list[str]:
-        cols = ["all"]
-        cols.append("tail" if bucket == "tail" else "head_middle")
-        return cols
-
-    for rel, addr, docs in _iter_corpus(cfg):
-        duplicates = _load_duplicate_ids(addr, cfg.input_root)
-        lang = per_lang.setdefault(
-            addr.language,
-            {c: [0, 0] for c in ("all", "tail", "head_middle", "head_middle_dedupe")},
-        )
-        for i, doc in enumerate(docs):
-            words = len(doc.raw_content.split())
-            for col in bucket_cols(doc.bucket):
-                lang[col][0] += 1
-                lang[col][1] += words
-            if doc.bucket != "tail":
-                doc_id, _ = document_id(doc, i)
-                if doc_id not in duplicates:
-                    lang["head_middle_dedupe"][0] += 1
-                    lang["head_middle_dedupe"][1] += words
-
     columns = ("all", "tail", "head_middle", "head_middle_dedupe")
+
+    def job(shard: tuple[str, ShardAddress, str]):
+        _, addr, path = shard
+        duplicates = _load_duplicate_ids(addr, cfg.input_root)
+        counts = {c: [0, 0] for c in columns}
+        for i, doc in enumerate(read_documents(path)):
+            words = len(doc.raw_content.split())
+            part = "tail" if doc.bucket == "tail" else "head_middle"
+            cols = ["all", part]
+            if part == "head_middle" and document_id(doc, i)[0] not in duplicates:
+                cols.append("head_middle_dedupe")
+            for c in cols:
+                counts[c][0] += 1
+                counts[c][1] += words
+        return addr.language, counts
+
+    per_lang: dict[str, dict[str, list[int]]] = {}
     total = {c: [0, 0] for c in columns}
-    for lang in per_lang.values():
-        for c in columns:
-            total[c][0] += lang[c][0]
-            total[c][1] += lang[c][1]
+    for language, counts in _run_shard_jobs(cfg, discover_document_shards(cfg), job):
+        row = per_lang.setdefault(language, {c: [0, 0] for c in columns})
+        for c, (docs, words) in counts.items():
+            for target in (row[c], total[c]):
+                target[0] += docs
+                target[1] += words
     table = {lang: per_lang[lang] for lang in sorted(per_lang)}
     table["Total"] = total
     result = {
         "columns": list(columns),
         "note": "word counts proxy for BPE token counts",
-        "rows": {k: {c: v[:] for c, v in row.items()} for k, row in table.items()},
+        "rows": table,
     }
     if as_json:
         print(json.dumps(result, separators=(",", ":"), sort_keys=True))

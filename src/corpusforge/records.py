@@ -156,12 +156,10 @@ def content_digest(raw: str) -> str:
     return "sha256:" + hashlib.sha256(raw.encode("utf-8")).hexdigest()
 
 
-def document_id(doc: Document, ordinal: int | None = None) -> tuple[str, int]:
-    """Derive (id, id_int). Uses "<cc_segment>/<ordinal>" when a per-shard
-    ordinal is available, otherwise the content digest with id_int=-1."""
-    if ordinal is not None:
-        return f"{doc.cc_segment}/{ordinal}", ordinal
-    return doc.digest, -1
+def document_id(doc: Document, ordinal: int) -> tuple[str, int]:
+    """(id, id_int) of the document at position `ordinal` of its shard:
+    "<cc_segment>/<ordinal>" and the ordinal."""
+    return f"{doc.cc_segment}/{ordinal}", ordinal
 
 
 @dataclass

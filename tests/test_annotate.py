@@ -39,7 +39,7 @@ def test_resolve_signal_names_expands_groups():
     ("http://[::1/app.py", 0.0),  # urlsplit rejects it: no file name
 ])
 def test_code_signals_read_the_url_path(resources, url, extension_ok):
-    record = compute_signals(make_doc("x = 1", url=url), resources, names=["code"])
+    record = compute_signals(make_doc("x = 1", url=url), resources, names=["code"], ordinal=0)
     assert set(record.quality_signals) == set(SIGNAL_GROUPS["code"])
     assert record.quality_signals["rps_code_extension_ok"] == [(0, 5, extension_ok)]
 

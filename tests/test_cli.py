@@ -401,6 +401,8 @@ def test_bad_shard_or_sidecar_exits_2_with_one_error_line(tmp_path, damage):
 @pytest.mark.parametrize("argv, kind", [
     (["annotate"], "quality_signals"),
     (["dedup", "--mode", "fuzzy"], "minhash"),
+    (["dedup", "--mode", "exact"], "duplicates"),
+    (["stats"], "duplicates"),  # stats writes no files
 ])
 @pytest.mark.parametrize("sizes, bad", [
     pytest.param((3000, 300), 0, id="cut-shard-first"),
@@ -452,7 +454,8 @@ def test_filter_missing_sidecar_under_workers_exits_1(tmp_path):
     assert not list(out.rglob("*.tmp"))
 
 
-@pytest.mark.parametrize("argv", [["annotate"], ["dedup", "--mode", "fuzzy"]])
+@pytest.mark.parametrize("argv", [["annotate"], ["dedup", "--mode", "fuzzy"],
+                                  ["dedup", "--mode", "exact"], ["stats"]])
 def test_worker_warning_reaches_stderr(tmp_path, argv):
     """A forked worker's warning reaches the command's stderr, which
     capsys cannot see, so the CLI runs in its own process."""
@@ -660,7 +663,7 @@ def test_train_commands(tmp_path, capsys):
                  "--model-output", kn_path, "--order", "3"]) == 0
 
     cut_path = str(tmp_path / "cutoffs.json")
-    assert main(["calibrate", "--corpus", corpus, "--kn-model", kn_path,
+    assert main(["train", "calibrate_buckets", "--corpus", corpus, "--kn-model", kn_path,
                  "--model-output", cut_path]) == 0
     assert json.loads((tmp_path / "cutoffs.json").read_text())["kind"] == "bucket_cutoffs"
 

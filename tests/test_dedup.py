@@ -166,14 +166,14 @@ def test_signature_groups_match_per_document_reference(texts):
         by_shard.setdefault(shard, []).append(pos)
     signed = {}
     for positions in by_shard.values():
-        keys, slots, shard_sigs = content_signatures([texts[p] for p in positions])
+        slots, shard_sigs = content_signatures([texts[p] for p in positions])
         assert len(shard_sigs) == len({texts[p] for p in positions})
-        for p, key, slot in zip(positions, keys, slots):
+        for p, slot in zip(positions, slots):
             assert np.array_equal(shard_sigs[slot], sigs[p])
-            signed[p] = key, shard_sigs[slot]
+            signed[p] = shard_sigs[slot]
     groups = SignatureGroups()
     for pos, (doc_id, shard) in enumerate(docs):
-        groups.add(doc_id, shard, *signed[pos])
+        groups.add(doc_id, shard, signed[pos])
     for threshold in (0.5, 0.8, 1.0):
         bands, rows = pick_banding(threshold)
         pairs = {

@@ -271,13 +271,14 @@ def test_train_same_seed_identical_bytes(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_workers_parallel_matches_serial(tmp_path):
-    """annotate, fuzzy dedup and filter write the same bytes with one
-    worker and with two. A near-duplicate cluster spans both shards, so
-    fuzzy group numbering and representatives are compared too."""
+def test_workers_parallel_matches_serial(tmp_path, capsys):
+    """annotate, fuzzy and exact dedup and filter write the same bytes,
+    and stats prints the same JSON, with one worker and with two. A
+    near-duplicate cluster spans both shards, so fuzzy group numbering
+    and representatives are compared too."""
     near = LONG + " appendix"  # Jaccard 51/52 over LONG's 13-word shingles
     page = "A first sentence here.\nnav menu\nPlease enable javascript.\nA last sentence."
-    trees = {}
+    trees, stats = {}, {}
     for workers in (1, 2):
         root = str(tmp_path / f"workers{workers}")
         _write_corpus(root, [LONG, OTHER, page, "too short."], shard=0)
@@ -286,8 +287,18 @@ def test_workers_parallel_matches_serial(tmp_path):
         pipeline.cmd_dedup(_cfg(root, workers=workers), "fuzzy")
         pipeline.cmd_filter(_cfg(root, output_root=os.path.join(root, "filtered"),
                                  ruleset="c4_full+gopher_full", workers=workers))
+        pipeline.cmd_dedup(_cfg(root, output_root=os.path.join(root, "exact"),
+                                workers=workers), "exact")
+        capsys.readouterr()
+        pipeline.cmd_stats(_cfg(root, workers=workers), as_json=True)
+        stats[workers] = capsys.readouterr().out
         trees[workers] = _tree_bytes(root)
     assert trees[1] == trees[2]
+    assert stats[1] == stats[2]
+    assert json.loads(stats[2])["rows"]["en"]["head_middle_dedupe"][0] == 5
+    exact = "exact/duplicates/2023-14/0001/en_head.duplicates.jsonl.gz"
+    with gzip.open(os.path.join(str(tmp_path / "workers2"), exact), "rt") as fh:
+        assert [r["doc_id"] for r in map(json.loads, fh)] == ["2023-14/seg1/3"]
     for shard in (0, 1):
         stem = f"2023-14/{shard:04d}/en_head"
         assert {f"quality_signals/{stem}.signals.json.gz", f"minhash/{stem}.minhash.jsonl.gz",

@@ -81,8 +81,6 @@ def test_invariant_warnings_flag_mismatches():
 def test_document_id():
     doc = make_doc("x", cc_segment="seg/a")
     assert document_id(doc, 7) == ("seg/a/7", 7)
-    ident, id_int = document_id(doc)
-    assert ident == doc.digest and id_int == -1
 
 
 def test_shard_path_roundtrip():
