@@ -87,13 +87,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model used for annotation")
     _add_common(p)
-    p.add_argument(
-        "kind", choices=("classifier", "hashed_lm", "kn_lm", "calibrate_buckets")
-    )
+    p.add_argument("kind", choices=("classifier", "hashed_lm", "kn_lm"))
     p.add_argument("--positive", help="JSONL(.gz) of positive examples")
     p.add_argument("--negative", help="JSONL(.gz) of negative examples")
     p.add_argument("--corpus", help="JSONL(.gz) training corpus")
-    p.add_argument("--kn-model", dest="kn_model", help="trained 5-gram model path")
     p.add_argument("--model-output", dest="output", required=True,
                    help="where to write the model JSON")
     p.add_argument("--epochs", type=int, default=20)

@@ -127,16 +127,16 @@ _MH_A = (_rng.integers(0, 1 << 63, size=NUM_PERMUTATIONS, dtype=np.uint64) << np
 _MH_B = _rng.integers(0, 1 << 63, size=NUM_PERMUTATIONS, dtype=np.uint64)
 
 
-def shingles(words: list[str], width: int = SHINGLE_WIDTH) -> set[bytes]:
-    """Consecutive word 13-grams of the normalized text; documents
-    shorter than the width use the whole document as one shingle."""
+def shingles(words: list[str]) -> set[bytes]:
+    """Consecutive word SHINGLE_WIDTH-grams of the normalized text;
+    documents shorter than that use the whole document as one shingle."""
     if not words:
         return set()
-    if len(words) < width:
+    if len(words) < SHINGLE_WIDTH:
         return {"\x1f".join(words).encode("utf-8")}
     return {
-        "\x1f".join(words[i : i + width]).encode("utf-8")
-        for i in range(len(words) - width + 1)
+        "\x1f".join(words[i : i + SHINGLE_WIDTH]).encode("utf-8")
+        for i in range(len(words) - SHINGLE_WIDTH + 1)
     }
 
 
@@ -153,8 +153,8 @@ def minhash_signature(shingle_set: set[bytes]) -> np.ndarray:
     return values.min(axis=0)
 
 
-def minhash_for_words(words: list[str], width: int = SHINGLE_WIDTH) -> np.ndarray:
-    return minhash_signature(shingles(words, width))
+def minhash_for_words(words: list[str]) -> np.ndarray:
+    return minhash_signature(shingles(words))
 
 
 def content_signatures(contents: list[str]) -> tuple[list[int], np.ndarray]:
@@ -181,13 +181,13 @@ def estimate_jaccard(sig_a: np.ndarray, sig_b: np.ndarray) -> float:
 # LSH banding
 
 
-def pick_banding(level: float, num_perm: int = NUM_PERMUTATIONS) -> tuple[int, int]:
+def pick_banding(level: float) -> tuple[int, int]:
     """(bands, rows) minimizing |(1/b)^(1/r) - level| subject to
-    b * r <= num_perm; ties prefer more rows per band (sharper bands,
-    fewer spurious candidates)."""
+    b * r <= NUM_PERMUTATIONS; ties prefer more rows per band (sharper
+    bands, fewer spurious candidates)."""
     best = None
-    for b in range(1, num_perm + 1):
-        for r in range(1, num_perm // b + 1):
+    for b in range(1, NUM_PERMUTATIONS + 1):
+        for r in range(1, NUM_PERMUTATIONS // b + 1):
             threshold = (1.0 / b) ** (1.0 / r)
             key = (abs(threshold - level), -r)
             if best is None or key < best[0]:

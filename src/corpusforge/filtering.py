@@ -187,8 +187,8 @@ def load_ruleset(spec: str) -> Ruleset:
         raise ConfigError(
             f"{spec!r} is neither a preset name nor a readable rule file: {exc}"
         ) from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"rule file {spec} is not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"rule file {spec} is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError(f"rule file {spec} is not a JSON object")
     try:

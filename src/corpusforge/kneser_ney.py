@@ -1,5 +1,5 @@
 """Interpolated Kneser-Ney n-gram language model with a single absolute
-discount, plus perplexity scoring and head/middle/tail bucketing.
+discount, plus perplexity scoring.
 
 The top order uses raw counts; lower orders use continuation counts
 (number of distinct left contexts). Out-of-vocabulary words map to an
@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import ConfigError
 
@@ -59,17 +58,6 @@ class KneserNeyLM:
     @property
     def vocab(self) -> list[str]:
         return [w for w in self.words if w != UNK or self.unk_in_vocab]
-
-    def prob(self, word: str, history: Iterable[str]) -> float:
-        """P(word | history) with backoff through all lower orders.
-        Histories longer than order-1 are truncated; unseen histories
-        back off entirely."""
-        unk = self.ids[UNK]
-        h = [self.ids.get(t, unk) for t in history][-(self.order - 1):] if self.order > 1 else []
-        ctx = 0
-        for i in h:
-            ctx = ctx * self.base + i
-        return self._prob_at(self.ids.get(word, unk), ctx, len(h))
 
     def _prob_at(self, w: int, ctx: int, n: int) -> float:
         """P(w | the n newest ids packed in ctx)."""
@@ -201,42 +189,6 @@ def perplexity(words: list[str], lm: KneserNeyLM) -> float:
     if not words:
         return math.inf
     return math.exp(-lm.sequence_logprob(words) / len(words))
-
-
-# ---------------------------------------------------------------------------
-# Perplexity buckets
-
-
-@dataclass
-class BucketCutoffs:
-    head_max: float
-    middle_max: float
-
-    def __post_init__(self):
-        if not self.head_max < self.middle_max:
-            raise ConfigError(
-                f"head_max {self.head_max} must be < middle_max {self.middle_max}"
-            )
-
-
-def assign_bucket(ppl: float, cutoffs: BucketCutoffs) -> str:
-    if ppl <= cutoffs.head_max:
-        return "head"
-    if ppl <= cutoffs.middle_max:
-        return "middle"
-    return "tail"
-
-
-def calibrate_cutoffs(ppls: list[float]) -> BucketCutoffs:
-    """33.3/66.7 percentile cutoffs over a calibration sample; with
-    distinct perplexities this splits the sample into thirds."""
-    if len(ppls) < 3:
-        raise ConfigError("need at least 3 perplexities to calibrate cutoffs")
-    ordered = sorted(ppls)
-    n = len(ordered)
-    head_max = ordered[(n + 2) // 3 - 1]
-    middle_max = ordered[(2 * n + 2) // 3 - 1]
-    return BucketCutoffs(head_max=head_max, middle_max=middle_max)
 
 
 def kn_payload(lm: KneserNeyLM) -> dict:

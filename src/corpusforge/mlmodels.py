@@ -199,7 +199,7 @@ def training_accuracy(clf: LinearClassifier, positive, negative) -> float:
 # ---------------------------------------------------------------------------
 # Model container IO
 
-MODEL_KINDS = ("hashed_lm", "classifier", "kneser_ney", "bucket_cutoffs")
+MODEL_KINDS = ("hashed_lm", "classifier", "kneser_ney")
 
 
 def _model_hash(payload: dict) -> str:
@@ -224,7 +224,7 @@ def load_model(path: str, kind: str | None = None) -> tuple[str, dict, str]:
     try:
         with open(path, encoding="utf-8") as fh:
             container = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot load model {path}: {exc}") from exc
     if not (isinstance(container, dict) and {"kind", "payload", "hash"} <= container.keys()):
         raise ConfigError(f"model {path} is not a model container with kind, payload and hash")

@@ -31,13 +31,7 @@ from . import annotate as annotate_mod
 from . import dedup as dedup_mod
 from .errors import ConfigError, DataError
 from .filtering import Ruleset, evaluate, load_ruleset
-from .kneser_ney import (
-    calibrate_cutoffs,
-    kn_from_payload,
-    kn_payload,
-    perplexity,
-    train_kn_lm,
-)
+from .kneser_ney import kn_from_payload, kn_payload, perplexity, train_kn_lm
 from .mlmodels import (
     classifier_from_payload,
     classifier_payload,
@@ -95,7 +89,7 @@ class PipelineConfig:
             try:
                 with open(path, encoding="utf-8") as fh:
                     values = json.load(fh)
-            except (OSError, json.JSONDecodeError) as exc:
+            except (OSError, ValueError) as exc:
                 raise ConfigError(f"cannot read config {path}: {exc}") from exc
             if not isinstance(values, dict):
                 raise ConfigError(f"config {path} is not a JSON object")
@@ -668,24 +662,11 @@ def cmd_train(cfg: PipelineConfig, kind: str, args: dict) -> dict:
               f"training perplexity {ppl:.2f}")
         return {"kind": kind, "hash": digest, "train_perplexity": ppl}
 
-    if kind == "calibrate_buckets":
-        lm, _ = _load_model_as(_require(args, "kn_model"), "kneser_ney", kn_from_payload)
-        ppls = [perplexity(words, lm) for words in
-                _iter_training_texts(_require(args, "corpus"))]
-        cutoffs = calibrate_cutoffs(ppls)
-        digest = save_model(out_path, "bucket_cutoffs", {
-            "head_max": cutoffs.head_max, "middle_max": cutoffs.middle_max,
-        })
-        print(f"bucket cutoffs saved to {out_path} (hash {digest}): "
-              f"head<={cutoffs.head_max:.3f}, middle<={cutoffs.middle_max:.3f}")
-        return {"kind": kind, "hash": digest,
-                "head_max": cutoffs.head_max, "middle_max": cutoffs.middle_max}
-
     raise ConfigError(f"unknown training kind {kind!r}")
 
 
 def _require(args: dict, key: str) -> str:
     value = args.get(key)
     if not value:
-        raise ConfigError(f"train is missing required argument --{key.replace('_', '-')}")
+        raise ConfigError(f"train is missing required argument --{key}")
     return value

@@ -16,10 +16,6 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, get_origin, get_type_hints
 
 from .errors import DataError, RecordError
-from .signal_catalog import CATEGORICAL_SIGNALS, LINE_SIGNALS
-
-LANGUAGES = ("en", "de", "fr", "es", "it")
-BUCKETS = ("head", "middle", "tail")
 
 _OPTIONAL_DOC_DEFAULTS = {"title": ""}
 # A shard whose share of malformed document records exceeds this fails
@@ -48,38 +44,6 @@ class Document:
     perplexity: float
     bucket: str
 
-    def invariant_warnings(self) -> list[str]:
-        """Schema invariant violations, checked on demand: reading a
-        document does not check them, and none is fatal."""
-        warnings = []
-        nlines = self.raw_content.count("\n") + 1 if self.raw_content else 0
-        if self.nlines != nlines:
-            warnings.append(
-                f"nlines={self.nlines} but raw_content has {nlines} lines"
-            )
-        if self.length != len(self.raw_content):
-            warnings.append(
-                f"length={self.length} but raw_content has "
-                f"{len(self.raw_content)} characters"
-            )
-        if len(self.line_ids) != self.nlines:
-            warnings.append(
-                f"line_ids has {len(self.line_ids)} entries, nlines={self.nlines}"
-            )
-        if any(b <= a for a, b in zip(self.line_ids, self.line_ids[1:])):
-            warnings.append("line_ids is not strictly increasing")
-        if any(i >= self.original_nlines for i in self.line_ids):
-            warnings.append("line_ids entry >= original_nlines")
-        if self.original_nlines < self.nlines:
-            warnings.append("original_nlines < nlines")
-        if self.original_length < self.length:
-            warnings.append("original_length < length")
-        if self.bucket not in BUCKETS:
-            warnings.append(f"unknown bucket {self.bucket!r}")
-        if self.language not in LANGUAGES:
-            warnings.append(f"unknown language {self.language!r}")
-        return warnings
-
     def to_json(self) -> str:
         record = {name: getattr(self, name) for name, _ in _DOC_FIELDS}
         return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
@@ -96,13 +60,19 @@ _DOC_FIELDS = tuple(
 def parse_document(json_line: str, line_number: int | None = None) -> Document:
     """Parse one JSONL document record. Raises RecordError for malformed
     JSON, wrong field types or a string holding a lone surrogate; schema
-    invariants are not checked here (see Document.invariant_warnings)."""
+    invariants such as length == len(raw_content) are not checked.
+
+    `json_line` must hold no lone surrogate itself, as a line that
+    iter_jsonl_gz decoded as strict UTF-8 does. A lone surrogate can then
+    only come from a \\ud800-\\udfff escape, so the fields of a line
+    without "\\ud" or "\\uD" are not scanned for one."""
     try:
         raw = json.loads(json_line)
     except json.JSONDecodeError as exc:
         raise RecordError(f"malformed JSON: {exc}", line_number=line_number)
     if not isinstance(raw, dict):
         raise RecordError("record is not a JSON object", line_number=line_number)
+    escaped = "\\ud" in json_line or "\\uD" in json_line
     values = {}
     for name, typ in _DOC_FIELDS:
         if name not in raw:
@@ -124,7 +94,7 @@ def parse_document(json_line: str, line_number: int | None = None) -> Document:
                 f"field {name} has wrong type {type(value).__name__}",
                 line_number=line_number,
             )
-        if typ is str and (at := lone_surrogate(value)) is not None:
+        if typ is str and escaped and (at := lone_surrogate(value)) is not None:
             raise RecordError(
                 f"field {name} holds a lone surrogate at character {at}",
                 line_number=line_number,
@@ -171,32 +141,6 @@ class QualitySignalSet:
     id_int: int
     metadata: dict
     quality_signals: dict[str, list] = field(default_factory=dict)
-
-    def invariant_warnings(self, doc_length: int | None = None) -> list[str]:
-        warnings = []
-        for name, triples in self.quality_signals.items():
-            for start, end, _score in triples:
-                if start > end:
-                    warnings.append(f"{name}: start {start} > end {end}")
-            if name in CATEGORICAL_SIGNALS:
-                continue
-            if name in LINE_SIGNALS:
-                pos = 0
-                for start, end, _score in triples:
-                    if start != pos:
-                        warnings.append(f"{name}: spans do not tile (gap at {pos})")
-                        break
-                    pos = end
-                if doc_length is not None and triples and pos != doc_length:
-                    warnings.append(f"{name}: spans end at {pos}, not {doc_length}")
-            else:
-                if len(triples) != 1:
-                    warnings.append(f"{name}: expected one document-level triple")
-                elif doc_length is not None:
-                    start, end, _score = triples[0]
-                    if (start, end) != (0, doc_length):
-                        warnings.append(f"{name}: span ({start},{end}) != (0,{doc_length})")
-        return warnings
 
     def to_json(self) -> str:
         record = {

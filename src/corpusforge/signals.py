@@ -15,6 +15,7 @@ import math
 import os
 from collections import Counter
 from importlib import resources
+from pathlib import Path
 
 from .errors import ConfigError
 from .records import Document
@@ -298,30 +299,23 @@ def load_ut1(directory=None) -> tuple[dict[str, set[int]], list[str]]:
     """UT1-style blocklist: a directory of category files, one domain per
     line. Category ids are assigned by sorted category-name order;
     returns (domain -> ids, category names by id)."""
-    if directory is not None:
-        try:
-            names = sorted(
-                f[:-4] for f in os.listdir(directory) if f.endswith(".txt")
-            )
-        except OSError as exc:
-            raise ConfigError(f"cannot read UT1 directory {directory}: {exc}") from exc
-        readers = [
-            (name, open(os.path.join(directory, f"{name}.txt"), encoding="utf-8"))
-            for name in names
-        ]
-    else:
+    if directory is None:
         root = resources.files("corpusforge") / "data" / "ut1"
-        names = sorted(
-            ref.name[:-4] for ref in root.iterdir() if ref.name.endswith(".txt")
-        )
-        readers = [(name, (root / f"{name}.txt").open(encoding="utf-8")) for name in names]
+    else:
+        root = Path(directory)
     table: dict[str, set[int]] = {}
-    for category_id, (_name, fh) in enumerate(readers):
-        with fh:
-            for line in fh:
-                domain = line.strip().lower()
-                if domain and not domain.startswith("#"):
-                    table.setdefault(domain, set()).add(category_id)
+    path = root
+    try:
+        names = sorted(ref.name[:-4] for ref in root.iterdir() if ref.name.endswith(".txt"))
+        for category_id, name in enumerate(names):
+            path = root / f"{name}.txt"
+            with path.open(encoding="utf-8") as fh:
+                for line in fh:
+                    domain = line.strip().lower()
+                    if domain and not domain.startswith("#"):
+                        table.setdefault(domain, set()).add(category_id)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read UT1 list {path}: {exc}") from exc
     return table, names
 
 

@@ -160,7 +160,7 @@ def load_wordlist(path) -> frozenset[str]:
     try:
         with open(path, encoding="utf-8") as fh:
             entries = [line.strip() for line in fh]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read word list {path}: {exc}") from exc
     return frozenset(
         normalize(e) for e in entries if e and not e.startswith("#")

@@ -1,7 +1,8 @@
 """Independent brute-force reference implementations of the quality
 signals, written against the documented conventions rather than the
 library code. Tests compare library output against these for
-bit-identical agreement."""
+bit-identical agreement. The schema-invariant checkers and `kn_prob` at
+the end are the checks that only tests need."""
 
 from __future__ import annotations
 
@@ -400,3 +401,82 @@ class OracleKneserNey:
             h = tuple(mapped[max(0, i - self.order + 1):i])
             total += math.log(self._prob(w, h, len(h) + 1))
         return total
+
+
+def kn_prob(lm, word: str, history) -> float:
+    """P(word | history) under a corpusforge KneserNeyLM, read through
+    its packed tables: histories longer than order-1 are truncated, and
+    out-of-vocabulary tokens map to the unknown symbol."""
+    unk = lm.ids["<unk>"]
+    h = [lm.ids.get(t, unk) for t in history][-(lm.order - 1):] if lm.order > 1 else []
+    ctx = 0
+    for i in h:
+        ctx = ctx * lm.base + i
+    return lm._prob_at(lm.ids.get(word, unk), ctx, len(h))
+
+
+# ---------------------------------------------------------------------------
+# Schema invariants of documents and signal records. Reading a record
+# does not check them; tests do, on the records the library writes.
+
+LANGUAGES = ("en", "de", "fr", "es", "it")
+BUCKETS = ("head", "middle", "tail")
+
+
+def document_invariant_warnings(doc) -> list[str]:
+    """The schema invariants a Document violates."""
+    warnings = []
+    nlines = doc.raw_content.count("\n") + 1 if doc.raw_content else 0
+    if doc.nlines != nlines:
+        warnings.append(f"nlines={doc.nlines} but raw_content has {nlines} lines")
+    if doc.length != len(doc.raw_content):
+        warnings.append(
+            f"length={doc.length} but raw_content has {len(doc.raw_content)} characters"
+        )
+    if len(doc.line_ids) != doc.nlines:
+        warnings.append(f"line_ids has {len(doc.line_ids)} entries, nlines={doc.nlines}")
+    if any(b <= a for a, b in zip(doc.line_ids, doc.line_ids[1:])):
+        warnings.append("line_ids is not strictly increasing")
+    if any(i >= doc.original_nlines for i in doc.line_ids):
+        warnings.append("line_ids entry >= original_nlines")
+    if doc.original_nlines < doc.nlines:
+        warnings.append("original_nlines < nlines")
+    if doc.original_length < doc.length:
+        warnings.append("original_length < length")
+    if doc.bucket not in BUCKETS:
+        warnings.append(f"unknown bucket {doc.bucket!r}")
+    if doc.language not in LANGUAGES:
+        warnings.append(f"unknown language {doc.language!r}")
+    return warnings
+
+
+def signal_invariant_warnings(record, doc_length: int | None = None) -> list[str]:
+    """The shape invariants a QualitySignalSet violates: line signals
+    tile the document, other non-categorical signals carry one triple
+    spanning it."""
+    # imported here: perfbench imports this module without src/ on the path
+    from corpusforge.signal_catalog import CATEGORICAL_SIGNALS, LINE_SIGNALS
+
+    warnings = []
+    for name, triples in record.quality_signals.items():
+        for start, end, _score in triples:
+            if start > end:
+                warnings.append(f"{name}: start {start} > end {end}")
+        if name in CATEGORICAL_SIGNALS:
+            continue
+        if name in LINE_SIGNALS:
+            pos = 0
+            for start, end, _score in triples:
+                if start != pos:
+                    warnings.append(f"{name}: spans do not tile (gap at {pos})")
+                    break
+                pos = end
+            if doc_length is not None and triples and pos != doc_length:
+                warnings.append(f"{name}: spans end at {pos}, not {doc_length}")
+        elif len(triples) != 1:
+            warnings.append(f"{name}: expected one document-level triple")
+        elif doc_length is not None:
+            start, end, _score = triples[0]
+            if (start, end) != (0, doc_length):
+                warnings.append(f"{name}: span ({start},{end}) != (0,{doc_length})")
+    return warnings

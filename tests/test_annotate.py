@@ -13,6 +13,7 @@ from corpusforge.mlmodels import train_classifier, train_hashed_lm
 from corpusforge.signal_catalog import SIGNAL_GROUPS
 
 from conftest import make_doc
+from oracles import signal_invariant_warnings
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +52,7 @@ def test_compute_signals_shapes(resources):
     assert record.id == f"{doc.cc_segment}/3" and record.id_int == 3
     assert record.metadata["snapshot_id"] == "2023-14"
     assert record.metadata["language"] == "en"
-    assert record.invariant_warnings(doc_length=len(text)) == []
+    assert signal_invariant_warnings(record, doc_length=len(text)) == []
     # document-level signals span the whole document
     start, end, score = record.quality_signals["rps_doc_word_count"][0]
     assert (start, end) == (0, len(text)) and score == 11.0

@@ -269,6 +269,18 @@ def test_config_file_and_unknown_key(tmp_path, corpus):
                  id="rule-signal-not-string"),
     pytest.param({}, None, ["dedup", "--mode", "fuzzy", "--jaccard", "1.5"],
                  id="jaccard-above-1"),
+    pytest.param({}, None, ["annotate", "--config", "unreadable/config.json"],
+                 id="config-not-utf8"),
+    pytest.param({}, None, ["filter", "--preset", "unreadable/rules.json"],
+                 id="rule-file-not-utf8"),
+    pytest.param({"CORPUSFORGE_MODELS": '{"kn_lm": "unreadable/model.json"}'}, None,
+                 ["annotate"], id="model-file-not-utf8"),
+    pytest.param({"CORPUSFORGE_STOPWORD_DIR": "unreadable/stopwords"}, None, ["annotate"],
+                 id="stopword-list-not-utf8"),
+    pytest.param({"CORPUSFORGE_UT1_DIR": "unreadable/ut1"}, None, ["annotate"],
+                 id="ut1-file-not-utf8"),
+    pytest.param({"CORPUSFORGE_UT1_DIR": "unreadable/ut1_dir"}, None, ["annotate"],
+                 id="ut1-txt-is-a-directory"),
 ])
 def test_bad_config_exits_1_with_one_error_line(corpus, tmp_path, env, config, argv):
     # the corpus carries the default signals, which have no rps_code_*
@@ -282,6 +294,13 @@ def test_bad_config_exits_1_with_one_error_line(corpus, tmp_path, env, config, a
     (tmp_path / "rules_doc_rules_int.json").write_text('{"doc_rules": 5}')
     (tmp_path / "rules_signal_list.json").write_text(
         '{"doc_rules": [{"signal": ["rps_doc_word_count"], "op": "<", "value": 5}]}')
+    # Latin-1 files where UTF-8 is expected, and a UT1 category that is a
+    # directory
+    bad = tmp_path / "unreadable"
+    for name in ("config.json", "rules.json", "model.json", "stopwords/en.txt", "ut1/adult.txt"):
+        (bad / name).parent.mkdir(parents=True, exist_ok=True)
+        (bad / name).write_bytes(b"caf\xe9\n")
+    (bad / "ut1_dir" / "adult.txt").mkdir(parents=True)
     argv = [*argv, "--input", corpus, "--output", str(tmp_path / "out")]
     if config is not None:
         path = tmp_path / "cfg.json"
@@ -294,6 +313,10 @@ def test_bad_config_exits_1_with_one_error_line(corpus, tmp_path, env, config, a
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
     if argv[1] == "--preset" and argv[2].endswith(".json"):
         assert argv[2] in lines[0], proc.stderr  # the error names the rule file
+    for value in [*argv, *env.values()]:
+        for word in value.split('"'):
+            if word.startswith("unreadable/"):
+                assert word in lines[0], proc.stderr  # and the unreadable file
 
 
 def _run_cli(argv, env, cwd):
@@ -644,7 +667,6 @@ def test_train_commands(tmp_path, capsys):
                  "--model-output", clf_path, "--epochs", "5"]) == 0
     assert "training accuracy 1.0000" in capsys.readouterr().out
 
-    # distinct texts so calibration sees distinct perplexities
     corpus = jsonl(
         "corpus.jsonl",
         [
@@ -661,11 +683,6 @@ def test_train_commands(tmp_path, capsys):
     kn_path = str(tmp_path / "kn.json")
     assert main(["train", "kn_lm", "--corpus", corpus,
                  "--model-output", kn_path, "--order", "3"]) == 0
-
-    cut_path = str(tmp_path / "cutoffs.json")
-    assert main(["train", "calibrate_buckets", "--corpus", corpus, "--kn-model", kn_path,
-                 "--model-output", cut_path]) == 0
-    assert json.loads((tmp_path / "cutoffs.json").read_text())["kind"] == "bucket_cutoffs"
 
     # missing required argument -> config error
     assert main(["train", "classifier", "--model-output", clf_path]) == 1

@@ -23,13 +23,14 @@ from corpusforge.records import (
 )
 
 from conftest import make_doc
+from oracles import document_invariant_warnings, signal_invariant_warnings
 
 
 def test_document_roundtrip():
     doc = make_doc("Hello there.\nSecond line.")
     parsed = parse_document(doc.to_json())
     assert parsed == doc
-    assert parsed.invariant_warnings() == []
+    assert document_invariant_warnings(parsed) == []
 
 
 def test_parse_document_errors():
@@ -61,6 +62,16 @@ def test_parse_document_rejects_lone_surrogates():
     assert parse_document(json.dumps(record)).raw_content == "pair \U0001f600 and naïve"
 
 
+@pytest.mark.parametrize("escape", ["\\ud800", "\\uD800", "\\uDfFf", "\\uDE00\\uD83D"])
+def test_lone_surrogate_escape_in_either_case_is_found(escape):
+    # the scan runs only on lines holding a "\\ud" or "\\uD" escape
+    line = make_doc("fine").to_json().replace('"fine"', f'"a{escape}b"')
+    with pytest.raises(RecordError, match="field raw_content holds a lone surrogate"):
+        parse_document(line)
+    line = line.replace(escape, "\\uD83D\\uDE00")
+    assert parse_document(line).raw_content == "a\U0001f600b"
+
+
 def test_parse_document_title_optional_and_int_as_float():
     record = json.loads(make_doc("x").to_json())
     del record["title"]
@@ -72,7 +83,7 @@ def test_parse_document_title_optional_and_int_as_float():
 
 def test_invariant_warnings_flag_mismatches():
     doc = make_doc("a\nb", nlines=5, length=99, bucket="weird")
-    warnings = doc.invariant_warnings()
+    warnings = document_invariant_warnings(doc)
     assert any("nlines" in w for w in warnings)
     assert any("length" in w for w in warnings)
     assert any("bucket" in w for w in warnings)
@@ -116,12 +127,12 @@ def test_signal_record_roundtrip_and_invariants(tmp_path):
     assert parsed.quality_signals == {
         name: [list(t) for t in triples] for name, triples in rec.quality_signals.items()
     }
-    assert rec.invariant_warnings(doc_length=10) == []
+    assert signal_invariant_warnings(rec, doc_length=10) == []
     bad = QualitySignalSet(
         id="x", id_int=0, metadata={},
         quality_signals={"rps_lines_num_words": [(0, 4, 2.0), (5, 10, 1.0)]},
     )
-    assert any("tile" in w for w in bad.invariant_warnings(doc_length=10))
+    assert any("tile" in w for w in signal_invariant_warnings(bad, doc_length=10))
     write_jsonl_gz(path, ['{"id": "x"}'])
     with pytest.raises(DataError, match=f"{path}: line 1: quality_signals"):
         read_signals(path, ["x"])
@@ -176,4 +187,4 @@ def test_rewrite_document():
     assert out.line_ids == [0, 2]
     assert out.digest == content_digest("keep\nalso keep") != doc.digest
     assert out.original_nlines == doc.original_nlines
-    assert out.invariant_warnings() == []
+    assert document_invariant_warnings(out) == []
