@@ -24,14 +24,14 @@ from .signal_catalog import (
 from .signals import (
     Blocklist,
     code_signals,
+    compile_blocklist,
     content_signals,
     doc_natlang_signals,
     doc_repetition_signals,
     line_signals,
-    load_ldnoobw,
     load_ut1,
 )
-from .textnorm import analyze, load_stopwords
+from .textnorm import analyze, load_language_wordlist
 
 _BUCKET_CODES = {"head": 0.0, "middle": 1.0, "tail": 2.0}
 
@@ -65,14 +65,16 @@ class SignalResources:
     provenance: str = "corpusforge"
 
     @classmethod
-    def load_default(cls, languages=("en",), stopword_paths=None,
+    def load_default(cls, languages=("en",), stopword_dir=None,
                      ldnoobw_dir=None, ut1_dir=None) -> "SignalResources":
+        """The word lists of `languages` and the UT1 table, each from its
+        directory when one is given, else the vendored copy."""
         res = cls()
         for lang in languages:
-            path = (stopword_paths or {}).get(lang)
-            res.stopwords[lang] = load_stopwords(lang, path)
-            res.ldnoobw[lang] = load_ldnoobw(lang, ldnoobw_dir)
-        res.ut1, _ = load_ut1(ut1_dir)
+            res.stopwords[lang] = load_language_wordlist("stopwords", lang, stopword_dir)
+            res.ldnoobw[lang] = compile_blocklist(
+                load_language_wordlist("ldnoobw", lang, ldnoobw_dir))
+        res.ut1 = load_ut1(ut1_dir)
         return res
 
 
@@ -94,7 +96,6 @@ def resolve_signal_names(selection) -> list[str]:
 
 
 DEFAULT_SIGNALS = ("ccnet", "natlang", "repetition", "content", "lines")
-_DEFAULT_NAMES = frozenset(resolve_signal_names(DEFAULT_SIGNALS))
 
 
 def _for_language(table: dict, language: str, what: str):
@@ -115,19 +116,16 @@ def _url_path(url: str) -> str:
 def compute_signals(
     doc: Document,
     res: SignalResources,
-    names=None,
+    names,
     *,
     ordinal: int,
     snapshot_id: str = "",
 ) -> QualitySignalSet:
     """Signals of the document at position `ordinal` of its shard.
-    `names` may hold group names; a caller that annotates many documents
-    passes the resolve_signal_names result, so that only signal names
-    remain and nothing is resolved per document. None means the default
-    groups."""
-    wanted = _DEFAULT_NAMES if names is None else frozenset(names)
-    if not wanted <= ALL_SIGNALS:
-        wanted = frozenset(resolve_signal_names(names))
+    `names` are signal names, as resolve_signal_names returns them. `res`
+    holds a model for every requested ML signal (load_resources checks
+    that at startup)."""
+    wanted = frozenset(names)
     view = analyze(doc.raw_content)
     values: dict = {
         "ccnet_bucket": _BUCKET_CODES.get(doc.bucket, 2.0),
@@ -144,34 +142,27 @@ def compute_signals(
     }
     if not wanted.isdisjoint(NATLANG_SIGNALS):
         stop = _for_language(res.stopwords, doc.language, "stop-word list")
-        values.update(doc_natlang_signals(doc, view, stop))
+        values.update(doc_natlang_signals(view, stop))
     if not wanted.isdisjoint(REPETITION_SIGNALS):
         values.update(doc_repetition_signals(view))
     if not wanted.isdisjoint(CONTENT_SIGNALS):
         blocklist = _for_language(res.ldnoobw, doc.language, "LDNOOBW blocklist")
-        values.update(content_signals(doc, view, blocklist, res.ut1))
+        values.update(content_signals(view, doc.source_domain, blocklist, res.ut1))
     if not wanted.isdisjoint(LINE_SIGNALS):
-        values.update(line_signals(doc, view))
+        values.update(line_signals(view))
     if not wanted.isdisjoint(CODE_SIGNALS):
-        values.update(code_signals(_url_path(doc.url), doc.raw_content))
+        values.update(code_signals(_url_path(doc.url), view))
     # the classifiers and the importance models share the word hashes
     word_hashes = (
         fnv1a64_batch(view.word_texts) if not wanted.isdisjoint(ML_SIGNALS) else None
     )
     for name, key in CLASSIFIER_SIGNALS.items():
-        if name not in wanted:
-            continue
-        clf = res.classifiers.get(key)
-        if clf is None:
-            raise ConfigError(f"signal {name} requested but no model loaded")
-        values[name] = clf.score_words(view.word_texts, word_hashes)
+        if name in wanted:
+            values[name] = res.classifiers[key].score_words(view.word_texts, word_hashes)
     for name, key in IMPORTANCE_SIGNALS.items():
-        if name not in wanted:
-            continue
-        pair = res.importance_models.get(key)
-        if pair is None:
-            raise ConfigError(f"signal {name} requested but no model pair loaded")
-        values[name] = dsir_importance(view.word_texts, pair[0], pair[1], word_hashes)
+        if name in wanted:
+            target, source = res.importance_models[key]
+            values[name] = dsir_importance(view.word_texts, target, source, word_hashes)
 
     length = len(doc.raw_content)
     signals: dict[str, list[tuple[int, int, float]]] = {}
@@ -188,10 +179,9 @@ def compute_signals(
         else:
             signals[name] = [(0, length, float(value))]
 
-    doc_id, id_int = document_id(doc, ordinal)
     return QualitySignalSet(
-        id=doc_id,
-        id_int=id_int,
+        id=document_id(doc, ordinal),
+        id_int=ordinal,
         metadata={
             "cc_segment": doc.cc_segment,
             "cc_net_source": res.provenance,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import warnings
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -62,11 +62,11 @@ class BloomFilter:
         self.inserted_count += 1
         if self.inserted_count > self.capacity and not self._warned:
             self._warned = True
-            warnings.warn(
-                f"bloom filter past design capacity {self.capacity} "
+            print(
+                f"warning: bloom filter past design capacity {self.capacity} "
                 f"(fill ratio {self.fill_ratio():.3f}); false-positive rate "
                 "will exceed the target",
-                stacklevel=2,
+                file=sys.stderr,
             )
 
     def __contains__(self, key: str) -> bool:

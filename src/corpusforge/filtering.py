@@ -10,6 +10,7 @@ heuristics configurations.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -134,9 +135,7 @@ def compile_ruleset(config: dict, name: str = "custom") -> Ruleset:
                 else:
                     rs.doc_rules.append(rule)
     if not rs.doc_rules and not rs.line_rules:
-        import warnings
-
-        warnings.warn(f"ruleset {rs.name!r} is empty", stacklevel=2)
+        print(f"warning: ruleset {rs.name!r} is empty", file=sys.stderr)
     return rs
 
 

@@ -104,11 +104,9 @@ def _packed_grams(seq: list[int], k: int, base: int) -> list[int]:
 def train_kn_lm(
     tokens: list[str],
     order: int = DEFAULT_ORDER,
-    discount: float = DEFAULT_DISCOUNT,
     include_unk: bool = True,
 ) -> KneserNeyLM:
-    if not 0.0 < discount < 1.0:
-        raise ConfigError("discount must be in (0, 1)")
+    """The model of `tokens`, discounted by DEFAULT_DISCOUNT."""
     if order < 1:
         raise ConfigError("order must be >= 1")
     if len(tokens) < order:
@@ -125,7 +123,7 @@ def train_kn_lm(
     for k in range(order - 1, 0, -1):
         span = base ** k
         grams[k] = Counter(g % span for g in set(_packed_grams(seq, k + 1, base)))
-    return _build_lm(order, discount, ids, include_unk or UNK in vocab, grams)
+    return _build_lm(order, DEFAULT_DISCOUNT, ids, include_unk or UNK in vocab, grams)
 
 
 def _vocab_ids(vocab: set[str]) -> dict[str, int]:
@@ -136,7 +134,10 @@ def _vocab_ids(vocab: set[str]) -> dict[str, int]:
 def _build_lm(order: int, discount: float, ids: dict[str, int], unk_in_vocab: bool,
               grams: dict[int, dict[int, int]]) -> KneserNeyLM:
     """The model with its history and order-1 tables derived from
-    `grams`; ConfigError when the histories are not suffix-closed."""
+    `grams`; ConfigError when the discount is outside (0, 1) or the
+    histories are not suffix-closed."""
+    if not 0.0 < discount < 1.0:
+        raise ConfigError(f"discount must be in (0, 1), got {discount!r}")
     base = len(ids)
     histories: dict[int, dict[int, tuple[int, float]]] = {}
     for k in range(1, order + 1):
@@ -215,7 +216,8 @@ def kn_payload(lm: KneserNeyLM) -> dict:
 def kn_from_payload(payload: dict) -> KneserNeyLM:
     """The model of a kn_payload dict, packed straight from its string
     keys. ValueError/KeyError when a gram does not fit its order or
-    vocabulary, ConfigError when the histories are not suffix-closed."""
+    vocabulary, ConfigError when the discount is outside (0, 1) or the
+    histories are not suffix-closed."""
     order = payload["order"]
     vocab = set(payload["vocab"])
     ids = _vocab_ids(vocab)

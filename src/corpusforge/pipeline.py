@@ -289,14 +289,7 @@ def _load_model_as(path: str, kind: str, from_payload):
 def load_resources(cfg: PipelineConfig) -> annotate_mod.SignalResources:
     res = annotate_mod.SignalResources.load_default(
         languages=tuple(cfg.languages),
-        stopword_paths=(
-            {
-                lang: os.path.join(cfg.stopword_dir, f"{lang}.txt")
-                for lang in cfg.languages
-            }
-            if cfg.stopword_dir
-            else None
-        ),
+        stopword_dir=cfg.stopword_dir or None,
         ldnoobw_dir=cfg.ldnoobw_dir or None,
         ut1_dir=cfg.ut1_dir or None,
     )
@@ -350,7 +343,7 @@ def cmd_annotate(cfg: PipelineConfig) -> dict:
         docs = read_documents(path)
         lines = (
             annotate_mod.compute_signals(
-                doc, res, names=names, ordinal=i, snapshot_id=addr.snapshot_id
+                doc, res, names, ordinal=i, snapshot_id=addr.snapshot_id
             ).to_json()
             for i, doc in enumerate(docs)
         )
@@ -389,7 +382,7 @@ def _dedup_exact(cfg: PipelineConfig) -> dict:
     def job(shard: tuple[str, ShardAddress, str]):
         rel, addr, path = shard
         docs = read_documents(path)
-        return addr, [(document_id(doc, i)[0], rel, doc.digest) for i, doc in enumerate(docs)]
+        return addr, [(document_id(doc, i), rel, doc.digest) for i, doc in enumerate(docs)]
 
     for addr, entries in _run_shard_jobs(cfg, discover_document_shards(cfg), job):
         records = dedup_mod.exact_dedup_pass(entries, bloom)
@@ -422,7 +415,7 @@ def _dedup_fuzzy(cfg: PipelineConfig) -> dict:
     def job(shard: tuple[str, ShardAddress, str]):
         rel, addr, path = shard
         docs = read_documents(path)
-        ids = [document_id(doc, i)[0] for i, doc in enumerate(docs)]
+        ids = [document_id(doc, i) for i, doc in enumerate(docs)]
         slots, sigs = dedup_mod.content_signatures([doc.raw_content for doc in docs])
         out_path = os.path.join(cfg.output_root, shard_path(addr, "minhash"))
         write_jsonl_gz(out_path, (
@@ -496,7 +489,7 @@ def cmd_filter(cfg: PipelineConfig) -> dict:
         if _output_exists(out_path, cfg.force):
             return None
         docs = read_documents(path)
-        ids = [document_id(doc, i)[0] for i, doc in enumerate(docs)]
+        ids = [document_id(doc, i) for i, doc in enumerate(docs)]
         signals = None
         if rs.doc_rules or rs.line_rules:
             sig_path = os.path.join(cfg.input_root, shard_path(addr, "quality_signals"))
@@ -564,7 +557,7 @@ def cmd_stats(cfg: PipelineConfig, as_json: bool = False) -> dict:
             words = len(doc.raw_content.split())
             part = "tail" if doc.bucket == "tail" else "head_middle"
             cols = ["all", part]
-            if part == "head_middle" and document_id(doc, i)[0] not in duplicates:
+            if part == "head_middle" and document_id(doc, i) not in duplicates:
                 cols.append("head_middle_dedupe")
             for c in cols:
                 counts[c][0] += 1

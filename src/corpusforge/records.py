@@ -126,10 +126,10 @@ def content_digest(raw: str) -> str:
     return "sha256:" + hashlib.sha256(raw.encode("utf-8")).hexdigest()
 
 
-def document_id(doc: Document, ordinal: int) -> tuple[str, int]:
-    """(id, id_int) of the document at position `ordinal` of its shard:
-    "<cc_segment>/<ordinal>" and the ordinal."""
-    return f"{doc.cc_segment}/{ordinal}", ordinal
+def document_id(doc: Document, ordinal: int) -> str:
+    """The id of the document at position `ordinal` of its shard:
+    "<cc_segment>/<ordinal>"."""
+    return f"{doc.cc_segment}/{ordinal}"
 
 
 @dataclass

@@ -2,10 +2,12 @@
 
 Document-level natural-language signals, word n-gram repetition
 statistics, blocklist content signals, per-line signals, and the code
-file heuristics. Raw-text-based rows (curly brackets, all-caps words,
-uppercase fraction) use the raw content; the rest use the normalized
-view. All ratio signals are defined as 0 when their denominator is 0 so
-every signal is total and filterable.
+file heuristics. Every group reads one document's TokenizedView (see
+textnorm.analyze) and splits nothing again. Raw-text-based rows (curly
+brackets, all-caps words, uppercase fraction, line lengths) use
+view.text and view.raw_lines; the rest use the normalized text. All
+ratio signals are defined as 0 when their denominator is 0 so every
+signal is total and filterable.
 """
 
 from __future__ import annotations
@@ -18,8 +20,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import ConfigError
-from .records import Document
-from .textnorm import TokenizedView, load_wordlist, normalized_word_positions
+from .textnorm import TokenizedView, normalized_word_positions, split_sentences
 
 ELLIPSIS_SUFFIXES = ("...", "…")
 
@@ -52,15 +53,17 @@ def _is_all_caps(word: str) -> bool:
     return word.isalpha() and all(map(str.isupper, word))
 
 
-def doc_natlang_signals(
-    doc: Document, view: TokenizedView, stopwords: frozenset[str]
-) -> dict[str, float]:
-    raw = doc.raw_content
+def _mean_line_length(lines: list[str]) -> float:
+    return sum(map(len, lines)) / len(lines) if lines else 0.0
+
+
+def doc_natlang_signals(view: TokenizedView, stopwords: frozenset[str]) -> dict[str, float]:
+    raw = view.text
     words = view.word_texts
     word_count = len(words)
     raw_words = raw.split()
 
-    raw_lines = raw.split("\n") if raw else []
+    raw_lines = view.raw_lines
     ellipsis_lines = sum(
         1 for line in raw_lines if line.rstrip().endswith(ELLIPSIS_SUFFIXES)
     )
@@ -114,13 +117,9 @@ def doc_natlang_signals(
         ),
         "rps_doc_unigram_entropy": entropy,
         "rps_doc_word_count": float(word_count),
-        "rps_doc_num_sentences": float(view.sentences_count),
+        "rps_doc_num_sentences": float(split_sentences(raw)),
         "rps_doc_stop_word_count": float(stop_count),
-        "rps_doc_mean_line_length": (
-            sum(map(len, raw_lines)) / len(raw_lines)
-            if raw_lines
-            else 0.0
-        ),
+        "rps_doc_mean_line_length": _mean_line_length(raw_lines),
     }
 
 
@@ -268,37 +267,23 @@ def ut1_categories(domain: str, table: dict[str, set[int]]) -> list[int]:
 
 
 def content_signals(
-    doc: Document,
     view: TokenizedView,
+    source_domain: str,
     ldnoobw: Blocklist,
     ut1: dict[str, set[int]],
 ) -> dict:
-    """The blocklist phrase count and the UT1 category ids (a list)."""
+    """The blocklist phrase count and the UT1 category ids (a list) of
+    the source domain."""
     return {
         "rps_doc_ldnoobw_words": count_blocklist_phrases(view.word_texts, ldnoobw),
-        "rps_doc_ut1_blacklist": ut1_categories(doc.source_domain, ut1),
+        "rps_doc_ut1_blacklist": ut1_categories(source_domain, ut1),
     }
 
 
-def load_ldnoobw(language: str, directory=None) -> Blocklist:
-    """Per-language blocklist, one phrase per line, compiled once here
-    rather than per document."""
-    if directory is not None:
-        path = os.path.join(directory, f"{language}.txt")
-        if not os.path.exists(path):
-            raise ConfigError(f"missing LDNOOBW blocklist {path}")
-        return compile_blocklist(load_wordlist(path))
-    ref = resources.files("corpusforge") / "data" / "ldnoobw" / f"{language}.txt"
-    if not ref.is_file():
-        raise ConfigError(f"no vendored LDNOOBW list for language {language!r}")
-    with resources.as_file(ref) as p:
-        return compile_blocklist(load_wordlist(p))
-
-
-def load_ut1(directory=None) -> tuple[dict[str, set[int]], list[str]]:
+def load_ut1(directory=None) -> dict[str, set[int]]:
     """UT1-style blocklist: a directory of category files, one domain per
-    line. Category ids are assigned by sorted category-name order;
-    returns (domain -> ids, category names by id)."""
+    line. Returns domain -> category ids, assigned in sorted
+    category-name order."""
     if directory is None:
         root = resources.files("corpusforge") / "data" / "ut1"
     else:
@@ -316,22 +301,20 @@ def load_ut1(directory=None) -> tuple[dict[str, set[int]], list[str]]:
                         table.setdefault(domain, set()).add(category_id)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read UT1 list {path}: {exc}") from exc
-    return table, names
+    return table
 
 
 # ---------------------------------------------------------------------------
 # Line-level signals
 
 
-def line_signals(doc: Document, view: TokenizedView) -> dict[str, list]:
-    """Per-line values, one per span of view.lines. The raw-text values
-    read the line itself; the word and digit values read its normalized
-    text from view.normalized_lines."""
-    raw = doc.raw_content
+def line_signals(view: TokenizedView) -> dict[str, list]:
+    """Per-line values, one per line of view.raw_lines. The raw-text
+    values read the line itself; the word and digit values read its
+    normalized text from view.normalized_lines."""
     terminal, javascript, num_words = [], [], []
     numerical, bullet, uppercase = [], [], []
-    for (start, end), norm in zip(view.lines, view.normalized_lines):
-        line = raw[start:end].rstrip("\n")
+    for line, norm in zip(view.raw_lines, view.normalized_lines):
         stripped = line.strip()
         norm_words = norm.split()
         terminal.append(1 if stripped.endswith(TERMINAL_PUNCTUATION) else 0)
@@ -367,10 +350,11 @@ def _code_extensions() -> frozenset[str]:
         return frozenset(line.strip() for line in fh if line.strip())
 
 
-def code_signals(path: str, content: str) -> dict[str, float]:
+def code_signals(path: str, view: TokenizedView) -> dict[str, float]:
     """The raw-content metrics behind the code-file heuristics, for a
     file at `path` (annotate passes the path of the document's URL)."""
-    lines = content.split("\n") if content else []
+    content = view.text
+    lines = view.raw_lines
     tokens = content.split()
     alpha = sum(1 for ch in content if ch.isalpha())
     name = os.path.basename(path)
@@ -379,9 +363,7 @@ def code_signals(path: str, content: str) -> dict[str, float]:
     extension_ok = name in extensions or (dot >= 0 and name[dot:] in extensions)
     return {
         "rps_code_max_line_length": max((len(l) for l in lines), default=0),
-        "rps_code_avg_line_length": (
-            sum(len(l) for l in lines) / len(lines) if lines else 0.0
-        ),
+        "rps_code_avg_line_length": _mean_line_length(lines),
         "rps_code_alnum_prop": (
             sum(1 for ch in content if ch.isalnum()) / len(content)
             if content

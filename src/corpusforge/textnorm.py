@@ -22,6 +22,7 @@ Every downstream signal number depends on these conventions:
 
 from __future__ import annotations
 
+import os
 import re
 import unicodedata
 from dataclasses import dataclass
@@ -99,45 +100,43 @@ def split_sentences(text: str) -> int:
     return count
 
 
-def line_spans(text: str) -> list[tuple[int, int]]:
-    """Spans tiling [0, len(text)]: each span covers one line plus its
-    trailing newline. Line count matches text.split("\\n") (so a trailing
-    newline yields a final empty-line span); empty text has no lines."""
-    if not text:
-        return []
-    spans = []
-    start = 0
-    for line in text.split("\n"):
-        end = start + len(line) + 1
-        spans.append((start, end))
-        start = end
-    spans[-1] = (spans[-1][0], len(text))
-    return spans
-
-
 @dataclass
 class TokenizedView:
-    """Pre-tokenized view of one document, shared by all signals.
-    `normalized_lines[i]` is the normalization of the text of the span
-    `lines[i]`, and `normalized` joins the non-empty ones with a space."""
+    """One document split once and shared by every signal group.
+    `raw_lines` is `text.split("\\n")` (empty text has no lines),
+    `lines[i]` the span of raw_lines[i] and its newline (the spans tile
+    [0, len(text)]), `normalized_lines[i]` the normalization of
+    raw_lines[i], `normalized` the non-empty normalized lines joined with
+    a space, and `word_texts` its words."""
 
-    normalized: str
-    normalized_lines: list[str]
-    word_texts: list[str]
+    text: str
+    raw_lines: list[str]
     lines: list[tuple[int, int]]
-    sentences_count: int
+    normalized_lines: list[str]
+    normalized: str
+    word_texts: list[str]
 
 
 def analyze(text: str) -> TokenizedView:
-    normalized_lines = [normalize(line) for line in text.split("\n")] if text else []
+    raw_lines = text.split("\n") if text else []
+    lines = []
+    start = 0
+    for line in raw_lines:
+        end = start + len(line) + 1
+        lines.append((start, end))
+        start = end
+    if lines:
+        lines[-1] = (lines[-1][0], len(text))  # the last line has no newline
+    normalized_lines = [normalize(line) for line in raw_lines]
     norm = " ".join(n for n in normalized_lines if n)
     return TokenizedView(
-        normalized=norm,
+        text=text,
+        raw_lines=raw_lines,
+        lines=lines,
         normalized_lines=normalized_lines,
+        normalized=norm,
         # words are separated by exactly one space in the normalized text
         word_texts=norm.split(" ") if norm else [],
-        lines=line_spans(text),
-        sentences_count=split_sentences(text),
     )
 
 
@@ -167,13 +166,14 @@ def load_wordlist(path) -> frozenset[str]:
     )
 
 
-def load_stopwords(language: str, path=None) -> frozenset[str]:
-    """Stop words for one language, from `path` if given, else from the
-    vendored per-language lists."""
-    if path is not None:
-        return load_wordlist(path)
-    ref = resources.files("corpusforge") / "data" / "stopwords" / f"{language}.txt"
+def load_language_wordlist(kind: str, language: str, directory=None) -> frozenset[str]:
+    """The `kind` word list ("stopwords" or "ldnoobw") of one language:
+    `<directory>/<language>.txt` when a directory is given, else the
+    vendored data/<kind>/<language>.txt."""
+    if directory is not None:
+        return load_wordlist(os.path.join(directory, f"{language}.txt"))
+    ref = resources.files("corpusforge") / "data" / kind / f"{language}.txt"
     if not ref.is_file():
-        raise ConfigError(f"no vendored stop-word list for language {language!r}")
+        raise ConfigError(f"no vendored {kind} list for language {language!r}")
     with resources.as_file(ref) as p:
         return load_wordlist(p)

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from corpusforge.records import Document, content_digest
-from corpusforge.textnorm import load_stopwords
+from corpusforge.textnorm import load_language_wordlist
 
 # Vocabulary pools for randomized documents: ordinary words, stop words,
 # punctuation-adjacent tokens, unicode, numerics, and trigger phrases.
@@ -105,7 +105,7 @@ def make_doc(text: str, **overrides) -> Document:
 
 @pytest.fixture(scope="session")
 def en_stopwords():
-    return load_stopwords("en")
+    return load_language_wordlist("stopwords", "en")
 
 
 @pytest.fixture()

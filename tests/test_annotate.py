@@ -10,6 +10,7 @@ from corpusforge.annotate import (
 )
 from corpusforge.errors import ConfigError
 from corpusforge.mlmodels import train_classifier, train_hashed_lm
+from corpusforge.pipeline import PipelineConfig, load_resources
 from corpusforge.signal_catalog import SIGNAL_GROUPS
 
 from conftest import make_doc
@@ -40,7 +41,8 @@ def test_resolve_signal_names_expands_groups():
     ("http://[::1/app.py", 0.0),  # urlsplit rejects it: no file name
 ])
 def test_code_signals_read_the_url_path(resources, url, extension_ok):
-    record = compute_signals(make_doc("x = 1", url=url), resources, names=["code"], ordinal=0)
+    record = compute_signals(make_doc("x = 1", url=url), resources,
+                             resolve_signal_names(["code"]), ordinal=0)
     assert set(record.quality_signals) == set(SIGNAL_GROUPS["code"])
     assert record.quality_signals["rps_code_extension_ok"] == [(0, 5, extension_ok)]
 
@@ -48,7 +50,8 @@ def test_code_signals_read_the_url_path(resources, url, extension_ok):
 def test_compute_signals_shapes(resources):
     text = "First line with several words here.\nSecond line also has words."
     doc = make_doc(text)
-    record = compute_signals(doc, resources, ordinal=3, snapshot_id="2023-14")
+    record = compute_signals(doc, resources, resolve_signal_names(DEFAULT_SIGNALS),
+                             ordinal=3, snapshot_id="2023-14")
     assert record.id == f"{doc.cc_segment}/3" and record.id_int == 3
     assert record.metadata["snapshot_id"] == "2023-14"
     assert record.metadata["language"] == "en"
@@ -79,7 +82,7 @@ def test_compute_signals_subset(resources):
 
 def test_ccnet_signals_come_from_metadata(resources):
     doc = make_doc("text", bucket="middle", perplexity=123.0)
-    record = compute_signals(doc, resources, names=["ccnet"], ordinal=0)
+    record = compute_signals(doc, resources, resolve_signal_names(["ccnet"]), ordinal=0)
     assert record.quality_signals["ccnet_bucket"][0][2] == 1.0
     assert record.quality_signals["ccnet_perplexity"][0][2] == 123.0
     assert record.quality_signals["ccnet_original_length"][0][2] == float(
@@ -89,19 +92,20 @@ def test_ccnet_signals_come_from_metadata(resources):
 
 def test_ut1_blacklist_is_categorical(resources):
     doc = make_doc("text", source_domain="nsfw.example.com")
-    record = compute_signals(doc, resources, names=["content"], ordinal=0)
+    names = resolve_signal_names(["content"])
+    record = compute_signals(doc, resources, names, ordinal=0)
     triples = record.quality_signals["rps_doc_ut1_blacklist"]
     assert len(triples) == 1 and triples[0][2] == 0.0  # "adult" is category 0
-    clean = compute_signals(
-        make_doc("text"), resources, names=["content"], ordinal=0
-    )
+    clean = compute_signals(make_doc("text"), resources, names, ordinal=0)
     assert clean.quality_signals["rps_doc_ut1_blacklist"] == []
 
 
 def test_ml_signals_require_models(resources):
+    # a requested ML signal without a model fails when the resources load
+    with pytest.raises(ConfigError, match="no classifier model"):
+        load_resources(PipelineConfig(signals=["rps_doc_ml_wikiref_score"]))
+
     doc = make_doc("some text")
-    with pytest.raises(ConfigError, match="no model"):
-        compute_signals(doc, resources, names=["rps_doc_ml_wikiref_score"], ordinal=0)
 
     loaded = SignalResources.load_default(languages=("en",))
     loaded.classifiers["wikiref"] = train_classifier(
@@ -124,4 +128,4 @@ def test_ml_signals_require_models(resources):
 def test_unknown_language_fails_fast(resources):
     doc = make_doc("texto", language="es")
     with pytest.raises(ConfigError, match="stop-word"):
-        compute_signals(doc, resources, names=["natlang"], ordinal=0)
+        compute_signals(doc, resources, resolve_signal_names(["natlang"]), ordinal=0)

@@ -250,6 +250,10 @@ def test_config_file_and_unknown_key(tmp_path, corpus):
     pytest.param({}, {"workers": "2"}, ["annotate"], id="json-workers-string"),
     pytest.param({}, None, ["annotate", "--signals", "rps_doc_bogus"],
                  id="annotate-unknown-signal"),
+    pytest.param({}, None, ["annotate", "--signals", "rps_doc_ml_wikiref_score"],
+                 id="classifier-signal-without-model"),
+    pytest.param({}, None, ["annotate", "--signals", "rps_doc_books_importance"],
+                 id="importance-signal-without-model"),
     pytest.param({}, None, ["filter", "--preset", "rpv1_code"],
                  id="ruleset-needs-missing-signals"),
     pytest.param({"CORPUSFORGE_FORCE": "ture"}, None, ["annotate"], id="env-bool-typo"),
@@ -334,14 +338,15 @@ def _write_models(root):
     lm = hashed_lm_payload(train_hashed_lm([["alpha0", "beta0"]], buckets=16))
     clf = classifier_payload(train_classifier([["alpha0"]], [["delta0"]], epochs=2, dim=64))
     kn = kn_payload(train_kn_lm(LONG_A.split(), order=3))
-    kn["counts"]["2"] = {}  # order-3 histories lose their order-2 suffixes
     for name, kind, payload in [
         ("lm16.json", "hashed_lm", lm),
         ("lm32.json", "hashed_lm", hashed_lm_payload(train_hashed_lm([["x"]], buckets=32))),
         ("lm_short.json", "hashed_lm", {**lm, "counts": lm["counts"][:-1]}),
         ("clf_at_dim.json", "classifier", {**clf, "weights": {"64": 0.5}}),
         ("clf_negative.json", "classifier", {**clf, "weights": {"-1": 0.5}}),
-        ("kn_open.json", "kneser_ney", kn),
+        # order-3 histories lose their order-2 suffixes
+        ("kn_open.json", "kneser_ney", {**kn, "counts": {**kn["counts"], "2": {}}}),
+        ("kn_discount.json", "kneser_ney", {**kn, "discount": 1.5}),
     ]:
         save_model(str(root / name), kind, payload)
 
@@ -359,6 +364,8 @@ def _write_models(root):
                  "rps_doc_ml_wikiref_score", id="classifier-weight-key-negative"),
     pytest.param({"kn_lm": "kn_open.json"}, "ccnet_perplexity",
                  id="kn-not-suffix-closed"),
+    pytest.param({"kn_lm": "kn_discount.json"}, "ccnet_perplexity",
+                 id="kn-discount-out-of-range"),
 ])
 def test_malformed_model_exits_1_at_startup(corpus, tmp_path, models, signal):
     _write_models(tmp_path)

@@ -44,12 +44,14 @@ def test_bloom_sizing_and_validation():
         BloomFilter(capacity=10, error_rate=1.5)
 
 
-def test_bloom_capacity_warning():
+def test_bloom_capacity_warning(capsys):
     bloom = BloomFilter(capacity=5, error_rate=0.01)
     for i in range(5):
         bloom.add(str(i))
-    with pytest.warns(UserWarning, match="past design capacity"):
-        bloom.add("overflow")
+    bloom.add("overflow")
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("warning: bloom filter past design capacity 5 ")
 
 
 def test_exact_dedup_keeps_first_occurrence():

@@ -4,7 +4,12 @@ import json
 
 import pytest
 
-from corpusforge.annotate import SignalResources, compute_signals
+from corpusforge.annotate import (
+    DEFAULT_SIGNALS,
+    SignalResources,
+    compute_signals,
+    resolve_signal_names,
+)
 from corpusforge.errors import ConfigError
 from corpusforge.filtering import (
     PRESET_NAMES,
@@ -26,7 +31,7 @@ def resources():
 
 
 def _signals_for(doc, resources):
-    return compute_signals(doc, resources, ordinal=0)
+    return compute_signals(doc, resources, resolve_signal_names(DEFAULT_SIGNALS), ordinal=0)
 
 
 def test_compile_structured_ruleset():
@@ -52,7 +57,7 @@ def test_compile_shorthand_routes_line_signals():
     assert len(rs.doc_rules) == 1 and len(rs.line_rules) == 1
 
 
-def test_compile_errors():
+def test_compile_errors(capsys):
     with pytest.raises(ConfigError, match="unknown signal"):
         compile_ruleset({"rps_doc_word_cnt": {"<": 5}})
     with pytest.raises(ConfigError, match="unknown comparator"):
@@ -65,8 +70,8 @@ def test_compile_errors():
                 {"signal": "rps_doc_word_count", "op": "<", "value": 1}
             ]
         })
-    with pytest.warns(UserWarning, match="empty"):
-        compile_ruleset({"name": "nothing"})
+    compile_ruleset({"name": "nothing"})
+    assert capsys.readouterr().err.splitlines() == ["warning: ruleset 'nothing' is empty"]
 
 
 def test_all_presets_compile():

@@ -64,8 +64,8 @@ def test_perplexity_basics():
 def test_training_validation():
     with pytest.raises(ConfigError):
         train_kn_lm(["a"], order=5)
-    with pytest.raises(ConfigError):
-        train_kn_lm(list("abcdef"), order=2, discount=1.5)
+    with pytest.raises(ConfigError, match="discount"):
+        kn_from_payload({**kn_payload(train_kn_lm(list("abcdef"), order=2)), "discount": 1.5})
     with pytest.raises(ConfigError):
         train_kn_lm(list("abcdef"), order=0)
 

@@ -91,7 +91,7 @@ def test_invariant_warnings_flag_mismatches():
 
 def test_document_id():
     doc = make_doc("x", cc_segment="seg/a")
-    assert document_id(doc, 7) == ("seg/a/7", 7)
+    assert document_id(doc, 7) == "seg/a/7"
 
 
 def test_shard_path_roundtrip():

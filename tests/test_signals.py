@@ -1,6 +1,8 @@
 """Rule-based quality signals against the brute-force references, plus
 targeted edge cases for blocklists, line signals, and code heuristics."""
 
+from importlib import resources
+
 import pytest
 from hypothesis import example, given
 
@@ -14,43 +16,38 @@ from corpusforge.signals import (
     doc_natlang_signals,
     doc_repetition_signals,
     line_signals,
-    load_ldnoobw,
     load_ut1,
     ut1_categories,
 )
 from corpusforge.signal_catalog import SIGNAL_GROUPS
-from corpusforge.textnorm import analyze
+from corpusforge.textnorm import analyze, load_language_wordlist
 
-from conftest import make_doc, random_text, tricky_text
+from conftest import random_text, tricky_text
 
 
 def test_natlang_signals_match_oracle(rng, en_stopwords):
     for _ in range(200):
         text = random_text(rng, max_words=120)
-        doc = make_doc(text)
-        got = doc_natlang_signals(doc, analyze(text), en_stopwords)
+        got = doc_natlang_signals(analyze(text), en_stopwords)
         expected = oracles.oracle_natlang(text, en_stopwords)
         assert got == expected, text
 
 
 def test_natlang_empty_document(en_stopwords):
-    doc = make_doc("")
-    values = doc_natlang_signals(doc, analyze(""), en_stopwords)
+    values = doc_natlang_signals(analyze(""), en_stopwords)
     assert all(v == 0.0 for v in values.values())
 
 
 def test_symbol_counting_is_left_to_right():
     # "...." = one "..." match then a lone dot; "……" = two ellipsis chars
-    doc = make_doc("word .... more ……")
-    view = analyze(doc.raw_content)
-    sig = doc_natlang_signals(doc, view, frozenset())
+    view = analyze("word .... more ……")
+    sig = doc_natlang_signals(view, frozenset())
     assert sig["rps_doc_symbol_to_word_ratio"] == 3 / 2
 
 
 def test_all_caps_requires_alpha_only():
-    doc = make_doc("NASA C3PO A HTTP2 OK!")
-    view = analyze(doc.raw_content)
-    sig = doc_natlang_signals(doc, view, frozenset())
+    view = analyze("NASA C3PO A HTTP2 OK!")
+    sig = doc_natlang_signals(view, frozenset())
     # raw whitespace words: NASA, C3PO, A, HTTP2, OK! -> caps: NASA, A
     assert sig["rps_doc_frac_all_caps_words"] == 2 / 5
 
@@ -95,10 +92,17 @@ def test_blocklist_phrase_matching(en_stopwords):
     assert oracles.oracle_blocklist_count(words, phrases) == 3
 
 
+def _ut1_category_names():
+    """The vendored UT1 category names in sorted order, which is the
+    order of their ids."""
+    root = resources.files("corpusforge") / "data" / "ut1"
+    return sorted(ref.name[:-4] for ref in root.iterdir() if ref.name.endswith(".txt"))
+
+
 def test_vendored_blocklists_load():
     for lang in ("en", "de", "fr", "es", "it"):
-        assert load_ldnoobw(lang)
-    table, names = load_ut1()
+        assert compile_blocklist(load_language_wordlist("ldnoobw", lang))
+    table, names = load_ut1(), _ut1_category_names()
     assert names == sorted(names) and len(names) >= 2
     assert ut1_categories("nsfw.example.com", table) == [names.index("adult")]
     # subdomain inherits the parent domain's categories
@@ -107,10 +111,10 @@ def test_vendored_blocklists_load():
 
 
 def test_content_signals(en_stopwords):
-    table, names = load_ut1()
-    blocklist = load_ldnoobw("en")
-    doc = make_doc("nothing objectionable here", source_domain="nsfw.example.com")
-    cs = content_signals(doc, analyze(doc.raw_content), blocklist, table)
+    table, names = load_ut1(), _ut1_category_names()
+    blocklist = compile_blocklist(load_language_wordlist("ldnoobw", "en"))
+    cs = content_signals(analyze("nothing objectionable here"), "nsfw.example.com",
+                         blocklist, table)
     assert cs == {
         "rps_doc_ldnoobw_words": 0,
         "rps_doc_ut1_blacklist": [names.index("adult")],
@@ -118,14 +122,14 @@ def test_content_signals(en_stopwords):
 
 
 def test_group_keys_are_the_catalog_names(en_stopwords):
-    doc = make_doc("A first line, with words.\nA second line", source_domain="x.org")
-    view = analyze(doc.raw_content)
+    view = analyze("A first line, with words.\nA second line")
+    blocklist = compile_blocklist(load_language_wordlist("ldnoobw", "en"))
     groups = {
-        "natlang": doc_natlang_signals(doc, view, en_stopwords),
+        "natlang": doc_natlang_signals(view, en_stopwords),
         "repetition": doc_repetition_signals(view),
-        "content": content_signals(doc, view, load_ldnoobw("en"), load_ut1()[0]),
-        "lines": line_signals(doc, view),
-        "code": code_signals("pkg/module.py", doc.raw_content),
+        "content": content_signals(view, "x.org", blocklist, load_ut1()),
+        "lines": line_signals(view),
+        "code": code_signals("pkg/module.py", view),
     }
     for group, values in groups.items():
         assert tuple(values) == SIGNAL_GROUPS[group], group
@@ -134,9 +138,8 @@ def test_group_keys_are_the_catalog_names(en_stopwords):
 def test_line_signals_match_oracle(rng):
     for _ in range(200):
         text = random_text(rng, max_words=80)
-        doc = make_doc(text)
         view = analyze(text)
-        assert line_signals(doc, view) == oracles.oracle_line_signals(text)
+        assert line_signals(view) == oracles.oracle_line_signals(text)
         # spans tile the document and match nlines
         assert len(view.lines) == (len(text.split("\n")) if text else 0)
 
@@ -148,7 +151,7 @@ def test_line_signals_match_oracle(rng):
 @example("e\u0301e\u0301 x\n\n'9 -\n- j'")
 def test_line_signals_match_oracle_on_generated_text(text):
     view = analyze(text)
-    assert line_signals(make_doc(text), view) == oracles.oracle_line_signals(text)
+    assert line_signals(view) == oracles.oracle_line_signals(text)
     # the spans tile the text, one per line
     assert "".join(text[start:end] for start, end in view.lines) == text
     assert [text[start:end].removesuffix("\n") for start, end in view.lines] == (
@@ -163,8 +166,7 @@ def test_repetition_signals_match_oracle_on_generated_text(text):
 
 
 def test_line_signals_specifics():
-    doc = make_doc('He said. ”\n• bullet item\nJavaScript and javascript:\n12a')
-    ls = line_signals(doc, analyze(doc.raw_content))
+    ls = line_signals(analyze('He said. ”\n• bullet item\nJavaScript and javascript:\n12a'))
     assert ls["rps_lines_ending_with_terminal_punctution_mark"] == [1, 0, 0, 0]
     assert ls["rps_lines_start_with_bulletpoint"] == [0, 1, 0, 0]
     assert ls["rps_lines_javascript_counts"] == [0, 0, 2, 0]
@@ -172,7 +174,7 @@ def test_line_signals_specifics():
 
 
 def test_code_signals():
-    assert code_signals("pkg/module.py", "abc def\nxy") == {
+    assert code_signals("pkg/module.py", analyze("abc def\nxy")) == {
         "rps_code_max_line_length": 7,
         "rps_code_avg_line_length": (7 + 2) / 2,
         "rps_code_alnum_prop": 8 / 10,
@@ -181,7 +183,7 @@ def test_code_signals():
     }
 
     def extension_ok(path):
-        return code_signals(path, "x")["rps_code_extension_ok"]
+        return code_signals(path, analyze("x"))["rps_code_extension_ok"]
 
     assert extension_ok("Dockerfile") == 1.0
     assert extension_ok("deep/path/Makefile") == 1.0
@@ -189,7 +191,7 @@ def test_code_signals():
     assert extension_ok("noext") == 0.0
     # extension matching is case-sensitive: .C is whitelisted, .c also is
     assert extension_ok("a.C") == 1.0
-    empty = code_signals("a.py", "")
+    empty = code_signals("a.py", analyze(""))
     assert empty["rps_code_max_line_length"] == 0
     assert empty["rps_code_avg_line_length"] == 0.0
 

@@ -7,7 +7,6 @@ from oracles import oracle_normalize, oracle_sentence_count
 
 from corpusforge.textnorm import (
     analyze,
-    line_spans,
     normalize,
     normalized_word_positions,
     split_sentences,
@@ -62,7 +61,7 @@ def test_sentence_counting_matches_oracle(rng):
 
 def test_line_spans_tile_and_match_split():
     for text in ["", "a", "a\nb", "a\n", "\n", "a\n\nb\n", "x" * 5]:
-        spans = line_spans(text)
+        spans = analyze(text).lines
         assert len(spans) == (len(text.split("\n")) if text else 0)
         pos = 0
         for start, end in spans:
