@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from urllib.parse import urlsplit
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .kneser_ney import KneserNeyLM, perplexity
 from .mlmodels import HashedNgramLM, LinearClassifier, dsir_importance, fnv1a64_batch
 from .records import Document, QualitySignalSet, document_id
@@ -98,10 +98,11 @@ def resolve_signal_names(selection) -> list[str]:
 DEFAULT_SIGNALS = ("ccnet", "natlang", "repetition", "content", "lines")
 
 
-def _for_language(table: dict, language: str, what: str):
-    if language not in table:
-        raise ConfigError(f"no {what} loaded for language {language!r}")
-    return table[language]
+def _for_language(table: dict, doc: Document, doc_id: str, what: str):
+    if doc.language not in table:  # a record's fault, not the config's
+        raise DataError(
+            f"document {doc_id}: no {what} loaded for its language {doc.language!r}")
+    return table[doc.language]
 
 
 def _url_path(url: str) -> str:
@@ -126,6 +127,7 @@ def compute_signals(
     holds a model for every requested ML signal (load_resources checks
     that at startup)."""
     wanted = frozenset(names)
+    doc_id = document_id(doc, ordinal)
     view = analyze(doc.raw_content)
     values: dict = {
         "ccnet_bucket": _BUCKET_CODES.get(doc.bucket, 2.0),
@@ -141,12 +143,12 @@ def compute_signals(
         ),
     }
     if not wanted.isdisjoint(NATLANG_SIGNALS):
-        stop = _for_language(res.stopwords, doc.language, "stop-word list")
+        stop = _for_language(res.stopwords, doc, doc_id, "stop-word list")
         values.update(doc_natlang_signals(view, stop))
     if not wanted.isdisjoint(REPETITION_SIGNALS):
         values.update(doc_repetition_signals(view))
     if not wanted.isdisjoint(CONTENT_SIGNALS):
-        blocklist = _for_language(res.ldnoobw, doc.language, "LDNOOBW blocklist")
+        blocklist = _for_language(res.ldnoobw, doc, doc_id, "LDNOOBW blocklist")
         values.update(content_signals(view, doc.source_domain, blocklist, res.ut1))
     if not wanted.isdisjoint(LINE_SIGNALS):
         values.update(line_signals(view))
@@ -180,7 +182,7 @@ def compute_signals(
             signals[name] = [(0, length, float(value))]
 
     return QualitySignalSet(
-        id=document_id(doc, ordinal),
+        id=doc_id,
         id_int=ordinal,
         metadata={
             "cc_segment": doc.cc_segment,

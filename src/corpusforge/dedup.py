@@ -2,8 +2,12 @@
 banding for fuzzy dedup over signatures grouped by identity, and
 union-find clustering.
 
-MinHash "permutations" are 128 independent seeded 64-bit affine hashes
-(multiply-add over the base shingle hash, wrapping mod 2^64); the
+A shingle is a window of SHINGLE_WIDTH normalized words (a shorter
+document is one window of all its words). A window of k words w_j hashes
+to sum_j h(w_j) * _SHINGLE_MULT^(k-1-j) mod 2^64, a multiply-add over
+h = _hash64 (blake2b-64) of each word's UTF-8 bytes, so each distinct word
+of a shard is hashed once. MinHash "permutations" are 128 independent
+seeded 64-bit affine hashes of the shingle hash (a*x + b mod 2^64); the
 estimator's unbiasedness is covered by tests rather than assumed.
 """
 
@@ -17,6 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError
 from .textnorm import normalize
@@ -73,8 +78,7 @@ class BloomFilter:
         return all(self.bits[i >> 3] & (1 << (i & 7)) for i in self._indexes(key))
 
     def fill_ratio(self) -> float:
-        set_bits = sum(bin(b).count("1") for b in self.bits)
-        return set_bits / self.num_bits
+        return int.from_bytes(self.bits, "little").bit_count() / self.num_bits
 
 
 # ---------------------------------------------------------------------------
@@ -125,51 +129,52 @@ _MINHASH_SEED = 0x5EED_1A57
 _rng = np.random.default_rng(_MINHASH_SEED)
 _MH_A = (_rng.integers(0, 1 << 63, size=NUM_PERMUTATIONS, dtype=np.uint64) << np.uint64(1)) | np.uint64(1)
 _MH_B = _rng.integers(0, 1 << 63, size=NUM_PERMUTATIONS, dtype=np.uint64)
+_SHINGLE_MULT = 0x9E3779B97F4A7C15  # odd: 2^64 / golden ratio
+_WINDOW_POWERS = np.array(  # _SHINGLE_MULT^(SHINGLE_WIDTH-1), ..., ^1, ^0 mod 2^64
+    [pow(_SHINGLE_MULT, SHINGLE_WIDTH - 1 - j, 1 << 64) for j in range(SHINGLE_WIDTH)], np.uint64)
 
 
-def shingles(words: list[str]) -> set[bytes]:
-    """Consecutive word SHINGLE_WIDTH-grams of the normalized text;
-    documents shorter than that use the whole document as one shingle."""
+def shingle_hashes(words: list[str], word_hashes: dict[str, int] | None = None) -> np.ndarray:
+    """Sorted distinct hashes of the windows of the normalized words (see
+    the module docstring). `word_hashes` memoises each word's _hash64
+    across calls; content_signatures passes one dict per shard."""
     if not words:
-        return set()
-    if len(words) < SHINGLE_WIDTH:
-        return {"\x1f".join(words).encode("utf-8")}
-    return {
-        "\x1f".join(words[i : i + SHINGLE_WIDTH]).encode("utf-8")
-        for i in range(len(words) - SHINGLE_WIDTH + 1)
-    }
+        return np.empty(0, dtype=np.uint64)
+    table = {} if word_hashes is None else word_hashes
+    for word in set(words).difference(table):
+        table[word] = _hash64(word.encode("utf-8"))
+    h = np.fromiter(map(table.__getitem__, words), dtype=np.uint64, count=len(words))
+    width = min(SHINGLE_WIDTH, len(words))
+    windows = as_strided(h, (len(h) - width + 1, width), h.strides * 2, writeable=False)
+    windows = np.sort(windows @ _WINDOW_POWERS[-width:])
+    # np.sort plus a neighbour mask: np.unique costs ~6x more per call
+    return windows[np.concatenate(([True], windows[1:] != windows[:-1]))]
 
 
-def minhash_signature(shingle_set: set[bytes]) -> np.ndarray:
-    """128 uint64 minima, one per seeded affine hash. Identical shingle
-    sets yield identical signatures; an empty set maps to all-max."""
-    if not shingle_set:
-        return np.full(NUM_PERMUTATIONS, np.iinfo(np.uint64).max, dtype=np.uint64)
-    base = np.fromiter(
-        (_hash64(s) for s in shingle_set), dtype=np.uint64, count=len(shingle_set)
-    )
-    with np.errstate(over="ignore"):
-        values = base[:, None] * _MH_A[None, :] + _MH_B[None, :]
-    return values.min(axis=0)
+def minhash_signature(hashes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """128 uint64 minima of the seeded affine hashes over the shingle
+    hashes, written into `out` when given; no shingles map to all-max."""
+    values = np.multiply.outer(hashes, _MH_A)
+    values += _MH_B
+    return np.minimum.reduce(values, axis=0, initial=np.iinfo(np.uint64).max, out=out)
 
 
-def minhash_for_words(words: list[str]) -> np.ndarray:
-    return minhash_signature(shingles(words))
+def minhash_for_words(words: list[str], word_hashes: dict[str, int] | None = None,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    return minhash_signature(shingle_hashes(words, word_hashes), out)
 
 
 def content_signatures(contents: list[str]) -> tuple[list[int], np.ndarray]:
     """(slots, signatures) of a list of raw contents: the row of
     `signatures` holding the MinHash of each content's normalized words.
-    Each distinct content gets one row, computed once."""
-    slots: list[int] = []
+    Each distinct content gets one row, computed once, and each distinct
+    word is hashed once per call."""
     slot_of: dict[str, int] = {}
-    rows: list[np.ndarray] = []
-    for text in contents:
-        slot = slot_of.setdefault(text, len(rows))
-        if slot == len(rows):
-            rows.append(minhash_for_words(normalize(text).split()))
-        slots.append(slot)
-    signatures = np.stack(rows) if rows else np.empty((0, NUM_PERMUTATIONS), np.uint64)
+    slots = [slot_of.setdefault(text, len(slot_of)) for text in contents]
+    signatures = np.empty((len(slot_of), NUM_PERMUTATIONS), dtype=np.uint64)
+    word_hashes: dict[str, int] = {}
+    for row, text in enumerate(slot_of):
+        minhash_for_words(normalize(text).split(), word_hashes, signatures[row])
     return slots, signatures
 
 

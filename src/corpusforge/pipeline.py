@@ -184,15 +184,7 @@ def discover_document_shards(
             continue
         found.append((rel, addr, path))
     snap_order = {s: i for i, s in enumerate(cfg.snapshots)}
-    found.sort(
-        key=lambda item: (
-            snap_order.get(item[1].snapshot_id, len(snap_order)),
-            item[1].snapshot_id,
-            item[1].shard_id,
-            item[1].language,
-            item[1].bucket,
-        )
-    )
+    found.sort(key=lambda item: (snap_order.get(item[1].snapshot_id, len(snap_order)), item[1]))
     return found
 
 
@@ -347,7 +339,10 @@ def cmd_annotate(cfg: PipelineConfig) -> dict:
             ).to_json()
             for i, doc in enumerate(docs)
         )
-        count = write_jsonl_gz(out_path, lines)
+        try:
+            count = write_jsonl_gz(out_path, lines)
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from exc
         return rel, count
 
     counts = [count for _, count in _run_shard_jobs(cfg, shards, job)]
@@ -409,7 +404,6 @@ def _dedup_fuzzy(cfg: PipelineConfig) -> dict:
     """Shard jobs compute the signatures of each shard's distinct contents
     and write its minhash sidecar; the parent groups them in canonical
     order, then runs LSH and clustering over the whole corpus."""
-    bands, rows = dedup_mod.pick_banding(cfg.jaccard)
     shards = discover_document_shards(cfg)
 
     def job(shard: tuple[str, ShardAddress, str]):
@@ -419,9 +413,9 @@ def _dedup_fuzzy(cfg: PipelineConfig) -> dict:
         slots, sigs = dedup_mod.content_signatures([doc.raw_content for doc in docs])
         out_path = os.path.join(cfg.output_root, shard_path(addr, "minhash"))
         write_jsonl_gz(out_path, (
-            json.dumps({"doc_id": doc_id, "signature": sigs[slot].tolist(),
-                        "bands": bands, "rows": rows}, separators=(",", ":"))
-            for doc_id, slot in zip(ids, slots)
+            json.dumps({"doc_id": doc_id, "digest": doc.digest,
+                        "signature": sigs[slot].tolist()}, separators=(",", ":"))
+            for doc_id, doc, slot in zip(ids, docs, slots)
         ))
         return rel, ids, slots, sigs
 
@@ -430,6 +424,7 @@ def _dedup_fuzzy(cfg: PipelineConfig) -> dict:
         for doc_id, slot in zip(ids, slots):
             index.add(doc_id, rel, sigs[slot])
 
+    bands, rows = dedup_mod.pick_banding(cfg.jaccard)
     records, pairs = index.duplicates(bands, rows, cfg.jaccard)
     by_shard: dict[str, list] = {rel: [] for rel, _, _ in shards}
     for record in records:
@@ -445,8 +440,6 @@ def _dedup_fuzzy(cfg: PipelineConfig) -> dict:
         "documents": documents,
         "candidates": pairs,
         "duplicates": len(records),
-        "bands": bands,
-        "rows": rows,
     }
 
 

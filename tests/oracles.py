@@ -6,6 +6,7 @@ the end are the checks that only tests need."""
 
 from __future__ import annotations
 
+import hashlib
 import math
 import unicodedata
 from collections import Counter
@@ -413,6 +414,36 @@ def kn_prob(lm, word: str, history) -> float:
     for i in h:
         ctx = ctx * lm.base + i
     return lm._prob_at(lm.ids.get(word, unk), ctx, len(h))
+
+
+# ---------------------------------------------------------------------------
+# MinHash (reference): blake2b-64 of each word, each 13-word window (the
+# whole document when shorter) as the polynomial over its word hashes
+# with multiplier 0x9E3779B97F4A7C15, and per permutation (a, b) the
+# minimum of (a * window + b), all mod 2^64 in plain Python ints, given
+# the permutations' multipliers and offsets.
+
+_SHINGLE_MULT = 0x9E3779B97F4A7C15
+
+
+def oracle_minhash(words: list[str], mults, offsets) -> list[int]:
+    if not words:
+        return [_MASK64] * len(mults)
+    hashes = [
+        int.from_bytes(hashlib.blake2b(w.encode("utf-8"), digest_size=8).digest(), "little")
+        for w in words
+    ]
+    width = min(13, len(hashes))
+    windows = set()
+    for i in range(len(hashes) - width + 1):
+        h = 0
+        for x in hashes[i : i + width]:
+            h = (h * _SHINGLE_MULT + x) & _MASK64
+        windows.add(h)
+    return [
+        min((int(a) * x + int(b)) & _MASK64 for x in windows)
+        for a, b in zip(mults, offsets)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -141,14 +141,23 @@ def test_acceptance_2_bloom_error_rate():
 # 3. MinHash estimation fidelity
 
 
+def _keys(strings: set[str]) -> np.ndarray:
+    """blake2b-64 of each string, as the uint64 shingle hashes MinHash
+    takes."""
+    return np.array([
+        int.from_bytes(hashlib.blake2b(s.encode(), digest_size=8).digest(), "little")
+        for s in strings
+    ], dtype=np.uint64)
+
+
 def _jaccard_pair(level: float, tag: str, union: int = 1000):
     shared = round(level * union)
     extra_each = (union - shared) // 2
-    shared_set = {f"s{tag}-{i}".encode() for i in range(shared)}
-    a = shared_set | {f"a{tag}-{i}".encode() for i in range(extra_each)}
-    b = shared_set | {f"b{tag}-{i}".encode() for i in range(extra_each)}
+    shared_set = {f"s{tag}-{i}" for i in range(shared)}
+    a = shared_set | {f"a{tag}-{i}" for i in range(extra_each)}
+    b = shared_set | {f"b{tag}-{i}" for i in range(extra_each)}
     assert len(a & b) / len(a | b) == level
-    return a, b
+    return _keys(a), _keys(b)
 
 
 def test_acceptance_3_minhash_fidelity():

@@ -8,7 +8,7 @@ from corpusforge.annotate import (
     compute_signals,
     resolve_signal_names,
 )
-from corpusforge.errors import ConfigError
+from corpusforge.errors import ConfigError, DataError
 from corpusforge.mlmodels import train_classifier, train_hashed_lm
 from corpusforge.pipeline import PipelineConfig, load_resources
 from corpusforge.signal_catalog import SIGNAL_GROUPS
@@ -126,6 +126,7 @@ def test_ml_signals_require_models(resources):
 
 
 def test_unknown_language_fails_fast(resources):
+    # no word list loaded for the record's language: bad data, not config
     doc = make_doc("texto", language="es")
-    with pytest.raises(ConfigError, match="stop-word"):
+    with pytest.raises(DataError, match="stop-word"):
         compute_signals(doc, resources, resolve_signal_names(["natlang"]), ordinal=0)

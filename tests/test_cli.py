@@ -23,6 +23,7 @@ from corpusforge.mlmodels import (
 from corpusforge.records import (
     QualitySignalSet,
     ShardAddress,
+    content_digest,
     shard_path,
     write_jsonl_gz,
 )
@@ -112,9 +113,13 @@ def test_dedup_fuzzy_end_to_end(tmp_path, capsys):
     ]
     with gzip.open(os.path.join(root, shard_path(addr, "minhash")), "rt") as fh:
         sigs = [json.loads(line) for line in fh]
-    assert [s["doc_id"] for s in sigs] == [f"2023-14/seg0/{i}" for i in range(5)]
-    assert all(len(s["signature"]) == 128 and (s["bands"], s["rows"]) == (6, 8)
-               for s in sigs)
+    # record i is document i's, exact copies included; no banding fields
+    texts = [LONG_A, LONG_B, LONG_A, LONG_A, near]
+    for i, (sig, text) in enumerate(zip(sigs, texts, strict=True)):
+        assert list(sig) == ["doc_id", "digest", "signature"]
+        assert sig["doc_id"] == f"2023-14/seg0/{i}"
+        assert sig["digest"] == content_digest(text)
+        assert len(sig["signature"]) == 128
     assert sigs[0]["signature"] == sigs[2]["signature"] == sigs[3]["signature"]
     assert sigs[0]["signature"] != sigs[4]["signature"]
 
@@ -162,6 +167,22 @@ def test_data_error_exit_code(tmp_path, capsys):
     write_jsonl_gz(path, [make_doc("ok").to_json(), "{broken", "{also broken"])
     assert main(["annotate", "--input", root, "--output", root]) == 2
     assert "threshold" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_document_in_unloaded_language_exits_2(tmp_path, capsys, workers):
+    # an en_head shard whose second record says "pt": no stop-word or
+    # LDNOOBW list is loaded for it, which is a fault of the record
+    root = str(tmp_path / "corpus")
+    path = os.path.join(root, shard_path(ShardAddress("2023-14", 0, "en", "head"), "documents"))
+    docs = [make_doc("An English line.", cc_segment="2023-14/seg0"),
+            make_doc("Uma linha em português.", cc_segment="2023-14/seg0", language="pt")]
+    write_jsonl_gz(path, (d.to_json() for d in docs))
+    assert main(["annotate", "--workers", workers, "--input", root, "--output", root]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert path in err and "2023-14/seg0/1" in err and "'pt'" in err, err
+    assert not list(Path(root).rglob("*.tmp"))
 
 
 @pytest.mark.parametrize("total, code", [(100, 0), (99, 2)])

@@ -1,13 +1,16 @@
 """Bloom filter, MinHash/LSH, and clustering."""
 
+import hashlib
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpusforge.dedup import (
+    _MH_A,
+    _MH_B,
     BloomFilter,
     DuplicateRecord,
     SignatureGroups,
@@ -19,11 +22,12 @@ from corpusforge.dedup import (
     minhash_for_words,
     minhash_signature,
     pick_banding,
-    shingles,
+    shingle_hashes,
 )
 from corpusforge.errors import ConfigError
 from corpusforge.records import content_digest
 from corpusforge.textnorm import normalize
+from oracles import oracle_minhash
 
 
 def test_bloom_no_false_negatives():
@@ -72,10 +76,24 @@ def test_exact_dedup_keeps_first_occurrence():
 
 def test_shingles():
     words = [f"w{i}" for i in range(15)]
-    assert len(shingles(words)) == 3  # 15 - 13 + 1
+    assert len(shingle_hashes(words)) == 3  # 15 - 13 + 1
+    # repeated windows hash once
+    assert len(shingle_hashes(["x"] * 20)) == 1
     # short documents fall back to one whole-document shingle
-    assert len(shingles(["only", "two"])) == 1
-    assert shingles([]) == set()
+    assert len(shingle_hashes(["only", "two"])) == 1
+    assert shingle_hashes([]).size == 0
+    # the word-hash table is filled once per distinct word and reused
+    table = {}
+    assert np.array_equal(shingle_hashes(words + words, table), shingle_hashes(words + words))
+    assert len(table) == 15
+
+
+def _keys(strings) -> np.ndarray:
+    """blake2b-64 of each string: uint64 shingle hashes for MinHash."""
+    return np.array([
+        int.from_bytes(hashlib.blake2b(s.encode(), digest_size=8).digest(), "little")
+        for s in strings
+    ], dtype=np.uint64)
 
 
 def test_minhash_identity_and_determinism():
@@ -85,18 +103,73 @@ def test_minhash_identity_and_determinism():
     assert sig1.dtype == np.uint64 and len(sig1) == 128
     assert np.array_equal(sig1, sig2)
     assert estimate_jaccard(sig1, sig2) == 1.0
-    empty = minhash_signature(set())
+    empty = minhash_signature(np.empty(0, dtype=np.uint64))
     assert np.all(empty == np.iinfo(np.uint64).max)
 
 
 def test_estimate_jaccard_tracks_overlap():
-    base = {f"sh{i}".encode() for i in range(200)}
-    other = {f"sh{i}".encode() for i in range(100)} | {
-        f"xx{i}".encode() for i in range(100)
-    }
+    base = _keys(f"sh{i}" for i in range(200))
+    other = _keys([f"sh{i}" for i in range(100)] + [f"xx{i}" for i in range(100)])
     est = estimate_jaccard(minhash_signature(base), minhash_signature(other))
     true_j = 100 / 300
     assert abs(est - true_j) < 0.15
+
+
+_ORACLE_WORDS = ["a", "b", "ab", "é", "日本", "straße"]
+
+
+@settings(deadline=None, max_examples=60)
+@example([])
+@example(["solo"])
+@example([f"w{i}" for i in range(12)])
+@example([f"w{i}" for i in range(13)])
+@example([f"w{i}" for i in range(14)])
+@example(["ab", "b"] * 20)  # repeated windows
+@example(["naïve", "日本語", "straße", "ü"] * 5)
+@given(st.lists(st.sampled_from(_ORACLE_WORDS) | st.text(min_size=1, max_size=4),
+                max_size=40))
+def test_minhash_matches_oracle(words):
+    def oracle(ws):
+        return oracle_minhash(ws, _MH_A.tolist(), _MH_B.tolist())
+
+    assert minhash_for_words(words).tolist() == oracle(words)
+    # the production path: one signature per distinct content, words of
+    # the normalized text, one word-hash table across the call
+    text = " ".join(words)
+    other = "zz " + text
+    slots, sigs = content_signatures([text, other, text])
+    assert slots == [0, 1, 0]
+    assert sigs[0].tolist() == oracle(normalize(text).split())
+    assert sigs[1].tolist() == oracle(normalize(other).split())
+
+
+def _windows(words: list[str]) -> set[tuple[str, ...]]:
+    width = min(13, len(words))
+    return {tuple(words[i:i + width]) for i in range(len(words) - width + 1)}
+
+
+def test_minhash_for_words_is_unbiased():
+    """The shingle hash adds no bias. As in acceptance_3, 200 pairs per
+    level 0.7, 0.8 and 0.9: random word sequences and copies with one to
+    three words replaced, sized so that the window-Jaccard is near the
+    level, and the truth computed from the window tuples."""
+    rng = random.Random(15)
+    for level in (0.7, 0.8, 0.9):
+        errors = []
+        for i in range(200):
+            edits = 1 + i % 3  # each changes 13 windows of each sequence
+            n = round(13 * edits * (1 + level) / (1 - level)) + 12
+            base = [f"v{rng.randrange(10_000)}" for _ in range(n)]
+            other = list(base)
+            for k in range(edits):
+                other[(k + 1) * n // (edits + 1)] = f"edit{i}.{k}"
+            wa, wb = _windows(base), _windows(other)
+            truth = len(wa & wb) / len(wa | wb)
+            assert abs(truth - level) < 0.01
+            est = estimate_jaccard(minhash_for_words(base), minhash_for_words(other))
+            errors.append(est - truth)
+        assert abs(sum(errors) / len(errors)) <= 0.02, level
+        assert max(abs(e) for e in errors) <= 0.15, level
 
 
 def test_pick_banding():
