@@ -9,7 +9,7 @@ from urllib.parse import urlsplit
 from .errors import ConfigError, DataError
 from .kneser_ney import KneserNeyLM, perplexity
 from .mlmodels import HashedNgramLM, LinearClassifier, dsir_importance, fnv1a64_batch
-from .records import Document, QualitySignalSet, document_id
+from .records import Document, QualitySignalSet
 from .signal_catalog import (
     ALL_SIGNALS,
     CATEGORICAL_SIGNALS,
@@ -119,15 +119,15 @@ def compute_signals(
     res: SignalResources,
     names,
     *,
+    doc_id: str,
     ordinal: int,
     snapshot_id: str = "",
 ) -> QualitySignalSet:
-    """Signals of the document at position `ordinal` of its shard.
-    `names` are signal names, as resolve_signal_names returns them. `res`
-    holds a model for every requested ML signal (load_resources checks
-    that at startup)."""
+    """Signals of the document `doc_id` at position `ordinal` of its
+    shard. `names` are signal names, as resolve_signal_names returns
+    them. `res` holds a model for every requested ML signal
+    (load_resources checks that at startup)."""
     wanted = frozenset(names)
-    doc_id = document_id(doc, ordinal)
     view = analyze(doc.raw_content)
     values: dict = {
         "ccnet_bucket": _BUCKET_CODES.get(doc.bucket, 2.0),

@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Subcommands: annotate, dedup, filter, stats, train. Exit
-codes: 0 success, 1 configuration error, 2 data error. Every option can
+Subcommands: annotate, dedup, filter, stats, train. Exit codes: 0
+success, 1 configuration or usage error, 2 data error. Every option can
 also come from a JSON config file (--config) or a CORPUSFORGE_* env
 variable; command-line flags win.
 """
@@ -17,6 +17,13 @@ from .errors import ConfigError, DataError
 from .signal_catalog import SIGNAL_GROUPS
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a configuration error: one error: line, exit 1."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _comma_list(value: str) -> list[str]:
     return [x for x in value.split(",") if x]
 
@@ -27,7 +34,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", dest="output_root", help="output root directory")
     parser.add_argument(
         "--snapshots", type=_comma_list,
-        help="comma-separated snapshot ids, newest first (e.g. 2023-14,2022-49)",
+        help="comma-separated snapshot ids to read (e.g. 2023-14,2022-49)",
     )
     parser.add_argument("--languages", type=_comma_list,
                         help="comma-separated language codes")
@@ -44,7 +51,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="corpusforge",
         description="Web-corpus quality annotation, deduplication, and filtering.",
     )
@@ -110,8 +117,8 @@ def _config_from_args(args: argparse.Namespace) -> pipeline.PipelineConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = _config_from_args(args)
         if args.command == "annotate":
             pipeline.cmd_annotate(cfg)

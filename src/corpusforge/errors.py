@@ -6,8 +6,8 @@ class CorpusForgeError(Exception):
 
 
 class ConfigError(CorpusForgeError):
-    """Bad configuration: unknown preset, missing model file, invalid
-    snapshot ordering, mismatched model dimensions, etc. Exit code 1."""
+    """Bad configuration or usage: unknown preset, missing model file,
+    unknown option, mismatched model dimensions, etc. Exit code 1."""
 
 
 class RecordError(CorpusForgeError):

@@ -239,7 +239,8 @@ def _line_values(name: str, signals: QualitySignalSet, nlines: int):
 def evaluate(doc: Document, signals: QualitySignalSet, rs: Ruleset) -> Decision:
     """Document rules first; survivors go through line rules, which
     rewrite the content by dropping failing lines. A rewrite that
-    empties the document converts to a drop."""
+    empties the document converts to a drop. A document to rewrite whose
+    raw_content lines or line_ids do not number nlines is a DataError."""
     fired = []
     for rule in rs.doc_rules:
         value = _doc_value(rule.signal, signals)
@@ -269,6 +270,9 @@ def evaluate(doc: Document, signals: QualitySignalSet, rs: Ruleset) -> Decision:
             verdict="drop",
             fired_rules=sorted(set(fired)) + [("emptied-by-line-rules", 0.0)],
         )
+    if doc.raw_content.count("\n") + 1 != nlines or len(doc.line_ids) != nlines:
+        raise DataError(f"record {signals.id}: cannot rewrite it, its raw_content "
+                        f"lines or line_ids do not number nlines={nlines}")
     return Decision(
         verdict="rewrite",
         fired_rules=sorted(set(fired)),

@@ -83,7 +83,7 @@ class HashedNgramLM:
             [math.log((c + alpha) / denom) for c in self.counts], dtype=np.float64)
 
 
-def train_hashed_lm(corpus, buckets: int = DEFAULT_BUCKETS, alpha: float = 1.0) -> HashedNgramLM:
+def train_hashed_lm(corpus, buckets: int = DEFAULT_BUCKETS) -> HashedNgramLM:
     """corpus: iterable of word lists. Counts are order-insensitive, so a
     shuffled corpus yields an identical model."""
     if buckets < 2:
@@ -96,7 +96,7 @@ def train_hashed_lm(corpus, buckets: int = DEFAULT_BUCKETS, alpha: float = 1.0) 
     if seen == 0:
         raise ConfigError("empty training corpus")
     return HashedNgramLM(bucket_count=buckets, counts=counts.tolist(),
-                         total=int(counts.sum()), smoothing_alpha=alpha)
+                         total=int(counts.sum()))
 
 
 def dsir_importance(words: list[str], target: HashedNgramLM, source: HashedNgramLM,

@@ -1,13 +1,16 @@
-"""Pipeline orchestration: shard discovery, per-shard jobs for
-annotate/dedup/filter/stats, and model training entry points.
+"""Pipeline orchestration: the shard driver, the annotate/dedup/filter/
+stats commands built on it, and model training entry points.
 
-Every command reads its shards in shard jobs (`_run_shard_jobs`); with
-`workers` > 1 they run in that many forked worker processes. Workers
-inherit the loaded resources and models from the parent instead of
-receiving them, and send back only each shard's small result, in shard
-order.
-Each worker adds its own memory (about 51 MB resident on a 240-page
-annotate with ML models).
+One driver, `_run_shard_jobs`, serves every command. It finds the
+shards (`discover_document_shards`: newest snapshot first; a file that
+is not a shard name is warned about and skipped), skips those whose
+output exists, reads each shard's documents, builds their ids once and
+calls the command's `job(addr, docs, ids)`. With `workers` > 1 the jobs
+run in that many forked worker processes, which inherit the loaded
+resources and models instead of receiving them and send back only each
+shard's small result, in shard order; a worker that dies is a data
+error naming its shard. Each worker adds its own memory (about 51 MB
+resident on a 240-page annotate with ML models).
 
 Every command is restartable per shard: annotate and filter skip shard
 outputs that already exist unless force is set, and dedup rewrites both
@@ -21,16 +24,15 @@ from __future__ import annotations
 import glob
 import json
 import os
-import signal
 import sys
 import typing
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 from . import annotate as annotate_mod
 from . import dedup as dedup_mod
 from .errors import ConfigError, DataError
-from .filtering import Ruleset, evaluate, load_ruleset
+from .filtering import Decision, Ruleset, evaluate, load_ruleset
 from .kneser_ney import kn_from_payload, kn_payload, perplexity, train_kn_lm
 from .mlmodels import (
     classifier_from_payload,
@@ -63,7 +65,7 @@ ENV_PREFIX = "CORPUSFORGE_"
 class PipelineConfig:
     input_root: str = "."
     output_root: str = "out"
-    snapshots: list[str] = field(default_factory=list)  # newest -> oldest
+    snapshots: list[str] = field(default_factory=list)
     languages: list[str] = field(default_factory=lambda: ["en"])
     workers: int = 1
     seed: int = 0
@@ -111,11 +113,6 @@ class PipelineConfig:
     def validate(self) -> None:
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        if self.snapshots and self.snapshots != sorted(self.snapshots, reverse=True):
-            raise ConfigError(
-                "snapshots must be ordered newest to oldest: "
-                + ", ".join(self.snapshots)
-            )
         if not 0.0 < self.jaccard <= 1.0:
             raise ConfigError(f"jaccard must be in (0, 1], got {self.jaccard}")
 
@@ -160,88 +157,108 @@ def _checked(name: str, value, hint):
 
 
 # ---------------------------------------------------------------------------
-# Shard discovery
+# Shards
 
 
-def discover_document_shards(
-    cfg: PipelineConfig,
-) -> list[tuple[str, ShardAddress, str]]:
-    """(path relative to input_root, address, path) of the document
-    shards under input_root, restricted to the configured
-    snapshots/languages, in (config snapshot order, shard id, language,
-    bucket) order."""
-    pattern = os.path.join(cfg.input_root, "documents", "*", "*", "*.json.gz")
+def discover_document_shards(cfg: PipelineConfig) -> list[ShardAddress]:
+    """The document shards under input_root that the configured snapshots
+    and languages select (all, when a list is empty): newest snapshot
+    first, then by shard, language and bucket. Any other *.json.gz under
+    documents/ is not read and gets one warning."""
     found = []
-    for path in glob.glob(pattern):
-        rel = os.path.relpath(path, cfg.input_root)
+    for path in sorted(glob.glob(os.path.join(cfg.input_root, "documents/*/*/*.json.gz"))):
         try:
-            addr, _ = parse_shard_path(rel)
-        except (ValueError, IndexError):
+            addr, _ = parse_shard_path(os.path.relpath(path, cfg.input_root))
+        except ValueError:
+            print(f"warning: {path}: not a shard file name, skipped", file=sys.stderr)
             continue
-        if cfg.snapshots and addr.snapshot_id not in cfg.snapshots:
-            continue
-        if cfg.languages and addr.language not in cfg.languages:
-            continue
-        found.append((rel, addr, path))
-    snap_order = {s: i for i, s in enumerate(cfg.snapshots)}
-    found.sort(key=lambda item: (snap_order.get(item[1].snapshot_id, len(snap_order)), item[1]))
+        if ((not cfg.snapshots or addr.snapshot_id in cfg.snapshots)
+                and (not cfg.languages or addr.language in cfg.languages)):
+            found.append(addr)
+    found.sort()
+    found.sort(key=lambda addr: addr.snapshot_id, reverse=True)  # stable: newest first
     return found
 
 
-def _output_exists(path: str, force: bool) -> bool:
-    return not force and os.path.exists(path) and os.path.getsize(path) > 0
-
-
-# (job, shards, first_failed) of the running pooled _run_shard_jobs. The
-# pool forks its workers after this is set, so they inherit the job's
-# closure and the resources it holds (numpy model tables stay shared
-# copy-on-write) instead of unpickling them.
+# (cfg, job, shards, first_failed, pids) of the running pooled
+# _run_shard_jobs. The pool forks its workers after this is set, so they
+# inherit the job's closure and the resources it holds (numpy model
+# tables stay shared copy-on-write) instead of unpickling them.
 _POOLED = None
+_POLL_S = 0.5  # seconds between checks that the awaited shard's worker lives
 
 
-def _unwind(signum, frame):
-    raise SystemExit(128 + signum)
+def _read_and_run(cfg: PipelineConfig, job, addr: ShardAddress):
+    docs = read_documents(os.path.join(cfg.input_root, shard_path(addr, "documents")))
+    return job(addr, docs, [document_id(doc, i) for i, doc in enumerate(docs)])
 
 
 def _pooled_job(index: int):
-    """Run shard job `index` in a worker. Once a job has raised, the jobs
-    after it that have not started return None without running: the
-    parent, taking results in shard order, raises that job's error
-    before it reaches them. Jobs before it run, as they would serially."""
-    job, shards, first_failed = _POOLED
+    """Run shard job `index` in a worker and note the worker's pid. Once a
+    job has raised, the jobs after it that have not started return None
+    without running: the parent, taking results in shard order, raises
+    that job's error before it reaches them. Jobs before it run, as they
+    would serially."""
+    cfg, job, shards, first_failed, pids = _POOLED
     if index > first_failed.value:
         return None
-    # Pool.terminate() sends SIGTERM: unwind as an exception, so that
-    # write_jsonl_gz removes the .tmp file it is writing
-    signal.signal(signal.SIGTERM, _unwind)
+    pids[index] = os.getpid()
     try:
-        return job(shards[index])
+        return _read_and_run(cfg, job, shards[index])
     except Exception:
         with first_failed.get_lock():
             first_failed.value = min(first_failed.value, index)
         raise
-    finally:
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
-def _run_shard_jobs(cfg: PipelineConfig, shards: list, job):
-    """job(shard) for each shard, yielded in shard order as each one
-    finishes. Runs in-process with one worker or one shard, else in a
-    pool of forked worker processes. A job's exception reaches the
-    caller with its type and message."""
+def _run_shard_jobs(cfg: PipelineConfig, job, done_kind: str = ""):
+    """The shard driver of every command: (addr, job(addr, docs, ids)) for
+    each shard of discover_document_shards, in its order, where docs are
+    the shard's documents and ids their document_ids. With `done_kind`, a
+    shard whose done_kind output exists is skipped unless cfg.force, and
+    comes first, as (addr, None). Jobs run in-process with one worker or
+    one shard, else in forked pool workers; a job's exception reaches the
+    caller as raised, and a worker that dies is a DataError naming its
+    shard."""
     global _POOLED
+    shards = []
+    for addr in discover_document_shards(cfg):
+        out = done_kind and os.path.join(cfg.output_root, shard_path(addr, done_kind))
+        if out and not cfg.force and os.path.exists(out) and os.path.getsize(out):
+            yield addr, None
+        else:
+            shards.append(addr)
     workers = min(cfg.workers, len(shards))
     if workers <= 1:
-        yield from map(job, shards)
+        for addr in shards:
+            yield addr, _read_and_run(cfg, job, addr)
         return
     # imported here: a serial run does not load it (about 0.2 MB resident)
     import multiprocessing
 
     ctx = multiprocessing.get_context("fork")
-    _POOLED = (job, shards, ctx.Value("q", len(shards)))
+    pids = ctx.RawArray("q", len(shards))
+    _POOLED = (cfg, job, shards, ctx.Value("q", len(shards)), pids)
     try:
         with ctx.Pool(workers) as pool:
-            yield from pool.imap(_pooled_job, range(len(shards)), chunksize=1)
+            results = deque(pool.apply_async(_pooled_job, (i,)) for i in range(len(shards)))
+            for index, addr in enumerate(shards):
+                result = results.popleft()  # keep no result once passed on
+                # Pool drops a dead worker's task (OOM killer, os._exit): watch for it
+                while not result.ready():
+                    pid = pids[index]
+                    if pid and pid not in {p.pid for p in ctx.active_children()}:
+                        path = os.path.join(cfg.input_root, shard_path(addr, "documents"))
+                        raise DataError(f"{path}: worker process {pid} died running this shard")
+                    result.wait(_POLL_S)
+                yield addr, result.get()
+    except BaseException:
+        # leaving the pool killed its workers, which cannot remove the
+        # .tmp files they were writing (named after the writer's pid)
+        for addr, pid in zip(shards, pids):
+            for tmp in glob.glob(os.path.join(cfg.output_root, "*", f"{addr.stem}.*.{pid}.tmp")):
+                os.unlink(tmp)
+        raise
     finally:
         _POOLED = None
 
@@ -323,30 +340,25 @@ def load_resources(cfg: PipelineConfig) -> annotate_mod.SignalResources:
 def cmd_annotate(cfg: PipelineConfig) -> dict:
     res = load_resources(cfg)
     names = frozenset(annotate_mod.resolve_signal_names(cfg.signals))
-    shards = discover_document_shards(cfg)
-    if not shards:
-        print("no document shards found", file=sys.stderr)
 
-    def job(shard: tuple[str, ShardAddress, str]) -> tuple[str, int]:
-        rel, addr, path = shard
+    def job(addr: ShardAddress, docs, ids) -> int:
         out_path = os.path.join(cfg.output_root, shard_path(addr, "quality_signals"))
-        if _output_exists(out_path, cfg.force):
-            return rel, -1
-        docs = read_documents(path)
         lines = (
             annotate_mod.compute_signals(
-                doc, res, names, ordinal=i, snapshot_id=addr.snapshot_id
+                doc, res, names, doc_id=doc_id, ordinal=i, snapshot_id=addr.snapshot_id
             ).to_json()
-            for i, doc in enumerate(docs)
+            for i, (doc, doc_id) in enumerate(zip(docs, ids))
         )
         try:
-            count = write_jsonl_gz(out_path, lines)
+            return write_jsonl_gz(out_path, lines)
         except DataError as exc:
+            path = os.path.join(cfg.input_root, shard_path(addr, "documents"))
             raise DataError(f"{path}: {exc}") from exc
-        return rel, count
 
-    counts = [count for _, count in _run_shard_jobs(cfg, shards, job)]
-    written = sum(1 for c in counts if c >= 0)
+    counts = [count for _, count in _run_shard_jobs(cfg, job, "quality_signals")]
+    if not counts:
+        print("no document shards found", file=sys.stderr)
+    written = sum(1 for c in counts if c is not None)
     skipped = len(counts) - written
     print(f"annotate: {written} shard(s) written, {skipped} skipped")
     return {"shards": len(counts), "written": written, "skipped": skipped}
@@ -374,17 +386,16 @@ def _dedup_exact(cfg: PipelineConfig) -> dict:
     docs_per_snapshot: Counter[str] = Counter()
     dups_per_snapshot: Counter[str] = Counter()
 
-    def job(shard: tuple[str, ShardAddress, str]):
-        rel, addr, path = shard
-        docs = read_documents(path)
-        return addr, [(document_id(doc, i), rel, doc.digest) for i, doc in enumerate(docs)]
+    def job(addr: ShardAddress, docs, ids):
+        shard = shard_path(addr, "documents")
+        return [(doc_id, shard, doc.digest) for doc_id, doc in zip(ids, docs)]
 
-    for addr, entries in _run_shard_jobs(cfg, discover_document_shards(cfg), job):
+    for addr, entries in _run_shard_jobs(cfg, job):
         records = dedup_mod.exact_dedup_pass(entries, bloom)
         docs_per_snapshot[addr.snapshot_id] += len(entries)
         dups_per_snapshot[addr.snapshot_id] += _write_duplicates(cfg, addr, records)
-    for snapshot in cfg.snapshots or sorted(docs_per_snapshot, reverse=True):
-        docs, dups = docs_per_snapshot[snapshot], dups_per_snapshot[snapshot]
+    for snapshot, docs in docs_per_snapshot.items():  # newest first, as processed
+        dups = dups_per_snapshot[snapshot]
         frac = dups / docs if docs else 0.0
         print(f"dedup[exact] {snapshot}: {docs} docs, {dups} duplicates ({frac:.2%})")
     total_docs, total_dups = docs_per_snapshot.total(), dups_per_snapshot.total()
@@ -404,12 +415,8 @@ def _dedup_fuzzy(cfg: PipelineConfig) -> dict:
     """Shard jobs compute the signatures of each shard's distinct contents
     and write its minhash sidecar; the parent groups them in canonical
     order, then runs LSH and clustering over the whole corpus."""
-    shards = discover_document_shards(cfg)
 
-    def job(shard: tuple[str, ShardAddress, str]):
-        rel, addr, path = shard
-        docs = read_documents(path)
-        ids = [document_id(doc, i) for i, doc in enumerate(docs)]
+    def job(addr: ShardAddress, docs, ids):
         slots, sigs = dedup_mod.content_signatures([doc.raw_content for doc in docs])
         out_path = os.path.join(cfg.output_root, shard_path(addr, "minhash"))
         write_jsonl_gz(out_path, (
@@ -417,30 +424,28 @@ def _dedup_fuzzy(cfg: PipelineConfig) -> dict:
                         "signature": sigs[slot].tolist()}, separators=(",", ":"))
             for doc_id, doc, slot in zip(ids, docs, slots)
         ))
-        return rel, ids, slots, sigs
+        return ids, slots, sigs
 
     index = dedup_mod.SignatureGroups()
-    for rel, ids, slots, sigs in _run_shard_jobs(cfg, shards, job):
+    by_shard: dict[str, tuple[ShardAddress, list]] = {}
+    for addr, (ids, slots, sigs) in _run_shard_jobs(cfg, job):
+        shard = shard_path(addr, "documents")
+        by_shard[shard] = (addr, [])
         for doc_id, slot in zip(ids, slots):
-            index.add(doc_id, rel, sigs[slot])
+            index.add(doc_id, shard, sigs[slot])
 
     bands, rows = dedup_mod.pick_banding(cfg.jaccard)
     records, pairs = index.duplicates(bands, rows, cfg.jaccard)
-    by_shard: dict[str, list] = {rel: [] for rel, _, _ in shards}
     for record in records:
-        by_shard[record.shard].append(record)
-    for rel, addr, _ in shards:
-        _write_duplicates(cfg, addr, by_shard[rel])
+        by_shard[record.shard][1].append(record)
+    for addr, shard_records in by_shard.values():
+        _write_duplicates(cfg, addr, shard_records)
     documents = len(index.docs)
     frac = len(records) / documents if documents else 0.0
     print(f"dedup[fuzzy] bands={bands} rows={rows}: {documents} docs, "
           f"{pairs} candidate pairs, {len(records)} duplicates ({frac:.2%})")
-    return {
-        "mode": "fuzzy",
-        "documents": documents,
-        "candidates": pairs,
-        "duplicates": len(records),
-    }
+    return {"mode": "fuzzy", "documents": documents, "candidates": pairs,
+            "duplicates": len(records)}
 
 
 def _load_duplicate_ids(addr: ShardAddress, root: str) -> set[str]:
@@ -460,74 +465,55 @@ def _load_duplicate_ids(addr: ShardAddress, root: str) -> set[str]:
 # filter
 
 
-def _audit_line(doc_id: str, verdict: str, fired_rules) -> str:
-    return json.dumps(
-        {"doc_id": doc_id, "verdict": verdict,
-         "fired_rules": [[r, v] for r, v in fired_rules]},
-        separators=(",", ":"),
-    )
+# counts key of each verdict
+_VERDICT_COUNTS = {"keep": "kept", "rewrite": "rewritten", "drop": "dropped"}
+_DUPLICATE = Decision(verdict="drop", fired_rules=[("duplicate", 1.0)])
+_KEEP = Decision(verdict="keep")
 
 
 def cmd_filter(cfg: PipelineConfig) -> dict:
     if not cfg.ruleset:
         raise ConfigError("filter requires a ruleset path or preset name")
     rs: Ruleset = load_ruleset(cfg.ruleset)
-    shards = discover_document_shards(cfg)
-    totals = {"kept": 0, "rewritten": 0, "dropped": 0, "duplicates": 0}
 
-    def job(shard: tuple[str, ShardAddress, str]):
-        rel, addr, path = shard
-        out_path = os.path.join(cfg.output_root, shard_path(addr, "documents"))
-        audit_path = out_path.replace(".json.gz", ".audit.jsonl.gz")
-        if _output_exists(out_path, cfg.force):
-            return None
-        docs = read_documents(path)
-        ids = [document_id(doc, i) for i, doc in enumerate(docs)]
+    def job(addr: ShardAddress, docs, ids) -> Counter:
         signals = None
         if rs.doc_rules or rs.line_rules:
             sig_path = os.path.join(cfg.input_root, shard_path(addr, "quality_signals"))
             if not os.path.exists(sig_path):
-                raise ConfigError(f"missing signals sidecar for shard {rel}: {sig_path}")
+                raise ConfigError(f"missing signals sidecar for shard "
+                                  f"{shard_path(addr, 'documents')}: {sig_path}")
             signals = read_signals(sig_path, ids)
-        duplicates = (
-            _load_duplicate_ids(addr, cfg.input_root) if cfg.apply_dedup else set()
-        )
-        out_lines, audit_lines = [], []
-        counts = {"kept": 0, "rewritten": 0, "dropped": 0, "duplicates": 0}
+        duplicates = _load_duplicate_ids(addr, cfg.input_root) if cfg.apply_dedup else set()
+        out_lines, audit_lines, counts = [], [], Counter()
         for i, (doc, doc_id) in enumerate(zip(docs, ids)):
             if doc_id in duplicates:
-                counts["duplicates"] += 1
-                audit_lines.append(_audit_line(doc_id, "drop", [("duplicate", 1.0)]))
-                continue
-            decision = None
-            if signals is not None:
+                decision, key = _DUPLICATE, "duplicates"
+            elif signals is None:
+                decision, key = _KEEP, "kept"
+            else:
                 try:
                     decision = evaluate(doc, signals[i], rs)
                 except DataError as exc:
                     raise DataError(f"{sig_path}: {exc}") from exc
-            if decision is None or decision.verdict == "keep":
-                counts["kept"] += 1
-                out_lines.append(doc.to_json())
-                continue
-            audit_lines.append(_audit_line(doc_id, decision.verdict, decision.fired_rules))
-            if decision.verdict == "rewrite":
-                counts["rewritten"] += 1
-                out_lines.append(decision.rewritten.to_json())
-            else:
-                counts["dropped"] += 1
+                key = _VERDICT_COUNTS[decision.verdict]
+            counts[key] += 1
+            if decision.verdict != "keep":
+                audit_lines.append(json.dumps(
+                    {"doc_id": doc_id, "verdict": decision.verdict,
+                     "fired_rules": decision.fired_rules}, separators=(",", ":")))
+            if decision.verdict != "drop":
+                out_lines.append((decision.rewritten or doc).to_json())
         # the documents file, written last, marks the shard as done
-        write_jsonl_gz(audit_path, audit_lines)
-        write_jsonl_gz(out_path, out_lines)
+        write_jsonl_gz(os.path.join(cfg.output_root, shard_path(addr, "audit")), audit_lines)
+        write_jsonl_gz(os.path.join(cfg.output_root, shard_path(addr, "documents")), out_lines)
         return counts
 
-    for counts in _run_shard_jobs(cfg, shards, job):
-        if counts:
-            for key in totals:
-                totals[key] += counts[key]
-    print(
-        f"filter[{rs.name}]: kept {totals['kept']}, rewritten {totals['rewritten']}, "
-        f"dropped {totals['dropped']}, duplicates {totals['duplicates']}"
-    )
+    totals = dict.fromkeys(("kept", "rewritten", "dropped", "duplicates"), 0)
+    for _, counts in _run_shard_jobs(cfg, job, "documents"):
+        for key, n in (counts or {}).items():
+            totals[key] += n
+    print(f"filter[{rs.name}]: " + ", ".join(f"{key} {n}" for key, n in totals.items()))
     return totals
 
 
@@ -542,25 +528,24 @@ def cmd_stats(cfg: PipelineConfig, as_json: bool = False) -> dict:
     human table to one machine-readable JSON object."""
     columns = ("all", "tail", "head_middle", "head_middle_dedupe")
 
-    def job(shard: tuple[str, ShardAddress, str]):
-        _, addr, path = shard
+    def job(addr: ShardAddress, docs, ids):
         duplicates = _load_duplicate_ids(addr, cfg.input_root)
         counts = {c: [0, 0] for c in columns}
-        for i, doc in enumerate(read_documents(path)):
+        for doc, doc_id in zip(docs, ids):
             words = len(doc.raw_content.split())
             part = "tail" if doc.bucket == "tail" else "head_middle"
             cols = ["all", part]
-            if part == "head_middle" and document_id(doc, i) not in duplicates:
+            if part == "head_middle" and doc_id not in duplicates:
                 cols.append("head_middle_dedupe")
             for c in cols:
                 counts[c][0] += 1
                 counts[c][1] += words
-        return addr.language, counts
+        return counts
 
     per_lang: dict[str, dict[str, list[int]]] = {}
     total = {c: [0, 0] for c in columns}
-    for language, counts in _run_shard_jobs(cfg, discover_document_shards(cfg), job):
-        row = per_lang.setdefault(language, {c: [0, 0] for c in columns})
+    for addr, counts in _run_shard_jobs(cfg, job):
+        row = per_lang.setdefault(addr.language, {c: [0, 0] for c in columns})
         for c, (docs, words) in counts.items():
             for target in (row[c], total[c]):
                 target[0] += docs

@@ -170,33 +170,36 @@ class ShardAddress:
     def stem(self) -> str:
         return f"{self.snapshot_id}/{self.shard_id:04d}/{self.language}_{self.bucket}"
 
-    def __str__(self):
-        return self.stem
+
+# artifact kind -> path template of a shard's file, as in the upstream
+# layout; filter writes its audit log next to its documents
+_ARTIFACT_PATHS = {
+    "documents": "documents/{}.json.gz",
+    "audit": "documents/{}.audit.jsonl.gz",
+    "quality_signals": "quality_signals/{}.signals.json.gz",
+    "duplicates": "duplicates/{}.duplicates.jsonl.gz",
+    "minhash": "minhash/{}.minhash.jsonl.gz",
+}
 
 
 def shard_path(addr: ShardAddress, kind: str) -> str:
-    """Relative path of one shard artifact, mirroring the upstream layout:
-    documents/<snapshot>/<shard>/<lang>_<bucket>.json.gz etc."""
-    if kind == "documents":
-        return f"documents/{addr.stem}.json.gz"
-    if kind == "quality_signals":
-        return f"quality_signals/{addr.stem}.signals.json.gz"
-    if kind == "duplicates":
-        return f"duplicates/{addr.stem}.duplicates.jsonl.gz"
-    if kind == "minhash":
-        return f"minhash/{addr.stem}.minhash.jsonl.gz"
-    raise ValueError(f"unknown artifact kind {kind!r}")
+    """Relative path of one shard artifact, e.g.
+    documents/<snapshot>/<shard>/<lang>_<bucket>.json.gz."""
+    if kind not in _ARTIFACT_PATHS:
+        raise ValueError(f"unknown artifact kind {kind!r}")
+    return _ARTIFACT_PATHS[kind].format(addr.stem)
 
 
 def parse_shard_path(path: str) -> tuple[ShardAddress, str]:
-    """Inverse of shard_path; accepts any known suffix."""
-    parts = path.replace(os.sep, "/").split("/")
-    if len(parts) < 4:
+    """(address, kind) of a path that ends in a shard_path; ValueError
+    for any other path, such as documents/<snapshot>/0/... for shard 0000."""
+    parts = path.replace(os.sep, "/").split("/")[-4:]
+    kind, snapshot_id, shard, filename = parts  # ValueError when fewer
+    language, bucket = filename.split(".", 1)[0].split("_", 1)
+    addr = ShardAddress(snapshot_id, int(shard), language, bucket)
+    if shard_path(addr, kind) != "/".join(parts):
         raise ValueError(f"not a shard path: {path}")
-    kind, snapshot_id, shard, filename = parts[-4:]
-    lang_bucket = filename.split(".", 1)[0]
-    language, bucket = lang_bucket.split("_", 1)
-    return ShardAddress(snapshot_id, int(shard), language, bucket), kind
+    return addr, kind
 
 
 def write_jsonl_gz(path: str | os.PathLike, lines: Iterable[str]) -> int:
@@ -205,7 +208,7 @@ def write_jsonl_gz(path: str | os.PathLike, lines: Iterable[str]) -> int:
     path = os.fspath(path)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     count = 0
-    tmp = path + ".tmp"
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
             with gzip.GzipFile(filename="", fileobj=fh, mode="wb",

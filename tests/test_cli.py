@@ -149,11 +149,29 @@ def test_annotate_is_restartable(corpus, capsys):
     assert "1 shard(s) written" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("stray", ["2023-14/0/en_head.json.gz", "2023-14/5000/en_head.json.gz",
+                                   "2023-14/0000/en.json.gz"])
+def test_file_that_is_not_a_shard_name_is_warned_and_skipped(tmp_path, capsys, stray):
+    root = tmp_path / "corpus"
+    _write_corpus(str(root), [LONG_A, LONG_B])
+    stray_path = root / "documents" / stray
+    write_jsonl_gz(stray_path, [make_doc(LONG_A).to_json()])
+    assert main(["annotate", "--input", str(root), "--output", str(root)]) == 0
+    out, err = capsys.readouterr()
+    assert err.splitlines() == [f"warning: {stray_path}: not a shard file name, skipped"]
+    assert "annotate: 1 shard(s) written, 0 skipped" in out
+    sidecar = root / shard_path(ShardAddress("2023-14", 0, "en", "head"), "quality_signals")
+    with gzip.open(sidecar, "rt") as fh:
+        assert [json.loads(line)["id"] for line in fh] == ["2023-14/seg0/0", "2023-14/seg0/1"]
+
+
+def test_usage_help_exits_0():
+    with pytest.raises(SystemExit) as exc:
+        main(["stats", "--help"])
+    assert exc.value.code == 0
+
+
 def test_config_error_exit_code(tmp_path, capsys):
-    # snapshots out of newest-first order
-    assert main(["stats", "--input", str(tmp_path),
-                 "--snapshots", "2022-05,2023-14"]) == 1
-    assert "newest to oldest" in capsys.readouterr().err
     # filter without a ruleset
     assert main(["filter", "--input", str(tmp_path)]) == 1
     # unknown preset
@@ -306,6 +324,8 @@ def test_config_file_and_unknown_key(tmp_path, corpus):
                  id="ut1-file-not-utf8"),
     pytest.param({"CORPUSFORGE_UT1_DIR": "unreadable/ut1_dir"}, None, ["annotate"],
                  id="ut1-txt-is-a-directory"),
+    pytest.param({}, None, ["annotate", "--bogus"], id="unknown-option"),
+    pytest.param({}, None, ["train", "classifier"], id="train-without-model-output"),
 ])
 def test_bad_config_exits_1_with_one_error_line(corpus, tmp_path, env, config, argv):
     # the corpus carries the default signals, which have no rps_code_*
@@ -598,6 +618,56 @@ def test_document_changed_after_annotate_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "2023-14/seg0/0" in err and "rps_lines_num_words" in err
+
+
+def test_line_ids_not_matching_nlines_exits_2(tmp_path, capsys):
+    # seven lines, every other one too short for c4_lines, so the filter
+    # rewrites the document, which names two line ids only
+    root = str(tmp_path / "corpus")
+    text = "\n".join("A line with plenty of words in it." if i % 2 == 0 else "short"
+                     for i in range(7))
+    doc = make_doc(text, cc_segment="2023-14/seg0", line_ids=[0, 1])
+    addr = ShardAddress("2023-14", 0, "en", "head")
+    write_jsonl_gz(os.path.join(root, shard_path(addr, "documents")), [doc.to_json()])
+    assert main(["annotate", "--input", root, "--output", root]) == 0
+    argv = ["filter", "--preset", "c4_lines", "--input", root,
+            "--output", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "2023-14/seg0/0" in err and "line_ids" in err
+
+
+_DYING_WORKER = """
+import multiprocessing, os, sys
+from corpusforge import annotate, cli
+compute_signals = annotate.compute_signals
+def dying(doc, *args, **kw):
+    if doc.raw_content == "shard 2 document 1 has words.":
+        os._exit(3)  # as the OOM killer would end the worker, mid-write
+    return compute_signals(doc, *args, **kw)
+annotate.compute_signals = dying
+rc = cli.main(sys.argv[1:])
+assert not multiprocessing.active_children()
+sys.exit(rc)
+"""
+
+
+def test_dead_worker_exits_2_naming_its_shard(tmp_path):
+    root = tmp_path / "corpus"
+    paths = [_write_corpus(str(root), [f"shard {s} document {i} has words." for i in range(20)],
+                           shard=s) for s in range(4)]
+    src = os.path.dirname(os.path.dirname(corpusforge.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _DYING_WORKER, "annotate", "--workers", "2",
+         "--input", str(root), "--output", str(root)],
+        env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {paths[2]}: worker "), proc.stderr
+    assert not list(root.rglob("*.tmp"))
 
 
 @pytest.mark.parametrize("line", ["{not json", "[1, 2]", '{"text": 5}'])

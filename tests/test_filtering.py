@@ -31,7 +31,8 @@ def resources():
 
 
 def _signals_for(doc, resources):
-    return compute_signals(doc, resources, resolve_signal_names(DEFAULT_SIGNALS), ordinal=0)
+    return compute_signals(doc, resources, resolve_signal_names(DEFAULT_SIGNALS),
+                           doc_id="seg/0", ordinal=0)
 
 
 def test_compile_structured_ruleset():

@@ -96,7 +96,10 @@ def test_dsir_importance_antisymmetric_and_separating():
        WORDS, st.integers(2, 300))
 def test_dsir_importance_equals_per_feature_oracle(target_docs, source_docs, doc, buckets):
     target = train_hashed_lm(target_docs, buckets=buckets)
-    source = train_hashed_lm(source_docs, buckets=buckets, alpha=0.5)
+    # a source model smoothed with alpha 0.5, built the way a model file is read
+    source = hashed_lm_from_payload(
+        {**hashed_lm_payload(train_hashed_lm(source_docs, buckets=buckets)),
+         "smoothing_alpha": 0.5})
     assert dsir_importance(doc, target, source) == oracle_dsir(
         doc, hashed_lm_payload(target), hashed_lm_payload(source))
 

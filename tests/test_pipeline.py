@@ -54,8 +54,6 @@ OTHER = "the brisk " + " ".join(f"alt{i} more{i}" for i in range(30)) + " and ov
 
 
 def test_config_validation(tmp_path):
-    with pytest.raises(ConfigError, match="newest to oldest"):
-        pipeline.PipelineConfig(snapshots=["2022-05", "2023-14"]).validate()
     with pytest.raises(ConfigError, match="workers"):
         pipeline.PipelineConfig(workers=0).validate()
     bad = tmp_path / "bad.json"
@@ -89,13 +87,18 @@ def test_fuzzy_at_level_one_contains_exact_duplicates(tmp_path):
     assert exact_ids <= fuzzy_ids
 
 
-def test_newest_snapshot_keeps_the_representative(tmp_path):
+@pytest.mark.parametrize("mode", ["exact", "fuzzy"])
+@pytest.mark.parametrize("snapshots", [
+    pytest.param(["2023-14", "2022-49"], id="newest-first"),
+    pytest.param([], id="all"),
+    pytest.param(["2022-49", "2023-14"], id="oldest-first"),
+])
+def test_newest_snapshot_keeps_the_representative(tmp_path, snapshots, mode):
     root = str(tmp_path)
     _write_corpus(root, [LONG], snapshot="2023-14")
     _write_corpus(root, [LONG], snapshot="2022-49")
-    cfg = _cfg(root, snapshots=["2023-14", "2022-49"])
-    pipeline.cmd_dedup(cfg, "exact")
-    # the older snapshot's copy is the duplicate
+    pipeline.cmd_dedup(_cfg(root, snapshots=snapshots), mode)
+    # the older snapshot's copy is the duplicate, whatever order selects them
     assert _read_dup_ids(root, snapshot="2023-14") == set()
     assert _read_dup_ids(root, snapshot="2022-49") == {"2022-49/seg0/0"}
 
