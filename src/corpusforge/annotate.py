@@ -31,7 +31,7 @@ from .signals import (
     line_signals,
     load_ut1,
 )
-from .textnorm import analyze, load_language_wordlist
+from .textnorm import TokenizedView, analyze, load_language_wordlist
 
 _BUCKET_CODES = {"head": 0.0, "middle": 1.0, "tail": 2.0}
 
@@ -114,6 +114,20 @@ def _url_path(url: str) -> str:
         return ""
 
 
+def annotate_shard(docs, ids, res: SignalResources, names, snapshot_id: str = ""):
+    """compute_signals of each of a shard's documents, in order, where
+    `ids` are their document ids. Each document is analyzed once, and the
+    repetition signals of all of them come from one doc_repetition_signals
+    call."""
+    wanted = frozenset(names)
+    views = [analyze(doc.raw_content) for doc in docs]
+    rows = (doc_repetition_signals(views) if not wanted.isdisjoint(REPETITION_SIGNALS)
+            else [{}] * len(docs))
+    for i, (doc, doc_id, view, row) in enumerate(zip(docs, ids, views, rows)):
+        yield compute_signals(doc, res, wanted, doc_id=doc_id, ordinal=i,
+                              snapshot_id=snapshot_id, view=view, repetition=row)
+
+
 def compute_signals(
     doc: Document,
     res: SignalResources,
@@ -122,13 +136,20 @@ def compute_signals(
     doc_id: str,
     ordinal: int,
     snapshot_id: str = "",
+    view: TokenizedView | None = None,
+    repetition: dict | None = None,
 ) -> QualitySignalSet:
     """Signals of the document `doc_id` at position `ordinal` of its
     shard. `names` are signal names, as resolve_signal_names returns
     them. `res` holds a model for every requested ML signal
-    (load_resources checks that at startup)."""
+    (load_resources checks that at startup). annotate_shard passes the
+    document's `view` and its `repetition` row from the whole shard;
+    without them the document is analyzed here and is a shard of one."""
     wanted = frozenset(names)
-    view = analyze(doc.raw_content)
+    if view is None:
+        view = analyze(doc.raw_content)
+        repetition = (doc_repetition_signals([view])[0]
+                      if not wanted.isdisjoint(REPETITION_SIGNALS) else {})
     values: dict = {
         "ccnet_bucket": _BUCKET_CODES.get(doc.bucket, 2.0),
         "ccnet_language_score": doc.language_score,
@@ -141,12 +162,11 @@ def compute_signals(
             if res.kn_lm is not None and "ccnet_perplexity" in wanted
             else doc.perplexity
         ),
+        **repetition,
     }
     if not wanted.isdisjoint(NATLANG_SIGNALS):
         stop = _for_language(res.stopwords, doc, doc_id, "stop-word list")
         values.update(doc_natlang_signals(view, stop))
-    if not wanted.isdisjoint(REPETITION_SIGNALS):
-        values.update(doc_repetition_signals(view))
     if not wanted.isdisjoint(CONTENT_SIGNALS):
         blocklist = _for_language(res.ldnoobw, doc, doc_id, "LDNOOBW blocklist")
         values.update(content_signals(view, doc.source_domain, blocklist, res.ut1))

@@ -6,27 +6,34 @@ The top order uses raw counts; lower orders use continuation counts
 unknown symbol that is part of the vocabulary, so every conditional
 distribution sums to one over the full vocabulary.
 
-Tables are keyed by packed vocabulary ids, as in KenLM: tokens get ids
-in sorted order (the unknown symbol always gets one, even when it is
-not in the vocabulary), and a k-gram packs to sum(id_j * base**j) with
-the newest token as the lowest digit. A gram's history is then
-`gram // base` and a history's suffix one order down is
-`history % base**(k-2)`. Per order the model keeps gram -> count and
-history -> (denominator, backoff weight), plus the order-1 probability
-of every id. A token's probability starts at its order-1 probability and
-climbs one order at a time, p = max(c - d, 0)/denominator + weight * p:
-the floating-point operations, in the same order, of the recursive
-definition that backs off from the top order. The climb stops at the
-first order whose history is absent. That is exact because histories
-are suffix-closed (a present history's suffix is present one order
-down), which training guarantees and loading checks.
+Tokens get ids in sorted order (the unknown symbol always gets one, even
+when it is not in the vocabulary); base is the number of ids. Each order
+k >= 2 is a level of sorted int64 key arrays. A history of length m is
+keyed by rank(its length-(m-1) suffix among the level below) * base +
+its oldest token, and the empty history has rank 0; a gram is keyed by
+rank(its history) * base + its word. Keys stay below (number of
+histories) * base whatever the vocabulary and the order. Each history
+key has a parallel denominator (its count total) and backoff weight
+(discount * distinct next words / total), each gram key its count.
+
+A token's probability starts at its order-1 probability and climbs one
+order at a time, p = max(c - d, 0)/denominator + weight * p: the
+floating-point operations, in the same order, of the recursive
+definition that backs off from the top order. The climb looks up the
+history of every position with np.searchsorted, one order at a time, and
+a position stops climbing at its first unseen history. Both the keying
+and the stop are exact because histories are suffix-closed: a seen
+history's one-shorter suffix was seen one order down. Training
+guarantees that, and loading checks it.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
+
+import numpy as np
 
 from .errors import ConfigError
 
@@ -37,68 +44,76 @@ _SEP = "\x1f"
 
 
 @dataclass
+class _Level:
+    """One order k >= 2 (history length k - 1), as described in the
+    module docstring."""
+
+    histories: np.ndarray  # sorted keys
+    totals: np.ndarray  # float64 count totals, exact below 2**53
+    weights: np.ndarray
+    grams: np.ndarray  # sorted keys
+    counts: np.ndarray
+
+
+def _find(keys: np.ndarray, sought: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(index, found) of each sought key in the sorted, non-empty `keys`;
+    the index means nothing where not found."""
+    at = np.minimum(np.searchsorted(keys, sought), len(keys) - 1)
+    return at, keys[at] == sought
+
+
+@dataclass
 class KneserNeyLM:
     order: int
     discount: float
-    # id -> token in sorted order; always holds UNK. Packing uses
-    # base = len(words).
+    # id -> token in sorted order; always holds UNK; base = len(words)
     words: list[str]
     ids: dict[str, int]
     base: int
     unk_in_vocab: bool
-    # grams[k] maps packed k-grams to raw counts (k == order) or
-    # continuation counts (k < order)
-    grams: dict[int, dict[int, int]]
-    # levels[k - 2] = (histories, grams[k]) of order k >= 2; histories
-    # maps each packed history whose count total is non-zero to
-    # (total, discount * distinct next words / total)
-    levels: list[tuple[dict[int, tuple[int, float]], dict[int, int]]]
-    unigram_probs: list[float]
+    # grams[k] = (rows, counts) of order k: rows are token ids, oldest
+    # first; counts are raw (k == order) or continuation counts (k < order)
+    grams: dict[int, tuple[np.ndarray, np.ndarray]]
+    # orders 2.. up to the first order without a seen history
+    levels: list[_Level]
+    unigram_probs: np.ndarray
 
     @property
     def vocab(self) -> list[str]:
         return [w for w in self.words if w != UNK or self.unk_in_vocab]
 
-    def _prob_at(self, w: int, ctx: int, n: int) -> float:
-        """P(w | the n newest ids packed in ctx)."""
+    def token_probs(self, tokens: list[str]) -> np.ndarray:
+        """P(token i | the up to order - 1 tokens before it), for each i."""
+        w = np.fromiter(map(self.ids.get, tokens, repeat(self.ids[UNK])), np.int64, len(tokens))
         p = self.unigram_probs[w]
-        base = self.base
+        rank = np.zeros(len(w), np.int64)  # of each position's history so far
+        live = np.ones(len(w), bool)
         d = self.discount
-        span = 1
-        for histories, grams in self.levels[:n]:
-            span *= base
-            h = ctx % span
-            entry = histories.get(h)
-            if entry is None:
+        for m, level in enumerate(self.levels, 1):
+            live[:m] = False  # fewer than m tokens of history
+            rank[m:], found = _find(level.histories, rank[m:] * self.base + w[:-m])
+            live[m:] &= found
+            if not live.any():
                 break
-            p = max(grams.get(h * base + w, 0) - d, 0.0) / entry[0] + entry[1] * p
+            r = rank[m:]
+            at, seen = _find(level.grams, r * self.base + w[m:])
+            c = np.where(seen, level.counts[at], 0)
+            p[m:] = np.where(live[m:],
+                             np.maximum(c - d, 0.0) / level.totals[r] + level.weights[r] * p[m:],
+                             p[m:])
         return p
 
     def sequence_logprob(self, tokens: list[str]) -> float:
-        ids = self.ids
-        unk = ids[UNK]
-        base = self.base
-        longest = self.order - 1
-        span = base ** longest
+        # summed in token order, as the recursive definition does
         total = 0.0
-        ctx = 0
-        for i, t in enumerate(tokens):
-            w = ids.get(t, unk)
-            total += math.log(self._prob_at(w, ctx, min(i, longest)))
-            ctx = (ctx * base + w) % span
+        for x in map(math.log, self.token_probs(tokens).tolist()):
+            total += x
         return total
 
 
-def _packed_grams(seq: list[int], k: int, base: int) -> list[int]:
-    """Every k-gram of `seq`, packed, in order."""
-    span = base ** k
-    out = []
-    g = 0
-    for i, t in enumerate(seq):
-        g = (g * base + t) % span
-        if i >= k - 1:
-            out.append(g)
-    return out
+def _windows(seq: np.ndarray, starts: np.ndarray, k: int) -> np.ndarray:
+    """The k tokens of `seq` from each start, one row each."""
+    return seq[starts[:, None] + np.arange(k)]
 
 
 def train_kn_lm(
@@ -115,14 +130,24 @@ def train_kn_lm(
         )
     vocab = set(tokens)
     ids = _vocab_ids(vocab)
-    seq = [ids[t] for t in tokens]
     base = len(ids)
-    grams: dict[int, dict[int, int]] = {order: Counter(_packed_grams(seq, order, base))}
-    # Continuation counts for every lower order, derived from the
-    # distinct grams one order up: cc_k(g) = |{v : raw_{k+1}(v + g) > 0}|.
-    for k in range(order - 1, 0, -1):
-        span = base ** k
-        grams[k] = Counter(g % span for g in set(_packed_grams(seq, k + 1, base)))
+    seq = np.fromiter(map(ids.__getitem__, tokens), np.int64, len(tokens))
+    grams: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    # The j-gram starting at each position is numbered by the pair
+    # (number of its (j-1)-gram prefix, its last token).
+    numbers = np.zeros(len(seq), np.int64)
+    for j in range(1, order + 1):
+        _, first, later, raw = np.unique(
+            numbers[: len(seq) - j + 1] * base + seq[j - 1 :],
+            return_index=True, return_inverse=True, return_counts=True)
+        if j > 1:
+            # cc_{j-1}(g) = |{v : raw_j(v + g) > 0}|: the distinct j-grams
+            # whose suffix, starting one position later, is g
+            cc = np.bincount(numbers[first + 1], minlength=len(prefix_first))
+            seen = np.flatnonzero(cc)
+            grams[j - 1] = (_windows(seq, prefix_first[seen], j - 1), cc[seen])
+        numbers, prefix_first = later, first
+    grams[order] = (_windows(seq, prefix_first, order), raw)
     return _build_lm(order, DEFAULT_DISCOUNT, ids, include_unk or UNK in vocab, grams)
 
 
@@ -132,45 +157,50 @@ def _vocab_ids(vocab: set[str]) -> dict[str, int]:
 
 
 def _build_lm(order: int, discount: float, ids: dict[str, int], unk_in_vocab: bool,
-              grams: dict[int, dict[int, int]]) -> KneserNeyLM:
-    """The model with its history and order-1 tables derived from
-    `grams`; ConfigError when the discount is outside (0, 1) or the
-    histories are not suffix-closed."""
+              grams: dict[int, tuple[np.ndarray, np.ndarray]]) -> KneserNeyLM:
+    """The model with its levels and order-1 probabilities derived from
+    `grams` (grams of count 0 are never looked up); ConfigError when the
+    discount is outside (0, 1) or the histories are not suffix-closed."""
     if not 0.0 < discount < 1.0:
         raise ConfigError(f"discount must be in (0, 1), got {discount!r}")
     base = len(ids)
-    histories: dict[int, dict[int, tuple[int, float]]] = {}
-    for k in range(1, order + 1):
-        totals: dict[int, int] = {}
-        distinct: dict[int, int] = {}
-        for g, c in grams[k].items():
-            h = g // base
-            totals[h] = totals.get(h, 0) + c
-            if c > 0:
-                distinct[h] = distinct.get(h, 0) + 1
-        histories[k] = {
-            h: (total, discount * distinct.get(h, 0) / total)
-            for h, total in totals.items() if total != 0
-        }
-    for k in range(3, order + 1):
-        span = base ** (k - 2)
-        lower = histories[k - 1]
-        for h in histories[k]:
-            if h % span not in lower:
-                raise ConfigError(
-                    f"Kneser-Ney model is not suffix-closed: an order-{k} "
-                    f"history has no order-{k - 1} suffix")
+    levels: list[_Level] = []
+    for k in range(2, order + 1):
+        rows, counts = grams[k]
+        rows, counts = rows[counts > 0], counts[counts > 0]
+        if not len(rows):
+            continue
+        # the rank of each history's suffix, rows[:, 1:k-1], climbed from
+        # its newest token; when a lower order has no level, not closed
+        rank = np.zeros(len(rows), np.int64)
+        closed = len(levels) == k - 2
+        for level, col in zip(levels, range(k - 2, 0, -1)):
+            rank, found = _find(level.histories, rank * base + rows[:, col])
+            closed = closed and found.all()
+        if not closed:
+            raise ConfigError(
+                f"Kneser-Ney model is not suffix-closed: an order-{k} "
+                f"history has no order-{k - 1} suffix")
+        histories, inverse, distinct = np.unique(
+            rank * base + rows[:, 0], return_inverse=True, return_counts=True)
+        totals = np.bincount(inverse, weights=counts)
+        keys = inverse * base + rows[:, -1]
+        by_key = np.argsort(keys)
+        levels.append(_Level(histories, totals, discount * distinct / totals,
+                             keys[by_key], counts[by_key]))
     vocab_size = base - (not unk_in_vocab)
     if vocab_size == 0:
         raise ValueError("empty vocabulary")
     uniform = 1.0 / vocab_size
-    first = histories.pop(1).get(0)
-    if first is None:
-        unigram_probs = [uniform] * base
+    rows, counts = grams[1]
+    c = np.zeros(base, np.int64)
+    c[rows[:, 0]] = counts
+    total = int(c.sum())
+    if total == 0:
+        unigram_probs = np.full(base, uniform)
     else:
-        den, lam = first
-        unigram_probs = [max(grams[1].get(i, 0) - discount, 0.0) / den + lam * uniform
-                         for i in range(base)]
+        lam = discount * int(np.count_nonzero(c)) / total
+        unigram_probs = np.maximum(c - discount, 0.0) / total + lam * uniform
     return KneserNeyLM(
         order=order,
         discount=discount,
@@ -179,7 +209,7 @@ def _build_lm(order: int, discount: float, ids: dict[str, int], unk_in_vocab: bo
         base=base,
         unk_in_vocab=unk_in_vocab,
         grams=grams,
-        levels=[(histories[k], grams[k]) for k in range(2, order + 1)],
+        levels=levels,
         unigram_probs=unigram_probs,
     )
 
@@ -193,45 +223,44 @@ def perplexity(words: list[str], lm: KneserNeyLM) -> float:
 
 
 def kn_payload(lm: KneserNeyLM) -> dict:
-    base = lm.base
-
-    def key(g: int, k: int) -> str:
-        parts = []
-        for _ in range(k):
-            g, i = divmod(g, base)
-            parts.append(lm.words[i])
-        return _SEP.join(reversed(parts))
-
+    words = lm.words
     return {
         "order": lm.order,
         "discount": lm.discount,
         "vocab": lm.vocab,
         "counts": {
-            str(k): {key(g, k): c for g, c in lm.grams[k].items()}
+            str(k): {
+                _SEP.join(map(words.__getitem__, row)): c
+                for row, c in zip(lm.grams[k][0].tolist(), lm.grams[k][1].tolist())
+            }
             for k in range(lm.order, 0, -1)
         },
     }
 
 
+def _split_gram(key: str, k: int) -> list[str]:
+    tokens = key.split(_SEP)
+    if len(tokens) != k:
+        raise ValueError(f"order-{k} gram {key!r} has {len(tokens)} tokens")
+    return tokens
+
+
 def kn_from_payload(payload: dict) -> KneserNeyLM:
-    """The model of a kn_payload dict, packed straight from its string
-    keys. ValueError/KeyError when a gram does not fit its order or
-    vocabulary, ConfigError when the discount is outside (0, 1) or the
-    histories are not suffix-closed."""
+    """The model of a kn_payload dict, its grams read straight into id
+    arrays. ValueError/KeyError when a gram does not fit its order or
+    vocabulary or a count is not a non-negative integer, ConfigError
+    when the discount is outside (0, 1) or the histories are not
+    suffix-closed."""
     order = payload["order"]
     vocab = set(payload["vocab"])
     ids = _vocab_ids(vocab)
-    base = len(ids)
-    grams: dict[int, dict[int, int]] = {}
+    grams: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for k in range(1, order + 1):
-        table: dict[int, int] = {}
-        for key, c in payload["counts"][str(k)].items():
-            parts = key.split(_SEP)
-            if len(parts) != k:
-                raise ValueError(f"order-{k} gram {key!r} has {len(parts)} tokens")
-            g = 0
-            for t in parts:
-                g = g * base + ids[t]
-            table[g] = c
-        grams[k] = table
+        table = payload["counts"][str(k)]
+        tokens = chain.from_iterable(map(_split_gram, table, repeat(k)))
+        rows = np.fromiter(map(ids.__getitem__, tokens), np.int64, k * len(table)).reshape(-1, k)
+        counts = np.fromiter(table.values(), np.int64, len(table))
+        if counts.tolist() != list(table.values()) or (counts < 0).any():
+            raise ValueError(f"order-{k} counts are not all non-negative integers")
+        grams[k] = (rows, counts)
     return _build_lm(order, payload["discount"], ids, UNK in vocab, grams)

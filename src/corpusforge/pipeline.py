@@ -9,8 +9,9 @@ calls the command's `job(addr, docs, ids)`. With `workers` > 1 the jobs
 run in that many forked worker processes, which inherit the loaded
 resources and models instead of receiving them and send back only each
 shard's small result, in shard order; a worker that dies is a data
-error naming its shard. Each worker adds its own memory (about 51 MB
-resident on a 240-page annotate with ML models).
+error naming its shard. Each worker adds its own memory (about 52 MB
+resident on a 240-page annotate with ML models, which holds one 30-page
+shard's analyzed documents at a time).
 
 Every command is restartable per shard: annotate and filter skip shard
 outputs that already exist unless force is set, and dedup rewrites both
@@ -219,10 +220,13 @@ def _run_shard_jobs(cfg: PipelineConfig, job, done_kind: str = ""):
     comes first, as (addr, None). Jobs run in-process with one worker or
     one shard, else in forked pool workers; a job's exception reaches the
     caller as raised, and a worker that dies is a DataError naming its
-    shard."""
+    shard. Finding no shard at all is one warning line on stderr."""
     global _POOLED
+    found = discover_document_shards(cfg)
+    if not found:
+        print(f"warning: no document shards found under {cfg.input_root}", file=sys.stderr)
     shards = []
-    for addr in discover_document_shards(cfg):
+    for addr in found:
         out = done_kind and os.path.join(cfg.output_root, shard_path(addr, done_kind))
         if out and not cfg.force and os.path.exists(out) and os.path.getsize(out):
             yield addr, None
@@ -343,21 +347,14 @@ def cmd_annotate(cfg: PipelineConfig) -> dict:
 
     def job(addr: ShardAddress, docs, ids) -> int:
         out_path = os.path.join(cfg.output_root, shard_path(addr, "quality_signals"))
-        lines = (
-            annotate_mod.compute_signals(
-                doc, res, names, doc_id=doc_id, ordinal=i, snapshot_id=addr.snapshot_id
-            ).to_json()
-            for i, (doc, doc_id) in enumerate(zip(docs, ids))
-        )
+        records = annotate_mod.annotate_shard(docs, ids, res, names, addr.snapshot_id)
         try:
-            return write_jsonl_gz(out_path, lines)
+            return write_jsonl_gz(out_path, (record.to_json() for record in records))
         except DataError as exc:
             path = os.path.join(cfg.input_root, shard_path(addr, "documents"))
             raise DataError(f"{path}: {exc}") from exc
 
     counts = [count for _, count in _run_shard_jobs(cfg, job, "quality_signals")]
-    if not counts:
-        print("no document shards found", file=sys.stderr)
     written = sum(1 for c in counts if c is not None)
     skipped = len(counts) - written
     print(f"annotate: {written} shard(s) written, {skipped} skipped")

@@ -3,7 +3,8 @@
 Document-level natural-language signals, word n-gram repetition
 statistics, blocklist content signals, per-line signals, and the code
 file heuristics. Every group reads one document's TokenizedView (see
-textnorm.analyze) and splits nothing again. Raw-text-based rows (curly
+textnorm.analyze) and splits nothing again; the repetition group reads
+the views of a whole shard at once. Raw-text-based rows (curly
 brackets, all-caps words, uppercase fraction, line lengths) use
 view.text and view.raw_lines; the rest use the normalized text. All
 ratio signals are defined as 0 when their denominator is 0 so every
@@ -17,10 +18,14 @@ import math
 import os
 from collections import Counter
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigError
-from .textnorm import TokenizedView, normalized_word_positions, split_sentences
+from .signal_catalog import REPETITION_SIGNALS
+from .textnorm import TokenizedView, split_sentences
 
 ELLIPSIS_SUFFIXES = ("...", "…")
 
@@ -130,87 +135,68 @@ DUPE_NGRAM_SIZES = (5, 6, 7, 8, 9, 10)
 TOP_NGRAM_SIZES = (2, 3, 4)
 
 
-def _gram_ids(words: list[str], max_n: int) -> list[tuple[list[int], int]]:
-    """Entry n - 1 is (ids, distinct) for word n-grams: ids[i] numbers
-    the n-gram that starts at word i (equal n-grams get equal numbers,
-    all below `distinct`, the number of different n-grams). An n-gram's
-    number is that of the pair (number of its (n-1)-gram prefix, number
-    of its last word), so no key is longer than two."""
-    table: dict = {}
-    word_ids = [table.setdefault(w, len(table)) for w in words]
-    out = [(word_ids, len(table))]
-    for n in range(2, max_n + 1):
-        prev, distinct = out[-1]
-        if distinct == len(prev):
-            # every (n-1)-gram is distinct, so every n-gram is as well
-            ids = list(range(len(words) - n + 1))
-            distinct = len(ids)
+def doc_repetition_signals(views: list[TokenizedView]) -> list[dict[str, float]]:
+    """The repetition signals of each view, from one numbering of the word
+    n-grams of all of them (a shard's documents). Characters are those of
+    the normalized content; an occurrence covers its internal separator
+    spaces. A document with fewer than n words has no n-grams and reads 0
+    for n."""
+    words = list(chain.from_iterable(v.word_texts for v in views))
+    number = {w: i for i, w in enumerate(dict.fromkeys(words))}
+    word_ids = np.fromiter(map(number.__getitem__, words), np.int64, len(words))
+    sizes = np.fromiter((len(v.word_texts) for v in views), np.int64, len(views))
+    doc = np.repeat(np.arange(len(views)), sizes)
+    # words from each position to the end of its document
+    left = np.repeat(np.cumsum(sizes), sizes) - np.arange(len(words))
+    # each word's span in all the normalized texts joined by one space, in
+    # which no two documents' spans overlap
+    lengths = np.fromiter(map(len, words), np.int64, len(words))
+    ends = np.cumsum(lengths + 1) - 1
+    starts = ends - lengths
+    totals = np.fromiter((len(v.normalized) for v in views), np.int64, len(views))
+    # The n-gram at each position is numbered by the pair (number of its
+    # (n-1)-gram prefix, its last word), and the 1-grams by (document,
+    # word), so equal n-grams of different documents differ. Positions
+    # whose n-gram would cross into the next document drop out.
+    _, grams = np.unique(doc * len(number) + word_ids, return_inverse=True)
+    columns = {}
+    for n in range(min(TOP_NGRAM_SIZES), max(DUPE_NGRAM_SIZES) + 1):
+        at = np.flatnonzero(left >= n)
+        _, grams[at], counts = np.unique(grams[at] * len(number) + word_ids[at + n - 1],
+                                         return_inverse=True, return_counts=True)
+        if n in TOP_NGRAM_SIZES:
+            columns[f"rps_doc_frac_chars_top_{n}gram"] = _top_fractions(
+                counts[grams[at]], ends[at + n - 1] - starts[at], doc[at], totals)
         else:
-            table = {}
-            ids = [table.setdefault(k, len(table)) for k in zip(prev, word_ids[n - 1 :])]
-            distinct = len(table)
-        out.append((ids, distinct))
-    return out
+            at = at[counts[grams[at]] > 1]
+            columns[f"rps_doc_frac_chars_dupe_{n}grams"] = _dupe_fractions(
+                starts[at], ends[at + n - 1], doc[at], totals)
+    return [dict(zip(REPETITION_SIGNALS, row))
+            for row in zip(*(columns[name].tolist() for name in REPETITION_SIGNALS))]
 
 
-def _dupe_fraction(ids, distinct, positions, n, total) -> float:
-    """Characters covered by the occurrences of n-grams that occur at
-    least twice, over `total`. Occurrences come in order of their start,
-    and so of their end, so their union is one merge pass. No n-grams
-    (fewer than n words) means 0."""
-    if distinct == len(ids):
-        return 0.0
-    counts = [0] * distinct
-    for g in ids:
-        counts[g] += 1
-    covered = run_lo = run_hi = 0
-    for i, g in enumerate(ids):
-        if counts[g] > 1:
-            lo = positions[i][0]
-            if lo > run_hi:
-                covered += run_hi - run_lo
-                run_lo = lo
-            run_hi = positions[i + n - 1][1]
-    covered += run_hi - run_lo
-    return covered / total
+def _top_fractions(repeats, lengths, owner, totals):
+    """Per document: the largest count of one of its n-grams times the
+    longest character length among its n-grams with that count, over its
+    characters, clamped to 1; 0 without n-grams. An n-gram occurrence
+    comes with its gram's count, its length and its document."""
+    best = np.zeros(len(totals), np.int64)
+    np.maximum.at(best, owner, repeats)
+    top = repeats == best[owner]
+    length = np.zeros(len(totals), np.int64)
+    np.maximum.at(length, owner[top], lengths[top])
+    return np.minimum(1.0, np.divide(best * length, totals, out=np.zeros(len(totals)),
+                                     where=best > 0))
 
 
-def _top_fraction(ids, distinct, positions, n, total) -> float:
-    """Characters of the most frequent n-gram times its count, over
-    `total`, clamped to 1. The value depends only on the maximal
-    (count, character length), so no further tie-break is needed."""
-    if not ids:
-        return 0.0
-    counts = [0] * distinct
-    for g in ids:
-        counts[g] += 1
-    best = max(counts)
-    length = max(
-        positions[i + n - 1][1] - positions[i][0]
-        for i, g in enumerate(ids)
-        if counts[g] == best
-    )
-    return min(1.0, best * length / total)
-
-
-def doc_repetition_signals(view: TokenizedView) -> dict[str, float]:
-    """All repetition signals from one numbering of the document's word
-    n-grams (see _gram_ids) and one list of word positions. Characters
-    are those of the normalized content; an occurrence covers its
-    internal separator spaces."""
-    grams = _gram_ids(view.word_texts, max(DUPE_NGRAM_SIZES))
-    positions = normalized_word_positions(view)
-    total = len(view.normalized)
-    values = {}
-    for n in DUPE_NGRAM_SIZES:
-        values[f"rps_doc_frac_chars_dupe_{n}grams"] = _dupe_fraction(
-            *grams[n - 1], positions, n, total
-        )
-    for n in TOP_NGRAM_SIZES:
-        values[f"rps_doc_frac_chars_top_{n}gram"] = _top_fraction(
-            *grams[n - 1], positions, n, total
-        )
-    return values
+def _dupe_fractions(lo, hi, owner, totals):
+    """Per document: the characters its repeated n-gram occurrences
+    [lo, hi) cover, over its characters. Occurrences come in order of
+    start and so of end, and no two documents' overlap, so each adds what
+    lies past the previous one's end."""
+    added = hi - np.maximum(lo, np.concatenate(([0], hi[:-1])))
+    covered = np.bincount(owner, weights=added, minlength=len(totals))
+    return np.divide(covered, totals, out=np.zeros(len(totals)), where=covered > 0)
 
 
 # ---------------------------------------------------------------------------

@@ -140,19 +140,6 @@ def analyze(text: str) -> TokenizedView:
     )
 
 
-def normalized_word_positions(view: TokenizedView) -> list[tuple[int, int]]:
-    """(start, end) of each word inside view.normalized. Words are
-    separated by exactly one space there, so spans are reconstructible
-    without a second scan."""
-    spans = []
-    pos = 0
-    for w in view.word_texts:
-        end = pos + len(w)
-        spans.append((pos, end))
-        pos = end + 1
-    return spans
-
-
 def load_wordlist(path) -> frozenset[str]:
     """One word/phrase per line, UTF-8; blank lines and '#' comments
     ignored. Entries are normalized with the pipeline convention."""

@@ -405,15 +405,12 @@ class OracleKneserNey:
 
 
 def kn_prob(lm, word: str, history) -> float:
-    """P(word | history) under a corpusforge KneserNeyLM, read through
-    its packed tables: histories longer than order-1 are truncated, and
-    out-of-vocabulary tokens map to the unknown symbol."""
-    unk = lm.ids["<unk>"]
-    h = [lm.ids.get(t, unk) for t in history][-(lm.order - 1):] if lm.order > 1 else []
-    ctx = 0
-    for i in h:
-        ctx = ctx * lm.base + i
-    return lm._prob_at(lm.ids.get(word, unk), ctx, len(h))
+    """P(word | history) under a corpusforge KneserNeyLM: the last of its
+    per-token probabilities over the history's newest order-1 tokens and
+    the word. Out-of-vocabulary tokens map to the unknown symbol."""
+    history = list(history)
+    kept = history[max(0, len(history) - (lm.order - 1)):]
+    return float(lm.token_probs(kept + [word])[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -84,16 +84,17 @@ def test_acceptance_1_signals_match_oracle():
         text = random_text(rng, max_words=200)
         view = analyze(text)
         assert doc_natlang_signals(view, stop) == oracles.oracle_natlang(text, stop)
-        assert doc_repetition_signals(view) == oracles.oracle_repetition(text)
+        assert doc_repetition_signals([view])[0] == oracles.oracle_repetition(text)
         assert line_signals(view) == oracles.oracle_line_signals(text)
 
     # exhaustive n-gram check over all sequences of length <= 12 on a
-    # 3-letter alphabet, via canonical equality patterns
+    # 3-letter alphabet, via canonical equality patterns, all in one call
+    # as the documents of one shard
     alphabet = "abc"
     sizes = (2, 3, 4, 5, 6, 7, 8, 9, 10)
-    for seq in _equality_patterns(12):
-        words = [alphabet[i] for i in seq]
-        rep = doc_repetition_signals(analyze(" ".join(words)))
+    patterns = [[alphabet[i] for i in seq] for seq in _equality_patterns(12)]
+    reps = doc_repetition_signals([analyze(" ".join(words)) for words in patterns])
+    for words, rep in zip(patterns, reps):
         for n in sizes:
             if n in (2, 3, 4):
                 got = rep[f"rps_doc_frac_chars_top_{n}gram"]
@@ -110,8 +111,8 @@ def test_acceptance_1_signals_match_oracle():
         length = rng.randint(2, 12)
         seq = [rng.randint(0, 2) for _ in range(length)]
         mapping = rng.sample(letters, 3)
-        base = doc_repetition_signals(analyze(" ".join(alphabet[i] for i in seq)))
-        renamed = doc_repetition_signals(analyze(" ".join(mapping[i] for i in seq)))
+        base = doc_repetition_signals([analyze(" ".join(alphabet[i] for i in seq))])[0]
+        renamed = doc_repetition_signals([analyze(" ".join(mapping[i] for i in seq))])[0]
         assert base == renamed
 
     assert time.monotonic() - started < 120.0

@@ -5,6 +5,7 @@ import pytest
 from corpusforge.annotate import (
     DEFAULT_SIGNALS,
     SignalResources,
+    annotate_shard,
     compute_signals,
     resolve_signal_names,
 )
@@ -66,6 +67,26 @@ def test_compute_signals_shapes(resources):
     for group in DEFAULT_SIGNALS:
         for name in SIGNAL_GROUPS[group]:
             assert name in record.quality_signals
+
+
+def test_one_shard_or_three_give_the_same_signals(resources):
+    texts = [
+        "the cat sat on the mat and the cat sat on the mat",
+        "",
+        "on the mat and the cat sat on the mat again",
+        "short",
+        "A line that repeats.\nA line that repeats.\nA line that repeats.",
+        "the cat sat on the mat and the cat sat on the mat",
+    ]
+    docs = [make_doc(text) for text in texts]
+    ids = [f"seg/{i}" for i in range(len(docs))]
+    names = resolve_signal_names(DEFAULT_SIGNALS)
+    whole = [r.quality_signals for r in annotate_shard(docs, ids, resources, names)]
+    parts = [slice(0, 2), slice(2, 3), slice(3, None)]
+    split = [r.quality_signals for part in parts
+             for r in annotate_shard(docs[part], ids[part], resources, names)]
+    assert split == whole
+    assert whole[0]["rps_doc_frac_chars_dupe_5grams"][0][2] > 0.0
 
 
 def test_compute_signals_emits_exactly_the_requested_names(resources):

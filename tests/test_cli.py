@@ -165,6 +165,23 @@ def test_file_that_is_not_a_shard_name_is_warned_and_skipped(tmp_path, capsys, s
         assert [json.loads(line)["id"] for line in fh] == ["2023-14/seg0/0", "2023-14/seg0/1"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["annotate"],
+    ["dedup", "--mode", "exact"],
+    ["dedup", "--mode", "fuzzy"],
+    ["filter", "--preset", "gopher_full"],
+    ["stats", "--json"],
+], ids=["annotate", "exact", "fuzzy", "filter", "stats"])
+def test_empty_input_is_one_warning_line(tmp_path, capsys, argv):
+    root = tmp_path / "empty"
+    root.mkdir()
+    assert main(argv + ["--input", str(root), "--output", str(tmp_path / "out")]) == 0
+    out, err = capsys.readouterr()
+    assert err.splitlines() == [f"warning: no document shards found under {root}"]
+    if argv[0] == "stats":
+        assert json.loads(out)["rows"]["Total"]["all"] == [0, 0]
+
+
 def test_usage_help_exits_0():
     with pytest.raises(SystemExit) as exc:
         main(["stats", "--help"])
@@ -388,6 +405,10 @@ def _write_models(root):
         # order-3 histories lose their order-2 suffixes
         ("kn_open.json", "kneser_ney", {**kn, "counts": {**kn["counts"], "2": {}}}),
         ("kn_discount.json", "kneser_ney", {**kn, "discount": 1.5}),
+        ("kn_negative.json", "kneser_ney",
+         {**kn, "counts": {**kn["counts"], "1": dict.fromkeys(kn["counts"]["1"], -1)}}),
+        ("kn_fraction.json", "kneser_ney",
+         {**kn, "counts": {**kn["counts"], "1": dict.fromkeys(kn["counts"]["1"], 1.5)}}),
     ]:
         save_model(str(root / name), kind, payload)
 
@@ -407,6 +428,10 @@ def _write_models(root):
                  id="kn-not-suffix-closed"),
     pytest.param({"kn_lm": "kn_discount.json"}, "ccnet_perplexity",
                  id="kn-discount-out-of-range"),
+    pytest.param({"kn_lm": "kn_negative.json"}, "ccnet_perplexity",
+                 id="kn-count-negative"),
+    pytest.param({"kn_lm": "kn_fraction.json"}, "ccnet_perplexity",
+                 id="kn-count-not-an-integer"),
 ])
 def test_malformed_model_exits_1_at_startup(corpus, tmp_path, models, signal):
     _write_models(tmp_path)

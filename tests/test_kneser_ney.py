@@ -112,3 +112,29 @@ def test_payload_without_suffix_closure_is_a_config_error():
                               if not k.startswith("a\x1f")}
     with pytest.raises(ConfigError, match="suffix-closed"):
         kn_from_payload(payload)
+
+
+def test_vocabulary_too_large_for_packed_int64_keys():
+    # 6,400 words + UNK: base**5 > 2**63, so an order-5 gram of the
+    # highest ids cannot be packed into one int64. Each word appears once,
+    # a dense run over 40 words gives histories with several
+    # continuations, and the 50 highest ids are seen twice.
+    rng = random.Random(7)
+    words = [f"w{i}" for i in range(6400)]
+    tokens = words + [f"w{rng.randrange(40)}" for _ in range(3000)] + sorted(words)[-50:]
+    lm = train_kn_lm(tokens, order=5)
+    assert lm.base ** 5 > 2 ** 63
+    oracle = OracleKneserNey(kn_payload(lm))
+    texts = [
+        tokens[6390:6460],  # the seam between the one-off words and the dense run
+        tokens[-60:],  # the highest ids, seen twice
+        [f"w{rng.randrange(40)}" for _ in range(80)],
+        [rng.choice(words) for _ in range(40)],
+        ["zz", "yy", "zz"],  # all out of vocabulary
+        [],
+    ]
+    for text in texts:
+        assert lm.sequence_logprob(text) == oracle.sequence_logprob(text)
+    for text in texts:
+        for cut in range(0, len(text), 7):
+            assert kn_prob(lm, text[cut], text[:cut]) == oracle.prob(text[cut], text[:cut])

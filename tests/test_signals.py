@@ -4,7 +4,8 @@ targeted edge cases for blocklists, line signals, and code heuristics."""
 from importlib import resources
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 
@@ -56,7 +57,7 @@ def test_repetition_signals_match_oracle(rng):
     for _ in range(200):
         text = random_text(rng, max_words=120)
         view = analyze(text)
-        got = doc_repetition_signals(view)
+        got = doc_repetition_signals([view])[0]
         assert got == oracles.oracle_repetition(text), text
 
 
@@ -64,23 +65,23 @@ def test_dupe_ngrams_counts_characters_once():
     # "a b c d e" twice: both occurrences of the repeated 5-gram are
     # covered (18 of 19 chars; the separating space is outside both)
     view = analyze("a b c d e a b c d e")
-    assert doc_repetition_signals(view)["rps_doc_frac_chars_dupe_5grams"] == 18 / 19
+    assert doc_repetition_signals([view])[0]["rps_doc_frac_chars_dupe_5grams"] == 18 / 19
     # no repeated 5-gram in distinct words
     distinct = analyze("a b c d e f g h i j")
-    assert doc_repetition_signals(distinct)["rps_doc_frac_chars_dupe_5grams"] == 0.0
+    assert doc_repetition_signals([distinct])[0]["rps_doc_frac_chars_dupe_5grams"] == 0.0
 
 
 def test_top_ngram_tie_breaks_to_longer_gram():
     # "aa bb" and "c d" both occur twice; the longer one is attributed
     view = analyze("aa bb x c d y aa bb z c d")
-    got = doc_repetition_signals(view)["rps_doc_frac_chars_top_2gram"]
+    got = doc_repetition_signals([view])[0]["rps_doc_frac_chars_top_2gram"]
     assert got == 2 * len("aa bb") / len(view.normalized)
 
 
 def test_top_ngram_clamps_to_one():
     # "x x" occurs 5 times overlapping; 5 * 3 chars > 11 total, so clamp
     view = analyze("x x x x x x")
-    assert doc_repetition_signals(view)["rps_doc_frac_chars_top_2gram"] == 1.0
+    assert doc_repetition_signals([view])[0]["rps_doc_frac_chars_top_2gram"] == 1.0
 
 
 def test_blocklist_phrase_matching(en_stopwords):
@@ -126,7 +127,7 @@ def test_group_keys_are_the_catalog_names(en_stopwords):
     blocklist = compile_blocklist(load_language_wordlist("ldnoobw", "en"))
     groups = {
         "natlang": doc_natlang_signals(view, en_stopwords),
-        "repetition": doc_repetition_signals(view),
+        "repetition": doc_repetition_signals([view])[0],
         "content": content_signals(view, "x.org", blocklist, load_ut1()),
         "lines": line_signals(view),
         "code": code_signals("pkg/module.py", view),
@@ -161,8 +162,24 @@ def test_line_signals_match_oracle_on_generated_text(text):
 
 @given(tricky_text())
 def test_repetition_signals_match_oracle_on_generated_text(text):
-    got = doc_repetition_signals(analyze(text))
+    got = doc_repetition_signals([analyze(text)])[0]
     assert got == oracles.oracle_repetition(text)
+
+
+# a shard of short documents over three words, so that n-grams repeat
+# within and across documents; a document may be empty or shorter than n
+_SMALL_SHARD = st.lists(st.lists(st.sampled_from("abc"), max_size=14).map(" ".join),
+                        max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_SMALL_SHARD, st.lists(tricky_text(), max_size=4)))
+# A's tail and B's head would repeat A's first 5-gram if they joined
+@example(["a b c d e f g h i j a b c", "d e f g h i j"])
+@example(["", "x", "a b c d e", "a b c d e"])
+def test_shard_repetition_signals_match_oracle_per_document(texts):
+    rows = doc_repetition_signals([analyze(text) for text in texts])
+    assert rows == [oracles.oracle_repetition(text) for text in texts]
 
 
 def test_line_signals_specifics():
@@ -199,5 +216,5 @@ def test_code_signals():
 @pytest.mark.parametrize("n", [5, 7, 10])
 def test_dupe_fraction_handles_short_docs(n):
     name = f"rps_doc_frac_chars_dupe_{n}grams"
-    assert doc_repetition_signals(analyze("one two three"))[name] == 0.0
-    assert doc_repetition_signals(analyze(""))[name] == 0.0
+    assert doc_repetition_signals([analyze("one two three")])[0][name] == 0.0
+    assert doc_repetition_signals([analyze("")])[0][name] == 0.0

@@ -5,12 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import oracle_normalize, oracle_sentence_count
 
-from corpusforge.textnorm import (
-    analyze,
-    normalize,
-    normalized_word_positions,
-    split_sentences,
-)
+from corpusforge.textnorm import analyze, normalize, split_sentences
 
 from conftest import random_text, tricky_text
 
@@ -71,16 +66,6 @@ def test_line_spans_tile_and_match_split():
             assert pos == len(text)
             for (start, end), line in zip(spans, text.split("\n")):
                 assert text[start:end].rstrip("\n") == line
-
-
-def test_normalized_word_positions_roundtrip(rng):
-    for _ in range(100):
-        text = random_text(rng, max_words=30)
-        view = analyze(text)
-        for (start, end), word in zip(
-            normalized_word_positions(view), view.word_texts
-        ):
-            assert view.normalized[start:end] == word
 
 
 @given(tricky_text())
