@@ -135,21 +135,16 @@ def compute_signals(
     *,
     doc_id: str,
     ordinal: int,
-    snapshot_id: str = "",
-    view: TokenizedView | None = None,
-    repetition: dict | None = None,
+    snapshot_id: str,
+    view: TokenizedView,
+    repetition: dict,
 ) -> QualitySignalSet:
     """Signals of the document `doc_id` at position `ordinal` of its
-    shard. `names` are signal names, as resolve_signal_names returns
-    them. `res` holds a model for every requested ML signal
-    (load_resources checks that at startup). annotate_shard passes the
-    document's `view` and its `repetition` row from the whole shard;
-    without them the document is analyzed here and is a shard of one."""
+    shard, from its `view` and its `repetition` row of the whole shard
+    (see annotate_shard). `names` are signal names, as
+    resolve_signal_names returns them. `res` holds a model for every
+    requested ML signal (load_resources checks that at startup)."""
     wanted = frozenset(names)
-    if view is None:
-        view = analyze(doc.raw_content)
-        repetition = (doc_repetition_signals([view])[0]
-                      if not wanted.isdisjoint(REPETITION_SIGNALS) else {})
     values: dict = {
         "ccnet_bucket": _BUCKET_CODES.get(doc.bucket, 2.0),
         "ccnet_language_score": doc.language_score,

@@ -100,10 +100,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", help="JSONL(.gz) training corpus")
     p.add_argument("--model-output", dest="output", required=True,
                    help="where to write the model JSON")
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--lr", type=float, default=0.5)
-    p.add_argument("--buckets", type=int, default=10_000)
-    p.add_argument("--order", type=int, default=5)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--lr", type=float)
+    p.add_argument("--buckets", type=int)
+    p.add_argument("--order", type=int)
 
     return parser
 

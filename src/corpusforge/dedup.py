@@ -5,8 +5,9 @@ union-find clustering.
 A shingle is a window of SHINGLE_WIDTH normalized words (a shorter
 document is one window of all its words). A window of k words w_j hashes
 to sum_j h(w_j) * _SHINGLE_MULT^(k-1-j) mod 2^64, a multiply-add over
-h = _hash64 (blake2b-64) of each word's UTF-8 bytes, so each distinct word
-of a shard is hashed once. MinHash "permutations" are 128 independent
+h = FNV-1a 64 of each word's UTF-8 bytes, the hash of the ML features
+(mlmodels.fnv1a64_batch); content_signatures hashes each distinct word
+of a shard once, in one call. MinHash "permutations" are 128 independent
 seeded 64-bit affine hashes of the shingle hash (a*x + b mod 2^64); the
 estimator's unbiasedness is covered by tests rather than assumed.
 """
@@ -18,17 +19,15 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain, count
 from typing import Iterable, Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError
+from .mlmodels import fnv1a64_batch
 from .textnorm import normalize
-
-
-def _hash64(data: bytes) -> int:
-    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
 
 
 # ---------------------------------------------------------------------------
@@ -134,17 +133,12 @@ _WINDOW_POWERS = np.array(  # _SHINGLE_MULT^(SHINGLE_WIDTH-1), ..., ^1, ^0 mod 2
     [pow(_SHINGLE_MULT, SHINGLE_WIDTH - 1 - j, 1 << 64) for j in range(SHINGLE_WIDTH)], np.uint64)
 
 
-def shingle_hashes(words: list[str], word_hashes: dict[str, int] | None = None) -> np.ndarray:
-    """Sorted distinct hashes of the windows of the normalized words (see
-    the module docstring). `word_hashes` memoises each word's _hash64
-    across calls; content_signatures passes one dict per shard."""
-    if not words:
+def shingle_hashes(h: np.ndarray) -> np.ndarray:
+    """Sorted distinct hashes of the windows over `h`, the word hashes of
+    a document's normalized words (see the module docstring)."""
+    if not len(h):
         return np.empty(0, dtype=np.uint64)
-    table = {} if word_hashes is None else word_hashes
-    for word in set(words).difference(table):
-        table[word] = _hash64(word.encode("utf-8"))
-    h = np.fromiter(map(table.__getitem__, words), dtype=np.uint64, count=len(words))
-    width = min(SHINGLE_WIDTH, len(words))
+    width = min(SHINGLE_WIDTH, len(h))
     windows = as_strided(h, (len(h) - width + 1, width), h.strides * 2, writeable=False)
     windows = np.sort(windows @ _WINDOW_POWERS[-width:])
     # np.sort plus a neighbour mask: np.unique costs ~6x more per call
@@ -159,22 +153,25 @@ def minhash_signature(hashes: np.ndarray, out: np.ndarray | None = None) -> np.n
     return np.minimum.reduce(values, axis=0, initial=np.iinfo(np.uint64).max, out=out)
 
 
-def minhash_for_words(words: list[str], word_hashes: dict[str, int] | None = None,
-                      out: np.ndarray | None = None) -> np.ndarray:
-    return minhash_signature(shingle_hashes(words, word_hashes), out)
+def minhash_for_words(words: list[str]) -> np.ndarray:
+    """The MinHash of one document's normalized words."""
+    return minhash_signature(shingle_hashes(fnv1a64_batch(words)))
 
 
 def content_signatures(contents: list[str]) -> tuple[list[int], np.ndarray]:
     """(slots, signatures) of a list of raw contents: the row of
     `signatures` holding the MinHash of each content's normalized words.
-    Each distinct content gets one row, computed once, and each distinct
-    word is hashed once per call."""
+    Each distinct content gets one row, computed once, and the distinct
+    words of all of them are hashed in one fnv1a64_batch call."""
     slot_of: dict[str, int] = {}
     slots = [slot_of.setdefault(text, len(slot_of)) for text in contents]
+    texts = [normalize(text).split() for text in slot_of]
+    number = dict(zip(dict.fromkeys(chain.from_iterable(texts)), count()))
+    hashes = fnv1a64_batch(list(number))
     signatures = np.empty((len(slot_of), NUM_PERMUTATIONS), dtype=np.uint64)
-    word_hashes: dict[str, int] = {}
-    for row, text in enumerate(slot_of):
-        minhash_for_words(normalize(text).split(), word_hashes, signatures[row])
+    for row, words in enumerate(texts):
+        ids = np.fromiter(map(number.__getitem__, words), np.intp, len(words))
+        minhash_signature(shingle_hashes(hashes[ids]), signatures[row])
     return slots, signatures
 
 

@@ -117,36 +117,41 @@ def _windows(seq: np.ndarray, starts: np.ndarray, k: int) -> np.ndarray:
 
 
 def train_kn_lm(
-    tokens: list[str],
+    documents: list[list[str]],
     order: int = DEFAULT_ORDER,
     include_unk: bool = True,
 ) -> KneserNeyLM:
-    """The model of `tokens`, discounted by DEFAULT_DISCOUNT."""
+    """The model of the token lists `documents`, discounted by
+    DEFAULT_DISCOUNT. Grams are counted within each document, never
+    across two, as a document is scored from an empty history."""
     if order < 1:
         raise ConfigError("order must be >= 1")
-    if len(tokens) < order:
-        raise ConfigError(
-            f"training corpus has {len(tokens)} tokens, need >= order {order}"
-        )
+    if not any(len(doc) >= order for doc in documents):
+        raise ConfigError(f"training corpus has no document of >= order {order} tokens")
+    tokens = list(chain.from_iterable(documents))
     vocab = set(tokens)
     ids = _vocab_ids(vocab)
     base = len(ids)
     seq = np.fromiter(map(ids.__getitem__, tokens), np.int64, len(tokens))
+    # tokens from each position to the end of its document
+    left = np.concatenate([np.arange(len(doc), 0, -1) for doc in documents])
     grams: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     # The j-gram starting at each position is numbered by the pair
     # (number of its (j-1)-gram prefix, its last token).
     numbers = np.zeros(len(seq), np.int64)
     for j in range(1, order + 1):
+        at = np.flatnonzero(left >= j)  # starts of the j-grams within a document
         _, first, later, raw = np.unique(
-            numbers[: len(seq) - j + 1] * base + seq[j - 1 :],
+            numbers[at] * base + seq[at + j - 1],
             return_index=True, return_inverse=True, return_counts=True)
+        first = at[first]
         if j > 1:
             # cc_{j-1}(g) = |{v : raw_j(v + g) > 0}|: the distinct j-grams
             # whose suffix, starting one position later, is g
             cc = np.bincount(numbers[first + 1], minlength=len(prefix_first))
             seen = np.flatnonzero(cc)
             grams[j - 1] = (_windows(seq, prefix_first[seen], j - 1), cc[seen])
-        numbers, prefix_first = later, first
+        numbers[at], prefix_first = later, first
     grams[order] = (_windows(seq, prefix_first, order), raw)
     return _build_lm(order, DEFAULT_DISCOUNT, ids, include_unk or UNK in vocab, grams)
 

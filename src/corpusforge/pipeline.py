@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import glob
 import json
+import math
 import os
 import sys
 import typing
@@ -34,7 +35,7 @@ from . import annotate as annotate_mod
 from . import dedup as dedup_mod
 from .errors import ConfigError, DataError
 from .filtering import Decision, Ruleset, evaluate, load_ruleset
-from .kneser_ney import kn_from_payload, kn_payload, perplexity, train_kn_lm
+from .kneser_ney import kn_from_payload, kn_payload, train_kn_lm
 from .mlmodels import (
     classifier_from_payload,
     classifier_payload,
@@ -599,12 +600,7 @@ def cmd_train(cfg: PipelineConfig, kind: str, args: dict) -> dict:
     if kind == "classifier":
         pos = list(_iter_training_texts(_require(args, "positive")))
         neg = list(_iter_training_texts(_require(args, "negative")))
-        clf = train_classifier(
-            pos, neg,
-            epochs=args.get("epochs", 20),
-            lr=args.get("lr", 0.5),
-            seed=cfg.seed,
-        )
+        clf = train_classifier(pos, neg, seed=cfg.seed, **_given(args, "epochs", "lr"))
         digest = save_model(out_path, "classifier", classifier_payload(clf))
         acc = training_accuracy(clf, pos, neg)
         print(f"classifier saved to {out_path} (hash {digest}); "
@@ -613,24 +609,28 @@ def cmd_train(cfg: PipelineConfig, kind: str, args: dict) -> dict:
 
     if kind == "hashed_lm":
         corpus = list(_iter_training_texts(_require(args, "corpus")))
-        lm = train_hashed_lm(corpus, buckets=args.get("buckets", 10_000))
+        lm = train_hashed_lm(corpus, **_given(args, "buckets"))
         digest = save_model(out_path, "hashed_lm", hashed_lm_payload(lm))
         print(f"hashed LM saved to {out_path} (hash {digest}); "
               f"{lm.total} features over {lm.bucket_count} buckets")
         return {"kind": kind, "hash": digest, "total": lm.total}
 
     if kind == "kn_lm":
-        tokens: list[str] = []
-        for words in _iter_training_texts(_require(args, "corpus")):
-            tokens.extend(words)
-        lm = train_kn_lm(tokens, order=args.get("order", 5))
+        docs = list(_iter_training_texts(_require(args, "corpus")))
+        lm = train_kn_lm(docs, **_given(args, "order"))
         digest = save_model(out_path, "kneser_ney", kn_payload(lm))
-        ppl = perplexity(tokens, lm)
+        # each document scored from an empty history, as annotate does
+        ppl = math.exp(-sum(map(lm.sequence_logprob, docs)) / sum(map(len, docs)))
         print(f"KN LM saved to {out_path} (hash {digest}); "
               f"training perplexity {ppl:.2f}")
         return {"kind": kind, "hash": digest, "train_perplexity": ppl}
 
     raise ConfigError(f"unknown training kind {kind!r}")
+
+
+def _given(args: dict, *keys: str) -> dict:
+    """The given options among `keys`; the trainers' defaults stand for the rest."""
+    return {key: args[key] for key in keys if args.get(key) is not None}
 
 
 def _require(args: dict, key: str) -> str:

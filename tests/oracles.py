@@ -6,7 +6,6 @@ the end are the checks that only tests need."""
 
 from __future__ import annotations
 
-import hashlib
 import math
 import unicodedata
 from collections import Counter
@@ -414,7 +413,8 @@ def kn_prob(lm, word: str, history) -> float:
 
 
 # ---------------------------------------------------------------------------
-# MinHash (reference): blake2b-64 of each word, each 13-word window (the
+# MinHash (reference): FNV-1a 64 of each word's UTF-8 bytes (the hash of
+# the ML features above), each 13-word window (the
 # whole document when shorter) as the polynomial over its word hashes
 # with multiplier 0x9E3779B97F4A7C15, and per permutation (a, b) the
 # minimum of (a * window + b), all mod 2^64 in plain Python ints, given
@@ -426,10 +426,7 @@ _SHINGLE_MULT = 0x9E3779B97F4A7C15
 def oracle_minhash(words: list[str], mults, offsets) -> list[int]:
     if not words:
         return [_MASK64] * len(mults)
-    hashes = [
-        int.from_bytes(hashlib.blake2b(w.encode("utf-8"), digest_size=8).digest(), "little")
-        for w in words
-    ]
+    hashes = [oracle_fnv1a64(w.encode("utf-8")) for w in words]
     width = min(13, len(hashes))
     windows = set()
     for i in range(len(hashes) - width + 1):

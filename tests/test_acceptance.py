@@ -341,7 +341,7 @@ def test_acceptance_7_ml_sanity():
     # KN conditional distributions sum to 1 over 100 random histories
     vocab = [f"w{i}" for i in range(8)]
     tokens = [rng.choice(vocab) for _ in range(2000)]
-    lm = train_kn_lm(tokens, order=5)
+    lm = train_kn_lm([tokens], order=5)
     history_pool = vocab + ["neverseen"]
     for _ in range(100):
         history = [rng.choice(history_pool) for _ in range(rng.randint(0, 6))]

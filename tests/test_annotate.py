@@ -6,7 +6,6 @@ from corpusforge.annotate import (
     DEFAULT_SIGNALS,
     SignalResources,
     annotate_shard,
-    compute_signals,
     resolve_signal_names,
 )
 from corpusforge.errors import ConfigError, DataError
@@ -22,6 +21,11 @@ from oracles import signal_invariant_warnings
 @pytest.fixture(scope="module")
 def resources():
     return SignalResources.load_default(languages=("en",))
+
+
+def _signals_of(doc, res, names, doc_id):
+    """The signals of `doc` as the only document of its shard."""
+    return next(annotate_shard([doc], [doc_id], res, names))
 
 
 def test_resolve_signal_names_expands_groups():
@@ -43,8 +47,8 @@ def test_resolve_signal_names_expands_groups():
     ("http://[::1/app.py", 0.0),  # urlsplit rejects it: no file name
 ])
 def test_code_signals_read_the_url_path(resources, url, extension_ok):
-    record = compute_signals(make_doc("x = 1", url=url), resources,
-                             resolve_signal_names(["code"]), doc_id="seg/0", ordinal=0)
+    record = _signals_of(make_doc("x = 1", url=url), resources,
+                         resolve_signal_names(["code"]), doc_id="seg/0")
     assert set(record.quality_signals) == set(SIGNAL_GROUPS["code"])
     assert record.quality_signals["rps_code_extension_ok"] == [(0, 5, extension_ok)]
 
@@ -52,8 +56,10 @@ def test_code_signals_read_the_url_path(resources, url, extension_ok):
 def test_compute_signals_shapes(resources):
     text = "First line with several words here.\nSecond line also has words."
     doc = make_doc(text)
-    record = compute_signals(doc, resources, resolve_signal_names(DEFAULT_SIGNALS),
-                             doc_id=document_id(doc, 3), ordinal=3, snapshot_id="2023-14")
+    docs = [make_doc("other")] * 3 + [doc]  # doc is the shard's fourth
+    ids = [document_id(d, i) for i, d in enumerate(docs)]
+    *_, record = annotate_shard(docs, ids, resources, resolve_signal_names(DEFAULT_SIGNALS),
+                                "2023-14")
     assert record.id == f"{doc.cc_segment}/3" and record.id_int == 3
     assert record.metadata["snapshot_id"] == "2023-14"
     assert record.metadata["language"] == "en"
@@ -92,21 +98,19 @@ def test_one_shard_or_three_give_the_same_signals(resources):
 def test_compute_signals_emits_exactly_the_requested_names(resources):
     doc = make_doc("Some words.\nMore words on a line.")
     names = resolve_signal_names([g for g in SIGNAL_GROUPS if g != "ml"])
-    record = compute_signals(doc, resources, names=names, doc_id="seg/0", ordinal=0)
+    record = _signals_of(doc, resources, names=names, doc_id="seg/0")
     assert sorted(record.quality_signals) == sorted(names)
 
 
 def test_compute_signals_subset(resources):
     doc = make_doc("just a few words")
-    record = compute_signals(doc, resources, names=["rps_doc_word_count"],
-                             doc_id="seg/0", ordinal=0)
+    record = _signals_of(doc, resources, names=["rps_doc_word_count"], doc_id="seg/0")
     assert list(record.quality_signals) == ["rps_doc_word_count"]
 
 
 def test_ccnet_signals_come_from_metadata(resources):
     doc = make_doc("text", bucket="middle", perplexity=123.0)
-    record = compute_signals(doc, resources, resolve_signal_names(["ccnet"]),
-                             doc_id="seg/0", ordinal=0)
+    record = _signals_of(doc, resources, resolve_signal_names(["ccnet"]), doc_id="seg/0")
     assert record.quality_signals["ccnet_bucket"][0][2] == 1.0
     assert record.quality_signals["ccnet_perplexity"][0][2] == 123.0
     assert record.quality_signals["ccnet_original_length"][0][2] == float(
@@ -117,10 +121,10 @@ def test_ccnet_signals_come_from_metadata(resources):
 def test_ut1_blacklist_is_categorical(resources):
     doc = make_doc("text", source_domain="nsfw.example.com")
     names = resolve_signal_names(["content"])
-    record = compute_signals(doc, resources, names, doc_id="seg/0", ordinal=0)
+    record = _signals_of(doc, resources, names, doc_id="seg/0")
     triples = record.quality_signals["rps_doc_ut1_blacklist"]
     assert len(triples) == 1 and triples[0][2] == 0.0  # "adult" is category 0
-    clean = compute_signals(make_doc("text"), resources, names, doc_id="seg/0", ordinal=0)
+    clean = _signals_of(make_doc("text"), resources, names, doc_id="seg/0")
     assert clean.quality_signals["rps_doc_ut1_blacklist"] == []
 
 
@@ -139,12 +143,11 @@ def test_ml_signals_require_models(resources):
         train_hashed_lm([["novel", "story"]], buckets=256),
         train_hashed_lm([["web", "page"]], buckets=256),
     )
-    record = compute_signals(
+    record = _signals_of(
         doc,
         loaded,
         names=["rps_doc_ml_wikiref_score", "rps_doc_books_importance"],
         doc_id="seg/0",
-        ordinal=0,
     )
     assert 0.0 <= record.quality_signals["rps_doc_ml_wikiref_score"][0][2] <= 1.0
     assert "rps_doc_books_importance" in record.quality_signals
@@ -154,5 +157,4 @@ def test_unknown_language_fails_fast(resources):
     # no word list loaded for the record's language: bad data, not config
     doc = make_doc("texto", language="es")
     with pytest.raises(DataError, match="stop-word"):
-        compute_signals(doc, resources, resolve_signal_names(["natlang"]),
-                        doc_id="seg/0", ordinal=0)
+        _signals_of(doc, resources, resolve_signal_names(["natlang"]), doc_id="seg/0")

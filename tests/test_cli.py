@@ -2,6 +2,7 @@
 
 import gzip
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 import corpusforge
 from corpusforge import cli, pipeline
 from corpusforge.cli import main
-from corpusforge.kneser_ney import kn_payload, train_kn_lm
+from corpusforge.kneser_ney import DEFAULT_ORDER, kn_from_payload, kn_payload, train_kn_lm
 from corpusforge.mlmodels import (
     classifier_payload,
     hashed_lm_payload,
@@ -395,7 +396,7 @@ def _write_models(root):
     """Model files, valid and broken, under `root`."""
     lm = hashed_lm_payload(train_hashed_lm([["alpha0", "beta0"]], buckets=16))
     clf = classifier_payload(train_classifier([["alpha0"]], [["delta0"]], epochs=2, dim=64))
-    kn = kn_payload(train_kn_lm(LONG_A.split(), order=3))
+    kn = kn_payload(train_kn_lm([LONG_A.split()], order=3))
     for name, kind, payload in [
         ("lm16.json", "hashed_lm", lm),
         ("lm32.json", "hashed_lm", hashed_lm_payload(train_hashed_lm([["x"]], buckets=32))),
@@ -809,6 +810,32 @@ def test_train_commands(tmp_path, capsys):
 
     # missing required argument -> config error
     assert main(["train", "classifier", "--model-output", clf_path]) == 1
+
+
+def test_kn_lm_counts_grams_within_documents(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"text": "alpha beta"}\n{"text": "gamma delta"}\n')
+    model = tmp_path / "kn.json"
+    assert main(["train", "kn_lm", "--corpus", str(corpus),
+                 "--model-output", str(model), "--order", "2"]) == 0
+    payload = json.loads(model.read_text())["payload"]
+    assert payload["order"] == 2
+    assert sorted(payload["counts"]["2"]) == ["alpha\x1fbeta", "gamma\x1fdelta"]
+    # the training perplexity scores each document from an empty history
+    lm = kn_from_payload(payload)
+    logprob = lm.sequence_logprob(["alpha", "beta"]) + lm.sequence_logprob(["gamma", "delta"])
+    assert f"training perplexity {math.exp(-logprob / 4):.2f}" in capsys.readouterr().out
+
+
+def test_train_flags_default_to_the_training_functions(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"text": "one two three four five six seven"}\n')
+    model = tmp_path / "kn.json"
+    assert main(["train", "kn_lm", "--corpus", str(corpus),
+                 "--model-output", str(model)]) == 0
+    payload = json.loads(model.read_text())["payload"]
+    assert payload["order"] == DEFAULT_ORDER
+    assert len(payload["counts"][str(DEFAULT_ORDER)]) == 3
 
 
 def test_classifier_models_feed_filtering(tmp_path, corpus, capsys):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from corpusforge import dedup
 from corpusforge.dedup import (
     _MH_A,
     _MH_B,
@@ -25,6 +26,7 @@ from corpusforge.dedup import (
     shingle_hashes,
 )
 from corpusforge.errors import ConfigError
+from corpusforge.mlmodels import fnv1a64_batch
 from corpusforge.records import content_digest
 from corpusforge.textnorm import normalize
 from oracles import oracle_minhash
@@ -76,16 +78,31 @@ def test_exact_dedup_keeps_first_occurrence():
 
 def test_shingles():
     words = [f"w{i}" for i in range(15)]
-    assert len(shingle_hashes(words)) == 3  # 15 - 13 + 1
+    assert len(shingle_hashes(fnv1a64_batch(words))) == 3  # 15 - 13 + 1
     # repeated windows hash once
-    assert len(shingle_hashes(["x"] * 20)) == 1
+    assert len(shingle_hashes(fnv1a64_batch(["x"] * 20))) == 1
     # short documents fall back to one whole-document shingle
-    assert len(shingle_hashes(["only", "two"])) == 1
-    assert shingle_hashes([]).size == 0
-    # the word-hash table is filled once per distinct word and reused
-    table = {}
-    assert np.array_equal(shingle_hashes(words + words, table), shingle_hashes(words + words))
-    assert len(table) == 15
+    assert len(shingle_hashes(fnv1a64_batch(["only", "two"]))) == 1
+    assert shingle_hashes(fnv1a64_batch([])).size == 0
+
+
+def test_content_signatures_hash_words_in_one_call(monkeypatch):
+    """One fnv1a64_batch call per content_signatures call, over the
+    distinct words of all its contents."""
+    calls = []
+
+    def counted(keys):
+        calls.append(list(keys))
+        return fnv1a64_batch(keys)
+
+    monkeypatch.setattr(dedup, "fnv1a64_batch", counted)
+    texts = ["the cat sat", "The dog sat!", "the cat sat", ""]
+    slots, sigs = content_signatures(texts)
+    assert slots == [0, 1, 0, 2]
+    assert calls == [["the", "cat", "sat", "dog"]]
+    monkeypatch.undo()
+    for text, slot in zip(texts, slots):
+        assert np.array_equal(sigs[slot], minhash_for_words(normalize(text).split()))
 
 
 def _keys(strings) -> np.ndarray:
@@ -134,7 +151,7 @@ def test_minhash_matches_oracle(words):
 
     assert minhash_for_words(words).tolist() == oracle(words)
     # the production path: one signature per distinct content, words of
-    # the normalized text, one word-hash table across the call
+    # the normalized text, hashed once across the call
     text = " ".join(words)
     other = "zz " + text
     slots, sigs = content_signatures([text, other, text])

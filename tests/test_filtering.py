@@ -7,7 +7,7 @@ import pytest
 from corpusforge.annotate import (
     DEFAULT_SIGNALS,
     SignalResources,
-    compute_signals,
+    annotate_shard,
     resolve_signal_names,
 )
 from corpusforge.errors import ConfigError
@@ -31,8 +31,8 @@ def resources():
 
 
 def _signals_for(doc, resources):
-    return compute_signals(doc, resources, resolve_signal_names(DEFAULT_SIGNALS),
-                           doc_id="seg/0", ordinal=0)
+    return next(annotate_shard([doc], ["seg/0"], resources,
+                               resolve_signal_names(DEFAULT_SIGNALS)))
 
 
 def test_compile_structured_ruleset():

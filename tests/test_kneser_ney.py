@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +30,7 @@ def _random_tokens(rng, n, vocab=("a", "b", "c", "d", "e")):
 def test_distributions_sum_to_one():
     rng = random.Random(42)
     tokens = _random_tokens(rng, 400)
-    lm = train_kn_lm(tokens, order=3)
+    lm = train_kn_lm([tokens], order=3)
     for _ in range(50):
         history = _random_tokens(rng, rng.randint(0, 4),
                                  vocab=("a", "b", "c", "z"))
@@ -38,7 +39,7 @@ def test_distributions_sum_to_one():
 
 
 def test_unseen_history_backs_off():
-    lm = train_kn_lm(list("ababab"), order=3)
+    lm = train_kn_lm([list("ababab")], order=3)
     # "zz" was never seen; probability must come from lower orders
     p = kn_prob(lm, "a", ["z", "z"])
     assert 0.0 < p < 1.0
@@ -49,12 +50,12 @@ def test_unigram_only_model_is_closed_form():
     # order 1, uniform counts, no unknown token: per-token probability is
     # exactly 1/V so perplexity equals the vocabulary size.
     tokens = ["a", "b", "c", "d"]
-    lm = train_kn_lm(tokens, order=1, include_unk=False)
+    lm = train_kn_lm([tokens], order=1, include_unk=False)
     assert perplexity(tokens, lm) == pytest.approx(4.0, rel=1e-12)
 
 
 def test_perplexity_basics():
-    lm = train_kn_lm(list("abcabcabc"), order=2)
+    lm = train_kn_lm([list("abcabcabc")], order=2)
     assert perplexity([], lm) == math.inf
     seen = perplexity(list("abcabc"), lm)
     unseen = perplexity(["q", "q", "q"], lm)
@@ -63,16 +64,18 @@ def test_perplexity_basics():
 
 def test_training_validation():
     with pytest.raises(ConfigError):
-        train_kn_lm(["a"], order=5)
+        train_kn_lm([["a"]], order=5)
+    with pytest.raises(ConfigError, match="no document"):  # 6 tokens, but 3 + 3
+        train_kn_lm([list("abc"), list("def")], order=5)
     with pytest.raises(ConfigError, match="discount"):
-        kn_from_payload({**kn_payload(train_kn_lm(list("abcdef"), order=2)), "discount": 1.5})
+        kn_from_payload({**kn_payload(train_kn_lm([list("abcdef")], order=2)), "discount": 1.5})
     with pytest.raises(ConfigError):
-        train_kn_lm(list("abcdef"), order=0)
+        train_kn_lm([list("abcdef")], order=0)
 
 
 def test_payload_roundtrip():
     tokens = list("the cat sat on the mat the cat ran".split())
-    lm = train_kn_lm(tokens, order=3)
+    lm = train_kn_lm([tokens], order=3)
     restored = kn_from_payload(kn_payload(lm))
     rng = random.Random(5)
     for _ in range(20):
@@ -85,7 +88,7 @@ def test_payload_roundtrip():
 @given(st.integers(1, 5), st.booleans(), st.data())
 def test_scores_equal_recursive_oracle(order, include_unk, data):
     tokens = data.draw(st.lists(st.sampled_from(TRAIN_VOCAB), min_size=order, max_size=60))
-    lm = train_kn_lm(tokens, order=order, include_unk=include_unk)
+    lm = train_kn_lm([tokens], order=order, include_unk=include_unk)
     payload = kn_payload(lm)
     oracle = OracleKneserNey(payload)
     text = data.draw(st.lists(st.sampled_from(QUERY_VOCAB), max_size=30))
@@ -97,16 +100,36 @@ def test_scores_equal_recursive_oracle(order, include_unk, data):
     assert restored.sequence_logprob(text) == lm.sequence_logprob(text)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_grams_are_counted_within_documents(order, data):
+    """Raw top-order counts and lower-order continuation counts, counted
+    by brute force over each document's own grams, with none spanning two
+    documents."""
+    docs = data.draw(st.lists(st.lists(st.sampled_from(TRAIN_VOCAB), max_size=12),
+                              min_size=1, max_size=5))
+    docs.append(data.draw(st.lists(st.sampled_from(TRAIN_VOCAB),
+                                   min_size=order, max_size=12)))
+    grams = {k: [tuple(doc[i:i + k]) for doc in docs for i in range(len(doc) - k + 1)]
+             for k in range(1, order + 1)}
+    expected = {str(order): {"\x1f".join(g): n for g, n in Counter(grams[order]).items()}}
+    for k in range(1, order):
+        left = Counter(g[1:] for g in set(grams[k + 1]))
+        expected[str(k)] = {"\x1f".join(g): n for g, n in left.items()}
+    counts = kn_payload(train_kn_lm(docs, order=order))["counts"]
+    assert counts == expected
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(1, 5), st.booleans(),
        st.lists(st.sampled_from(TRAIN_VOCAB), min_size=5, max_size=60))
 def test_payload_roundtrips_exactly(order, include_unk, tokens):
-    payload = kn_payload(train_kn_lm(tokens, order=order, include_unk=include_unk))
+    payload = kn_payload(train_kn_lm([tokens], order=order, include_unk=include_unk))
     assert kn_payload(kn_from_payload(payload)) == payload
 
 
 def test_payload_without_suffix_closure_is_a_config_error():
-    payload = kn_payload(train_kn_lm(list("abcab"), order=3))
+    payload = kn_payload(train_kn_lm([list("abcab")], order=3))
     # the order-3 history "c a" stays, its order-2 suffix "a" goes
     payload["counts"]["2"] = {k: c for k, c in payload["counts"]["2"].items()
                               if not k.startswith("a\x1f")}
@@ -122,7 +145,7 @@ def test_vocabulary_too_large_for_packed_int64_keys():
     rng = random.Random(7)
     words = [f"w{i}" for i in range(6400)]
     tokens = words + [f"w{rng.randrange(40)}" for _ in range(3000)] + sorted(words)[-50:]
-    lm = train_kn_lm(tokens, order=5)
+    lm = train_kn_lm([tokens], order=5)
     assert lm.base ** 5 > 2 ** 63
     oracle = OracleKneserNey(kn_payload(lm))
     texts = [
