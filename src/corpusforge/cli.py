@@ -46,7 +46,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="random seed for training")
     parser.add_argument(
         "--force", action="store_true", default=None,
-        help="recompute shards whose outputs already exist",
+        help="recompute shards whose outputs already exist; dedup --mode fuzzy "
+        "recomputes the MinHash signatures it would otherwise reuse from "
+        "matching minhash/ sidecars",
     )
 
 

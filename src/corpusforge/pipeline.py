@@ -14,9 +14,13 @@ resident on a 240-page annotate with ML models, which holds one 30-page
 shard's analyzed documents at a time).
 
 Every command is restartable per shard: annotate and filter skip shard
-outputs that already exist unless force is set, and dedup rewrites both
-its sidecars (duplicates/ and, in fuzzy mode, minhash/) on every run,
-since whether a document is a duplicate depends on the whole corpus.
+outputs that already exist unless force is set. dedup rewrites its
+duplicates/ sidecars on every run, since whether a document is a
+duplicate depends on the whole corpus. In fuzzy mode it reuses a shard's
+minhash/ sidecar (base64 of each signature's little-endian uint64s)
+unless force is set, when it holds one record per document and record i
+carries document i's id and digest; a stale sidecar is recomputed and
+rewritten, and a malformed one is a data error.
 With a fixed config and seed the whole output tree is bit-reproducible
 (gzip mtime is pinned to 0)."""
 
@@ -52,8 +56,10 @@ from .records import (
     document_id,
     iter_jsonl_gz,
     lone_surrogate,
+    minhash_lines,
     parse_shard_path,
     read_documents,
+    read_minhash,
     read_signals,
     shard_path,
     write_jsonl_gz,
@@ -410,18 +416,27 @@ def _write_duplicates(cfg: PipelineConfig, addr: ShardAddress, records) -> int:
 
 
 def _dedup_fuzzy(cfg: PipelineConfig) -> dict:
-    """Shard jobs compute the signatures of each shard's distinct contents
-    and write its minhash sidecar; the parent groups them in canonical
-    order, then runs LSH and clustering over the whole corpus."""
+    """Shard jobs take the signatures of each shard's distinct contents
+    from its minhash sidecar, when one exists, force is not set and it
+    matches the shard (read_minhash: one record per document, record i
+    with document i's id and digest). Otherwise they compute them and
+    write the sidecar; a stale one is rewritten, and a malformed one is a
+    DataError that names it and says that --force recomputes it. The
+    parent groups the signatures in canonical order, then runs LSH and
+    clustering over the whole corpus."""
 
     def job(addr: ShardAddress, docs, ids):
-        slots, sigs = dedup_mod.content_signatures([doc.raw_content for doc in docs])
         out_path = os.path.join(cfg.output_root, shard_path(addr, "minhash"))
-        write_jsonl_gz(out_path, (
-            json.dumps({"doc_id": doc_id, "digest": doc.digest,
-                        "signature": sigs[slot].tolist()}, separators=(",", ":"))
-            for doc_id, doc, slot in zip(ids, docs, slots)
-        ))
+        digests = [doc.digest for doc in docs]
+        if not cfg.force and os.path.exists(out_path):
+            try:
+                found = read_minhash(out_path, ids, digests)
+            except DataError as exc:
+                raise DataError(f"{exc}; dedup --force recomputes it") from exc
+            if found is not None:
+                return ids, *found
+        slots, sigs = dedup_mod.content_signatures([doc.raw_content for doc in docs])
+        write_jsonl_gz(out_path, minhash_lines(ids, digests, slots, sigs))
         return ids, slots, sigs
 
     index = dedup_mod.SignatureGroups()

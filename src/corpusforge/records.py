@@ -1,4 +1,5 @@
-"""Document and signal record schemas, shard naming, compressed JSONL IO.
+"""Document, signal and MinHash record schemas, shard naming, compressed
+JSONL IO.
 
 All character offsets are Unicode code-point counts, never bytes, so the
 span triples in signal records are stable across encodings. Writers emit
@@ -7,6 +8,7 @@ a fixed key order and gzip with mtime=0 so reruns are byte-comparable.
 
 from __future__ import annotations
 
+import base64
 import gzip
 import hashlib
 import json
@@ -15,6 +17,9 @@ import sys
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, get_origin, get_type_hints
 
+import numpy as np
+
+from .dedup import NUM_PERMUTATIONS
 from .errors import DataError, RecordError
 
 _OPTIONAL_DOC_DEFAULTS = {"title": ""}
@@ -293,6 +298,66 @@ def read_signals(path, ids: list[str]) -> list[QualitySignalSet]:
         raise DataError(f"{path}: {len(records)} records for {len(ids)} documents; "
                         f"no record for {ids[len(records)]}")
     return records
+
+
+_SIGNATURE_BYTES = 8 * NUM_PERMUTATIONS
+
+
+def minhash_lines(ids: list[str], digests: list[str], slots: list[int],
+                  signatures: np.ndarray) -> Iterator[str]:
+    """The minhash sidecar lines of a shard, one {doc_id, digest,
+    signature} record per document: document i's signature is row
+    slots[i] of `signatures`, written as the base64 of its components'
+    little-endian uint64 bytes. Each row is encoded once."""
+    encoded = [base64.b64encode(row.tobytes()).decode("ascii")
+               for row in signatures.astype("<u8", copy=False)]
+    for doc_id, digest, slot in zip(ids, digests, slots):
+        yield json.dumps({"doc_id": doc_id, "digest": digest, "signature": encoded[slot]},
+                         separators=(",", ":"))
+
+
+def read_minhash(path, ids: list[str],
+                 digests: list[str]) -> tuple[list[int], np.ndarray] | None:
+    """(slots, signatures) of a minhash sidecar, as minhash_lines takes
+    them, when it holds one record per document and record i carries
+    ids[i] and digests[i]; None when it does not (a stale sidecar). A line
+    that is not a JSON object with string doc_id, digest and signature,
+    or a signature that is not the canonical base64 of NUM_PERMUTATIONS
+    uint64s, is a DataError naming the file and the line, stale or not."""
+    slot_of: dict[str, int] = {}
+    slots, found, rows = [], [], []
+    for line_number, line in iter_jsonl_gz(path):
+        where = f"{path}: line {line_number}"
+        try:
+            raw = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{where}: malformed JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise DataError(f"{where}: record is not a JSON object")
+        for key in ("doc_id", "digest", "signature"):
+            if not isinstance(raw.get(key), str):
+                raise DataError(f"{where}: field {key} is missing or not a string")
+        slot = slot_of.setdefault(raw["signature"], len(rows))
+        if slot == len(rows):  # a signature not seen before in this file
+            rows.append(_signature_bytes(raw["signature"], where))
+        slots.append(slot)
+        found.append((raw["doc_id"], raw["digest"]))
+    if found != list(zip(ids, digests)):
+        return None
+    signatures = np.frombuffer(b"".join(rows), "<u8").reshape(-1, NUM_PERMUTATIONS)
+    return slots, signatures.astype(np.uint64)
+
+
+def _signature_bytes(text: str, where: str) -> bytes:
+    """The bytes of a signature field, which must be the canonical base64
+    of _SIGNATURE_BYTES bytes, else a DataError at `where`."""
+    try:
+        data = base64.b64decode(text, validate=True)
+    except ValueError:  # binascii.Error, or a non-ASCII character
+        data = b""
+    if len(data) != _SIGNATURE_BYTES or base64.b64encode(data).decode("ascii") != text:
+        raise DataError(f"{where}: signature is not the base64 of {_SIGNATURE_BYTES} bytes")
+    return data
 
 
 def rewrite_document(doc: Document, kept_line_indexes: list[int]) -> Document:

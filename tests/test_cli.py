@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, exit codes, env overrides, restartability."""
 
+import base64
 import gzip
 import json
 import math
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import corpusforge
-from corpusforge import cli, pipeline
+from corpusforge import cli, dedup, pipeline
 from corpusforge.cli import main
 from corpusforge.kneser_ney import DEFAULT_ORDER, kn_from_payload, kn_payload, train_kn_lm
 from corpusforge.mlmodels import (
@@ -120,9 +121,67 @@ def test_dedup_fuzzy_end_to_end(tmp_path, capsys):
         assert list(sig) == ["doc_id", "digest", "signature"]
         assert sig["doc_id"] == f"2023-14/seg0/{i}"
         assert sig["digest"] == content_digest(text)
-        assert len(sig["signature"]) == 128
+        assert _decoded(sig) == dedup.content_signatures([text])[1][0].tolist()
     assert sigs[0]["signature"] == sigs[2]["signature"] == sigs[3]["signature"]
     assert sigs[0]["signature"] != sigs[4]["signature"]
+
+
+def _decoded(record) -> list[int]:
+    """The 128 components of a minhash record: base64 of little-endian uint64s."""
+    data = base64.b64decode(record["signature"], validate=True)
+    assert len(record["signature"]) == 1368 and len(data) == 1024
+    return [int.from_bytes(data[i:i + 8], "little") for i in range(0, 1024, 8)]
+
+
+def _tree(root) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(Path(root).rglob("*")) if p.is_file()}
+
+
+def test_dedup_fuzzy_rerun_reuses_matching_sidecars(tmp_path, monkeypatch):
+    """A rerun at another --jaccard takes every shard's signatures from
+    its minhash sidecar, and leaves the tree of a fresh run."""
+    reused, fresh = str(tmp_path / "reused"), str(tmp_path / "fresh")
+    # 14 words appended: estimated Jaccard 0.758 and 0.773 to the originals,
+    # duplicates at 0.7 but not at 0.8
+    tail = " " + " ".join(f"tail{j}" for j in range(14))
+    for root in (reused, fresh):
+        _write_corpus(root, [LONG_A, LONG_B, LONG_A + tail])
+        _write_corpus(root, [LONG_B + tail, LONG_A, LONG_B], shard=1)
+    argv = ["dedup", "--mode", "fuzzy", "--workers", "1"]
+    assert main([*argv, "--jaccard", "0.8", "--input", reused, "--output", reused]) == 0
+    assert main([*argv, "--jaccard", "0.7", "--input", fresh, "--output", fresh]) == 0
+    assert _tree(reused) != _tree(fresh)
+
+    def refuse(contents):
+        raise AssertionError("signatures recomputed")
+
+    monkeypatch.setattr(dedup, "content_signatures", refuse)
+    assert main([*argv, "--jaccard", "0.7", "--input", reused, "--output", reused]) == 0
+    assert _tree(reused) == _tree(fresh)
+
+
+def test_dedup_fuzzy_force_recomputes_signatures(tmp_path, monkeypatch):
+    root = str(tmp_path / "corpus")
+    _write_corpus(root, [LONG_A, LONG_B])
+    _write_corpus(root, [LONG_B, LONG_A], shard=1)
+    argv = ["dedup", "--mode", "fuzzy", "--input", root, "--output", root]
+    assert main(argv) == 0
+    before = _tree(root)
+    calls = []
+    compute = dedup.content_signatures
+    monkeypatch.setattr(dedup, "content_signatures",
+                        lambda contents: calls.append(contents) or compute(contents))
+    assert main(argv) == 0
+    assert calls == []
+    assert main([*argv, "--force"]) == 0
+    assert calls == [[LONG_A, LONG_B], [LONG_B, LONG_A]]
+    assert _tree(root) == before
+    # --force does not read the sidecar, so a malformed one is rewritten
+    sidecar = os.path.join(root, shard_path(ShardAddress("2023-14", 1, "en", "head"), "minhash"))
+    write_jsonl_gz(sidecar, ["{not json"])
+    assert main([*argv, "--force"]) == 0
+    assert _tree(root) == before
 
 
 def test_dedup_fuzzy_rewrites_minhash_sidecar_after_shard_changes(tmp_path):
@@ -130,13 +189,52 @@ def test_dedup_fuzzy_rewrites_minhash_sidecar_after_shard_changes(tmp_path):
     argv = ["dedup", "--mode", "fuzzy", "--input", root, "--output", root]
     sidecar = os.path.join(
         root, shard_path(ShardAddress("2023-14", 0, "en", "head"), "minhash"))
-    for texts in ([LONG_A, LONG_B], [LONG_A, LONG_B, LONG_A + " omega"]):
+    # a record more, then the same ids with other digests: both are stale
+    for texts in ([LONG_A, LONG_B], [LONG_A, LONG_B, LONG_A + " omega"],
+                  [LONG_B, LONG_A + " omega", LONG_A]):
         _write_corpus(root, texts)
         assert main(argv) == 0
         with gzip.open(sidecar, "rt") as fh:
             sigs = [json.loads(line) for line in fh]
         assert [s["doc_id"] for s in sigs] == [
             f"2023-14/seg0/{i}" for i in range(len(texts))]
+        assert [s["digest"] for s in sigs] == list(map(content_digest, texts))
+        assert [_decoded(s) for s in sigs] == dedup.content_signatures(texts)[1].tolist()
+
+
+_SIGNATURE_1016 = base64.b64encode(bytes(1016)).decode("ascii")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("line", [
+    pytest.param("{not json", id="not-json"),
+    pytest.param("[1, 2]", id="not-an-object"),
+    pytest.param('{"doc_id": "2023-14/seg1/1", "digest": "x"}', id="signature-missing"),
+    pytest.param(json.dumps({"doc_id": "2023-14/seg1/1", "digest": "x",
+                             "signature": list(range(128))}), id="decimal-list"),
+    pytest.param(json.dumps({"doc_id": "2023-14/seg1/1", "digest": "x",
+                             "signature": "!" * 1368}), id="bad-base64"),
+    pytest.param(json.dumps({"doc_id": "2023-14/seg1/1", "digest": "x",
+                             "signature": _SIGNATURE_1016}), id="1016-bytes"),
+])
+def test_malformed_minhash_sidecar_exits_2_with_one_error_line(tmp_path, line, workers):
+    root = tmp_path / "corpus"
+    for shard in range(3):
+        _write_corpus(str(root), [LONG_A, LONG_B, f"shard {shard} has words."], shard=shard)
+    argv = ["dedup", "--mode", "fuzzy", "--workers", str(workers),
+            "--input", str(root), "--output", str(root)]
+    assert main(argv) == 0
+    sidecar = root / shard_path(ShardAddress("2023-14", 1, "en", "head"), "minhash")
+    lines = gzip.decompress(sidecar.read_bytes()).decode().splitlines()
+    lines[1] = line
+    write_jsonl_gz(sidecar, lines)
+    proc = _run_cli(argv, {}, cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    errors = proc.stderr.splitlines()
+    assert len(errors) == 1 and errors[0].startswith(f"error: {sidecar}: line 2: "), proc.stderr
+    assert errors[0].endswith("; dedup --force recomputes it"), proc.stderr
+    assert not list(root.rglob("*.tmp"))
 
 
 def test_annotate_is_restartable(corpus, capsys):
