@@ -5,10 +5,20 @@ union-find clustering.
 A shingle is a window of SHINGLE_WIDTH normalized words (a shorter
 document is one window of all its words). A window of k words w_j hashes
 to sum_j h(w_j) * _SHINGLE_MULT^(k-1-j) mod 2^64, a multiply-add over
-h = FNV-1a 64 of each word's UTF-8 bytes, the hash of the ML features
-(mlmodels.fnv1a64_batch); content_signatures hashes each distinct word
-of a shard once, in one call. MinHash "permutations" are 128 independent
-seeded 64-bit affine hashes of the shingle hash (a*x + b mod 2^64); the
+h = FNV-1a 64 of each word's UTF-8 bytes, the hash of the ML features.
+content_signatures works on a whole shard at once: it encodes the
+normalized texts once, hashes every word occurrence in one
+mlmodels.fnv1a64_spans call, and takes every window of every text
+from SHINGLE_WIDTH shifted multiply-adds over the shard's word hashes.
+
+The signature is one-permutation MinHash (Li, Owen & Zhang 2012): each
+shingle hash x is permuted once, y = a*x + b mod 2^64 with a odd, the top
+7 bits of y pick one of NUM_PERMUTATIONS = 128 bins, and bin k holds the
+smallest y that lands in it. Bin bits are part of y, so values from two
+bins never collide. An empty bin k copies the first non-empty bin in
+_DENSIFY_ORDER[k], a fixed seeded order of all 128 bins (densification
+in the manner of Shrivastava 2017); a text with no words keeps all-max.
+SIGNATURE_VERSION names this definition in the minhash sidecar. The
 estimator's unbiasedness is covered by tests rather than assumed.
 """
 
@@ -19,14 +29,12 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from itertools import chain, count
 from typing import Iterable, Iterator
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError
-from .mlmodels import fnv1a64_batch
+from .mlmodels import fnv1a64_batch, fnv1a64_spans
 from .textnorm import normalize
 
 
@@ -121,58 +129,96 @@ def exact_dedup_pass(
 # ---------------------------------------------------------------------------
 # MinHash signatures
 
-NUM_PERMUTATIONS = 128
+NUM_PERMUTATIONS = 128  # bins of the one permutation
+SIGNATURE_VERSION = 2  # of the definition below; bump on any change to it
 SHINGLE_WIDTH = 13
 _MINHASH_SEED = 0x5EED_1A57
+_BIN_SHIFT = np.uint64(64 - 7)  # the top 7 bits pick one of 2^7 bins
 
 _rng = np.random.default_rng(_MINHASH_SEED)
-_MH_A = (_rng.integers(0, 1 << 63, size=NUM_PERMUTATIONS, dtype=np.uint64) << np.uint64(1)) | np.uint64(1)
-_MH_B = _rng.integers(0, 1 << 63, size=NUM_PERMUTATIONS, dtype=np.uint64)
-_SHINGLE_MULT = 0x9E3779B97F4A7C15  # odd: 2^64 / golden ratio
-_WINDOW_POWERS = np.array(  # _SHINGLE_MULT^(SHINGLE_WIDTH-1), ..., ^1, ^0 mod 2^64
-    [pow(_SHINGLE_MULT, SHINGLE_WIDTH - 1 - j, 1 << 64) for j in range(SHINGLE_WIDTH)], np.uint64)
+_MH_A, _MH_B = _rng.integers(0, 1 << 64, size=2, dtype=np.uint64, endpoint=False)
+_MH_A |= np.uint64(1)  # odd, so x -> a*x + b mod 2^64 is a permutation
+# row k: the order in which an empty bin k looks for a non-empty bin
+_DENSIFY_ORDER = _rng.permuted(
+    np.tile(np.arange(NUM_PERMUTATIONS, dtype=np.uint8), (NUM_PERMUTATIONS, 1)), axis=1)
+_SHINGLE_MULT = np.uint64(0x9E3779B97F4A7C15)  # odd: 2^64 / golden ratio
 
 
-def shingle_hashes(h: np.ndarray) -> np.ndarray:
-    """Sorted distinct hashes of the windows over `h`, the word hashes of
-    a document's normalized words (see the module docstring)."""
-    if not len(h):
-        return np.empty(0, dtype=np.uint64)
-    width = min(SHINGLE_WIDTH, len(h))
-    windows = as_strided(h, (len(h) - width + 1, width), h.strides * 2, writeable=False)
-    windows = np.sort(windows @ _WINDOW_POWERS[-width:])
-    # np.sort plus a neighbour mask: np.unique costs ~6x more per call
-    return windows[np.concatenate(([True], windows[1:] != windows[:-1]))]
+def shingle_hashes(h: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(texts, hashes) of every window over `h`, the word hashes of
+    consecutive texts of counts[t] normalized words each: the text each
+    window lies in, and its hash (see the module docstring). A window
+    never crosses from one text into the next."""
+    n = len(h)
+    ends = np.cumsum(counts)
+    text_of = np.repeat(np.arange(len(counts)), counts)
+    left = ends[text_of] - np.arange(n)  # words from each position to its text's end
+    whole = np.flatnonzero((counts > 0) & (counts < SHINGLE_WIDTH))  # texts of one window
+    first, widths = (ends - counts)[whole], counts[whole]
+    short = np.empty(len(whole), dtype=np.uint64)
+    padded = np.concatenate((h, np.zeros(SHINGLE_WIDTH - 1, dtype=np.uint64)))
+    window = h.copy()  # Horner: the hash of the k words from each position
+    for k in range(1, SHINGLE_WIDTH):
+        done = widths == k
+        short[done] = window[first[done]]
+        window *= _SHINGLE_MULT
+        window += padded[k:k + n]
+    full = np.flatnonzero(left >= SHINGLE_WIDTH)
+    return np.concatenate((text_of[full], whole)), np.concatenate((window[full], short))
 
 
-def minhash_signature(hashes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """128 uint64 minima of the seeded affine hashes over the shingle
-    hashes, written into `out` when given; no shingles map to all-max."""
-    values = np.multiply.outer(hashes, _MH_A)
+def minhash_signatures(texts: np.ndarray, hashes: np.ndarray, n: int) -> np.ndarray:
+    """The (n, NUM_PERMUTATIONS) uint64 signatures of texts 0..n-1, given
+    the text and hash of each of their shingles, in any order and with
+    repeats. A text without shingles keeps all-max."""
+    values = hashes * _MH_A
     values += _MH_B
-    return np.minimum.reduce(values, axis=0, initial=np.iinfo(np.uint64).max, out=out)
+    cells = texts * NUM_PERMUTATIONS + (values >> _BIN_SHIFT).astype(np.intp)
+    sigs = np.full(n * NUM_PERMUTATIONS, np.iinfo(np.uint64).max, dtype=np.uint64)
+    np.minimum.at(sigs, cells, values)
+    filled = np.zeros(n * NUM_PERMUTATIONS, dtype=bool)
+    filled[cells] = True
+    sigs, filled = sigs.reshape(n, NUM_PERMUTATIONS), filled.reshape(n, NUM_PERMUTATIONS)
+    rows, bins = np.nonzero(~filled & filled.any(axis=1, keepdims=True))
+    for probe in _DENSIFY_ORDER.T:  # every bin is in each order, so 128 probes fill all
+        source = probe[bins]
+        hit = filled[rows, source]
+        sigs[rows[hit], bins[hit]] = sigs[rows[hit], source[hit]]
+        rows, bins = rows[~hit], bins[~hit]
+        if not len(rows):
+            break
+    return sigs
+
+
+def minhash_signature(hashes: np.ndarray) -> np.ndarray:
+    """The signature of one text, given its shingle hashes."""
+    return minhash_signatures(np.zeros(len(hashes), dtype=np.intp), hashes, 1)[0]
 
 
 def minhash_for_words(words: list[str]) -> np.ndarray:
     """The MinHash of one document's normalized words."""
-    return minhash_signature(shingle_hashes(fnv1a64_batch(words)))
+    counts = np.array([len(words)])
+    return minhash_signatures(*shingle_hashes(fnv1a64_batch(words), counts), 1)[0]
 
 
 def content_signatures(contents: list[str]) -> tuple[list[int], np.ndarray]:
     """(slots, signatures) of a list of raw contents: the row of
     `signatures` holding the MinHash of each content's normalized words.
-    Each distinct content gets one row, computed once, and the distinct
-    words of all of them are hashed in one fnv1a64_batch call."""
+    Each distinct content gets one row. The normalized texts are joined
+    by spaces and encoded once; each word is a run of non-space bytes,
+    and all of them are hashed in one fnv1a64_spans call."""
     slot_of: dict[str, int] = {}
     slots = [slot_of.setdefault(text, len(slot_of)) for text in contents]
-    texts = [normalize(text).split() for text in slot_of]
-    number = dict(zip(dict.fromkeys(chain.from_iterable(texts)), count()))
-    hashes = fnv1a64_batch(list(number))
-    signatures = np.empty((len(slot_of), NUM_PERMUTATIONS), dtype=np.uint64)
-    for row, words in enumerate(texts):
-        ids = np.fromiter(map(number.__getitem__, words), np.intp, len(words))
-        minhash_signature(shingle_hashes(hashes[ids]), signatures[row])
-    return slots, signatures
+    texts = [normalize(text) for text in slot_of]
+    counts = np.fromiter((text.count(" ") + 1 if text else 0 for text in texts),
+                         dtype=np.intp, count=len(texts))
+    buf = np.frombuffer(" ".join(texts).encode("utf-8"), dtype=np.uint8)
+    spaces = np.flatnonzero(buf == ord(" "))
+    starts = np.concatenate(([0], spaces + 1))
+    lengths = np.concatenate((spaces, [len(buf)])) - starts
+    word = lengths > 0  # an empty text leaves an empty run
+    h = fnv1a64_spans(buf, starts[word], lengths[word])
+    return slots, minhash_signatures(*shingle_hashes(h, counts), len(texts))
 
 
 def estimate_jaccard(sig_a: np.ndarray, sig_b: np.ndarray) -> float:

@@ -2,13 +2,15 @@
 linear bag-of-words quality classifier.
 
 Feature hashing is 64-bit FNV-1a over the UTF-8 bytes of "w1" and
-"w1\\x1fw2", reduced mod the bucket count. `fnv1a64_batch` hashes all of
-a document's keys at once in numpy uint64: the keys are sorted by byte
-length and each byte position updates only the keys still that long, so
-the results equal the per-byte definition bit for bit. Importance weights
-are the log-likelihood ratio of a document under the target vs. source
-hashed n-gram models with add-alpha smoothing; each model holds its
-per-bucket log-probability table, built once with the model.
+"w1\\x1fw2", reduced mod the bucket count. `fnv1a64_spans` hashes many
+byte spans of one buffer at once in numpy uint64 (`fnv1a64_batch` hands
+it a document's encoded keys, and MinHash a shard's words): the spans are
+sorted by length and each byte position updates only the spans still
+that long, so the results equal the per-byte definition bit for bit.
+Importance weights are the log-likelihood ratio of a document under the
+target vs. source hashed n-gram models with add-alpha smoothing; each
+model holds its per-bucket log-probability table, built once with the
+model.
 """
 
 from __future__ import annotations
@@ -31,25 +33,31 @@ BIGRAM_SEP = "\x1f"
 DEFAULT_BUCKETS = 10_000
 
 
+def fnv1a64_spans(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """64-bit FNV-1a of each span buf[starts[i]:starts[i] + lengths[i]]
+    of a uint8 array, as uint64, in span order."""
+    order = np.argsort(-lengths, kind="stable")  # longest first
+    first = starts[order]
+    by_length = lengths[order]
+    h = np.full(len(order), _FNV_OFFSET, dtype=np.uint64)
+    # live[j]: how many spans (a prefix of `order`) have a byte at position j
+    live = np.searchsorted(-by_length, -np.arange(lengths.max(initial=0)), side="left")
+    for j, m in enumerate(live.tolist()):
+        part = h[:m]
+        part ^= buf[first[:m] + j]
+        part *= _FNV_PRIME
+    out = np.empty_like(h)
+    out[order] = h
+    return out
+
+
 def fnv1a64_batch(keys: list[str]) -> np.ndarray:
     """64-bit FNV-1a of the UTF-8 bytes of every key, as uint64, in key
     order."""
     data = [k.encode("utf-8") for k in keys]
     lengths = np.fromiter(map(len, data), dtype=np.intp, count=len(data))
-    order = np.argsort(-lengths, kind="stable")  # longest first
-    starts = (np.cumsum(lengths) - lengths)[order]
-    by_length = lengths[order]
     buf = np.frombuffer(b"".join(data), dtype=np.uint8)
-    h = np.full(len(data), _FNV_OFFSET, dtype=np.uint64)
-    # live[j]: how many keys (a prefix of `order`) have a byte at position j
-    live = np.searchsorted(-by_length, -np.arange(lengths.max(initial=0)), side="left")
-    for j, m in enumerate(live.tolist()):
-        part = h[:m]
-        part ^= buf[starts[:m] + j]
-        part *= _FNV_PRIME
-    out = np.empty_like(h)
-    out[order] = h
-    return out
+    return fnv1a64_spans(buf, np.cumsum(lengths) - lengths, lengths)
 
 
 def hashed_features(words: list[str], buckets: int,

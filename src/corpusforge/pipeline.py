@@ -18,8 +18,9 @@ outputs that already exist unless force is set. dedup rewrites its
 duplicates/ sidecars on every run, since whether a document is a
 duplicate depends on the whole corpus. In fuzzy mode it reuses a shard's
 minhash/ sidecar (base64 of each signature's little-endian uint64s)
-unless force is set, when it holds one record per document and record i
-carries document i's id and digest; a stale sidecar is recomputed and
+unless force is set, when it holds one record per document, record i
+carries document i's id and the digest of its content, and every record
+has the current signature version; a stale sidecar is recomputed and
 rewritten, and a malformed one is a data error.
 With a fixed config and seed the whole output tree is bit-reproducible
 (gzip mtime is pinned to 0)."""
@@ -53,6 +54,7 @@ from .mlmodels import (
 )
 from .records import (
     ShardAddress,
+    content_digest,
     document_id,
     iter_jsonl_gz,
     lone_surrogate,
@@ -418,16 +420,22 @@ def _write_duplicates(cfg: PipelineConfig, addr: ShardAddress, records) -> int:
 def _dedup_fuzzy(cfg: PipelineConfig) -> dict:
     """Shard jobs take the signatures of each shard's distinct contents
     from its minhash sidecar, when one exists, force is not set and it
-    matches the shard (read_minhash: one record per document, record i
-    with document i's id and digest). Otherwise they compute them and
-    write the sidecar; a stale one is rewritten, and a malformed one is a
-    DataError that names it and says that --force recomputes it. The
-    parent groups the signatures in canonical order, then runs LSH and
-    clustering over the whole corpus."""
+    matches the shard (read_minhash): one record per document, record i
+    with document i's id and digest, and every record of the current
+    signature version. The digest is content_digest of the signed
+    content, computed once per distinct content; the document's own
+    digest field is not trusted, since nothing checks it against the
+    content. Otherwise the jobs compute the signatures and write the
+    sidecar; a stale one is rewritten, and a malformed one is a DataError
+    that names it and says that --force recomputes it. The parent groups
+    the signatures in canonical order, then runs LSH and clustering over
+    the whole corpus."""
 
     def job(addr: ShardAddress, docs, ids):
         out_path = os.path.join(cfg.output_root, shard_path(addr, "minhash"))
-        digests = [doc.digest for doc in docs]
+        contents = [doc.raw_content for doc in docs]
+        digest_of = {text: content_digest(text) for text in dict.fromkeys(contents)}
+        digests = [digest_of[text] for text in contents]
         if not cfg.force and os.path.exists(out_path):
             try:
                 found = read_minhash(out_path, ids, digests)
@@ -435,7 +443,7 @@ def _dedup_fuzzy(cfg: PipelineConfig) -> dict:
                 raise DataError(f"{exc}; dedup --force recomputes it") from exc
             if found is not None:
                 return ids, *found
-        slots, sigs = dedup_mod.content_signatures([doc.raw_content for doc in docs])
+        slots, sigs = dedup_mod.content_signatures(contents)
         write_jsonl_gz(out_path, minhash_lines(ids, digests, slots, sigs))
         return ids, slots, sigs
 

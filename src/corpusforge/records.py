@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, get_origin, get_type_hints
 
 import numpy as np
 
-from .dedup import NUM_PERMUTATIONS
+from .dedup import NUM_PERMUTATIONS, SIGNATURE_VERSION
 from .errors import DataError, RecordError
 
 _OPTIONAL_DOC_DEFAULTS = {"title": ""}
@@ -306,24 +306,27 @@ _SIGNATURE_BYTES = 8 * NUM_PERMUTATIONS
 def minhash_lines(ids: list[str], digests: list[str], slots: list[int],
                   signatures: np.ndarray) -> Iterator[str]:
     """The minhash sidecar lines of a shard, one {doc_id, digest,
-    signature} record per document: document i's signature is row
-    slots[i] of `signatures`, written as the base64 of its components'
-    little-endian uint64 bytes. Each row is encoded once."""
+    signature, version} record per document: document i's signature is
+    row slots[i] of `signatures`, written as the base64 of its components'
+    little-endian uint64 bytes, and `version` is SIGNATURE_VERSION, the
+    definition that computed it. Each row is encoded once."""
     encoded = [base64.b64encode(row.tobytes()).decode("ascii")
                for row in signatures.astype("<u8", copy=False)]
     for doc_id, digest, slot in zip(ids, digests, slots):
-        yield json.dumps({"doc_id": doc_id, "digest": digest, "signature": encoded[slot]},
-                         separators=(",", ":"))
+        yield json.dumps({"doc_id": doc_id, "digest": digest, "signature": encoded[slot],
+                          "version": SIGNATURE_VERSION}, separators=(",", ":"))
 
 
 def read_minhash(path, ids: list[str],
                  digests: list[str]) -> tuple[list[int], np.ndarray] | None:
     """(slots, signatures) of a minhash sidecar, as minhash_lines takes
-    them, when it holds one record per document and record i carries
-    ids[i] and digests[i]; None when it does not (a stale sidecar). A line
-    that is not a JSON object with string doc_id, digest and signature,
-    or a signature that is not the canonical base64 of NUM_PERMUTATIONS
-    uint64s, is a DataError naming the file and the line, stale or not."""
+    them, when it holds one record per document, record i carries ids[i]
+    and digests[i], and every record has version SIGNATURE_VERSION; None
+    when it does not (a stale sidecar, which includes one from another
+    signature definition). A line that is not a JSON object with string
+    doc_id, digest and signature, or a signature that is not the canonical
+    base64 of NUM_PERMUTATIONS uint64s, is a DataError naming the file
+    and the line, stale or not."""
     slot_of: dict[str, int] = {}
     slots, found, rows = [], [], []
     for line_number, line in iter_jsonl_gz(path):
@@ -341,8 +344,8 @@ def read_minhash(path, ids: list[str],
         if slot == len(rows):  # a signature not seen before in this file
             rows.append(_signature_bytes(raw["signature"], where))
         slots.append(slot)
-        found.append((raw["doc_id"], raw["digest"]))
-    if found != list(zip(ids, digests)):
+        found.append((raw["doc_id"], raw["digest"], raw.get("version")))
+    if found != [(doc_id, digest, SIGNATURE_VERSION) for doc_id, digest in zip(ids, digests)]:
         return None
     signatures = np.frombuffer(b"".join(rows), "<u8").reshape(-1, NUM_PERMUTATIONS)
     return slots, signatures.astype(np.uint64)

@@ -414,29 +414,34 @@ def kn_prob(lm, word: str, history) -> float:
 
 # ---------------------------------------------------------------------------
 # MinHash (reference): FNV-1a 64 of each word's UTF-8 bytes (the hash of
-# the ML features above), each 13-word window (the
-# whole document when shorter) as the polynomial over its word hashes
-# with multiplier 0x9E3779B97F4A7C15, and per permutation (a, b) the
-# minimum of (a * window + b), all mod 2^64 in plain Python ints, given
-# the permutations' multipliers and offsets.
+# the ML features above), each 13-word window (the whole document when
+# shorter) as the polynomial over its word hashes with multiplier
+# 0x9E3779B97F4A7C15, and one permutation y = a * window + b, all mod 2^64
+# in plain Python ints. The top log2(len(orders)) bits of y pick a bin,
+# which keeps its smallest y; an empty bin k takes the value of the first
+# non-empty bin in orders[k]. Given the multiplier a, the offset b and
+# the orders.
 
 _SHINGLE_MULT = 0x9E3779B97F4A7C15
 
 
-def oracle_minhash(words: list[str], mults, offsets) -> list[int]:
+def oracle_minhash(words: list[str], mult: int, offset: int, orders) -> list[int]:
+    bins = len(orders)
     if not words:
-        return [_MASK64] * len(mults)
+        return [_MASK64] * bins
     hashes = [oracle_fnv1a64(w.encode("utf-8")) for w in words]
     width = min(13, len(hashes))
-    windows = set()
+    minima: dict[int, int] = {}
     for i in range(len(hashes) - width + 1):
-        h = 0
+        window = 0
         for x in hashes[i : i + width]:
-            h = (h * _SHINGLE_MULT + x) & _MASK64
-        windows.add(h)
+            window = (window * _SHINGLE_MULT + x) & _MASK64
+        y = (mult * window + offset) & _MASK64
+        k = y >> (64 - bins.bit_length() + 1)
+        minima[k] = min(minima.get(k, y), y)
     return [
-        min((int(a) * x + int(b)) & _MASK64 for x in windows)
-        for a, b in zip(mults, offsets)
+        minima[k] if k in minima else next(minima[j] for j in orders[k] if j in minima)
+        for k in range(bins)
     ]
 
 

@@ -118,7 +118,8 @@ def test_dedup_fuzzy_end_to_end(tmp_path, capsys):
     # record i is document i's, exact copies included; no banding fields
     texts = [LONG_A, LONG_B, LONG_A, LONG_A, near]
     for i, (sig, text) in enumerate(zip(sigs, texts, strict=True)):
-        assert list(sig) == ["doc_id", "digest", "signature"]
+        assert list(sig) == ["doc_id", "digest", "signature", "version"]
+        assert sig["version"] == dedup.SIGNATURE_VERSION == 2
         assert sig["doc_id"] == f"2023-14/seg0/{i}"
         assert sig["digest"] == content_digest(text)
         assert _decoded(sig) == dedup.content_signatures([text])[1][0].tolist()
@@ -142,7 +143,7 @@ def test_dedup_fuzzy_rerun_reuses_matching_sidecars(tmp_path, monkeypatch):
     """A rerun at another --jaccard takes every shard's signatures from
     its minhash sidecar, and leaves the tree of a fresh run."""
     reused, fresh = str(tmp_path / "reused"), str(tmp_path / "fresh")
-    # 14 words appended: estimated Jaccard 0.758 and 0.773 to the originals,
+    # 14 words appended: estimated Jaccard 0.758 and 0.797 to the originals,
     # duplicates at 0.7 but not at 0.8
     tail = " " + " ".join(f"tail{j}" for j in range(14))
     for root in (reused, fresh):
@@ -200,6 +201,42 @@ def test_dedup_fuzzy_rewrites_minhash_sidecar_after_shard_changes(tmp_path):
             f"2023-14/seg0/{i}" for i in range(len(texts))]
         assert [s["digest"] for s in sigs] == list(map(content_digest, texts))
         assert [_decoded(s) for s in sigs] == dedup.content_signatures(texts)[1].tolist()
+
+
+def test_dedup_fuzzy_rewrites_sidecar_of_another_signature_version(tmp_path):
+    """A sidecar written before signatures carried a version (the right
+    ids and digests, valid base64, other signature bytes) is stale: a
+    plain rerun recomputes and rewrites it."""
+    old, fresh = str(tmp_path / "old"), str(tmp_path / "fresh")
+    for root in (old, fresh):
+        _write_corpus(root, [LONG_A, LONG_B, LONG_A])
+        assert main(["dedup", "--mode", "fuzzy", "--input", root, "--output", root]) == 0
+    sidecar = os.path.join(old, shard_path(ShardAddress("2023-14", 0, "en", "head"), "minhash"))
+    with gzip.open(sidecar, "rt") as fh:
+        records = [json.loads(line) for line in fh]
+    unversioned = base64.b64encode(bytes(range(8)) * 128).decode("ascii")
+    write_jsonl_gz(sidecar, (json.dumps({"doc_id": r["doc_id"], "digest": r["digest"],
+                                         "signature": unversioned}) for r in records))
+    assert main(["dedup", "--mode", "fuzzy", "--input", old, "--output", old]) == 0
+    assert _tree(old) == _tree(fresh)
+
+
+def test_dedup_fuzzy_reuse_follows_the_content_not_its_digest_field(tmp_path, capsys):
+    """A document whose content changed while its digest field did not
+    gets a new signature: the sidecar is keyed on the content's digest."""
+    root = str(tmp_path / "corpus")
+    path = _write_corpus(root, [LONG_A, LONG_B])
+    argv = ["dedup", "--mode", "fuzzy", "--input", root, "--output", root]
+    assert main(argv) == 0
+    docs = [json.loads(line) for line in gzip.decompress(Path(path).read_bytes()).splitlines()]
+    docs[1]["raw_content"] = LONG_A
+    write_jsonl_gz(path, map(json.dumps, docs))
+    capsys.readouterr()
+    assert main(argv) == 0
+    rerun = capsys.readouterr().out
+    assert rerun.endswith(": 2 docs, 1 candidate pairs, 1 duplicates (50.00%)\n"), rerun
+    assert main([*argv, "--force"]) == 0
+    assert capsys.readouterr().out == rerun
 
 
 _SIGNATURE_1016 = base64.b64encode(bytes(1016)).decode("ascii")

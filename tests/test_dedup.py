@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from corpusforge import dedup
 from corpusforge.dedup import (
+    _DENSIFY_ORDER,
     _MH_A,
     _MH_B,
     BloomFilter,
@@ -26,7 +27,7 @@ from corpusforge.dedup import (
     shingle_hashes,
 )
 from corpusforge.errors import ConfigError
-from corpusforge.mlmodels import fnv1a64_batch
+from corpusforge.mlmodels import fnv1a64_batch, fnv1a64_spans
 from corpusforge.records import content_digest
 from corpusforge.textnorm import normalize
 from oracles import oracle_minhash
@@ -77,32 +78,40 @@ def test_exact_dedup_keeps_first_occurrence():
 
 
 def test_shingles():
-    words = [f"w{i}" for i in range(15)]
-    assert len(shingle_hashes(fnv1a64_batch(words))) == 3  # 15 - 13 + 1
-    # repeated windows hash once
-    assert len(shingle_hashes(fnv1a64_batch(["x"] * 20))) == 1
+    def windows(*lengths):
+        words = [f"w{i}" for i in range(sum(lengths))]
+        texts, _ = shingle_hashes(fnv1a64_batch(words), np.array(lengths))
+        return np.bincount(texts, minlength=len(lengths)).tolist()
+
+    assert windows(15) == [3]  # 15 - 13 + 1
     # short documents fall back to one whole-document shingle
-    assert len(shingle_hashes(fnv1a64_batch(["only", "two"]))) == 1
-    assert shingle_hashes(fnv1a64_batch([])).size == 0
+    assert windows(2) == [1]
+    assert windows(0) == [0]
+    # no window crosses into the next text
+    assert windows(15, 0, 2, 13, 12, 14) == [3, 0, 1, 1, 1, 2]
+    # repeated windows stay: a minimum does not need them distinct
+    texts, hashes = shingle_hashes(fnv1a64_batch(["x"] * 20), np.array([20]))
+    assert len(hashes) == 8 and len(set(hashes.tolist())) == 1
 
 
 def test_content_signatures_hash_words_in_one_call(monkeypatch):
-    """One fnv1a64_batch call per content_signatures call, over the
-    distinct words of all its contents."""
+    """One fnv1a64_spans call per content_signatures call, over every
+    word occurrence of its distinct contents."""
     calls = []
 
-    def counted(keys):
-        calls.append(list(keys))
-        return fnv1a64_batch(keys)
+    def counted(buf, starts, lengths):
+        calls.append([buf[i:i + n].tobytes().decode() for i, n in zip(starts, lengths)])
+        return fnv1a64_spans(buf, starts, lengths)
 
-    monkeypatch.setattr(dedup, "fnv1a64_batch", counted)
-    texts = ["the cat sat", "The dog sat!", "the cat sat", ""]
+    monkeypatch.setattr(dedup, "fnv1a64_spans", counted)
+    texts = ["the cat sat", "", "The dog sat!", "the cat sat", ""]
     slots, sigs = content_signatures(texts)
-    assert slots == [0, 1, 0, 2]
-    assert calls == [["the", "cat", "sat", "dog"]]
+    assert slots == [0, 1, 2, 0, 1]
+    assert calls == [["the", "cat", "sat", "the", "dog", "sat"]]
     monkeypatch.undo()
     for text, slot in zip(texts, slots):
         assert np.array_equal(sigs[slot], minhash_for_words(normalize(text).split()))
+    assert content_signatures([])[1].shape == (0, 128)  # a shard with no documents
 
 
 def _keys(strings) -> np.ndarray:
@@ -147,7 +156,7 @@ _ORACLE_WORDS = ["a", "b", "ab", "é", "日本", "straße"]
                 max_size=40))
 def test_minhash_matches_oracle(words):
     def oracle(ws):
-        return oracle_minhash(ws, _MH_A.tolist(), _MH_B.tolist())
+        return oracle_minhash(ws, int(_MH_A), int(_MH_B), _DENSIFY_ORDER.tolist())
 
     assert minhash_for_words(words).tolist() == oracle(words)
     # the production path: one signature per distinct content, words of
@@ -158,6 +167,18 @@ def test_minhash_matches_oracle(words):
     assert slots == [0, 1, 0]
     assert sigs[0].tolist() == oracle(normalize(text).split())
     assert sigs[1].tolist() == oracle(normalize(other).split())
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.permutations([0, 1, 12, 13, 14]), st.data())
+def test_content_signatures_keep_windows_within_each_text(lengths, data):
+    """Texts of 0, 1, 12, 13 and 14 words side by side in one call: each
+    row is the signature of that text alone."""
+    texts = [data.draw(st.lists(st.sampled_from(_ORACLE_WORDS), min_size=n, max_size=n))
+             for n in lengths]
+    slots, sigs = content_signatures([" ".join(words) for words in texts])
+    for words, slot in zip(texts, slots):
+        assert np.array_equal(sigs[slot], minhash_for_words(words))
 
 
 def _windows(words: list[str]) -> set[tuple[str, ...]]:

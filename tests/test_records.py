@@ -228,6 +228,18 @@ def test_minhash_sidecar_roundtrip(tmp_path, rows, picks):
     assert read_minhash(path, [*ids, "seg/x"], [*digests, "sha256:x"]) is None
 
 
+@pytest.mark.parametrize("version", [None, 1, "2", 3])
+def test_read_minhash_reads_another_signature_version_as_stale(tmp_path, version):
+    path = tmp_path / "shard.minhash.jsonl.gz"
+    current, other = map(json.loads, minhash_lines(
+        ["seg/0", "seg/1"], ["d0", "d1"], [0, 0], np.zeros((1, 128), np.uint64)))
+    other["version"] = version
+    if version is None:
+        del other["version"]
+    write_jsonl_gz(path, [json.dumps(current), json.dumps(other)])
+    assert read_minhash(path, ["seg/0", "seg/1"], ["d0", "d1"]) is None
+
+
 @pytest.mark.parametrize("signature, problem", [
     (list(range(128)), "field signature is missing or not a string"),
     ("A" * 1367 + "=", "signature is not the base64 of 1024 bytes"),  # 1,023 bytes
