@@ -1,6 +1,6 @@
-"""Deduplication primitives: Bloom-filter exact dedup, MinHash + LSH
-banding for fuzzy dedup over signatures grouped by identity, and
-union-find clustering.
+"""Deduplication primitives: Bloom-filter exact dedup over content
+digests, MinHash + LSH banding for fuzzy dedup over signatures grouped by
+identity, and union-find clustering.
 
 A shingle is a window of SHINGLE_WIDTH normalized words (a shorter
 document is one window of all its words). A window of k words w_j hashes
@@ -24,7 +24,6 @@ estimator's unbiasedness is covered by tests rather than assumed.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import sys
@@ -34,7 +33,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import ConfigError
-from .mlmodels import fnv1a64_batch, fnv1a64_spans
+from .mlmodels import fnv1a64_spans
 from .textnorm import normalize
 
 
@@ -47,7 +46,12 @@ LN2 = math.log(2.0)
 class BloomFilter:
     """Bit-array Bloom filter sized from (capacity, target error):
     m = -n ln p / (ln 2)^2, k = round((m/n) ln 2). No false negatives;
-    measured false-positive rate at design capacity ~= target error."""
+    measured false-positive rate at design capacity ~= target error.
+
+    Keys are content digests (records.content_digest), whose hex already
+    holds a SHA-256, so the filter hashes nothing itself: a key's i-th
+    index is (h1 + i * (h2 | 1)) mod m, double hashing over the last two
+    64-bit words h1 and h2 of that hex (Kirsch & Mitzenmacher 2006)."""
 
     def __init__(self, capacity: int, error_rate: float = 0.01):
         if capacity < 1:
@@ -61,15 +65,13 @@ class BloomFilter:
         self.inserted_count = 0
         self._warned = False
 
-    def _indexes(self, key: str) -> list[int]:
-        digest = hashlib.blake2b(key.encode("utf-8"), digest_size=16).digest()
-        h1 = int.from_bytes(digest[:8], "little")
-        h2 = int.from_bytes(digest[8:], "little") | 1
+    def _indexes(self, digest: str) -> list[int]:
+        h1, h2 = int(digest[-32:-16], 16), int(digest[-16:], 16) | 1
         m = self.num_bits
         return [(h1 + i * h2) % m for i in range(self.num_hashes)]
 
-    def add(self, key: str) -> None:
-        for idx in self._indexes(key):
+    def add(self, digest: str) -> None:
+        for idx in self._indexes(digest):
             self.bits[idx >> 3] |= 1 << (idx & 7)
         self.inserted_count += 1
         if self.inserted_count > self.capacity and not self._warned:
@@ -81,8 +83,8 @@ class BloomFilter:
                 file=sys.stderr,
             )
 
-    def __contains__(self, key: str) -> bool:
-        return all(self.bits[i >> 3] & (1 << (i & 7)) for i in self._indexes(key))
+    def __contains__(self, digest: str) -> bool:
+        return all(self.bits[i >> 3] & (1 << (i & 7)) for i in self._indexes(digest))
 
     def fill_ratio(self) -> float:
         return int.from_bytes(self.bits, "little").bit_count() / self.num_bits
@@ -114,8 +116,9 @@ def exact_dedup_pass(
     entries: Iterable[tuple[str, str, str]], bloom: BloomFilter
 ) -> Iterator[DuplicateRecord]:
     """entries: (doc_id, shard, digest) in newest-to-oldest snapshot
-    order. The Bloom filter alone decides membership, so memory stays at
-    the filter's size and its false positives surface as duplicates,
+    order, where digest is content_digest of the document's content. The
+    Bloom filter alone decides membership, so memory stays at the
+    filter's size and its false positives surface as duplicates,
     matching the 1%-error design. A filter cannot name the document it
     saw first, so records carry no representative. The first occurrence
     of a digest is never emitted."""
@@ -188,17 +191,6 @@ def minhash_signatures(texts: np.ndarray, hashes: np.ndarray, n: int) -> np.ndar
         if not len(rows):
             break
     return sigs
-
-
-def minhash_signature(hashes: np.ndarray) -> np.ndarray:
-    """The signature of one text, given its shingle hashes."""
-    return minhash_signatures(np.zeros(len(hashes), dtype=np.intp), hashes, 1)[0]
-
-
-def minhash_for_words(words: list[str]) -> np.ndarray:
-    """The MinHash of one document's normalized words."""
-    counts = np.array([len(words)])
-    return minhash_signatures(*shingle_hashes(fnv1a64_batch(words), counts), 1)[0]
 
 
 def content_signatures(contents: list[str]) -> tuple[list[int], np.ndarray]:

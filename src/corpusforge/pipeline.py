@@ -13,6 +13,9 @@ error naming its shard. Each worker adds its own memory (about 52 MB
 resident on a 240-page annotate with ML models, which holds one 30-page
 shard's analyzed documents at a time).
 
+Both dedup modes key a document by content_digest of its content, never
+by its own `digest` field, which nothing checks against the content.
+
 Every command is restartable per shard: annotate and filter skip shard
 outputs that already exist unless force is set. dedup rewrites its
 duplicates/ sidecars on every run, since whether a document is a
@@ -54,13 +57,14 @@ from .mlmodels import (
 )
 from .records import (
     ShardAddress,
-    content_digest,
+    content_digests,
     document_id,
-    iter_jsonl_gz,
+    iter_json_objects,
     lone_surrogate,
     minhash_lines,
     parse_shard_path,
     read_documents,
+    read_duplicates,
     read_minhash,
     read_signals,
     shard_path,
@@ -383,7 +387,8 @@ def cmd_dedup(cfg: PipelineConfig, mode: str) -> dict:
 
 
 def _dedup_exact(cfg: PipelineConfig) -> dict:
-    """Shard jobs read each shard's (doc_id, shard, digest) entries; the
+    """Shard jobs return each shard's (doc_id, shard, digest) entries,
+    the digest being content_digest of the document's content. The
     parent runs them through the Bloom filter in shard order and writes
     each shard's sidecar before it takes the next shard's entries. So
     the parent holds the filter plus the entries of shards that finished
@@ -394,7 +399,8 @@ def _dedup_exact(cfg: PipelineConfig) -> dict:
 
     def job(addr: ShardAddress, docs, ids):
         shard = shard_path(addr, "documents")
-        return [(doc_id, shard, doc.digest) for doc_id, doc in zip(ids, docs)]
+        digests = content_digests([doc.raw_content for doc in docs])
+        return [(doc_id, shard, digest) for doc_id, digest in zip(ids, digests)]
 
     for addr, entries in _run_shard_jobs(cfg, job):
         records = dedup_mod.exact_dedup_pass(entries, bloom)
@@ -422,20 +428,17 @@ def _dedup_fuzzy(cfg: PipelineConfig) -> dict:
     from its minhash sidecar, when one exists, force is not set and it
     matches the shard (read_minhash): one record per document, record i
     with document i's id and digest, and every record of the current
-    signature version. The digest is content_digest of the signed
-    content, computed once per distinct content; the document's own
-    digest field is not trusted, since nothing checks it against the
-    content. Otherwise the jobs compute the signatures and write the
-    sidecar; a stale one is rewritten, and a malformed one is a DataError
-    that names it and says that --force recomputes it. The parent groups
-    the signatures in canonical order, then runs LSH and clustering over
-    the whole corpus."""
+    signature version; the digest is content_digest of the content.
+    Otherwise the jobs compute the signatures and write the sidecar; a
+    stale one is rewritten, and a malformed one is a DataError that names
+    it and says that --force recomputes it. The parent groups the
+    signatures in canonical order, then runs LSH and clustering over the
+    whole corpus."""
 
     def job(addr: ShardAddress, docs, ids):
         out_path = os.path.join(cfg.output_root, shard_path(addr, "minhash"))
         contents = [doc.raw_content for doc in docs]
-        digest_of = {text: content_digest(text) for text in dict.fromkeys(contents)}
-        digests = [digest_of[text] for text in contents]
+        digests = content_digests(contents)
         if not cfg.force and os.path.exists(out_path):
             try:
                 found = read_minhash(out_path, ids, digests)
@@ -469,19 +472,6 @@ def _dedup_fuzzy(cfg: PipelineConfig) -> dict:
             "duplicates": len(records)}
 
 
-def _load_duplicate_ids(addr: ShardAddress, root: str) -> set[str]:
-    path = os.path.join(root, shard_path(addr, "duplicates"))
-    if not os.path.exists(path):
-        return set()
-    ids = set()
-    for num, line in iter_jsonl_gz(path):
-        try:
-            ids.add(json.loads(line)["doc_id"])
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise DataError(f"{path}: line {num}: bad duplicate record: {exc!r}") from exc
-    return ids
-
-
 # ---------------------------------------------------------------------------
 # filter
 
@@ -505,7 +495,8 @@ def cmd_filter(cfg: PipelineConfig) -> dict:
                 raise ConfigError(f"missing signals sidecar for shard "
                                   f"{shard_path(addr, 'documents')}: {sig_path}")
             signals = read_signals(sig_path, ids)
-        duplicates = _load_duplicate_ids(addr, cfg.input_root) if cfg.apply_dedup else set()
+        dup_path = os.path.join(cfg.input_root, shard_path(addr, "duplicates"))
+        duplicates = read_duplicates(dup_path) if cfg.apply_dedup else set()
         out_lines, audit_lines, counts = [], [], Counter()
         for i, (doc, doc_id) in enumerate(zip(docs, ids)):
             if doc_id in duplicates:
@@ -550,7 +541,7 @@ def cmd_stats(cfg: PipelineConfig, as_json: bool = False) -> dict:
     columns = ("all", "tail", "head_middle", "head_middle_dedupe")
 
     def job(addr: ShardAddress, docs, ids):
-        duplicates = _load_duplicate_ids(addr, cfg.input_root)
+        duplicates = read_duplicates(os.path.join(cfg.input_root, shard_path(addr, "duplicates")))
         counts = {c: [0, 0] for c in columns}
         for doc, doc_id in zip(docs, ids):
             words = len(doc.raw_content.split())
@@ -600,18 +591,12 @@ def cmd_stats(cfg: PipelineConfig, as_json: bool = False) -> dict:
 def _iter_training_texts(path: str):
     """Accepts JSONL(.gz) with either {"text": ...} or full document
     records; yields normalized word lists."""
-    for num, line in iter_jsonl_gz(path):
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: line {num}: malformed JSON: {exc}") from exc
-        text = record.get("text", record.get("raw_content")) if isinstance(record, dict) else None
+    for where, record in iter_json_objects(path):
+        text = record.get("text", record.get("raw_content"))
         if not isinstance(text, str):
-            raise DataError(f"{path}: line {num}: not a JSON object with a string "
-                            "text or raw_content field")
+            raise DataError(f"{where}: no string text or raw_content field")
         if (at := lone_surrogate(text)) is not None:
-            raise DataError(f"{path}: line {num}: text holds a lone surrogate "
-                            f"at character {at}")
+            raise DataError(f"{where}: text holds a lone surrogate at character {at}")
         yield normalize(text).split()
 
 

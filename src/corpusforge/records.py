@@ -133,6 +133,12 @@ def content_digest(raw: str) -> str:
     return "sha256:" + hashlib.sha256(raw.encode("utf-8")).hexdigest()
 
 
+def content_digests(contents: list[str]) -> list[str]:
+    """content_digest of each content, computed once per distinct content."""
+    digest_of = {text: content_digest(text) for text in dict.fromkeys(contents)}
+    return [digest_of[text] for text in contents]
+
+
 def document_id(doc: Document, ordinal: int) -> str:
     """The id of the document at position `ordinal` of its shard:
     "<cc_segment>/<ordinal>"."""
@@ -270,6 +276,25 @@ def read_documents(path) -> list[Document]:
     return docs
 
 
+def iter_json_objects(path, *strings: str) -> Iterator[tuple[str, dict]]:
+    """(where, record) for each line of a JSONL file, where `where` is
+    "<path>: line <n>" for the caller's own checks. A line that is not a
+    JSON object, or whose fields named in `strings` are not all strings,
+    is a DataError naming the file and the line."""
+    for line_number, line in iter_jsonl_gz(path):
+        where = f"{path}: line {line_number}"
+        try:
+            raw = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{where}: malformed JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise DataError(f"{where}: record is not a JSON object")
+        for key in strings:
+            if not isinstance(raw.get(key), str):
+                raise DataError(f"{where}: field {key} is missing or not a string")
+        yield where, raw
+
+
 def read_signals(path, ids: list[str]) -> list[QualitySignalSet]:
     """The signal records of a shard whose documents have `ids`, which
     the sidecar holds one per document in document order: record i must
@@ -277,18 +302,12 @@ def read_signals(path, ids: list[str]) -> list[QualitySignalSet]:
     DataError naming the file and the line. The signal lists are kept as
     parsed; evaluate checks the triples of the signals it reads."""
     records = []
-    for line_number, line in iter_jsonl_gz(path):
-        where = f"{path}: line {line_number}"
-        try:
-            raw = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{where}: malformed JSON: {exc}") from exc
+    for where, raw in iter_json_objects(path):
         i = len(records)
         if i == len(ids):
             raise DataError(f"{where}: extra record, the shard has {len(ids)} documents")
-        found = raw.get("id") if isinstance(raw, dict) else None
-        if found != ids[i]:
-            raise DataError(f"{where}: record id {found!r}, expected {ids[i]!r}")
+        if raw.get("id") != ids[i]:
+            raise DataError(f"{where}: record id {raw.get('id')!r}, expected {ids[i]!r}")
         signals = raw.get("quality_signals")
         if not isinstance(signals, dict):
             raise DataError(f"{where}: quality_signals is not a JSON object")
@@ -298,6 +317,15 @@ def read_signals(path, ids: list[str]) -> list[QualitySignalSet]:
         raise DataError(f"{path}: {len(records)} records for {len(ids)} documents; "
                         f"no record for {ids[len(records)]}")
     return records
+
+
+def read_duplicates(path) -> set[str]:
+    """The doc_ids of a duplicates sidecar; none when the shard has no
+    sidecar. A line that is not a JSON object with a string doc_id is a
+    DataError naming the file and the line."""
+    if not os.path.exists(path):
+        return set()
+    return {raw["doc_id"] for _, raw in iter_json_objects(path, "doc_id")}
 
 
 _SIGNATURE_BYTES = 8 * NUM_PERMUTATIONS
@@ -329,17 +357,7 @@ def read_minhash(path, ids: list[str],
     and the line, stale or not."""
     slot_of: dict[str, int] = {}
     slots, found, rows = [], [], []
-    for line_number, line in iter_jsonl_gz(path):
-        where = f"{path}: line {line_number}"
-        try:
-            raw = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{where}: malformed JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise DataError(f"{where}: record is not a JSON object")
-        for key in ("doc_id", "digest", "signature"):
-            if not isinstance(raw.get(key), str):
-                raise DataError(f"{where}: field {key} is missing or not a string")
+    for where, raw in iter_json_objects(path, "doc_id", "digest", "signature"):
         slot = slot_of.setdefault(raw["signature"], len(rows))
         if slot == len(rows):  # a signature not seen before in this file
             rows.append(_signature_bytes(raw["signature"], where))

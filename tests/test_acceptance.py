@@ -18,11 +18,11 @@ from corpusforge import pipeline
 from corpusforge.dedup import (
     BloomFilter,
     cluster_and_select,
+    content_signatures,
     estimate_jaccard,
     exact_dedup_pass,
     lsh_candidates,
-    minhash_for_words,
-    minhash_signature,
+    minhash_signatures,
 )
 from corpusforge.filtering import evaluate, preset
 from corpusforge.kneser_ney import train_kn_lm
@@ -126,13 +126,14 @@ def test_acceptance_2_bloom_error_rate():
     started = time.monotonic()
     n = 100_000
     bloom = BloomFilter(capacity=n, error_rate=0.01)
-    for i in range(n):
-        bloom.add(f"present-{i}")
+    present = [content_digest(f"present-{i}") for i in range(n)]
+    for key in present:
+        bloom.add(key)
     # zero false negatives
-    misses = sum(1 for i in range(n) if f"present-{i}" not in bloom)
+    misses = sum(1 for key in present if key not in bloom)
     assert misses == 0
     # false positives on fresh probes near the 1% design point
-    false_positives = sum(1 for i in range(n) if f"absent-{i}" in bloom)
+    false_positives = sum(1 for i in range(n) if content_digest(f"absent-{i}") in bloom)
     rate = false_positives / n
     assert 0.005 <= rate <= 0.015, rate
     assert time.monotonic() - started < 60.0
@@ -151,6 +152,12 @@ def _keys(strings: set[str]) -> np.ndarray:
     ], dtype=np.uint64)
 
 
+def _signatures(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The MinHash signatures of two sets of shingle hashes, one row each."""
+    texts = np.repeat([0, 1], [len(a), len(b)])
+    return minhash_signatures(texts, np.concatenate((a, b)), 2)
+
+
 def _jaccard_pair(level: float, tag: str, union: int = 1000):
     shared = round(level * union)
     extra_each = (union - shared) // 2
@@ -166,7 +173,7 @@ def test_acceptance_3_minhash_fidelity():
         errors = []
         for i in range(200):
             a, b = _jaccard_pair(level, f"{level}:{i}")
-            est = estimate_jaccard(minhash_signature(a), minhash_signature(b))
+            est = estimate_jaccard(*_signatures(a, b))
             errors.append(est - level)
         # the estimator is unbiased: the mean error over 200 pairs stays
         # within 0.02, and no single 128-component estimate strays far
@@ -195,10 +202,10 @@ def test_acceptance_4_lsh_banding():
     detected_low = 0
     for i in range(1000):
         a, b = _jaccard_pair(0.9, f"hi:{i}", union=200)
-        if _band_match(minhash_signature(a), minhash_signature(b)):
+        if _band_match(*_signatures(a, b)):
             detected_high += 1
         a, b = _jaccard_pair(0.5, f"lo:{i}", union=200)
-        if _band_match(minhash_signature(a), minhash_signature(b)):
+        if _band_match(*_signatures(a, b)):
             detected_low += 1
     assert detected_high / 1000 >= 0.88, detected_high
     assert detected_low / 1000 <= 0.01, detected_low
@@ -241,7 +248,8 @@ def test_acceptance_5_dedup_semantics():
     assert list(exact_dedup_pass(again, BloomFilter(capacity=1000))) == []
 
     # fuzzy path: identical texts collide in every band
-    signatures = [minhash_for_words(text.split()) for _, text in texts]
+    slots, sigs = content_signatures([text for _, text in texts])
+    signatures = [sigs[slot] for slot in slots]
     docs = [(doc_id, "shard") for doc_id, _ in texts]
     records = cluster_and_select(lsh_candidates(signatures, 9, 13), docs)
     dropped = {r.doc_id for r in records}

@@ -239,6 +239,25 @@ def test_dedup_fuzzy_reuse_follows_the_content_not_its_digest_field(tmp_path, ca
     assert capsys.readouterr().out == rerun
 
 
+def test_dedup_exact_follows_the_content_not_its_digest_field(tmp_path, capsys):
+    """A copy of document 0's content under a stale digest field is a
+    duplicate, and another content under document 0's digest field is not."""
+    root = str(tmp_path / "corpus")
+    path = _write_corpus(root, [LONG_A, LONG_B])
+    docs = [json.loads(line) for line in gzip.decompress(Path(path).read_bytes()).splitlines()]
+    argv = ["dedup", "--mode", "exact", "--input", root, "--output", root]
+    sidecar = os.path.join(
+        root, shard_path(ShardAddress("2023-14", 0, "en", "head"), "duplicates"))
+    for content, digest, duplicates in ((LONG_A, docs[1]["digest"], 1),
+                                        (LONG_B, docs[0]["digest"], 0)):
+        write_jsonl_gz(path, map(json.dumps, [docs[0], {**docs[1], "raw_content": content,
+                                                        "digest": digest}]))
+        assert main(argv) == 0
+        assert f"total: 2 docs, {duplicates} duplicates;" in capsys.readouterr().out
+        with gzip.open(sidecar, "rt") as fh:
+            assert [json.loads(line)["doc_id"] for line in fh] == ["2023-14/seg0/1"] * duplicates
+
+
 _SIGNATURE_1016 = base64.b64encode(bytes(1016)).decode("ascii")
 
 

@@ -21,8 +21,7 @@ from corpusforge.dedup import (
     estimate_jaccard,
     exact_dedup_pass,
     lsh_candidates,
-    minhash_for_words,
-    minhash_signature,
+    minhash_signatures,
     pick_banding,
     shingle_hashes,
 )
@@ -35,7 +34,7 @@ from oracles import oracle_minhash
 
 def test_bloom_no_false_negatives():
     bloom = BloomFilter(capacity=1000, error_rate=0.01)
-    keys = [f"key-{i}" for i in range(1000)]
+    keys = [content_digest(f"key-{i}") for i in range(1000)]
     for k in keys:
         bloom.add(k)
     assert all(k in bloom for k in keys)
@@ -54,8 +53,8 @@ def test_bloom_sizing_and_validation():
 def test_bloom_capacity_warning(capsys):
     bloom = BloomFilter(capacity=5, error_rate=0.01)
     for i in range(5):
-        bloom.add(str(i))
-    bloom.add("overflow")
+        bloom.add(content_digest(str(i)))
+    bloom.add(content_digest("overflow"))
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1, lines
     assert lines[0].startswith("warning: bloom filter past design capacity 5 ")
@@ -110,7 +109,7 @@ def test_content_signatures_hash_words_in_one_call(monkeypatch):
     assert calls == [["the", "cat", "sat", "the", "dog", "sat"]]
     monkeypatch.undo()
     for text, slot in zip(texts, slots):
-        assert np.array_equal(sigs[slot], minhash_for_words(normalize(text).split()))
+        assert sigs[slot].tolist() == _oracle(normalize(text).split())
     assert content_signatures([])[1].shape == (0, 128)  # a shard with no documents
 
 
@@ -122,21 +121,37 @@ def _keys(strings) -> np.ndarray:
     ], dtype=np.uint64)
 
 
+def _signatures(*hash_sets: np.ndarray) -> np.ndarray:
+    """One minhash_signatures row for each array of shingle hashes."""
+    texts = np.repeat(np.arange(len(hash_sets)), [len(h) for h in hash_sets])
+    return minhash_signatures(texts, np.concatenate(hash_sets), len(hash_sets))
+
+
+def _words_signature(words: list[str]) -> np.ndarray:
+    """The MinHash of one text's words, as content_signatures computes a
+    row: FNV-1a word hashes, shingle_hashes, then minhash_signatures."""
+    texts, hashes = shingle_hashes(fnv1a64_batch(words), np.array([len(words)]))
+    return minhash_signatures(texts, hashes, 1)[0]
+
+
+def _oracle(words: list[str]) -> list[int]:
+    return oracle_minhash(words, int(_MH_A), int(_MH_B), _DENSIFY_ORDER.tolist())
+
+
 def test_minhash_identity_and_determinism():
-    words = ["lorem"] + [f"tok{i}" for i in range(30)]
-    sig1 = minhash_for_words(words)
-    sig2 = minhash_for_words(list(words))
+    text = " ".join(["lorem"] + [f"tok{i}" for i in range(30)])
+    sig1, sig2 = (content_signatures([text])[1][0] for _ in range(2))
     assert sig1.dtype == np.uint64 and len(sig1) == 128
     assert np.array_equal(sig1, sig2)
     assert estimate_jaccard(sig1, sig2) == 1.0
-    empty = minhash_signature(np.empty(0, dtype=np.uint64))
+    (empty,) = _signatures(np.empty(0, dtype=np.uint64))
     assert np.all(empty == np.iinfo(np.uint64).max)
 
 
 def test_estimate_jaccard_tracks_overlap():
     base = _keys(f"sh{i}" for i in range(200))
     other = _keys([f"sh{i}" for i in range(100)] + [f"xx{i}" for i in range(100)])
-    est = estimate_jaccard(minhash_signature(base), minhash_signature(other))
+    est = estimate_jaccard(*_signatures(base, other))
     true_j = 100 / 300
     assert abs(est - true_j) < 0.15
 
@@ -155,18 +170,15 @@ _ORACLE_WORDS = ["a", "b", "ab", "é", "日本", "straße"]
 @given(st.lists(st.sampled_from(_ORACLE_WORDS) | st.text(min_size=1, max_size=4),
                 max_size=40))
 def test_minhash_matches_oracle(words):
-    def oracle(ws):
-        return oracle_minhash(ws, int(_MH_A), int(_MH_B), _DENSIFY_ORDER.tolist())
-
-    assert minhash_for_words(words).tolist() == oracle(words)
+    assert _words_signature(words).tolist() == _oracle(words)
     # the production path: one signature per distinct content, words of
     # the normalized text, hashed once across the call
     text = " ".join(words)
     other = "zz " + text
     slots, sigs = content_signatures([text, other, text])
     assert slots == [0, 1, 0]
-    assert sigs[0].tolist() == oracle(normalize(text).split())
-    assert sigs[1].tolist() == oracle(normalize(other).split())
+    assert sigs[0].tolist() == _oracle(normalize(text).split())
+    assert sigs[1].tolist() == _oracle(normalize(other).split())
 
 
 @settings(deadline=None, max_examples=40)
@@ -178,7 +190,7 @@ def test_content_signatures_keep_windows_within_each_text(lengths, data):
              for n in lengths]
     slots, sigs = content_signatures([" ".join(words) for words in texts])
     for words, slot in zip(texts, slots):
-        assert np.array_equal(sigs[slot], minhash_for_words(words))
+        assert sigs[slot].tolist() == _oracle(words)
 
 
 def _windows(words: list[str]) -> set[tuple[str, ...]]:
@@ -186,7 +198,7 @@ def _windows(words: list[str]) -> set[tuple[str, ...]]:
     return {tuple(words[i:i + width]) for i in range(len(words) - width + 1)}
 
 
-def test_minhash_for_words_is_unbiased():
+def test_minhash_is_unbiased():
     """The shingle hash adds no bias. As in acceptance_3, 200 pairs per
     level 0.7, 0.8 and 0.9: random word sequences and copies with one to
     three words replaced, sized so that the window-Jaccard is near the
@@ -204,7 +216,7 @@ def test_minhash_for_words_is_unbiased():
             wa, wb = _windows(base), _windows(other)
             truth = len(wa & wb) / len(wa | wb)
             assert abs(truth - level) < 0.01
-            est = estimate_jaccard(minhash_for_words(base), minhash_for_words(other))
+            est = estimate_jaccard(_words_signature(base), _words_signature(other))
             errors.append(est - truth)
         assert abs(sum(errors) / len(errors)) <= 0.02, level
         assert max(abs(e) for e in errors) <= 0.15, level
@@ -219,8 +231,8 @@ def test_pick_banding():
 
 
 def test_lsh_candidates_find_identical_signatures():
-    sig_a = minhash_for_words([f"a{i}" for i in range(20)])
-    sig_c = minhash_for_words([f"c{i}" for i in range(20)])
+    _, (sig_a, sig_c) = content_signatures([" ".join(f"{c}{i}" for i in range(20))
+                                            for c in "ac"])
     pairs = lsh_candidates([sig_a, sig_a, sig_c], bands=9, rows=13)
     assert pairs == {(0, 1)}
     with pytest.raises(ConfigError):
@@ -272,7 +284,7 @@ def _fuzzy_corpus(draw):
 @given(_fuzzy_corpus())
 def test_signature_groups_match_per_document_reference(texts):
     docs = [(f"d{i}", f"s{i % 3}") for i in range(len(texts))]
-    sigs = [minhash_for_words(normalize(t).split()) for t in texts]
+    sigs = [_words_signature(normalize(t).split()) for t in texts]
     # each shard's signatures, one per content distinct within the shard
     by_shard = {}
     for pos, (_, shard) in enumerate(docs):
