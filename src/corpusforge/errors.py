@@ -1,30 +1,13 @@
-"""Exception types shared across the pipeline."""
+"""The two failures a command reports, one per exit code: ConfigError
+(exit 1) and DataError (exit 2)."""
 
 
-class CorpusForgeError(Exception):
-    """Base class for all corpusforge errors."""
-
-
-class ConfigError(CorpusForgeError):
+class ConfigError(Exception):
     """Bad configuration or usage: unknown preset, missing model file,
-    unknown option, mismatched model dimensions, etc. Exit code 1."""
+    unknown option, mismatched model dimensions, a rule on a signal the
+    records lack, etc. Exit code 1."""
 
 
-class RecordError(CorpusForgeError):
-    """A single bad record in a shard. Carries enough context to report
-    and skip the record without aborting the shard."""
-
-    def __init__(self, message, line_number=None):
-        super().__init__(message)
-        self.line_number = line_number
-
-    def __str__(self):
-        base = super().__str__()
-        if self.line_number is not None:
-            return f"line {self.line_number}: {base}"
-        return base
-
-
-class DataError(CorpusForgeError):
-    """Shard-level data failure (e.g. error rate above threshold).
-    Exit code 2."""
+class DataError(Exception):
+    """Bad input data: a malformed record or sidecar line, a shard whose
+    share of bad records is above the threshold, etc. Exit code 2."""

@@ -34,12 +34,6 @@ _OPS = {
 }
 
 
-class SignalMissingError(ConfigError):
-    """A rule references a signal absent from the record; evaluation
-    never silently passes on missing data. The ruleset does not fit the
-    signals the corpus was annotated with, so this is a config error."""
-
-
 @dataclass(frozen=True)
 class Rule:
     signal: str
@@ -148,27 +142,20 @@ def _load_preset_config(name: str) -> dict:
         return json.load(fh)
 
 
-def _compiled_preset(part: str) -> Ruleset:
-    config = _load_preset_config(part)
-    if "compose" in config:
-        rs = Ruleset(name=config.get("name", part))
-        for sub in config["compose"]:
-            sub_rs = _compiled_preset(sub)
-            rs.doc_rules.extend(sub_rs.doc_rules)
-            rs.line_rules.extend(sub_rs.line_rules)
-        return rs
-    return compile_ruleset(config, name=part)
-
-
 def preset(name: str) -> Ruleset:
     """Vendored preset by name; '+'-joined names compose, e.g.
-    "gopher_natlang+c4_lines"."""
+    "gopher_natlang+c4_lines", and so does a preset whose JSON is
+    {"compose": [<names>]}, such as gopher_full."""
     parts = [p.strip() for p in name.split("+") if p.strip()]
     if not parts:
         raise ConfigError("empty preset name")
     combined = Ruleset(name=name)
     for part in parts:
-        rs = _compiled_preset(part)
+        config = _load_preset_config(part)
+        if "compose" in config:
+            rs = preset("+".join(config["compose"]))
+        else:
+            rs = compile_ruleset(config, name=part)
         combined.doc_rules.extend(rs.doc_rules)
         combined.line_rules.extend(rs.line_rules)
     return combined
@@ -199,10 +186,12 @@ def load_ruleset(spec: str) -> Ruleset:
 def _scores(name: str, signals: QualitySignalSet) -> list:
     """The score of each (start, end, score) triple of one signal;
     DataError when the value is not a list of triples or a score is not
-    a number (a bool is not one)."""
+    a number (a bool is not one). A signal absent from the record is a
+    ConfigError, never a silent pass: the ruleset does not fit the
+    signals the corpus was annotated with."""
     triples = signals.quality_signals.get(name)
     if triples is None:
-        raise SignalMissingError(f"signal {name} missing from record {signals.id}")
+        raise ConfigError(f"signal {name} missing from record {signals.id}")
     if not isinstance(triples, list):
         raise DataError(
             f"record {signals.id}: signal {name} is not a list of triples: {triples!r}"

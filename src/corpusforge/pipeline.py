@@ -485,6 +485,10 @@ _KEEP = Decision(verdict="keep")
 def cmd_filter(cfg: PipelineConfig) -> dict:
     if not cfg.ruleset:
         raise ConfigError("filter requires a ruleset path or preset name")
+    if os.path.realpath(cfg.output_root) == os.path.realpath(cfg.input_root):
+        # each shard's output would be its own input documents file
+        raise ConfigError(f"filter --output {cfg.output_root} is its --input; "
+                          "write the filtered corpus to another directory")
     rs: Ruleset = load_ruleset(cfg.ruleset)
 
     def job(addr: ShardAddress, docs, ids) -> Counter:

@@ -4,6 +4,9 @@ JSONL IO.
 All character offsets are Unicode code-point counts, never bytes, so the
 span triples in signal records are stable across encodings. Writers emit
 a fixed key order and gzip with mtime=0 so reruns are byte-comparable.
+Every reader parses a line with one function, and a bad line is a
+DataError naming the file and the line, except that read_documents
+skips a bad document line with a warning.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Iterable, Iterator, get_origin, get_type_hints
 import numpy as np
 
 from .dedup import NUM_PERMUTATIONS, SIGNATURE_VERSION
-from .errors import DataError, RecordError
+from .errors import DataError
 
 _OPTIONAL_DOC_DEFAULTS = {"title": ""}
 # A shard whose share of malformed document records exceeds this fails
@@ -65,52 +68,42 @@ _DOC_FIELDS = tuple(
 
 
 def parse_document(json_line: str, line_number: int | None = None) -> Document:
-    """Parse one JSONL document record. Raises RecordError for malformed
-    JSON, wrong field types or a string holding a lone surrogate; schema
-    invariants such as length == len(raw_content) are not checked.
+    """Parse one JSONL document record. Raises DataError for a line that
+    is not a JSON object, a missing field, a wrong field type or a string
+    holding a lone surrogate, its message led by "line <line_number>: "
+    when one is given; schema invariants such as length ==
+    len(raw_content) are not checked.
 
     `json_line` must hold no lone surrogate itself, as a line that
     iter_jsonl_gz decoded as strict UTF-8 does. A lone surrogate can then
     only come from a \\ud800-\\udfff escape, so the fields of a line
     without "\\ud" or "\\uD" are not scanned for one."""
     try:
-        raw = json.loads(json_line)
-    except json.JSONDecodeError as exc:
-        raise RecordError(f"malformed JSON: {exc}", line_number=line_number)
-    if not isinstance(raw, dict):
-        raise RecordError("record is not a JSON object", line_number=line_number)
-    escaped = "\\ud" in json_line or "\\uD" in json_line
-    values = {}
-    for name, typ in _DOC_FIELDS:
-        if name not in raw:
-            if name in _OPTIONAL_DOC_DEFAULTS:
-                values[name] = _OPTIONAL_DOC_DEFAULTS[name]
-                continue
-            raise RecordError(
-                f"missing required field {name}", line_number=line_number
-            )
-        value = raw[name]
-        if typ is float and isinstance(value, int) and not isinstance(value, bool):
-            value = float(value)
-        if typ is int and isinstance(value, bool):
-            raise RecordError(
-                f"field {name} has wrong type bool", line_number=line_number
-            )
-        if not isinstance(value, typ):
-            raise RecordError(
-                f"field {name} has wrong type {type(value).__name__}",
-                line_number=line_number,
-            )
-        if typ is str and escaped and (at := lone_surrogate(value)) is not None:
-            raise RecordError(
-                f"field {name} holds a lone surrogate at character {at}",
-                line_number=line_number,
-            )
-        values[name] = value
-    if any(not isinstance(i, int) or isinstance(i, bool) for i in values["line_ids"]):
-        raise RecordError(
-            "field line_ids must be a list of integers", line_number=line_number
-        )
+        raw = _json_object(json_line)
+        escaped = "\\ud" in json_line or "\\uD" in json_line
+        values = {}
+        for name, typ in _DOC_FIELDS:
+            if name not in raw:
+                if name in _OPTIONAL_DOC_DEFAULTS:
+                    values[name] = _OPTIONAL_DOC_DEFAULTS[name]
+                    continue
+                raise DataError(f"missing required field {name}")
+            value = raw[name]
+            if typ is float and isinstance(value, int) and not isinstance(value, bool):
+                value = float(value)
+            if typ is int and isinstance(value, bool):
+                raise DataError(f"field {name} has wrong type bool")
+            if not isinstance(value, typ):
+                raise DataError(f"field {name} has wrong type {type(value).__name__}")
+            if typ is str and escaped and (at := lone_surrogate(value)) is not None:
+                raise DataError(f"field {name} holds a lone surrogate at character {at}")
+            values[name] = value
+        if any(not isinstance(i, int) or isinstance(i, bool) for i in values["line_ids"]):
+            raise DataError("field line_ids must be a list of integers")
+    except DataError as exc:
+        if line_number is None:
+            raise
+        raise DataError(f"line {line_number}: {exc}") from exc
     return Document(**values)
 
 
@@ -256,6 +249,18 @@ def iter_jsonl_gz(path: str | os.PathLike) -> Iterator[tuple[int, str]]:
         raise DataError(f"failed reading {path}: {exc}") from exc
 
 
+def _json_object(line: str) -> dict:
+    """The JSON object on one JSONL line; a DataError for a line that is
+    not one, which the caller prefixes with the line's location."""
+    try:
+        raw = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"malformed JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise DataError("record is not a JSON object")
+    return raw
+
+
 def read_documents(path) -> list[Document]:
     """The documents of a shard. A malformed line is skipped with one
     warning on stderr; a shard whose share of them is above
@@ -264,7 +269,7 @@ def read_documents(path) -> list[Document]:
     for line_number, line in iter_jsonl_gz(path):
         try:
             docs.append(parse_document(line, line_number=line_number))
-        except RecordError as exc:
+        except DataError as exc:
             print(f"warning: {path}: {exc}", file=sys.stderr)
             bad += 1
     total = len(docs) + bad
@@ -284,11 +289,9 @@ def iter_json_objects(path, *strings: str) -> Iterator[tuple[str, dict]]:
     for line_number, line in iter_jsonl_gz(path):
         where = f"{path}: line {line_number}"
         try:
-            raw = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{where}: malformed JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise DataError(f"{where}: record is not a JSON object")
+            raw = _json_object(line)
+        except DataError as exc:
+            raise DataError(f"{where}: {exc}") from exc
         for key in strings:
             if not isinstance(raw.get(key), str):
                 raise DataError(f"{where}: field {key} is missing or not a string")

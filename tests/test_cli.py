@@ -705,6 +705,24 @@ def test_filter_missing_sidecar_under_workers_exits_1(tmp_path):
     assert not list(out.rglob("*.tmp"))
 
 
+@pytest.mark.parametrize("output, force", [
+    ("corpus", []), ("corpus", ["--force"]), ("corpus/../corpus/.", []),
+], ids=["same", "same-force", "same-spelled-otherwise"])
+def test_filter_output_equal_to_input_exits_1(tmp_path, capsys, output, force):
+    root = tmp_path / "corpus"
+    path = _write_corpus(str(root), [LONG_A, LONG_B, LONG_A, "short", "tiny text"])
+    assert main(["annotate", "--input", str(root), "--output", str(root)]) == 0
+    before = Path(path).read_bytes()
+    capsys.readouterr()
+    assert main(["filter", "--preset", "gopher_full", "--input", str(root),
+                 "--output", str(tmp_path / output), *force]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert Path(path).read_bytes() == before
+
+
 @pytest.mark.parametrize("argv", [["annotate"], ["dedup", "--mode", "fuzzy"],
                                   ["dedup", "--mode", "exact"], ["stats"]])
 def test_worker_warning_reaches_stderr(tmp_path, argv):

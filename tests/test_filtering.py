@@ -13,7 +13,6 @@ from corpusforge.annotate import (
 from corpusforge.errors import ConfigError
 from corpusforge.filtering import (
     PRESET_NAMES,
-    SignalMissingError,
     compile_ruleset,
     evaluate,
     load_ruleset,
@@ -148,7 +147,7 @@ def test_missing_signal_raises(resources):
     doc = make_doc("hello world")
     empty = QualitySignalSet(id="x", id_int=0, metadata={}, quality_signals={})
     rs = compile_ruleset({"rps_doc_word_count": {"<": 10}}, name="t")
-    with pytest.raises(SignalMissingError):
+    with pytest.raises(ConfigError, match="signal rps_doc_word_count missing"):
         evaluate(doc, empty, rs)
 
 

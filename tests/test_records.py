@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from corpusforge.errors import DataError, RecordError
+from corpusforge.errors import DataError
 from corpusforge.records import (
     Document,
     QualitySignalSet,
@@ -40,21 +40,21 @@ def test_document_roundtrip():
 
 
 def test_parse_document_errors():
-    with pytest.raises(RecordError, match="malformed JSON"):
+    with pytest.raises(DataError, match="malformed JSON"):
         parse_document("{not json", line_number=3)
-    with pytest.raises(RecordError, match="missing required field url"):
+    with pytest.raises(DataError, match="missing required field url"):
         parse_document("{}")
     record = json.loads(make_doc("x").to_json())
     del record["raw_content"]
-    with pytest.raises(RecordError, match="missing required field raw_content"):
+    with pytest.raises(DataError, match="missing required field raw_content"):
         parse_document(json.dumps(record))
     record = json.loads(make_doc("x").to_json())
     record["length"] = "5"
-    with pytest.raises(RecordError, match="wrong type"):
+    with pytest.raises(DataError, match="wrong type"):
         parse_document(json.dumps(record))
     record = json.loads(make_doc("x").to_json())
     record["nlines"] = True  # bool is not an int here
-    with pytest.raises(RecordError, match="wrong type bool"):
+    with pytest.raises(DataError, match="wrong type bool"):
         parse_document(json.dumps(record))
 
 
@@ -62,7 +62,7 @@ def test_parse_document_rejects_lone_surrogates():
     record = json.loads(make_doc("fine").to_json())
     record["raw_content"] = "ok \ud800 then"
     line = json.dumps(record)  # ensure_ascii: the surrogate is a \ud800 escape
-    with pytest.raises(RecordError, match="field raw_content holds a lone surrogate"):
+    with pytest.raises(DataError, match="field raw_content holds a lone surrogate"):
         parse_document(line, line_number=4)
     record["raw_content"] = "pair \ud83d\ude00 and naïve"  # an escaped pair is fine
     assert parse_document(json.dumps(record)).raw_content == "pair \U0001f600 and naïve"
@@ -72,7 +72,7 @@ def test_parse_document_rejects_lone_surrogates():
 def test_lone_surrogate_escape_in_either_case_is_found(escape):
     # the scan runs only on lines holding a "\\ud" or "\\uD" escape
     line = make_doc("fine").to_json().replace('"fine"', f'"a{escape}b"')
-    with pytest.raises(RecordError, match="field raw_content holds a lone surrogate"):
+    with pytest.raises(DataError, match="field raw_content holds a lone surrogate"):
         parse_document(line)
     line = line.replace(escape, "\\uD83D\\uDE00")
     assert parse_document(line).raw_content == "a\U0001f600b"
@@ -167,17 +167,41 @@ def test_write_jsonl_gz_leaves_no_tmp_when_a_line_fails(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def _record(**fields):
+    """A good document's JSON line with `fields` set; a field set to
+    None is left out."""
+    record = json.loads(make_doc("fine").to_json())
+    record.update(fields)
+    return json.dumps({k: v for k, v in record.items() if v is not None})
+
+
+# a line with each fault parse_document reports, and the reason its
+# warning gives
+_BAD_LINES = [
+    ("{broken", "malformed JSON: "),
+    ("[1, 2]", "record is not a JSON object"),
+    (_record(url=None), "missing required field url"),
+    (_record(length="5"), "field length has wrong type str"),
+    (_record(nlines=True), "field nlines has wrong type bool"),
+    (_record(line_ids=[0, "1"]), "field line_ids must be a list of integers"),
+    (_record(raw_content="ok \ud800 then"),
+     "field raw_content holds a lone surrogate at character 3"),
+]
+
+
 def test_read_documents_collects_errors(tmp_path, capsys):
     path = tmp_path / "shard.json.gz"
     good = make_doc("fine").to_json()
-    lines = [good] * 99
-    lines.insert(1, "{broken")
-    write_jsonl_gz(path, lines)
-    # one bad line in 100 is skipped with one warning naming its line
-    assert len(read_documents(path)) == 99
-    warnings = capsys.readouterr().err.splitlines()
-    assert len(warnings) == 1
-    assert warnings[0].startswith(f"warning: {path}: line 2: malformed JSON")
+    # one bad line in 100, whatever its fault, is skipped with one warning
+    # naming its line: no DataError of the line parser escapes
+    for bad, reason in _BAD_LINES:
+        lines = [good] * 99
+        lines.insert(1, bad)
+        write_jsonl_gz(path, lines)
+        assert len(read_documents(path)) == 99
+        warnings = capsys.readouterr().err.splitlines()
+        assert len(warnings) == 1
+        assert warnings[0].startswith(f"warning: {path}: line 2: {reason}")
     # one in 3 is above the threshold
     write_jsonl_gz(path, lines[:3])
     with pytest.raises(DataError, match="1/3 bad records exceeds the 1% threshold"):
