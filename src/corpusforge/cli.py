@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: annotate, dedup, filter, stats, train. Exit codes: 0
-success, 1 configuration or usage error, 2 data error. Every option can
-also come from a JSON config file (--config) or a CORPUSFORGE_* env
+success, 1 configuration or usage error, 2 data error. Every config key
+can also come from a JSON config file (--config) or a CORPUSFORGE_* env
 variable; command-line flags win.
 """
 

@@ -1,6 +1,7 @@
 """Deduplication primitives: Bloom-filter exact dedup over content
 digests, MinHash + LSH banding for fuzzy dedup over signatures grouped by
-identity, and union-find clustering.
+identity, union-find clustering, and each shard's duplicates/ and
+minhash/ sidecars (read_duplicates; shard_signatures reuses or writes).
 
 A shingle is a window of SHINGLE_WIDTH normalized words (a shorter
 document is one window of all its words). A window of k words w_j hashes
@@ -24,16 +25,19 @@ estimator's unbiasedness is covered by tests rather than assumed.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .mlmodels import fnv1a64_spans
+from .records import content_digests, iter_json_objects, write_jsonl_gz
 from .textnorm import normalize
 
 
@@ -112,6 +116,15 @@ class DuplicateRecord:
         )
 
 
+def read_duplicates(path) -> set[str]:
+    """The doc_ids of a duplicates sidecar; none when the shard has no
+    sidecar. A line that is not a JSON object with a string doc_id is a
+    DataError naming the file and the line."""
+    if not os.path.exists(path):
+        return set()
+    return {raw["doc_id"] for _, raw in iter_json_objects(path, "doc_id")}
+
+
 def exact_dedup_pass(
     entries: Iterable[tuple[str, str, str]], bloom: BloomFilter
 ) -> Iterator[DuplicateRecord]:
@@ -134,6 +147,7 @@ def exact_dedup_pass(
 
 NUM_PERMUTATIONS = 128  # bins of the one permutation
 SIGNATURE_VERSION = 2  # of the definition below; bump on any change to it
+_SIGNATURE_BYTES = 8 * NUM_PERMUTATIONS  # of a signature in the minhash sidecar
 SHINGLE_WIDTH = 13
 _MINHASH_SEED = 0x5EED_1A57
 _BIN_SHIFT = np.uint64(64 - 7)  # the top 7 bits pick one of 2^7 bins
@@ -211,6 +225,75 @@ def content_signatures(contents: list[str]) -> tuple[list[int], np.ndarray]:
     word = lengths > 0  # an empty text leaves an empty run
     h = fnv1a64_spans(buf, starts[word], lengths[word])
     return slots, minhash_signatures(*shingle_hashes(h, counts), len(texts))
+
+
+def shard_signatures(path, ids: list[str], contents: list[str], force: bool) -> np.ndarray:
+    """The signatures of a shard's documents, row i for the one with id
+    ids[i] and raw content contents[i]. Without `force`, a minhash sidecar
+    at `path` that matches the shard (read_minhash) supplies them; else
+    they are computed and the sidecar is written. A malformed sidecar is
+    a DataError that names it and says that dedup --force recomputes it."""
+    digests = content_digests(contents)
+    if not force and os.path.exists(path):
+        try:
+            rows = read_minhash(path, ids, digests)
+        except DataError as exc:
+            raise DataError(f"{exc}; dedup --force recomputes it") from exc
+        if rows is not None:
+            return rows
+    slots, signatures = content_signatures(contents)
+    write_jsonl_gz(path, minhash_lines(ids, digests, slots, signatures))
+    return signatures[slots]
+
+
+def minhash_lines(ids: list[str], digests: list[str], slots: list[int],
+                  signatures: np.ndarray) -> Iterator[str]:
+    """The minhash sidecar lines of a shard, one {doc_id, digest,
+    signature, version} record per document: document i's signature is
+    row slots[i] of `signatures`, written as the base64 of its components'
+    little-endian uint64 bytes, and `version` is SIGNATURE_VERSION, the
+    definition that computed it. Each row is encoded once."""
+    encoded = [base64.b64encode(row.tobytes()).decode("ascii")
+               for row in signatures.astype("<u8", copy=False)]
+    for doc_id, digest, slot in zip(ids, digests, slots):
+        yield json.dumps({"doc_id": doc_id, "digest": digest, "signature": encoded[slot],
+                          "version": SIGNATURE_VERSION}, separators=(",", ":"))
+
+
+def read_minhash(path, ids: list[str], digests: list[str]) -> np.ndarray | None:
+    """The signatures of a minhash sidecar, one uint64 row per record,
+    when it holds one record per document, record i carries ids[i] and
+    digests[i], and every record has version SIGNATURE_VERSION; None
+    when it does not (a stale sidecar, which includes one from another
+    signature definition). Each distinct signature is decoded once. A
+    line that is not a JSON object with string doc_id, digest and
+    signature, or a signature that is not the canonical base64 of
+    NUM_PERMUTATIONS uint64s, is a DataError naming the file and the
+    line, stale or not."""
+    slot_of: dict[str, int] = {}
+    slots, found, rows = [], [], []
+    for where, raw in iter_json_objects(path, "doc_id", "digest", "signature"):
+        slot = slot_of.setdefault(raw["signature"], len(rows))
+        if slot == len(rows):  # a signature not seen before in this file
+            rows.append(_signature_bytes(raw["signature"], where))
+        slots.append(slot)
+        found.append((raw["doc_id"], raw["digest"], raw.get("version")))
+    if found != [(doc_id, digest, SIGNATURE_VERSION) for doc_id, digest in zip(ids, digests)]:
+        return None
+    signatures = np.frombuffer(b"".join(rows), "<u8").reshape(-1, NUM_PERMUTATIONS)
+    return signatures[slots].astype(np.uint64, copy=False)
+
+
+def _signature_bytes(text: str, where: str) -> bytes:
+    """The bytes of a signature field, which must be the canonical base64
+    of _SIGNATURE_BYTES bytes, else a DataError at `where`."""
+    try:
+        data = base64.b64decode(text, validate=True)
+    except ValueError:  # binascii.Error, or a non-ASCII character
+        data = b""
+    if len(data) != _SIGNATURE_BYTES or base64.b64encode(data).decode("ascii") != text:
+        raise DataError(f"{where}: signature is not the base64 of {_SIGNATURE_BYTES} bytes")
+    return data
 
 
 def estimate_jaccard(sig_a: np.ndarray, sig_b: np.ndarray) -> float:
@@ -306,7 +389,7 @@ class SignatureGroups:
 
     def add(self, doc_id: str, shard: str, signature: np.ndarray) -> None:
         """Append the next document in canonical order, given its
-        signature (see content_signatures)."""
+        signature (see shard_signatures)."""
         sig = signature.tobytes()
         group = self._by_signature.setdefault(sig, len(self.signatures))
         if group == len(self.signatures):

@@ -173,7 +173,7 @@ def load_ruleset(spec: str) -> Ruleset:
         raise ConfigError(
             f"{spec!r} is neither a preset name nor a readable rule file: {exc}"
         ) from exc
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"rule file {spec} is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError(f"rule file {spec} is not a JSON object")

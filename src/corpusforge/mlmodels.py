@@ -232,7 +232,7 @@ def load_model(path: str, kind: str | None = None) -> tuple[str, dict, str]:
     try:
         with open(path, encoding="utf-8") as fh:
             container = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot load model {path}: {exc}") from exc
     if not (isinstance(container, dict) and {"kind", "payload", "hash"} <= container.keys()):
         raise ConfigError(f"model {path} is not a model container with kind, payload and hash")

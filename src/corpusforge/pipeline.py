@@ -20,11 +20,7 @@ Every command is restartable per shard: annotate and filter skip shard
 outputs that already exist unless force is set. dedup rewrites its
 duplicates/ sidecars on every run, since whether a document is a
 duplicate depends on the whole corpus. In fuzzy mode it reuses a shard's
-minhash/ sidecar (base64 of each signature's little-endian uint64s)
-unless force is set, when it holds one record per document, record i
-carries document i's id and the digest of its content, and every record
-has the current signature version; a stale sidecar is recomputed and
-rewritten, and a malformed one is a data error.
+matching minhash/ sidecar unless force is set (dedup.shard_signatures).
 With a fixed config and seed the whole output tree is bit-reproducible
 (gzip mtime is pinned to 0)."""
 
@@ -61,11 +57,8 @@ from .records import (
     document_id,
     iter_json_objects,
     lone_surrogate,
-    minhash_lines,
     parse_shard_path,
     read_documents,
-    read_duplicates,
-    read_minhash,
     read_signals,
     shard_path,
     write_jsonl_gz,
@@ -105,7 +98,7 @@ class PipelineConfig:
             try:
                 with open(path, encoding="utf-8") as fh:
                     values = json.load(fh)
-            except (OSError, ValueError) as exc:
+            except (OSError, ValueError, RecursionError) as exc:
                 raise ConfigError(f"cannot read config {path}: {exc}") from exc
             if not isinstance(values, dict):
                 raise ConfigError(f"config {path} is not a JSON object")
@@ -424,39 +417,22 @@ def _write_duplicates(cfg: PipelineConfig, addr: ShardAddress, records) -> int:
 
 
 def _dedup_fuzzy(cfg: PipelineConfig) -> dict:
-    """Shard jobs take the signatures of each shard's distinct contents
-    from its minhash sidecar, when one exists, force is not set and it
-    matches the shard (read_minhash): one record per document, record i
-    with document i's id and digest, and every record of the current
-    signature version; the digest is content_digest of the content.
-    Otherwise the jobs compute the signatures and write the sidecar; a
-    stale one is rewritten, and a malformed one is a DataError that names
-    it and says that --force recomputes it. The parent groups the
-    signatures in canonical order, then runs LSH and clustering over the
-    whole corpus."""
+    """Shard jobs take each shard's signatures from dedup.shard_signatures,
+    which reuses or writes its minhash sidecar. The parent groups them in
+    canonical order, then runs LSH and clustering over the whole corpus."""
 
     def job(addr: ShardAddress, docs, ids):
-        out_path = os.path.join(cfg.output_root, shard_path(addr, "minhash"))
+        path = os.path.join(cfg.output_root, shard_path(addr, "minhash"))
         contents = [doc.raw_content for doc in docs]
-        digests = content_digests(contents)
-        if not cfg.force and os.path.exists(out_path):
-            try:
-                found = read_minhash(out_path, ids, digests)
-            except DataError as exc:
-                raise DataError(f"{exc}; dedup --force recomputes it") from exc
-            if found is not None:
-                return ids, *found
-        slots, sigs = dedup_mod.content_signatures(contents)
-        write_jsonl_gz(out_path, minhash_lines(ids, digests, slots, sigs))
-        return ids, slots, sigs
+        return ids, dedup_mod.shard_signatures(path, ids, contents, cfg.force)
 
     index = dedup_mod.SignatureGroups()
     by_shard: dict[str, tuple[ShardAddress, list]] = {}
-    for addr, (ids, slots, sigs) in _run_shard_jobs(cfg, job):
+    for addr, (ids, sigs) in _run_shard_jobs(cfg, job):
         shard = shard_path(addr, "documents")
         by_shard[shard] = (addr, [])
-        for doc_id, slot in zip(ids, slots):
-            index.add(doc_id, shard, sigs[slot])
+        for doc_id, sig in zip(ids, sigs):
+            index.add(doc_id, shard, sig)
 
     bands, rows = dedup_mod.pick_banding(cfg.jaccard)
     records, pairs = index.duplicates(bands, rows, cfg.jaccard)
@@ -500,7 +476,7 @@ def cmd_filter(cfg: PipelineConfig) -> dict:
                                   f"{shard_path(addr, 'documents')}: {sig_path}")
             signals = read_signals(sig_path, ids)
         dup_path = os.path.join(cfg.input_root, shard_path(addr, "duplicates"))
-        duplicates = read_duplicates(dup_path) if cfg.apply_dedup else set()
+        duplicates = dedup_mod.read_duplicates(dup_path) if cfg.apply_dedup else set()
         out_lines, audit_lines, counts = [], [], Counter()
         for i, (doc, doc_id) in enumerate(zip(docs, ids)):
             if doc_id in duplicates:
@@ -545,7 +521,8 @@ def cmd_stats(cfg: PipelineConfig, as_json: bool = False) -> dict:
     columns = ("all", "tail", "head_middle", "head_middle_dedupe")
 
     def job(addr: ShardAddress, docs, ids):
-        duplicates = read_duplicates(os.path.join(cfg.input_root, shard_path(addr, "duplicates")))
+        dup_path = os.path.join(cfg.input_root, shard_path(addr, "duplicates"))
+        duplicates = dedup_mod.read_duplicates(dup_path)
         counts = {c: [0, 0] for c in columns}
         for doc, doc_id in zip(docs, ids):
             words = len(doc.raw_content.split())

@@ -1,5 +1,5 @@
-"""Document, signal and MinHash record schemas, shard naming, compressed
-JSONL IO.
+"""Document and signal record schemas, content digests, shard naming,
+compressed JSONL IO.
 
 All character offsets are Unicode code-point counts, never bytes, so the
 span triples in signal records are stable across encodings. Writers emit
@@ -11,18 +11,15 @@ skips a bad document line with a warning.
 
 from __future__ import annotations
 
-import base64
 import gzip
 import hashlib
 import json
 import os
 import sys
+import zlib
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, get_origin, get_type_hints
 
-import numpy as np
-
-from .dedup import NUM_PERMUTATIONS, SIGNATURE_VERSION
 from .errors import DataError
 
 _OPTIONAL_DOC_DEFAULTS = {"title": ""}
@@ -244,8 +241,8 @@ def iter_jsonl_gz(path: str | os.PathLike) -> Iterator[tuple[int, str]]:
                     yield line_number, line
     except OSError as exc:
         raise OSError(f"failed reading {path}: {exc}") from exc
-    except (EOFError, UnicodeDecodeError) as exc:
-        # a truncated gzip stream or bytes that are not UTF-8
+    except (EOFError, zlib.error, UnicodeDecodeError) as exc:
+        # a truncated or corrupt gzip stream, or bytes that are not UTF-8
         raise DataError(f"failed reading {path}: {exc}") from exc
 
 
@@ -254,7 +251,7 @@ def _json_object(line: str) -> dict:
     not one, which the caller prefixes with the line's location."""
     try:
         raw = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
         raise DataError(f"malformed JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise DataError("record is not a JSON object")
@@ -320,68 +317,6 @@ def read_signals(path, ids: list[str]) -> list[QualitySignalSet]:
         raise DataError(f"{path}: {len(records)} records for {len(ids)} documents; "
                         f"no record for {ids[len(records)]}")
     return records
-
-
-def read_duplicates(path) -> set[str]:
-    """The doc_ids of a duplicates sidecar; none when the shard has no
-    sidecar. A line that is not a JSON object with a string doc_id is a
-    DataError naming the file and the line."""
-    if not os.path.exists(path):
-        return set()
-    return {raw["doc_id"] for _, raw in iter_json_objects(path, "doc_id")}
-
-
-_SIGNATURE_BYTES = 8 * NUM_PERMUTATIONS
-
-
-def minhash_lines(ids: list[str], digests: list[str], slots: list[int],
-                  signatures: np.ndarray) -> Iterator[str]:
-    """The minhash sidecar lines of a shard, one {doc_id, digest,
-    signature, version} record per document: document i's signature is
-    row slots[i] of `signatures`, written as the base64 of its components'
-    little-endian uint64 bytes, and `version` is SIGNATURE_VERSION, the
-    definition that computed it. Each row is encoded once."""
-    encoded = [base64.b64encode(row.tobytes()).decode("ascii")
-               for row in signatures.astype("<u8", copy=False)]
-    for doc_id, digest, slot in zip(ids, digests, slots):
-        yield json.dumps({"doc_id": doc_id, "digest": digest, "signature": encoded[slot],
-                          "version": SIGNATURE_VERSION}, separators=(",", ":"))
-
-
-def read_minhash(path, ids: list[str],
-                 digests: list[str]) -> tuple[list[int], np.ndarray] | None:
-    """(slots, signatures) of a minhash sidecar, as minhash_lines takes
-    them, when it holds one record per document, record i carries ids[i]
-    and digests[i], and every record has version SIGNATURE_VERSION; None
-    when it does not (a stale sidecar, which includes one from another
-    signature definition). A line that is not a JSON object with string
-    doc_id, digest and signature, or a signature that is not the canonical
-    base64 of NUM_PERMUTATIONS uint64s, is a DataError naming the file
-    and the line, stale or not."""
-    slot_of: dict[str, int] = {}
-    slots, found, rows = [], [], []
-    for where, raw in iter_json_objects(path, "doc_id", "digest", "signature"):
-        slot = slot_of.setdefault(raw["signature"], len(rows))
-        if slot == len(rows):  # a signature not seen before in this file
-            rows.append(_signature_bytes(raw["signature"], where))
-        slots.append(slot)
-        found.append((raw["doc_id"], raw["digest"], raw.get("version")))
-    if found != [(doc_id, digest, SIGNATURE_VERSION) for doc_id, digest in zip(ids, digests)]:
-        return None
-    signatures = np.frombuffer(b"".join(rows), "<u8").reshape(-1, NUM_PERMUTATIONS)
-    return slots, signatures.astype(np.uint64)
-
-
-def _signature_bytes(text: str, where: str) -> bytes:
-    """The bytes of a signature field, which must be the canonical base64
-    of _SIGNATURE_BYTES bytes, else a DataError at `where`."""
-    try:
-        data = base64.b64decode(text, validate=True)
-    except ValueError:  # binascii.Error, or a non-ASCII character
-        data = b""
-    if len(data) != _SIGNATURE_BYTES or base64.b64encode(data).decode("ascii") != text:
-        raise DataError(f"{where}: signature is not the base64 of {_SIGNATURE_BYTES} bytes")
-    return data
 
 
 def rewrite_document(doc: Document, kept_line_indexes: list[int]) -> Document:

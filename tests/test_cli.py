@@ -144,10 +144,10 @@ def test_dedup_fuzzy_rerun_reuses_matching_sidecars(tmp_path, monkeypatch):
     its minhash sidecar, and leaves the tree of a fresh run."""
     reused, fresh = str(tmp_path / "reused"), str(tmp_path / "fresh")
     # 14 words appended: estimated Jaccard 0.758 and 0.797 to the originals,
-    # duplicates at 0.7 but not at 0.8
+    # duplicates at 0.7 but not at 0.8; shard 0 holds LONG_A three times
     tail = " " + " ".join(f"tail{j}" for j in range(14))
     for root in (reused, fresh):
-        _write_corpus(root, [LONG_A, LONG_B, LONG_A + tail])
+        _write_corpus(root, [LONG_A, LONG_B, LONG_A + tail, LONG_A, LONG_A])
         _write_corpus(root, [LONG_B + tail, LONG_A, LONG_B], shard=1)
     argv = ["dedup", "--mode", "fuzzy", "--workers", "1"]
     assert main([*argv, "--jaccard", "0.8", "--input", reused, "--output", reused]) == 0
@@ -496,6 +496,10 @@ def test_config_file_and_unknown_key(tmp_path, corpus):
                  id="ut1-file-not-utf8"),
     pytest.param({"CORPUSFORGE_UT1_DIR": "unreadable/ut1_dir"}, None, ["annotate"],
                  id="ut1-txt-is-a-directory"),
+    pytest.param({}, None, ["annotate", "--config", "deep.json"], id="config-nested-too-deep"),
+    pytest.param({}, None, ["filter", "--preset", "deep.json"], id="rule-file-nested-too-deep"),
+    pytest.param({"CORPUSFORGE_MODELS": '{"kn_lm": "deep.json"}'}, None, ["annotate"],
+                 id="model-file-nested-too-deep"),
     pytest.param({}, None, ["annotate", "--bogus"], id="unknown-option"),
     pytest.param({}, None, ["train", "classifier"], id="train-without-model-output"),
 ])
@@ -511,6 +515,8 @@ def test_bad_config_exits_1_with_one_error_line(corpus, tmp_path, env, config, a
     (tmp_path / "rules_doc_rules_int.json").write_text('{"doc_rules": 5}')
     (tmp_path / "rules_signal_list.json").write_text(
         '{"doc_rules": [{"signal": ["rps_doc_word_count"], "op": "<", "value": 5}]}')
+    # JSON nested deeper than the parser recurses
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
     # Latin-1 files where UTF-8 is expected, and a UT1 category that is a
     # directory
     bad = tmp_path / "unreadable"
@@ -624,7 +630,7 @@ def test_lone_surrogate_is_a_bad_record(tmp_path, argv, monkeypatch):
     assert not list(root.rglob("*.tmp"))
 
 
-@pytest.mark.parametrize("damage", ["truncated-shard", "non-utf8-shard",
+@pytest.mark.parametrize("damage", ["truncated-shard", "non-utf8-shard", "corrupt-shard",
                                     "sidecar-not-json", "sidecar-without-doc-id"])
 def test_bad_shard_or_sidecar_exits_2_with_one_error_line(tmp_path, damage):
     root = tmp_path / "corpus"
@@ -636,6 +642,12 @@ def test_bad_shard_or_sidecar_exits_2_with_one_error_line(tmp_path, damage):
         bad = shard
     elif damage == "non-utf8-shard":
         shard.write_bytes(gzip.compress(b"\xff\xfe\n"))
+        bad = shard
+    elif damage == "corrupt-shard":
+        # the first deflate byte after the 10-byte gzip header: an invalid block type
+        data = bytearray(shard.read_bytes())
+        data[10] = 0xFF
+        shard.write_bytes(data)
         bad = shard
     else:
         line = "{not json" if damage == "sidecar-not-json" else '{"id": 1}'

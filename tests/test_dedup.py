@@ -1,11 +1,13 @@
-"""Bloom filter, MinHash/LSH, and clustering."""
+"""Bloom filter, MinHash/LSH, clustering, and the dedup sidecars."""
 
+import base64
 import hashlib
+import json
 import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from corpusforge import dedup
@@ -21,13 +23,15 @@ from corpusforge.dedup import (
     estimate_jaccard,
     exact_dedup_pass,
     lsh_candidates,
+    minhash_lines,
     minhash_signatures,
     pick_banding,
+    shard_signatures,
     shingle_hashes,
 )
-from corpusforge.errors import ConfigError
+from corpusforge.errors import ConfigError, DataError
 from corpusforge.mlmodels import fnv1a64_batch, fnv1a64_spans
-from corpusforge.records import content_digest
+from corpusforge.records import content_digest, content_digests, iter_jsonl_gz, write_jsonl_gz
 from corpusforge.textnorm import normalize
 from oracles import oracle_minhash
 
@@ -307,3 +311,115 @@ def test_signature_groups_match_per_document_reference(texts):
         }
         expected = cluster_and_select(pairs, docs)
         assert groups.duplicates(bands, rows, threshold) == (expected, len(pairs))
+
+
+class _Recomputed(Exception):
+    pass
+
+
+def _refuse(contents):
+    raise _Recomputed
+
+
+def test_shard_signatures_one_row_and_record_per_document(tmp_path, monkeypatch):
+    """One content three times in a shard: three sidecar records and
+    three rows with equal signatures, the content signed once; a rerun
+    reuses the sidecar."""
+    path = tmp_path / "minhash" / "shard.minhash.jsonl.gz"
+    contents = ["one text here", "another text", "one text here", "one text here"]
+    ids = [f"seg/{i}" for i in range(len(contents))]
+    signed = []
+    monkeypatch.setattr(dedup, "content_signatures",
+                        lambda c: signed.append(c) or content_signatures(c))
+    rows = shard_signatures(path, ids, contents, force=False)
+    assert signed == [contents] and len(content_signatures(contents)[1]) == 2
+    assert rows.dtype == np.uint64 and rows.shape == (4, 128)
+    records = [json.loads(line) for _, line in iter_jsonl_gz(path)]
+    assert [r["doc_id"] for r in records] == ids
+    assert [r["digest"] for r in records] == list(map(content_digest, contents))
+    assert records[0]["signature"] == records[2]["signature"] == records[3]["signature"]
+    assert records[0]["signature"] != records[1]["signature"]
+    assert rows.tolist() == [content_signatures([c])[1][0].tolist() for c in contents]
+    monkeypatch.setattr(dedup, "content_signatures", _refuse)
+    assert np.array_equal(shard_signatures(path, ids, contents, force=False), rows)
+
+
+_U64 = st.integers(0, 2**64 - 1)
+
+
+@settings(max_examples=50, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.lists(st.lists(_U64, min_size=128, max_size=128), min_size=1, max_size=4),
+       picks=st.lists(st.integers(0, 3), max_size=6))
+@example(rows=[[0] * 127 + [2**64 - 1], [2**64 - 1] * 128], picks=[1, 0, 1])
+def test_minhash_sidecar_roundtrip(tmp_path, monkeypatch, rows, picks):
+    """A written sidecar reads back as the same signature per document,
+    each component the little-endian uint64 of its 8 bytes; a sidecar
+    for other ids, contents or another document count is stale, and so
+    is any sidecar under force: their signatures are recomputed."""
+    signatures = np.array(rows, dtype=np.uint64)
+    slots = [pick % len(rows) for pick in picks]
+    ids = [f"seg/{i}" for i in range(len(slots))]
+    contents = [f"content {slot}" for slot in slots]
+    path = tmp_path / "shard.minhash.jsonl.gz"
+    write_jsonl_gz(path, minhash_lines(ids, content_digests(contents), slots, signatures))
+    for line, slot in zip(iter_jsonl_gz(path), slots, strict=True):
+        data = base64.b64decode(json.loads(line[1])["signature"], validate=True)
+        assert [int.from_bytes(data[i:i + 8], "little") for i in range(0, 1024, 8)] == rows[slot]
+    decoded = []
+    decode = dedup._signature_bytes
+    with monkeypatch.context() as patch:
+        patch.setattr(dedup, "_signature_bytes",
+                      lambda text, where: decoded.append(text) or decode(text, where))
+        patch.setattr(dedup, "content_signatures", _refuse)
+        read = shard_signatures(path, ids, contents, force=False)
+        assert read.dtype == np.uint64 and read.shape == (len(slots), 128)
+        assert read.tolist() == [rows[s] for s in slots]
+        # rows are decoded once: equal rows share one decoding
+        assert len(decoded) == len({tuple(rows[s]) for s in slots})
+        stale = [([*ids, "seg/x"], [*contents, "x"])]
+        if slots:
+            stale += [(ids[:-1], contents[:-1]), (ids, ["other", *contents[1:]]),
+                      (["other", *ids[1:]], contents)]
+        for stale_ids, stale_contents in stale:
+            with pytest.raises(_Recomputed):
+                shard_signatures(path, stale_ids, stale_contents, force=False)
+        with pytest.raises(_Recomputed):
+            shard_signatures(path, ids, contents, force=True)
+
+
+@pytest.mark.parametrize("version", [None, 1, "2", 3])
+def test_shard_signatures_recompute_another_signature_version(tmp_path, version):
+    path = tmp_path / "shard.minhash.jsonl.gz"
+    ids, contents = ["seg/0", "seg/1"], ["some words", "some words"]
+    current, other = map(json.loads, minhash_lines(
+        ids, content_digests(contents), [0, 0], np.zeros((1, 128), np.uint64)))
+    other["version"] = version
+    if version is None:
+        del other["version"]
+    write_jsonl_gz(path, [json.dumps(current), json.dumps(other)])
+    rows = shard_signatures(path, ids, contents, force=False)
+    assert rows.tolist() == [content_signatures(["some words"])[1][0].tolist()] * 2
+    versions = [json.loads(line)["version"] for _, line in iter_jsonl_gz(path)]
+    assert versions == [dedup.SIGNATURE_VERSION] * 2
+
+
+@pytest.mark.parametrize("signature, problem", [
+    pytest.param(list(range(128)), "field signature is missing or not a string",
+                 id="decimal-list"),
+    pytest.param("A" * 1367 + "=", "signature is not the base64 of 1024 bytes",
+                 id="1023-bytes"),
+    pytest.param(base64.b64encode(bytes(1024)).decode()[:-3] + "B==",
+                 "signature is not the base64 of 1024 bytes", id="nonzero-pad-bits"),
+    pytest.param(base64.b64encode(bytes(1024)).decode() + "\n", "signature is not the base64",
+                 id="trailing-newline"),
+    pytest.param("é" * 1368, "signature is not the base64", id="not-ascii"),
+])
+def test_shard_signatures_reject_malformed_signature(tmp_path, signature, problem):
+    path = tmp_path / "shard.minhash.jsonl.gz"
+    good = next(minhash_lines(["seg/0"], ["d"], [0], np.zeros((1, 128), np.uint64)))
+    bad = json.dumps({"doc_id": "seg/1", "digest": "d", "signature": signature})
+    write_jsonl_gz(path, [good, bad])
+    # malformed wins over stale: these ids would not match either
+    recompute = "; dedup --force recomputes it"
+    with pytest.raises(DataError, match=f"^{path}: line 2: {problem}.*{recompute}$"):
+        shard_signatures(path, ["other"], ["d"], force=False)

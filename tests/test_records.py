@@ -1,14 +1,14 @@
 """Record schemas, shard naming, and compressed JSONL IO."""
 
-import base64
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
-import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
-from hypothesis import strategies as st
 
+import corpusforge
 from corpusforge.errors import DataError
 from corpusforge.records import (
     Document,
@@ -16,11 +16,9 @@ from corpusforge.records import (
     ShardAddress,
     content_digest,
     document_id,
-    minhash_lines,
     parse_document,
     parse_shard_path,
     read_documents,
-    read_minhash,
     read_signals,
     rewrite_document,
     shard_path,
@@ -186,6 +184,7 @@ _BAD_LINES = [
     (_record(line_ids=[0, "1"]), "field line_ids must be a list of integers"),
     (_record(raw_content="ok \ud800 then"),
      "field raw_content holds a lone surrogate at character 3"),
+    ("[" * 100_000 + "]" * 100_000, "malformed JSON: maximum recursion depth exceeded"),
 ]
 
 
@@ -220,63 +219,12 @@ def test_rewrite_document():
     assert document_invariant_warnings(out) == []
 
 
-_U64 = st.integers(0, 2**64 - 1)
-
-
-@settings(max_examples=50, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(rows=st.lists(st.lists(_U64, min_size=128, max_size=128), min_size=1, max_size=4),
-       picks=st.lists(st.integers(0, 3), max_size=6))
-@example(rows=[[0] * 127 + [2**64 - 1], [2**64 - 1] * 128], picks=[1, 0, 1])
-def test_minhash_sidecar_roundtrip(tmp_path, rows, picks):
-    """A written sidecar reads back as the same signature per document,
-    each component the little-endian uint64 of its 8 bytes; a sidecar
-    for other ids, digests or another document count reads as stale."""
-    signatures = np.array(rows, dtype=np.uint64)
-    slots = [pick % len(rows) for pick in picks]
-    ids = [f"seg/{i}" for i in range(len(slots))]
-    digests = [f"sha256:{slot}" for slot in slots]
-    path = tmp_path / "shard.minhash.jsonl.gz"
-    write_jsonl_gz(path, minhash_lines(ids, digests, slots, signatures))
-    for line, slot in zip(iter_jsonl_gz(path), slots, strict=True):
-        data = base64.b64decode(json.loads(line[1])["signature"], validate=True)
-        assert [int.from_bytes(data[i:i + 8], "little") for i in range(0, 1024, 8)] == rows[slot]
-    read_slots, read = read_minhash(path, ids, digests)
-    assert read.dtype == np.uint64 and read.shape[1] == 128
-    assert [read[s].tolist() for s in read_slots] == [rows[s] for s in slots]
-    # rows are encoded once: equal rows share a slot on reading
-    assert len(read) == len({tuple(rows[s]) for s in slots})
-    if slots:
-        assert read_minhash(path, ids[:-1], digests[:-1]) is None
-        assert read_minhash(path, ids, ["sha256:other", *digests[1:]]) is None
-        assert read_minhash(path, ["other", *ids[1:]], digests) is None
-    assert read_minhash(path, [*ids, "seg/x"], [*digests, "sha256:x"]) is None
-
-
-@pytest.mark.parametrize("version", [None, 1, "2", 3])
-def test_read_minhash_reads_another_signature_version_as_stale(tmp_path, version):
-    path = tmp_path / "shard.minhash.jsonl.gz"
-    current, other = map(json.loads, minhash_lines(
-        ["seg/0", "seg/1"], ["d0", "d1"], [0, 0], np.zeros((1, 128), np.uint64)))
-    other["version"] = version
-    if version is None:
-        del other["version"]
-    write_jsonl_gz(path, [json.dumps(current), json.dumps(other)])
-    assert read_minhash(path, ["seg/0", "seg/1"], ["d0", "d1"]) is None
-
-
-@pytest.mark.parametrize("signature, problem", [
-    (list(range(128)), "field signature is missing or not a string"),
-    ("A" * 1367 + "=", "signature is not the base64 of 1024 bytes"),  # 1,023 bytes
-    (base64.b64encode(bytes(1024)).decode()[:-3] + "B==",  # non-zero pad bits
-     "signature is not the base64 of 1024 bytes"),
-    (base64.b64encode(bytes(1024)).decode() + "\n", "signature is not the base64"),
-    ("é" * 1368, "signature is not the base64"),
-])
-def test_read_minhash_rejects_malformed_signature(tmp_path, signature, problem):
-    path = tmp_path / "shard.minhash.jsonl.gz"
-    good = next(minhash_lines(["seg/0"], ["d"], [0], np.zeros((1, 128), np.uint64)))
-    bad = json.dumps({"doc_id": "seg/1", "digest": "d", "signature": signature})
-    write_jsonl_gz(path, [good, bad])
-    # malformed wins over stale: these ids would not match either
-    with pytest.raises(DataError, match=f"^{path}: line 2: {problem}"):
-        read_minhash(path, ["other"], ["d"])
+def test_records_loads_neither_numpy_nor_dedup():
+    """The record layer reads and writes JSONL alone: the sidecar codecs
+    and their numpy arrays belong to dedup."""
+    src = os.path.dirname(os.path.dirname(corpusforge.__file__))
+    code = ("import sys, corpusforge.records; "
+            "print(sorted({'numpy', 'corpusforge.dedup'} & sys.modules.keys()))")
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
