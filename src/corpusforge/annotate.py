@@ -1,5 +1,12 @@
-"""Builds the full QualitySignalSet for a document from loaded
-resources (stop words, blocklists, optional ML models)."""
+"""Builds the full QualitySignalSet for each document of a shard from
+loaded resources (stop words, blocklists, optional ML models).
+
+A shard's documents are analyzed once and its normalized words numbered
+once (textnorm.number_words). The signals that read the whole shard at
+once take those: natlang, repetition, the ML scores (each distinct word
+FNV-hashed once, mlmodels.hash_words) and the Kneser-Ney perplexity
+(each distinct word mapped to its model id once, one climb for the
+shard); the content, line and code signals read one document's view."""
 
 from __future__ import annotations
 
@@ -8,7 +15,7 @@ from urllib.parse import urlsplit
 
 from .errors import ConfigError, DataError
 from .kneser_ney import KneserNeyLM, perplexity
-from .mlmodels import HashedNgramLM, LinearClassifier, dsir_importance, fnv1a64_batch
+from .mlmodels import HashedNgramLM, LinearClassifier, dsir_importance, hash_words
 from .records import Document, QualitySignalSet
 from .signal_catalog import (
     ALL_SIGNALS,
@@ -31,7 +38,7 @@ from .signals import (
     line_signals,
     load_ut1,
 )
-from .textnorm import TokenizedView, analyze, load_language_wordlist
+from .textnorm import NumberedWords, TokenizedView, analyze, load_language_wordlist, number_words
 
 _BUCKET_CODES = {"head": 0.0, "middle": 1.0, "tail": 2.0}
 
@@ -116,16 +123,46 @@ def _url_path(url: str) -> str:
 
 def annotate_shard(docs, ids, res: SignalResources, names, snapshot_id: str = ""):
     """compute_signals of each of a shard's documents, in order, where
-    `ids` are their document ids. Each document is analyzed once, and the
-    repetition signals of all of them come from one doc_repetition_signals
-    call."""
+    `ids` are their document ids. Each document is analyzed once, and
+    the signals that read the whole shard come from one call each over
+    all of its documents (see the module docstring)."""
     wanted = frozenset(names)
     views = [analyze(doc.raw_content) for doc in docs]
-    rows = (doc_repetition_signals(views) if not wanted.isdisjoint(REPETITION_SIGNALS)
-            else [{}] * len(docs))
+    words = number_words([view.word_texts for view in views])
+    rows: list[dict] = [{} for _ in docs]
+    if not wanted.isdisjoint(NATLANG_SIGNALS):
+        stopwords = [_for_language(res.stopwords, doc, doc_id, "stop-word list")
+                     for doc, doc_id in zip(docs, ids)]
+        for row, values in zip(rows, doc_natlang_signals(views, stopwords)):
+            row.update(values)
+    if not wanted.isdisjoint(REPETITION_SIGNALS):
+        for row, values in zip(rows, doc_repetition_signals(views, words)):
+            row.update(values)
+    for name, column in _model_columns(words, res, wanted).items():
+        for row, value in zip(rows, column):
+            row[name] = value
     for i, (doc, doc_id, view, row) in enumerate(zip(docs, ids, views, rows)):
         yield compute_signals(doc, res, wanted, doc_id=doc_id, ordinal=i,
-                              snapshot_id=snapshot_id, view=view, repetition=row)
+                              snapshot_id=snapshot_id, view=view, shard_values=row)
+
+
+def _model_columns(words: NumberedWords, res: SignalResources, wanted) -> dict[str, list[float]]:
+    """The wanted model signals of each document of a shard whose words
+    are `words`: ccnet_perplexity when a Kneser-Ney model is loaded, and
+    the classifier and importance scores."""
+    columns = {}
+    if res.kn_lm is not None and "ccnet_perplexity" in wanted:
+        columns["ccnet_perplexity"] = perplexity(words, res.kn_lm)
+    if not wanted.isdisjoint(ML_SIGNALS):
+        hashed = hash_words(words)
+        for name, key in CLASSIFIER_SIGNALS.items():
+            if name in wanted:
+                columns[name] = res.classifiers[key].score_words(hashed)
+        for name, key in IMPORTANCE_SIGNALS.items():
+            if name in wanted:
+                target, source = res.importance_models[key]
+                columns[name] = dsir_importance(hashed, target, source)
+    return columns
 
 
 def compute_signals(
@@ -137,12 +174,12 @@ def compute_signals(
     ordinal: int,
     snapshot_id: str,
     view: TokenizedView,
-    repetition: dict,
+    shard_values: dict,
 ) -> QualitySignalSet:
     """Signals of the document `doc_id` at position `ordinal` of its
-    shard, from its `view` and its `repetition` row of the whole shard
-    (see annotate_shard). `names` are signal names, as
-    resolve_signal_names returns them. `res` holds a model for every
+    shard, from its `view` and its `shard_values`, the signals computed
+    over the whole shard (see annotate_shard). `names` are signal names,
+    as resolve_signal_names returns them. `res` holds a model for every
     requested ML signal (load_resources checks that at startup)."""
     wanted = frozenset(names)
     values: dict = {
@@ -152,16 +189,9 @@ def compute_signals(
         "ccnet_nlines": doc.nlines,
         "ccnet_original_length": doc.original_length,
         "ccnet_original_nlines": doc.original_nlines,
-        "ccnet_perplexity": (
-            perplexity(view.word_texts, res.kn_lm)
-            if res.kn_lm is not None and "ccnet_perplexity" in wanted
-            else doc.perplexity
-        ),
-        **repetition,
+        "ccnet_perplexity": doc.perplexity,
+        **shard_values,
     }
-    if not wanted.isdisjoint(NATLANG_SIGNALS):
-        stop = _for_language(res.stopwords, doc, doc_id, "stop-word list")
-        values.update(doc_natlang_signals(view, stop))
     if not wanted.isdisjoint(CONTENT_SIGNALS):
         blocklist = _for_language(res.ldnoobw, doc, doc_id, "LDNOOBW blocklist")
         values.update(content_signals(view, doc.source_domain, blocklist, res.ut1))
@@ -169,17 +199,6 @@ def compute_signals(
         values.update(line_signals(view))
     if not wanted.isdisjoint(CODE_SIGNALS):
         values.update(code_signals(_url_path(doc.url), view))
-    # the classifiers and the importance models share the word hashes
-    word_hashes = (
-        fnv1a64_batch(view.word_texts) if not wanted.isdisjoint(ML_SIGNALS) else None
-    )
-    for name, key in CLASSIFIER_SIGNALS.items():
-        if name in wanted:
-            values[name] = res.classifiers[key].score_words(view.word_texts, word_hashes)
-    for name, key in IMPORTANCE_SIGNALS.items():
-        if name in wanted:
-            target, source = res.importance_models[key]
-            values[name] = dsir_importance(view.word_texts, target, source, word_hashes)
 
     length = len(doc.raw_content)
     signals: dict[str, list[tuple[int, int, float]]] = {}

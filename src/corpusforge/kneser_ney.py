@@ -19,12 +19,15 @@ key has a parallel denominator (its count total) and backoff weight
 A token's probability starts at its order-1 probability and climbs one
 order at a time, p = max(c - d, 0)/denominator + weight * p: the
 floating-point operations, in the same order, of the recursive
-definition that backs off from the top order. The climb looks up the
-history of every position with np.searchsorted, one order at a time, and
-a position stops climbing at its first unseen history. Both the keying
-and the stop are exact because histories are suffix-closed: a seen
-history's one-shorter suffix was seen one order down. Training
-guarantees that, and loading checks it.
+definition that backs off from the top order. A batch of documents
+(textnorm.NumberedWords: a shard, or a training corpus) climbs at once:
+each distinct word is mapped to its id once, each position's history
+starts empty at its document's start, and each order looks up with
+np.searchsorted the histories of only the positions still climbing; a
+position stops at its first unseen history. Both the keying and the
+stop are exact because histories are suffix-closed: a seen history's
+one-shorter suffix was seen one order down. Training guarantees that,
+and loading checks it.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ from itertools import chain, repeat
 import numpy as np
 
 from .errors import ConfigError
+from .mlmodels import running_sums
+from .textnorm import NumberedWords
 
 UNK = "<unk>"
 DEFAULT_ORDER = 5
@@ -82,33 +87,38 @@ class KneserNeyLM:
     def vocab(self) -> list[str]:
         return [w for w in self.words if w != UNK or self.unk_in_vocab]
 
-    def token_probs(self, tokens: list[str]) -> np.ndarray:
-        """P(token i | the up to order - 1 tokens before it), for each i."""
-        w = np.fromiter(map(self.ids.get, tokens, repeat(self.ids[UNK])), np.int64, len(tokens))
+    def token_probs(self, words: NumberedWords) -> np.ndarray:
+        """P(token | the up to order - 1 tokens before it in its document),
+        for every token of the batch `words`."""
+        unk = self.ids[UNK]
+        model_ids = np.fromiter(map(self.ids.get, words.vocab, repeat(unk)), np.int64,
+                                len(words.vocab))
+        w = model_ids[words.ids]
         p = self.unigram_probs[w]
-        rank = np.zeros(len(w), np.int64)  # of each position's history so far
-        live = np.ones(len(w), bool)
+        sizes = words.sizes
+        # each position's number of tokens before it in its document
+        before = np.arange(len(w)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        at = np.arange(len(w))  # the positions still climbing
+        rank = np.zeros(len(w), np.int64)  # of each one's history so far
         d = self.discount
         for m, level in enumerate(self.levels, 1):
-            live[:m] = False  # fewer than m tokens of history
-            rank[m:], found = _find(level.histories, rank[m:] * self.base + w[:-m])
-            live[m:] &= found
-            if not live.any():
+            climbing = before[at] >= m  # m tokens of history
+            at, rank = at[climbing], rank[climbing]
+            rank, found = _find(level.histories, rank * self.base + w[at - m])
+            at, rank = at[found], rank[found]
+            if not len(at):
                 break
-            r = rank[m:]
-            at, seen = _find(level.grams, r * self.base + w[m:])
-            c = np.where(seen, level.counts[at], 0)
-            p[m:] = np.where(live[m:],
-                             np.maximum(c - d, 0.0) / level.totals[r] + level.weights[r] * p[m:],
-                             p[m:])
+            g, seen = _find(level.grams, rank * self.base + w[at])
+            c = np.where(seen, level.counts[g], 0)
+            p[at] = np.maximum(c - d, 0.0) / level.totals[rank] + level.weights[rank] * p[at]
         return p
 
-    def sequence_logprob(self, tokens: list[str]) -> float:
-        # summed in token order, as the recursive definition does
-        total = 0.0
-        for x in map(math.log, self.token_probs(tokens).tolist()):
-            total += x
-        return total
+    def sequence_logprobs(self, words: NumberedWords) -> list[float]:
+        """Each document's log-probability: math.log of its token_probs,
+        summed in token order, as the recursive definition does."""
+        probs = self.token_probs(words).tolist()
+        return running_sums(np.fromiter(map(math.log, probs), np.float64, len(probs)),
+                            words.sizes)
 
 
 def _windows(seq: np.ndarray, starts: np.ndarray, k: int) -> np.ndarray:
@@ -219,12 +229,11 @@ def _build_lm(order: int, discount: float, ids: dict[str, int], unk_in_vocab: bo
     )
 
 
-def perplexity(words: list[str], lm: KneserNeyLM) -> float:
-    """exp of mean negative log-probability per token; +inf for an empty
-    document."""
-    if not words:
-        return math.inf
-    return math.exp(-lm.sequence_logprob(words) / len(words))
+def perplexity(words: NumberedWords, lm: KneserNeyLM) -> list[float]:
+    """Each document's exp of mean negative log-probability per token;
+    +inf for an empty document."""
+    return [math.exp(-logprob / size) if size else math.inf
+            for logprob, size in zip(lm.sequence_logprobs(words), words.sizes.tolist())]
 
 
 def kn_payload(lm: KneserNeyLM) -> dict:

@@ -2,11 +2,16 @@
 linear bag-of-words quality classifier.
 
 Feature hashing is 64-bit FNV-1a over the UTF-8 bytes of "w1" and
-"w1\\x1fw2", reduced mod the bucket count. `fnv1a64_spans` hashes many
-byte spans of one buffer at once in numpy uint64 (`fnv1a64_batch` hands
-it a document's encoded keys, and MinHash a shard's words): the spans are
+"w1\\x1fw2", reduced mod the bucket count. Every model scores a batch of
+documents (a shard, a training corpus or one document) whose words are
+numbered once (textnorm.number_words): `hash_words` hashes each distinct
+word once, and each bigram by continuing FNV-1a from its first word's
+hash over "\\x1f" and the second word's bytes. `fnv1a64_spans` hashes
+many byte spans of one buffer at once in numpy uint64: the spans are
 sorted by length and each byte position updates only the spans still
-that long, so the results equal the per-byte definition bit for bit.
+that long, so the results equal the per-byte definition bit for bit. A
+document's score sums its slice of the batch's feature arrays left to
+right (`running_sums`), as the per-feature definition adds them.
 Importance weights are the log-likelihood ratio of a document under the
 target vs. source hashed n-gram models with add-alpha smoothing; each
 model holds its per-bucket log-probability table, built once with the
@@ -19,12 +24,12 @@ import hashlib
 import json
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError
+from .textnorm import NumberedWords, number_words
 
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
@@ -33,13 +38,16 @@ BIGRAM_SEP = "\x1f"
 DEFAULT_BUCKETS = 10_000
 
 
-def fnv1a64_spans(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+def fnv1a64_spans(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+                  state: np.ndarray | None = None) -> np.ndarray:
     """64-bit FNV-1a of each span buf[starts[i]:starts[i] + lengths[i]]
-    of a uint8 array, as uint64, in span order."""
+    of a uint8 array, as uint64, in span order. Span i starts from
+    state[i] when given (the hash of the bytes before it), else from the
+    offset basis."""
     order = np.argsort(-lengths, kind="stable")  # longest first
     first = starts[order]
     by_length = lengths[order]
-    h = np.full(len(order), _FNV_OFFSET, dtype=np.uint64)
+    h = np.full(len(order), _FNV_OFFSET, dtype=np.uint64) if state is None else state[order]
     # live[j]: how many spans (a prefix of `order`) have a byte at position j
     live = np.searchsorted(-by_length, -np.arange(lengths.max(initial=0)), side="left")
     for j, m in enumerate(live.tolist()):
@@ -51,23 +59,74 @@ def fnv1a64_spans(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> n
     return out
 
 
-def fnv1a64_batch(keys: list[str]) -> np.ndarray:
-    """64-bit FNV-1a of the UTF-8 bytes of every key, as uint64, in key
-    order."""
+def _utf8_spans(keys: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The UTF-8 bytes of every key, joined, with each key's start and
+    length."""
     data = [k.encode("utf-8") for k in keys]
     lengths = np.fromiter(map(len, data), dtype=np.intp, count=len(data))
     buf = np.frombuffer(b"".join(data), dtype=np.uint8)
-    return fnv1a64_spans(buf, np.cumsum(lengths) - lengths, lengths)
+    return buf, np.cumsum(lengths) - lengths, lengths
 
 
-def hashed_features(words: list[str], buckets: int,
-                    word_hashes: np.ndarray | None = None) -> np.ndarray:
-    """Bucket indexes of every word unigram, then every bigram, with
-    multiplicity. `word_hashes`, when given, is fnv1a64_batch(words)."""
-    if word_hashes is None:
-        word_hashes = fnv1a64_batch(words)
-    bigrams = fnv1a64_batch([w1 + BIGRAM_SEP + w2 for w1, w2 in zip(words, words[1:])])
-    return (np.concatenate((word_hashes, bigrams)) % np.uint64(buckets)).astype(np.intp)
+@dataclass
+class HashedWords:
+    """The FNV-1a hashes of a batch's words: `words[i]` of word
+    occurrence i and `bigrams` of each two neighbouring words of one
+    document, both document after document; `sizes` is each document's
+    word count."""
+
+    words: np.ndarray
+    bigrams: np.ndarray
+    sizes: np.ndarray
+
+
+def hash_words(numbered: NumberedWords) -> HashedWords:
+    """The HashedWords of a numbered batch, from one fnv1a64_spans call
+    over its distinct words and one over its bigrams."""
+    buf, starts, lengths = _utf8_spans(numbered.vocab)
+    vocab_hashes = fnv1a64_spans(buf, starts, lengths)
+    ids = numbered.ids
+    # every position but the last of its document starts a bigram
+    follows = np.ones(len(ids), bool)
+    follows[(np.cumsum(numbered.sizes) - 1)[numbered.sizes > 0]] = False
+    first = ids[follows]
+    second = ids[np.flatnonzero(follows) + 1]
+    # "w1\x1fw2" continues the hash of w1 over the separator and w2
+    state = (vocab_hashes[first] ^ np.uint64(ord(BIGRAM_SEP))) * _FNV_PRIME
+    bigrams = fnv1a64_spans(buf, starts[second], lengths[second], state)
+    return HashedWords(vocab_hashes[ids], bigrams, numbered.sizes)
+
+
+def hash_documents(documents: list[list[str]]) -> HashedWords:
+    """hash_words of a list of word lists."""
+    return hash_words(number_words(documents))
+
+
+def running_sums(values: np.ndarray, sizes: np.ndarray) -> list[float]:
+    """The sum of each run of sizes[i] consecutive values, added left to
+    right from 0.0 (np.add.accumulate, never a pairwise sum)."""
+    sums = []
+    start = 0
+    for end in np.cumsum(sizes).tolist():
+        sums.append(float(np.add.accumulate(values[start:end])[-1]) if end > start else 0.0)
+        start = end
+    return sums
+
+
+def hashed_features(hashed: HashedWords, buckets: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bucket indexes of each document's word unigrams, then its bigrams,
+    with multiplicity, document after document; and each document's
+    feature count."""
+    sizes = hashed.sizes
+    bigram_sizes = np.maximum(sizes - 1, 0)
+    # a document's features start after the words and bigrams before it
+    word_at = np.arange(len(hashed.words)) + np.repeat(np.cumsum(bigram_sizes) - bigram_sizes,
+                                                       sizes)
+    bigram_at = np.arange(len(hashed.bigrams)) + np.repeat(np.cumsum(sizes), bigram_sizes)
+    feats = np.empty(len(word_at) + len(bigram_at), np.intp)
+    feats[word_at] = hashed.words % np.uint64(buckets)
+    feats[bigram_at] = hashed.bigrams % np.uint64(buckets)
+    return feats, sizes + bigram_sizes
 
 
 @dataclass
@@ -96,33 +155,27 @@ def train_hashed_lm(corpus, buckets: int = DEFAULT_BUCKETS) -> HashedNgramLM:
     shuffled corpus yields an identical model."""
     if buckets < 2:
         raise ConfigError("bucket count must be >= 2")
-    counts = np.zeros(buckets, dtype=np.int64)
-    seen = 0
-    for words in corpus:
-        seen += 1
-        np.add.at(counts, hashed_features(words, buckets), 1)
-    if seen == 0:
+    documents = list(corpus)
+    if not documents:
         raise ConfigError("empty training corpus")
+    feats, _ = hashed_features(hash_documents(documents), buckets)
+    counts = np.bincount(feats, minlength=buckets)
     return HashedNgramLM(bucket_count=buckets, counts=counts.tolist(),
                          total=int(counts.sum()))
 
 
-def dsir_importance(words: list[str], target: HashedNgramLM, source: HashedNgramLM,
-                    word_hashes: np.ndarray | None = None) -> float:
-    """Sum over the document's hashed {1,2}-gram features (with
+def dsir_importance(hashed: HashedWords, target: HashedNgramLM,
+                    source: HashedNgramLM) -> list[float]:
+    """Each document's sum over its hashed {1,2}-gram features (with
     multiplicity, in hashed_features order) of log p_target -
-    log p_source. `word_hashes` is as for hashed_features."""
+    log p_source; 0.0 for a document without words."""
     if target.bucket_count != source.bucket_count:
         raise ConfigError(
             f"bucket_count mismatch: target {target.bucket_count}, "
             f"source {source.bucket_count}"
         )
-    feats = hashed_features(words, target.bucket_count, word_hashes)
-    score = 0.0
-    # left to right, as the per-feature definition adds them
-    for diff in (target.log_probs[feats] - source.log_probs[feats]).tolist():
-        score += diff
-    return score
+    feats, sizes = hashed_features(hashed, target.bucket_count)
+    return running_sums((target.log_probs - source.log_probs)[feats], sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -136,29 +189,39 @@ def _sigmoid(z: float) -> float:
     return e / (1.0 + e)
 
 
+def unigram_features(hashed: HashedWords, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each document's L2-normalized unigram bucket counts, as parallel
+    arrays of buckets and values, each document's buckets in order of
+    first occurrence, document after document; and each document's
+    bucket count."""
+    sizes = hashed.sizes
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    buckets = (hashed.words % np.uint64(dim)).astype(np.int64)
+    keys, first, inverse = np.unique(owner * dim + buckets, return_index=True,
+                                     return_inverse=True)
+    counts = np.bincount(inverse)
+    by_first = np.argsort(first)
+    keys, counts = keys[by_first], counts[by_first]
+    doc, buckets = np.divmod(keys, dim)
+    # the squares of integer counts add up exactly in any order
+    norm = np.sqrt(np.bincount(doc, weights=counts * counts, minlength=len(sizes)))
+    return buckets, counts / norm[doc], np.bincount(doc, minlength=len(sizes))
+
+
 @dataclass
 class LinearClassifier:
     """Logistic regression over L2-normalized hashed unigram counts."""
 
     dim: int
-    weights: list[float]
+    weights: np.ndarray  # float64, one per bucket
     bias: float = 0.0
 
-    def features(self, words: list[str],
-                 word_hashes: np.ndarray | None = None) -> dict[int, float]:
-        """L2-normalized unigram bucket counts, keyed in first-occurrence
-        order. `word_hashes`, when given, is fnv1a64_batch(words)."""
-        if word_hashes is None:
-            word_hashes = fnv1a64_batch(words)
-        counts = Counter((word_hashes % np.uint64(self.dim)).tolist())
-        norm = math.sqrt(sum(float(c) * c for c in counts.values()))
-        return {f: c / norm for f, c in counts.items()}
-
-    def score_words(self, words: list[str],
-                    word_hashes: np.ndarray | None = None) -> float:
-        feats = self.features(words, word_hashes)
-        z = self.bias + sum(self.weights[f] * v for f, v in feats.items())
-        return _sigmoid(z)
+    def score_words(self, hashed: HashedWords) -> list[float]:
+        """The score of each document: the sigmoid of the bias plus its
+        weighted features, added in unigram_features order."""
+        buckets, values, sizes = unigram_features(hashed, self.dim)
+        return [_sigmoid(self.bias + z)
+                for z in running_sums(self.weights[buckets] * values, sizes)]
 
 
 def train_classifier(
@@ -172,36 +235,39 @@ def train_classifier(
     """SGD on logistic loss. positive/negative are iterables of word
     lists; a fixed seed makes the shuffle, and thus the weights,
     reproducible."""
-    clf = LinearClassifier(dim=dim, weights=[0.0] * dim)
-    examples = [(clf.features(words), 1.0) for words in positive]
-    n_pos = len(examples)
-    examples += [(clf.features(words), 0.0) for words in negative]
-    if n_pos == 0:
+    positive, negative = list(positive), list(negative)
+    if not positive:
         raise ConfigError("empty positive training corpus")
-    if len(examples) == n_pos:
+    if not negative:
         raise ConfigError("empty negative training corpus")
+    buckets, values, sizes = unigram_features(hash_documents(positive + negative), dim)
+    pairs = list(zip(buckets.tolist(), values.tolist()))
+    ends = np.cumsum(sizes).tolist()
+    examples = [(pairs[end - size:end], 1.0 if i < len(positive) else 0.0)
+                for i, (end, size) in enumerate(zip(ends, sizes.tolist()))]
+    weights = [0.0] * dim
+    bias = 0.0
     rng = random.Random(seed)
     order = list(range(len(examples)))
     for _ in range(epochs):
         rng.shuffle(order)
         for idx in order:
             feats, label = examples[idx]
-            z = clf.bias + sum(clf.weights[f] * v for f, v in feats.items())
+            z = bias + sum(weights[f] * v for f, v in feats)
             g = label - _sigmoid(z)
             step = lr * g
-            for f, v in feats.items():
-                clf.weights[f] += step * v
-            clf.bias += step
-    return clf
+            for f, v in feats:
+                weights[f] += step * v
+            bias += step
+    return LinearClassifier(dim=dim, weights=np.array(weights), bias=bias)
 
 
 def training_accuracy(clf: LinearClassifier, positive, negative) -> float:
-    docs = [(w, 1) for w in positive] + [(w, 0) for w in negative]
-    correct = sum(
-        1 for words, label in docs
-        if (clf.score_words(words) > 0.5) == bool(label)
-    )
-    return correct / len(docs) if docs else 0.0
+    positive, negative = list(positive), list(negative)
+    labels = [True] * len(positive) + [False] * len(negative)
+    scores = clf.score_words(hash_documents(positive + negative))
+    correct = sum(1 for score, label in zip(scores, labels) if (score > 0.5) == label)
+    return correct / len(labels) if labels else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +318,29 @@ def hashed_lm_payload(lm: HashedNgramLM) -> dict:
     }
 
 
+def _positive_int(payload: dict, key: str) -> int:
+    value = payload[key]
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{key} {value!r} is not a positive integer")
+    return value
+
+
+def _number(value, what: str) -> float:
+    """`value` as a float; ValueError unless it is an int or float (not a
+    bool) within float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} {value!r} is not a number")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ValueError(f"{what} {value!r} is out of float range") from exc
+
+
 def hashed_lm_from_payload(payload: dict) -> HashedNgramLM:
+    """ValueError unless bucket_count is a positive int and counts holds
+    that many entries."""
     return HashedNgramLM(
-        bucket_count=payload["bucket_count"],
+        bucket_count=_positive_int(payload, "bucket_count"),
         counts=list(payload["counts"]),
         total=payload["total"],
         smoothing_alpha=payload["smoothing_alpha"],
@@ -264,16 +350,19 @@ def hashed_lm_from_payload(payload: dict) -> HashedNgramLM:
 def classifier_payload(clf: LinearClassifier) -> dict:
     # Weight vectors are sparse after training on small corpora; store
     # only the non-zero entries.
-    nonzero = {str(i): w for i, w in enumerate(clf.weights) if w != 0.0}
+    at = np.flatnonzero(clf.weights)
+    nonzero = {str(i): w for i, w in zip(at.tolist(), clf.weights[at].tolist())}
     return {"dim": clf.dim, "bias": clf.bias, "weights": nonzero}
 
 
 def classifier_from_payload(payload: dict) -> LinearClassifier:
-    dim = payload["dim"]
-    weights = [0.0] * dim
+    """ValueError unless dim is a positive int, the bias and every weight
+    a number, and every weight index within [0, dim)."""
+    dim = _positive_int(payload, "dim")
+    weights = np.zeros(dim)
     for key, w in payload["weights"].items():
         index = int(key)
         if not 0 <= index < dim:
             raise ValueError(f"weight index {key} outside [0, {dim})")
-        weights[index] = w
-    return LinearClassifier(dim=dim, weights=weights, bias=payload["bias"])
+        weights[index] = _number(w, f"weight {key}")
+    return LinearClassifier(dim=dim, weights=weights, bias=_number(payload["bias"], "bias"))

@@ -9,9 +9,10 @@ calls the command's `job(addr, docs, ids)`. With `workers` > 1 the jobs
 run in that many forked worker processes, which inherit the loaded
 resources and models instead of receiving them and send back only each
 shard's small result, in shard order; a worker that dies is a data
-error naming its shard. Each worker adds its own memory (about 52 MB
-resident on a 240-page annotate with ML models, which holds one 30-page
-shard's analyzed documents at a time).
+error naming its shard. Each worker adds its own memory (a peak of about
+53 MB resident, as RUSAGE_CHILDREN reports it, on a 240-page annotate
+with ML models, which holds one 30-page shard's analyzed documents and
+word arrays at a time).
 
 Both dedup modes key a document by content_digest of its content, never
 by its own `digest` field, which nothing checks against the content.
@@ -63,7 +64,7 @@ from .records import (
     shard_path,
     write_jsonl_gz,
 )
-from .textnorm import normalize
+from .textnorm import normalize, number_words
 
 ENV_PREFIX = "CORPUSFORGE_"
 
@@ -609,7 +610,10 @@ def cmd_train(cfg: PipelineConfig, kind: str, args: dict) -> dict:
         lm = train_kn_lm(docs, **_given(args, "order"))
         digest = save_model(out_path, "kneser_ney", kn_payload(lm))
         # each document scored from an empty history, as annotate does
-        ppl = math.exp(-sum(map(lm.sequence_logprob, docs)) / sum(map(len, docs)))
+        logprob = 0.0
+        for x in lm.sequence_logprobs(number_words(docs)):
+            logprob += x
+        ppl = math.exp(-logprob / sum(map(len, docs)))
         print(f"KN LM saved to {out_path} (hash {digest}); "
               f"training perplexity {ppl:.2f}")
         return {"kind": kind, "hash": digest, "train_perplexity": ppl}

@@ -3,10 +3,11 @@
 Document-level natural-language signals, word n-gram repetition
 statistics, blocklist content signals, per-line signals, and the code
 file heuristics. Every group reads one document's TokenizedView (see
-textnorm.analyze) and splits nothing again; the repetition group reads
-the views of a whole shard at once. Raw-text-based rows (curly
-brackets, all-caps words, uppercase fraction, line lengths) use
-view.text and view.raw_lines; the rest use the normalized text. All
+textnorm.analyze) and splits nothing again; the natlang and repetition
+groups read the views of a whole shard at once, the repetition group
+with the shard's word numbering (textnorm.number_words). Raw-text-based
+rows (curly brackets, all-caps words, uppercase fraction, line lengths)
+use view.text and view.raw_lines; the rest use the normalized text. All
 ratio signals are defined as 0 when their denominator is 0 so every
 signal is total and filterable.
 """
@@ -18,14 +19,13 @@ import math
 import os
 from collections import Counter
 from importlib import resources
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
 from .signal_catalog import REPETITION_SIGNALS
-from .textnorm import TokenizedView, split_sentences
+from .textnorm import NumberedWords, TokenizedView, split_sentences
 
 ELLIPSIS_SUFFIXES = ("...", "…")
 
@@ -62,11 +62,27 @@ def _mean_line_length(lines: list[str]) -> float:
     return sum(map(len, lines)) / len(lines) if lines else 0.0
 
 
-def doc_natlang_signals(view: TokenizedView, stopwords: frozenset[str]) -> dict[str, float]:
+def doc_natlang_signals(views: list[TokenizedView],
+                        stopwords: list[frozenset[str]]) -> list[dict[str, float]]:
+    """The natural-language signals of each view (a shard's documents),
+    stopwords[i] being view i's stop-word list. Each distinct raw
+    whitespace word of the views is tested for all caps once."""
+    all_caps: dict[str, bool] = {}
+    rows = []
+    for view, stop in zip(views, stopwords):
+        words = view.text.split()
+        all_caps.update((w, _is_all_caps(w)) for w in set(words).difference(all_caps))
+        rows.append(_natlang_row(view, stop, sum(map(all_caps.__getitem__, words)), len(words)))
+    return rows
+
+
+def _natlang_row(view: TokenizedView, stopwords: frozenset[str], all_caps: int,
+                 raw_word_count: int) -> dict[str, float]:
+    """One view's natural-language signals, given how many of its
+    raw_word_count raw whitespace words are all caps."""
     raw = view.text
     words = view.word_texts
     word_count = len(words)
-    raw_words = raw.split()
 
     raw_lines = view.raw_lines
     ellipsis_lines = sum(
@@ -91,9 +107,7 @@ def doc_natlang_signals(view: TokenizedView, stopwords: frozenset[str]) -> dict[
             (raw.count("{") + raw.count("}")) / len(raw) if raw else 0.0
         ),
         "rps_doc_frac_all_caps_words": (
-            sum(1 for w in raw_words if _is_all_caps(w)) / len(raw_words)
-            if raw_words
-            else 0.0
+            all_caps / raw_word_count if raw_word_count else 0.0
         ),
         "rps_doc_frac_lines_end_with_ellipsis": (
             ellipsis_lines / len(raw_lines) if raw_lines else 0.0
@@ -135,22 +149,20 @@ DUPE_NGRAM_SIZES = (5, 6, 7, 8, 9, 10)
 TOP_NGRAM_SIZES = (2, 3, 4)
 
 
-def doc_repetition_signals(views: list[TokenizedView]) -> list[dict[str, float]]:
-    """The repetition signals of each view, from one numbering of the word
-    n-grams of all of them (a shard's documents). Characters are those of
-    the normalized content; an occurrence covers its internal separator
+def doc_repetition_signals(views: list[TokenizedView],
+                           words: NumberedWords) -> list[dict[str, float]]:
+    """The repetition signals of each view (a shard's documents), where
+    `words` numbers the words of all of them. Characters are those of the
+    normalized content; an occurrence covers its internal separator
     spaces. A document with fewer than n words has no n-grams and reads 0
     for n."""
-    words = list(chain.from_iterable(v.word_texts for v in views))
-    number = {w: i for i, w in enumerate(dict.fromkeys(words))}
-    word_ids = np.fromiter(map(number.__getitem__, words), np.int64, len(words))
-    sizes = np.fromiter((len(v.word_texts) for v in views), np.int64, len(views))
+    word_ids, sizes, base = words.ids, words.sizes, len(words.vocab)
     doc = np.repeat(np.arange(len(views)), sizes)
     # words from each position to the end of its document
-    left = np.repeat(np.cumsum(sizes), sizes) - np.arange(len(words))
+    left = np.repeat(np.cumsum(sizes), sizes) - np.arange(len(word_ids))
     # each word's span in all the normalized texts joined by one space, in
     # which no two documents' spans overlap
-    lengths = np.fromiter(map(len, words), np.int64, len(words))
+    lengths = np.fromiter(map(len, words.vocab), np.int64, base)[word_ids]
     ends = np.cumsum(lengths + 1) - 1
     starts = ends - lengths
     totals = np.fromiter((len(v.normalized) for v in views), np.int64, len(views))
@@ -158,11 +170,11 @@ def doc_repetition_signals(views: list[TokenizedView]) -> list[dict[str, float]]
     # (n-1)-gram prefix, its last word), and the 1-grams by (document,
     # word), so equal n-grams of different documents differ. Positions
     # whose n-gram would cross into the next document drop out.
-    _, grams = np.unique(doc * len(number) + word_ids, return_inverse=True)
+    _, grams = np.unique(doc * base + word_ids, return_inverse=True)
     columns = {}
     for n in range(min(TOP_NGRAM_SIZES), max(DUPE_NGRAM_SIZES) + 1):
         at = np.flatnonzero(left >= n)
-        _, grams[at], counts = np.unique(grams[at] * len(number) + word_ids[at + n - 1],
+        _, grams[at], counts = np.unique(grams[at] * base + word_ids[at + n - 1],
                                          return_inverse=True, return_counts=True)
         if n in TOP_NGRAM_SIZES:
             columns[f"rps_doc_frac_chars_top_{n}gram"] = _top_fractions(

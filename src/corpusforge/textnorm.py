@@ -27,6 +27,9 @@ import re
 import unicodedata
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain
+
+import numpy as np
 
 from .errors import ConfigError
 
@@ -137,6 +140,29 @@ def analyze(text: str) -> TokenizedView:
         normalized=norm,
         # words are separated by exactly one space in the normalized text
         word_texts=norm.split(" ") if norm else [],
+    )
+
+
+@dataclass
+class NumberedWords:
+    """The words of a batch of documents, numbered once: `vocab` holds
+    each distinct word once, in order of first occurrence, `ids` the vocab
+    index of every word occurrence, document after document, and `sizes`
+    each document's word count."""
+
+    vocab: list[str]
+    ids: np.ndarray
+    sizes: np.ndarray
+
+
+def number_words(documents: list[list[str]]) -> NumberedWords:
+    """The NumberedWords of `documents`, each a list of words."""
+    words = list(chain.from_iterable(documents))
+    number = {w: i for i, w in enumerate(dict.fromkeys(words))}
+    return NumberedWords(
+        vocab=list(number),
+        ids=np.fromiter(map(number.__getitem__, words), np.int64, len(words)),
+        sizes=np.fromiter(map(len, documents), np.int64, len(documents)),
     )
 
 

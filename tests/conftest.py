@@ -8,7 +8,8 @@ import random
 import pytest
 
 from corpusforge.records import Document, content_digest
-from corpusforge.textnorm import load_language_wordlist
+from corpusforge.signals import doc_repetition_signals
+from corpusforge.textnorm import load_language_wordlist, number_words
 
 # Vocabulary pools for randomized documents: ordinary words, stop words,
 # punctuation-adjacent tokens, unicode, numerics, and trigger phrases.
@@ -78,6 +79,11 @@ def tricky_text():
     return st.one_of(st.lists(piece, max_size=60), repetitive).map(
         lambda pieces: "".join(w + sep for w, sep in pieces)
     )
+
+
+def repetition_rows(views):
+    """doc_repetition_signals of `views`, the documents of one shard."""
+    return doc_repetition_signals(views, number_words([v.word_texts for v in views]))
 
 
 def make_doc(text: str, **overrides) -> Document:

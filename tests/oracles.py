@@ -407,9 +407,12 @@ def kn_prob(lm, word: str, history) -> float:
     """P(word | history) under a corpusforge KneserNeyLM: the last of its
     per-token probabilities over the history's newest order-1 tokens and
     the word. Out-of-vocabulary tokens map to the unknown symbol."""
+    # imported here: perfbench imports this file without corpusforge on its path
+    from corpusforge.textnorm import number_words
+
     history = list(history)
     kept = history[max(0, len(history) - (lm.order - 1)):]
-    return float(lm.token_probs(kept + [word])[-1])
+    return float(lm.token_probs(number_words([kept + [word]]))[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from corpusforge.filtering import evaluate, preset
 from corpusforge.kneser_ney import train_kn_lm
 from corpusforge.mlmodels import (
     dsir_importance,
+    hash_documents,
     train_classifier,
     train_hashed_lm,
     training_accuracy,
@@ -42,12 +43,11 @@ from corpusforge.records import (
 from corpusforge.signals import (
     code_signals,
     doc_natlang_signals,
-    doc_repetition_signals,
     line_signals,
 )
 from corpusforge.textnorm import analyze, load_language_wordlist
 
-from conftest import make_doc, random_text
+from conftest import make_doc, random_text, repetition_rows
 
 
 # ---------------------------------------------------------------------------
@@ -83,8 +83,8 @@ def test_acceptance_1_signals_match_oracle():
     for _ in range(1000):
         text = random_text(rng, max_words=200)
         view = analyze(text)
-        assert doc_natlang_signals(view, stop) == oracles.oracle_natlang(text, stop)
-        assert doc_repetition_signals([view])[0] == oracles.oracle_repetition(text)
+        assert doc_natlang_signals([view], [stop])[0] == oracles.oracle_natlang(text, stop)
+        assert repetition_rows([view])[0] == oracles.oracle_repetition(text)
         assert line_signals(view) == oracles.oracle_line_signals(text)
 
     # exhaustive n-gram check over all sequences of length <= 12 on a
@@ -93,7 +93,7 @@ def test_acceptance_1_signals_match_oracle():
     alphabet = "abc"
     sizes = (2, 3, 4, 5, 6, 7, 8, 9, 10)
     patterns = [[alphabet[i] for i in seq] for seq in _equality_patterns(12)]
-    reps = doc_repetition_signals([analyze(" ".join(words)) for words in patterns])
+    reps = repetition_rows([analyze(" ".join(words)) for words in patterns])
     for words, rep in zip(patterns, reps):
         for n in sizes:
             if n in (2, 3, 4):
@@ -111,8 +111,8 @@ def test_acceptance_1_signals_match_oracle():
         length = rng.randint(2, 12)
         seq = [rng.randint(0, 2) for _ in range(length)]
         mapping = rng.sample(letters, 3)
-        base = doc_repetition_signals([analyze(" ".join(alphabet[i] for i in seq))])[0]
-        renamed = doc_repetition_signals([analyze(" ".join(mapping[i] for i in seq))])[0]
+        base = repetition_rows([analyze(" ".join(alphabet[i] for i in seq))])[0]
+        renamed = repetition_rows([analyze(" ".join(mapping[i] for i in seq))])[0]
         assert base == renamed
 
     assert time.monotonic() - started < 120.0
@@ -335,8 +335,8 @@ def test_acceptance_7_ml_sanity():
     s_docs = [[rng.choice(s_vocab) for _ in range(40)] for _ in range(40)]
     target = train_hashed_lm(t_docs, buckets=10_000)
     source = train_hashed_lm(s_docs, buckets=10_000)
-    t_scores = [dsir_importance(d, target, source) for d in t_docs]
-    s_scores = [dsir_importance(d, target, source) for d in s_docs]
+    t_scores = dsir_importance(hash_documents(t_docs), target, source)
+    s_scores = dsir_importance(hash_documents(s_docs), target, source)
     assert all(s > 0 for s in t_scores)
     assert all(s < 0 for s in s_scores)
 

@@ -1,14 +1,19 @@
 """Signal-record assembly: selection, spans, metadata, and invariants."""
 
+import math
+
 import pytest
 
 from corpusforge.annotate import (
+    CLASSIFIER_SIGNALS,
     DEFAULT_SIGNALS,
+    IMPORTANCE_SIGNALS,
     SignalResources,
     annotate_shard,
     resolve_signal_names,
 )
 from corpusforge.errors import ConfigError, DataError
+from corpusforge.kneser_ney import train_kn_lm
 from corpusforge.mlmodels import train_classifier, train_hashed_lm
 from corpusforge.pipeline import PipelineConfig, load_resources
 from corpusforge.records import document_id
@@ -75,24 +80,41 @@ def test_compute_signals_shapes(resources):
             assert name in record.quality_signals
 
 
-def test_one_shard_or_three_give_the_same_signals(resources):
+def test_one_shard_or_three_give_the_same_signals():
     texts = [
         "the cat sat on the mat and the cat sat on the mat",
         "",
         "on the mat and the cat sat on the mat again",
-        "short",
+        "short",  # one word: no bigram, and out of every vocabulary
         "A line that repeats.\nA line that repeats.\nA line that repeats.",
         "the cat sat on the mat and the cat sat on the mat",
+        "on the",  # shorter than the Kneser-Ney order
+        "zebra quokka zebra",  # out of every vocabulary
     ]
     docs = [make_doc(text) for text in texts]
     ids = [f"seg/{i}" for i in range(len(docs))]
-    names = resolve_signal_names(DEFAULT_SIGNALS)
-    whole = [r.quality_signals for r in annotate_shard(docs, ids, resources, names)]
+    res = SignalResources.load_default(languages=("en",))
+    reference = [text.lower().split() for text in texts[::2] if text]
+    web = [["click", "here", "the", "cat"], ["buy", "now", "on", "sale"]]
+    res.kn_lm = train_kn_lm(reference, order=3)
+    res.classifiers = dict.fromkeys(CLASSIFIER_SIGNALS.values(),
+                                    train_classifier(reference, web, epochs=3, dim=64))
+    res.importance_models = dict.fromkeys(
+        IMPORTANCE_SIGNALS.values(),
+        (train_hashed_lm(reference, buckets=64), train_hashed_lm(web, buckets=64)))
+    names = resolve_signal_names([*DEFAULT_SIGNALS, "ml"])
+    whole = [r.quality_signals for r in annotate_shard(docs, ids, res, names)]
     parts = [slice(0, 2), slice(2, 3), slice(3, None)]
     split = [r.quality_signals for part in parts
-             for r in annotate_shard(docs[part], ids[part], resources, names)]
+             for r in annotate_shard(docs[part], ids[part], res, names)]
     assert split == whole
     assert whole[0]["rps_doc_frac_chars_dupe_5grams"][0][2] > 0.0
+    empty = whole[1]
+    assert empty["ccnet_perplexity"] == [(0, 0, math.inf)]
+    for name in IMPORTANCE_SIGNALS:
+        assert empty[name] == [(0, 0, 0.0)]
+    for row in whole[2:]:
+        assert 0.0 < row["ccnet_perplexity"][0][2] < math.inf
 
 
 def test_compute_signals_emits_exactly_the_requested_names(resources):

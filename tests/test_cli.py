@@ -30,6 +30,7 @@ from corpusforge.records import (
     write_jsonl_gz,
 )
 from corpusforge.signal_catalog import SIGNAL_GROUPS
+from corpusforge.textnorm import number_words
 
 from conftest import make_doc
 
@@ -500,15 +501,20 @@ def test_config_file_and_unknown_key(tmp_path, corpus):
     pytest.param({}, None, ["filter", "--preset", "deep.json"], id="rule-file-nested-too-deep"),
     pytest.param({"CORPUSFORGE_MODELS": '{"kn_lm": "deep.json"}'}, None, ["annotate"],
                  id="model-file-nested-too-deep"),
+    pytest.param({"CORPUSFORGE_MODELS": '{"classifiers": {"wikiref": "bias_not_number.json"}}'},
+                 None, ["annotate", "--signals", "rps_doc_ml_wikiref_score"],
+                 id="model-file-bias-not-number"),
     pytest.param({}, None, ["annotate", "--bogus"], id="unknown-option"),
     pytest.param({}, None, ["train", "classifier"], id="train-without-model-output"),
 ])
 def test_bad_config_exits_1_with_one_error_line(corpus, tmp_path, env, config, argv):
     # the corpus carries the default signals, which have no rps_code_*
     assert main(["annotate", "--input", corpus, "--output", corpus]) == 0
-    # a model container without payload or hash, and two broken rule
-    # files, for relative paths
+    # a model container without payload or hash, a classifier whose bias
+    # is not a number, and two broken rule files, for relative paths
     (tmp_path / "no_payload.json").write_text('{"kind": "kneser_ney"}')
+    (tmp_path / "bias_not_number.json").write_text(json.dumps(
+        {"kind": "classifier", "hash": "0", "payload": {"dim": 4, "bias": "x", "weights": {}}}))
     (tmp_path / "rules_list.json").write_text("[1, 2]")
     (tmp_path / "rules_no_op.json").write_text(
         '{"doc_rules": [{"signal": "rps_doc_word_count", "value": 5}]}')
@@ -1007,7 +1013,8 @@ def test_kn_lm_counts_grams_within_documents(tmp_path, capsys):
     assert sorted(payload["counts"]["2"]) == ["alpha\x1fbeta", "gamma\x1fdelta"]
     # the training perplexity scores each document from an empty history
     lm = kn_from_payload(payload)
-    logprob = lm.sequence_logprob(["alpha", "beta"]) + lm.sequence_logprob(["gamma", "delta"])
+    first, second = lm.sequence_logprobs(number_words([["alpha", "beta"], ["gamma", "delta"]]))
+    logprob = first + second
     assert f"training perplexity {math.exp(-logprob / 4):.2f}" in capsys.readouterr().out
 
 

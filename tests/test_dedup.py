@@ -30,7 +30,7 @@ from corpusforge.dedup import (
     shingle_hashes,
 )
 from corpusforge.errors import ConfigError, DataError
-from corpusforge.mlmodels import fnv1a64_batch, fnv1a64_spans
+from corpusforge.mlmodels import fnv1a64_spans, hash_documents
 from corpusforge.records import content_digest, content_digests, iter_jsonl_gz, write_jsonl_gz
 from corpusforge.textnorm import normalize
 from oracles import oracle_minhash
@@ -83,7 +83,7 @@ def test_exact_dedup_keeps_first_occurrence():
 def test_shingles():
     def windows(*lengths):
         words = [f"w{i}" for i in range(sum(lengths))]
-        texts, _ = shingle_hashes(fnv1a64_batch(words), np.array(lengths))
+        texts, _ = shingle_hashes(hash_documents([words]).words, np.array(lengths))
         return np.bincount(texts, minlength=len(lengths)).tolist()
 
     assert windows(15) == [3]  # 15 - 13 + 1
@@ -93,7 +93,7 @@ def test_shingles():
     # no window crosses into the next text
     assert windows(15, 0, 2, 13, 12, 14) == [3, 0, 1, 1, 1, 2]
     # repeated windows stay: a minimum does not need them distinct
-    texts, hashes = shingle_hashes(fnv1a64_batch(["x"] * 20), np.array([20]))
+    texts, hashes = shingle_hashes(hash_documents([["x"] * 20]).words, np.array([20]))
     assert len(hashes) == 8 and len(set(hashes.tolist())) == 1
 
 
@@ -134,7 +134,7 @@ def _signatures(*hash_sets: np.ndarray) -> np.ndarray:
 def _words_signature(words: list[str]) -> np.ndarray:
     """The MinHash of one text's words, as content_signatures computes a
     row: FNV-1a word hashes, shingle_hashes, then minhash_signatures."""
-    texts, hashes = shingle_hashes(fnv1a64_batch(words), np.array([len(words)]))
+    texts, hashes = shingle_hashes(hash_documents([words]).words, np.array([len(words)]))
     return minhash_signatures(texts, hashes, 1)[0]
 
 

@@ -16,11 +16,18 @@ from corpusforge.kneser_ney import (
     perplexity,
     train_kn_lm,
 )
+from corpusforge.textnorm import number_words
 
 from oracles import OracleKneserNey, kn_prob
 
 TRAIN_VOCAB = ("a", "b", "c", "dé", "e", UNK)
 QUERY_VOCAB = TRAIN_VOCAB + ("zz", "日本")  # the last two are never trained
+
+
+def _logprob(lm, tokens):
+    """The log-probability of `tokens` as a one-document batch."""
+    logprob, = lm.sequence_logprobs(number_words([tokens]))
+    return logprob
 
 
 def _random_tokens(rng, n, vocab=("a", "b", "c", "d", "e")):
@@ -51,14 +58,13 @@ def test_unigram_only_model_is_closed_form():
     # exactly 1/V so perplexity equals the vocabulary size.
     tokens = ["a", "b", "c", "d"]
     lm = train_kn_lm([tokens], order=1, include_unk=False)
-    assert perplexity(tokens, lm) == pytest.approx(4.0, rel=1e-12)
+    assert perplexity(number_words([tokens]), lm) == [pytest.approx(4.0, rel=1e-12)]
 
 
 def test_perplexity_basics():
     lm = train_kn_lm([list("abcabcabc")], order=2)
-    assert perplexity([], lm) == math.inf
-    seen = perplexity(list("abcabc"), lm)
-    unseen = perplexity(["q", "q", "q"], lm)
+    empty, seen, unseen = perplexity(number_words([[], list("abcabc"), ["q", "q", "q"]]), lm)
+    assert empty == math.inf
     assert seen < unseen
 
 
@@ -92,12 +98,12 @@ def test_scores_equal_recursive_oracle(order, include_unk, data):
     payload = kn_payload(lm)
     oracle = OracleKneserNey(payload)
     text = data.draw(st.lists(st.sampled_from(QUERY_VOCAB), max_size=30))
-    assert lm.sequence_logprob(text) == oracle.sequence_logprob(text)
+    assert _logprob(lm, text) == oracle.sequence_logprob(text)
     history = data.draw(st.lists(st.sampled_from(QUERY_VOCAB), max_size=7))
     for word in QUERY_VOCAB:
         assert kn_prob(lm, word, history) == oracle.prob(word, history)
     restored = kn_from_payload(payload)
-    assert restored.sequence_logprob(text) == lm.sequence_logprob(text)
+    assert _logprob(restored, text) == _logprob(lm, text)
 
 
 @settings(max_examples=100, deadline=None)
@@ -156,8 +162,9 @@ def test_vocabulary_too_large_for_packed_int64_keys():
         ["zz", "yy", "zz"],  # all out of vocabulary
         [],
     ]
-    for text in texts:
-        assert lm.sequence_logprob(text) == oracle.sequence_logprob(text)
+    # the texts as the documents of one shard
+    assert lm.sequence_logprobs(number_words(texts)) == [
+        oracle.sequence_logprob(text) for text in texts]
     for text in texts:
         for cut in range(0, len(text), 7):
             assert kn_prob(lm, text[cut], text[:cut]) == oracle.prob(text[cut], text[:cut])

@@ -15,7 +15,6 @@ from corpusforge.signals import (
     content_signals,
     count_blocklist_phrases,
     doc_natlang_signals,
-    doc_repetition_signals,
     line_signals,
     load_ut1,
     ut1_categories,
@@ -23,32 +22,32 @@ from corpusforge.signals import (
 from corpusforge.signal_catalog import SIGNAL_GROUPS
 from corpusforge.textnorm import analyze, load_language_wordlist
 
-from conftest import random_text, tricky_text
+from conftest import random_text, repetition_rows, tricky_text
 
 
 def test_natlang_signals_match_oracle(rng, en_stopwords):
     for _ in range(200):
         text = random_text(rng, max_words=120)
-        got = doc_natlang_signals(analyze(text), en_stopwords)
+        got = doc_natlang_signals([analyze(text)], [en_stopwords])[0]
         expected = oracles.oracle_natlang(text, en_stopwords)
         assert got == expected, text
 
 
 def test_natlang_empty_document(en_stopwords):
-    values = doc_natlang_signals(analyze(""), en_stopwords)
+    values = doc_natlang_signals([analyze("")], [en_stopwords])[0]
     assert all(v == 0.0 for v in values.values())
 
 
 def test_symbol_counting_is_left_to_right():
     # "...." = one "..." match then a lone dot; "……" = two ellipsis chars
     view = analyze("word .... more ……")
-    sig = doc_natlang_signals(view, frozenset())
+    sig = doc_natlang_signals([view], [frozenset()])[0]
     assert sig["rps_doc_symbol_to_word_ratio"] == 3 / 2
 
 
 def test_all_caps_requires_alpha_only():
     view = analyze("NASA C3PO A HTTP2 OK!")
-    sig = doc_natlang_signals(view, frozenset())
+    sig = doc_natlang_signals([view], [frozenset()])[0]
     # raw whitespace words: NASA, C3PO, A, HTTP2, OK! -> caps: NASA, A
     assert sig["rps_doc_frac_all_caps_words"] == 2 / 5
 
@@ -57,7 +56,7 @@ def test_repetition_signals_match_oracle(rng):
     for _ in range(200):
         text = random_text(rng, max_words=120)
         view = analyze(text)
-        got = doc_repetition_signals([view])[0]
+        got = repetition_rows([view])[0]
         assert got == oracles.oracle_repetition(text), text
 
 
@@ -65,23 +64,23 @@ def test_dupe_ngrams_counts_characters_once():
     # "a b c d e" twice: both occurrences of the repeated 5-gram are
     # covered (18 of 19 chars; the separating space is outside both)
     view = analyze("a b c d e a b c d e")
-    assert doc_repetition_signals([view])[0]["rps_doc_frac_chars_dupe_5grams"] == 18 / 19
+    assert repetition_rows([view])[0]["rps_doc_frac_chars_dupe_5grams"] == 18 / 19
     # no repeated 5-gram in distinct words
     distinct = analyze("a b c d e f g h i j")
-    assert doc_repetition_signals([distinct])[0]["rps_doc_frac_chars_dupe_5grams"] == 0.0
+    assert repetition_rows([distinct])[0]["rps_doc_frac_chars_dupe_5grams"] == 0.0
 
 
 def test_top_ngram_tie_breaks_to_longer_gram():
     # "aa bb" and "c d" both occur twice; the longer one is attributed
     view = analyze("aa bb x c d y aa bb z c d")
-    got = doc_repetition_signals([view])[0]["rps_doc_frac_chars_top_2gram"]
+    got = repetition_rows([view])[0]["rps_doc_frac_chars_top_2gram"]
     assert got == 2 * len("aa bb") / len(view.normalized)
 
 
 def test_top_ngram_clamps_to_one():
     # "x x" occurs 5 times overlapping; 5 * 3 chars > 11 total, so clamp
     view = analyze("x x x x x x")
-    assert doc_repetition_signals([view])[0]["rps_doc_frac_chars_top_2gram"] == 1.0
+    assert repetition_rows([view])[0]["rps_doc_frac_chars_top_2gram"] == 1.0
 
 
 def test_blocklist_phrase_matching(en_stopwords):
@@ -126,8 +125,8 @@ def test_group_keys_are_the_catalog_names(en_stopwords):
     view = analyze("A first line, with words.\nA second line")
     blocklist = compile_blocklist(load_language_wordlist("ldnoobw", "en"))
     groups = {
-        "natlang": doc_natlang_signals(view, en_stopwords),
-        "repetition": doc_repetition_signals([view])[0],
+        "natlang": doc_natlang_signals([view], [en_stopwords])[0],
+        "repetition": repetition_rows([view])[0],
         "content": content_signals(view, "x.org", blocklist, load_ut1()),
         "lines": line_signals(view),
         "code": code_signals("pkg/module.py", view),
@@ -162,7 +161,7 @@ def test_line_signals_match_oracle_on_generated_text(text):
 
 @given(tricky_text())
 def test_repetition_signals_match_oracle_on_generated_text(text):
-    got = doc_repetition_signals([analyze(text)])[0]
+    got = repetition_rows([analyze(text)])[0]
     assert got == oracles.oracle_repetition(text)
 
 
@@ -178,7 +177,7 @@ _SMALL_SHARD = st.lists(st.lists(st.sampled_from("abc"), max_size=14).map(" ".jo
 @example(["a b c d e f g h i j a b c", "d e f g h i j"])
 @example(["", "x", "a b c d e", "a b c d e"])
 def test_shard_repetition_signals_match_oracle_per_document(texts):
-    rows = doc_repetition_signals([analyze(text) for text in texts])
+    rows = repetition_rows([analyze(text) for text in texts])
     assert rows == [oracles.oracle_repetition(text) for text in texts]
 
 
@@ -216,5 +215,5 @@ def test_code_signals():
 @pytest.mark.parametrize("n", [5, 7, 10])
 def test_dupe_fraction_handles_short_docs(n):
     name = f"rps_doc_frac_chars_dupe_{n}grams"
-    assert doc_repetition_signals([analyze("one two three")])[0][name] == 0.0
-    assert doc_repetition_signals([analyze("")])[0][name] == 0.0
+    assert repetition_rows([analyze("one two three")])[0][name] == 0.0
+    assert repetition_rows([analyze("")])[0][name] == 0.0
