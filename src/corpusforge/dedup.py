@@ -15,10 +15,13 @@ from SHINGLE_WIDTH shifted multiply-adds over the shard's word hashes.
 The signature is one-permutation MinHash (Li, Owen & Zhang 2012): each
 shingle hash x is permuted once, y = a*x + b mod 2^64 with a odd, the top
 7 bits of y pick one of NUM_PERMUTATIONS = 128 bins, and bin k holds the
-smallest y that lands in it. Bin bits are part of y, so values from two
-bins never collide. An empty bin k copies the first non-empty bin in
-_DENSIFY_ORDER[k], a fixed seeded order of all 128 bins (densification
-in the manner of Shrivastava 2017); a text with no words keeps all-max.
+smallest y that lands in it. An empty bin k copies the first non-empty
+bin in _DENSIFY_ORDER[k], a fixed seeded order of all 128 bins
+(densification in the manner of Shrivastava 2017). Component k keeps
+the low 16 bits of splitmix64(y + k * gamma) (b-bit MinHash, Li & Koenig
+2010): equal y stay equal, and two different ones agree by chance in
+2^-16 of components, independently even for copies of one bin. A text
+with no words is all-0xFFFF, which fuzzy dedup never groups or pairs.
 SIGNATURE_VERSION names this definition in the minhash sidecar. The
 estimator's unbiasedness is covered by tests rather than assumed.
 """
@@ -146,8 +149,8 @@ def exact_dedup_pass(
 # MinHash signatures
 
 NUM_PERMUTATIONS = 128  # bins of the one permutation
-SIGNATURE_VERSION = 2  # of the definition below; bump on any change to it
-_SIGNATURE_BYTES = 8 * NUM_PERMUTATIONS  # of a signature in the minhash sidecar
+SIGNATURE_VERSION = 3  # of the definition below; bump on any change to it
+_SIGNATURE_BYTES = 2 * NUM_PERMUTATIONS  # of a signature in the minhash sidecar
 SHINGLE_WIDTH = 13
 _MINHASH_SEED = 0x5EED_1A57
 _BIN_SHIFT = np.uint64(64 - 7)  # the top 7 bits pick one of 2^7 bins
@@ -158,7 +161,7 @@ _MH_A |= np.uint64(1)  # odd, so x -> a*x + b mod 2^64 is a permutation
 # row k: the order in which an empty bin k looks for a non-empty bin
 _DENSIFY_ORDER = _rng.permuted(
     np.tile(np.arange(NUM_PERMUTATIONS, dtype=np.uint8), (NUM_PERMUTATIONS, 1)), axis=1)
-_SHINGLE_MULT = np.uint64(0x9E3779B97F4A7C15)  # odd: 2^64 / golden ratio
+_SHINGLE_MULT = np.uint64(0x9E3779B97F4A7C15)  # odd: 2^64 / golden ratio, splitmix64's gamma
 
 
 def shingle_hashes(h: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -185,9 +188,9 @@ def shingle_hashes(h: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def minhash_signatures(texts: np.ndarray, hashes: np.ndarray, n: int) -> np.ndarray:
-    """The (n, NUM_PERMUTATIONS) uint64 signatures of texts 0..n-1, given
+    """The (n, NUM_PERMUTATIONS) uint16 signatures of texts 0..n-1, given
     the text and hash of each of their shingles, in any order and with
-    repeats. A text without shingles keeps all-max."""
+    repeats. A text without shingles is all-max."""
     values = hashes * _MH_A
     values += _MH_B
     cells = texts * NUM_PERMUTATIONS + (values >> _BIN_SHIFT).astype(np.intp)
@@ -196,7 +199,8 @@ def minhash_signatures(texts: np.ndarray, hashes: np.ndarray, n: int) -> np.ndar
     filled = np.zeros(n * NUM_PERMUTATIONS, dtype=bool)
     filled[cells] = True
     sigs, filled = sigs.reshape(n, NUM_PERMUTATIONS), filled.reshape(n, NUM_PERMUTATIONS)
-    rows, bins = np.nonzero(~filled & filled.any(axis=1, keepdims=True))
+    nonempty = filled.any(axis=1)
+    rows, bins = np.nonzero(~filled & nonempty[:, np.newaxis])
     for probe in _DENSIFY_ORDER.T:  # every bin is in each order, so 128 probes fill all
         source = probe[bins]
         hit = filled[rows, source]
@@ -204,6 +208,14 @@ def minhash_signatures(texts: np.ndarray, hashes: np.ndarray, n: int) -> np.ndar
         rows, bins = rows[~hit], bins[~hit]
         if not len(rows):
             break
+    # component k: splitmix64(y + k * gamma), a bijection, so that copies differ in low bits
+    sigs += np.arange(NUM_PERMUTATIONS, dtype=np.uint64) * _SHINGLE_MULT
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        sigs ^= sigs >> np.uint64(shift)
+        sigs *= np.uint64(mult)
+    sigs ^= sigs >> np.uint64(31)
+    sigs = sigs.astype(np.uint16)
+    sigs[~nonempty] = np.iinfo(np.uint16).max
     return sigs
 
 
@@ -251,53 +263,58 @@ def minhash_lines(ids: list[str], digests: list[str], slots: list[int],
     """The minhash sidecar lines of a shard, one {doc_id, digest,
     signature, version} record per document: document i's signature is
     row slots[i] of `signatures`, written as the base64 of its components'
-    little-endian uint64 bytes, and `version` is SIGNATURE_VERSION, the
+    little-endian uint16 bytes, and `version` is SIGNATURE_VERSION, the
     definition that computed it. Each row is encoded once."""
     encoded = [base64.b64encode(row.tobytes()).decode("ascii")
-               for row in signatures.astype("<u8", copy=False)]
+               for row in signatures.astype("<u2", copy=False)]
     for doc_id, digest, slot in zip(ids, digests, slots):
         yield json.dumps({"doc_id": doc_id, "digest": digest, "signature": encoded[slot],
                           "version": SIGNATURE_VERSION}, separators=(",", ":"))
 
 
 def read_minhash(path, ids: list[str], digests: list[str]) -> np.ndarray | None:
-    """The signatures of a minhash sidecar, one uint64 row per record,
+    """The signatures of a minhash sidecar, one uint16 row per record,
     when it holds one record per document, record i carries ids[i] and
     digests[i], and every record has version SIGNATURE_VERSION; None
     when it does not (a stale sidecar, which includes one from another
     signature definition). Each distinct signature is decoded once. A
     line that is not a JSON object with string doc_id, digest and
-    signature, or a signature that is not the canonical base64 of
-    NUM_PERMUTATIONS uint64s, is a DataError naming the file and the
-    line, stale or not."""
+    signature, a signature that is not canonical base64, or one of
+    version SIGNATURE_VERSION that is not the base64 of NUM_PERMUTATIONS
+    uint16s, is a DataError naming the file and the line, stale or not."""
     slot_of: dict[str, int] = {}
     slots, found, rows = [], [], []
     for where, raw in iter_json_objects(path, "doc_id", "digest", "signature"):
         slot = slot_of.setdefault(raw["signature"], len(rows))
         if slot == len(rows):  # a signature not seen before in this file
             rows.append(_signature_bytes(raw["signature"], where))
+        version = raw.get("version")
+        if version == SIGNATURE_VERSION and len(rows[slot]) != _SIGNATURE_BYTES:
+            raise DataError(f"{where}: signature is not the base64 of {_SIGNATURE_BYTES} bytes")
         slots.append(slot)
-        found.append((raw["doc_id"], raw["digest"], raw.get("version")))
+        found.append((raw["doc_id"], raw["digest"], version))
     if found != [(doc_id, digest, SIGNATURE_VERSION) for doc_id, digest in zip(ids, digests)]:
         return None
-    signatures = np.frombuffer(b"".join(rows), "<u8").reshape(-1, NUM_PERMUTATIONS)
-    return signatures[slots].astype(np.uint64, copy=False)
+    signatures = np.frombuffer(b"".join(rows), "<u2").reshape(-1, NUM_PERMUTATIONS)
+    return signatures[slots].astype(np.uint16, copy=False)
 
 
 def _signature_bytes(text: str, where: str) -> bytes:
-    """The bytes of a signature field, which must be the canonical base64
-    of _SIGNATURE_BYTES bytes, else a DataError at `where`."""
+    """The bytes of a signature field, which must be canonical base64,
+    else a DataError at `where`."""
     try:
         data = base64.b64decode(text, validate=True)
     except ValueError:  # binascii.Error, or a non-ASCII character
         data = b""
-    if len(data) != _SIGNATURE_BYTES or base64.b64encode(data).decode("ascii") != text:
+    if base64.b64encode(data).decode("ascii") != text:
         raise DataError(f"{where}: signature is not the base64 of {_SIGNATURE_BYTES} bytes")
     return data
 
 
-def estimate_jaccard(sig_a: np.ndarray, sig_b: np.ndarray) -> float:
-    return float(np.mean(sig_a == sig_b))
+def estimate_jaccard(sig_a: np.ndarray, sig_b: np.ndarray) -> float | np.ndarray:
+    """The share of equal components of two signatures, or of each pair
+    of rows of two arrays of them."""
+    return (sig_a == sig_b).mean(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -319,25 +336,31 @@ def pick_banding(level: float) -> tuple[int, int]:
     return best[1], best[2]
 
 
-def lsh_candidates(
-    signatures: list[np.ndarray], bands: int, rows: int
-) -> set[tuple[int, int]]:
-    """Position pairs (i, j), i < j, of signatures sharing at least one
-    identical band of `rows` consecutive components."""
+def lsh_candidates(signatures: np.ndarray, bands: int, rows: int) -> np.ndarray:
+    """Position pairs (i, j), i < j, of the rows of `signatures` that share
+    at least one identical band of `rows` consecutive components, once
+    each and in ascending order, as an (m, 2) int64 array. Sorted, a
+    band's equal slices form a run (a bucket), whose members each pair
+    with every later one."""
     if bands * rows > NUM_PERMUTATIONS:
         raise ConfigError(
             f"bands*rows = {bands * rows} exceeds {NUM_PERMUTATIONS} components"
         )
-    tables: list[dict[bytes, list[int]]] = [{} for _ in range(bands)]
-    pairs: set[tuple[int, int]] = set()
-    for pos, sig in enumerate(signatures):
-        for band in range(bands):
-            key = sig[band * rows : (band + 1) * rows].tobytes()
-            bucket = tables[band].setdefault(key, [])
-            for other in bucket:
-                pairs.add((other, pos))
-            bucket.append(pos)
-    return pairs
+    sigs = np.asarray(signatures).reshape(-1, NUM_PERMUTATIONS)
+    n = len(sigs)
+    keys = [np.empty(0, dtype=np.int64)]  # i * n + j of each pair
+    for band in range(bands):
+        part = sigs[:, band * rows:(band + 1) * rows]
+        order = np.lexsort(part.T)  # stable: positions ascend within a bucket
+        ranked = part[order]
+        starts = np.flatnonzero(np.concatenate(([True], (ranked[1:] != ranked[:-1]).any(axis=1))))
+        ends = np.append(starts[1:], n)
+        later = np.repeat(ends, ends - starts) - np.arange(n) - 1  # members after each
+        left = np.repeat(np.arange(n), later)
+        # the k-th pair of sorted index i is (i, i + 1 + k)
+        k = np.arange(len(left)) - np.repeat(np.cumsum(later) - later, later)
+        keys.append(order[left].astype(np.int64) * n + order[left + 1 + k])
+    return np.stack(np.divmod(np.unique(np.concatenate(keys)), max(n, 1)), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -376,53 +399,56 @@ def cluster_and_select(
 # Fuzzy dedup over distinct signatures
 
 
+_EMPTY_KEY = b"\xff" * _SIGNATURE_BYTES  # the signature of a text without shingles
+_JACCARD_CHUNK = 4096  # candidate pairs whose signatures are compared at once
+
+
 class SignatureGroups:
     """Documents in canonical order and their MinHash signatures over
     the words of the normalized content, stored once per distinct
-    signature (a group)."""
+    signature (a group). A document without words is in no group."""
 
     def __init__(self) -> None:
         self.docs: list[tuple[str, str]] = []  # (doc_id, shard) by position
-        self.groups: list[int] = []  # group of each position
-        self.signatures: list[np.ndarray] = []  # one per group, by first position
-        self._by_signature: dict[bytes, int] = {}
+        self.groups: list[int] = []  # group of each position, -1 for none
+        self._by_signature: dict[bytes, int] = {}  # in group order
 
-    def add(self, doc_id: str, shard: str, signature: np.ndarray) -> None:
-        """Append the next document in canonical order, given its
-        signature (see shard_signatures)."""
-        sig = signature.tobytes()
-        group = self._by_signature.setdefault(sig, len(self.signatures))
-        if group == len(self.signatures):
-            self.signatures.append(np.frombuffer(sig, dtype=np.uint64))
-        self.docs.append((doc_id, shard))
-        self.groups.append(group)
+    def add(self, ids: list[str], shard: str, signatures: np.ndarray) -> None:
+        """Append a shard's documents, next in canonical order: ids[i]
+        and its signature, row i of `signatures` (see shard_signatures)."""
+        data = signatures.tobytes()
+        for i, doc_id in enumerate(ids):
+            key = data[i * _SIGNATURE_BYTES:(i + 1) * _SIGNATURE_BYTES]
+            self.groups.append(-1 if key == _EMPTY_KEY else
+                               self._by_signature.setdefault(key, len(self._by_signature)))
+            self.docs.append((doc_id, shard))
 
     def duplicates(
         self, bands: int, rows: int, threshold: float
     ) -> tuple[list[DuplicateRecord], int]:
         """(records, pairs): the records of cluster_and_select, and the
         number of document pairs that share an LSH band and estimate
-        Jaccard >= threshold, both as if computed over every document's
-        own signature. Members of a group share a signature, so each pair
-        of them passes at any threshold in (0, 1], and two groups pass for
-        every pair of their members or for none. So LSH and the Jaccard
-        check run once per group pair, and linking each member to its
-        group's first position, and each passing group pair through their
-        first positions, gives the same clusters with the same roots."""
-        first: list[int] = []
-        sizes: list[int] = []
-        edges: list[tuple[int, int]] = []
-        for pos, group in enumerate(self.groups):
-            if group == len(first):  # groups are numbered by first position
-                first.append(pos)
-                sizes.append(1)
-            else:
-                edges.append((first[group], pos))
-                sizes[group] += 1
-        pairs = sum(n * (n - 1) // 2 for n in sizes)
-        sigs = self.signatures
-        for a, b in lsh_candidates(sigs, bands, rows):
-            if estimate_jaccard(sigs[a], sigs[b]) >= threshold:
-                edges.append((first[a], first[b]))
-                pairs += sizes[a] * sizes[b]
-        return cluster_and_select(edges, self.docs), pairs
+        Jaccard >= threshold, both as if computed over every grouped
+        document's own signature. Members of a group share a signature,
+        so each pair of them passes at any threshold in (0, 1], and two
+        groups pass for every pair of their members or for none. So LSH
+        and the Jaccard check run once per group pair, and linking each
+        member to its group's first position, and each passing group pair
+        through their first positions, gives the same clusters with the
+        same roots."""
+        groups = np.array(self.groups, dtype=np.int64)
+        grouped = np.flatnonzero(groups >= 0)
+        first = grouped[np.unique(groups[grouped], return_index=True)[1]]
+        sizes = np.bincount(groups[grouped], minlength=len(first))
+        members = grouped[first[groups[grouped]] != grouped]
+        sigs = np.frombuffer(b"".join(self._by_signature), np.uint16).reshape(-1, NUM_PERMUTATIONS)
+        a, b = lsh_candidates(sigs, bands, rows).T
+        passed = np.zeros(len(a), dtype=bool)
+        for i in range(0, len(a), _JACCARD_CHUNK):
+            chunk = slice(i, i + _JACCARD_CHUNK)
+            passed[chunk] = estimate_jaccard(sigs[a[chunk]], sigs[b[chunk]]) >= threshold
+        a, b = a[passed], b[passed]
+        pairs = int((sizes * (sizes - 1) // 2).sum() + (sizes[a] * sizes[b]).sum())
+        edges = zip(np.concatenate((first[groups[members]], first[a])).tolist(),
+                    np.concatenate((members, first[b])).tolist())
+        return cluster_and_select(list(edges), self.docs), pairs

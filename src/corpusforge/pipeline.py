@@ -432,8 +432,7 @@ def _dedup_fuzzy(cfg: PipelineConfig) -> dict:
     for addr, (ids, sigs) in _run_shard_jobs(cfg, job):
         shard = shard_path(addr, "documents")
         by_shard[shard] = (addr, [])
-        for doc_id, sig in zip(ids, sigs):
-            index.add(doc_id, shard, sig)
+        index.add(ids, shard, sigs)
 
     bands, rows = dedup_mod.pick_banding(cfg.jaccard)
     records, pairs = index.duplicates(bands, rows, cfg.jaccard)

@@ -422,10 +422,19 @@ def kn_prob(lm, word: str, history) -> float:
 # 0x9E3779B97F4A7C15, and one permutation y = a * window + b, all mod 2^64
 # in plain Python ints. The top log2(len(orders)) bits of y pick a bin,
 # which keeps its smallest y; an empty bin k takes the value of the first
-# non-empty bin in orders[k]. Given the multiplier a, the offset b and
+# non-empty bin in orders[k]. Component k is then splitmix64's output for
+# the state (value + k * 0x9E3779B97F4A7C15); a document without words
+# has every component 2^64 - 1. Given the multiplier a, the offset b and
 # the orders.
 
 _SHINGLE_MULT = 0x9E3779B97F4A7C15
+
+
+def _splitmix64(state: int) -> int:
+    z = state & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
 
 
 def oracle_minhash(words: list[str], mult: int, offset: int, orders) -> list[int]:
@@ -442,10 +451,30 @@ def oracle_minhash(words: list[str], mult: int, offset: int, orders) -> list[int
         y = (mult * window + offset) & _MASK64
         k = y >> (64 - bins.bit_length() + 1)
         minima[k] = min(minima.get(k, y), y)
-    return [
+    densified = [
         minima[k] if k in minima else next(minima[j] for j in orders[k] if j in minima)
         for k in range(bins)
     ]
+    return [_splitmix64(value + k * 0x9E3779B97F4A7C15) for k, value in enumerate(densified)]
+
+
+# ---------------------------------------------------------------------------
+# LSH banding (reference): one dict per band from each band's bytes to the
+# positions seen so far with them; a position pairs with every earlier
+# position in its bucket.
+
+
+def oracle_lsh_candidates(signatures, bands: int, rows: int) -> set[tuple[int, int]]:
+    tables: list[dict[bytes, list[int]]] = [{} for _ in range(bands)]
+    pairs: set[tuple[int, int]] = set()
+    for pos, sig in enumerate(signatures):
+        for band in range(bands):
+            key = sig[band * rows : (band + 1) * rows].tobytes()
+            bucket = tables[band].setdefault(key, [])
+            for other in bucket:
+                pairs.add((other, pos))
+            bucket.append(pos)
+    return pairs
 
 
 # ---------------------------------------------------------------------------

@@ -120,7 +120,7 @@ def test_dedup_fuzzy_end_to_end(tmp_path, capsys):
     texts = [LONG_A, LONG_B, LONG_A, LONG_A, near]
     for i, (sig, text) in enumerate(zip(sigs, texts, strict=True)):
         assert list(sig) == ["doc_id", "digest", "signature", "version"]
-        assert sig["version"] == dedup.SIGNATURE_VERSION == 2
+        assert sig["version"] == dedup.SIGNATURE_VERSION == 3
         assert sig["doc_id"] == f"2023-14/seg0/{i}"
         assert sig["digest"] == content_digest(text)
         assert _decoded(sig) == dedup.content_signatures([text])[1][0].tolist()
@@ -129,10 +129,10 @@ def test_dedup_fuzzy_end_to_end(tmp_path, capsys):
 
 
 def _decoded(record) -> list[int]:
-    """The 128 components of a minhash record: base64 of little-endian uint64s."""
+    """The 128 components of a minhash record: base64 of little-endian uint16s."""
     data = base64.b64decode(record["signature"], validate=True)
-    assert len(record["signature"]) == 1368 and len(data) == 1024
-    return [int.from_bytes(data[i:i + 8], "little") for i in range(0, 1024, 8)]
+    assert len(record["signature"]) == 344 and len(data) == 256
+    return [int.from_bytes(data[i:i + 2], "little") for i in range(0, 256, 2)]
 
 
 def _tree(root) -> dict[str, bytes]:
@@ -205,21 +205,45 @@ def test_dedup_fuzzy_rewrites_minhash_sidecar_after_shard_changes(tmp_path):
 
 
 def test_dedup_fuzzy_rewrites_sidecar_of_another_signature_version(tmp_path):
-    """A sidecar written before signatures carried a version (the right
-    ids and digests, valid base64, other signature bytes) is stale: a
-    plain rerun recomputes and rewrites it."""
-    old, fresh = str(tmp_path / "old"), str(tmp_path / "fresh")
-    for root in (old, fresh):
-        _write_corpus(root, [LONG_A, LONG_B, LONG_A])
-        assert main(["dedup", "--mode", "fuzzy", "--input", root, "--output", root]) == 0
-    sidecar = os.path.join(old, shard_path(ShardAddress("2023-14", 0, "en", "head"), "minhash"))
-    with gzip.open(sidecar, "rt") as fh:
-        records = [json.loads(line) for line in fh]
-    unversioned = base64.b64encode(bytes(range(8)) * 128).decode("ascii")
-    write_jsonl_gz(sidecar, (json.dumps({"doc_id": r["doc_id"], "digest": r["digest"],
-                                         "signature": unversioned}) for r in records))
-    assert main(["dedup", "--mode", "fuzzy", "--input", old, "--output", old]) == 0
-    assert _tree(old) == _tree(fresh)
+    """A sidecar of an earlier signature definition (the right ids and
+    digests, the base64 of 128 uint64s as versions 1 and 2 wrote them,
+    with no version or version 2) is stale: a plain rerun recomputes and
+    rewrites it."""
+    fresh = str(tmp_path / "fresh")
+    _write_corpus(fresh, [LONG_A, LONG_B, LONG_A])
+    assert main(["dedup", "--mode", "fuzzy", "--input", fresh, "--output", fresh]) == 0
+    earlier = base64.b64encode(bytes(range(8)) * 128).decode("ascii")
+    for version in (None, 2):
+        old = str(tmp_path / f"version-{version}")
+        _write_corpus(old, [LONG_A, LONG_B, LONG_A])
+        assert main(["dedup", "--mode", "fuzzy", "--input", old, "--output", old]) == 0
+        sidecar = os.path.join(
+            old, shard_path(ShardAddress("2023-14", 0, "en", "head"), "minhash"))
+        with gzip.open(sidecar, "rt") as fh:
+            records = [json.loads(line) for line in fh]
+        versioned = {} if version is None else {"version": version}
+        write_jsonl_gz(sidecar, (json.dumps({"doc_id": r["doc_id"], "digest": r["digest"],
+                                             "signature": earlier, **versioned})
+                                 for r in records))
+        assert main(["dedup", "--mode", "fuzzy", "--input", old, "--output", old]) == 0
+        with gzip.open(sidecar, "rt") as fh:
+            assert [json.loads(line)["version"] for line in fh] == [dedup.SIGNATURE_VERSION] * 3
+        assert _tree(old) == _tree(fresh)
+
+
+def test_dedup_fuzzy_never_pairs_documents_without_words(tmp_path, capsys):
+    """Two different contents without words share the signature of no
+    shingles; neither mode calls one a duplicate of the other."""
+    root = str(tmp_path / "corpus")
+    _write_corpus(root, ["!!! ???", "*** ...", LONG_A])
+    sidecar = os.path.join(
+        root, shard_path(ShardAddress("2023-14", 0, "en", "head"), "duplicates"))
+    for mode in ("exact", "fuzzy"):
+        assert main(["dedup", "--mode", mode, "--input", root, "--output", root]) == 0
+        with gzip.open(sidecar, "rt") as fh:
+            assert fh.read() == "", mode
+    assert capsys.readouterr().out.endswith(
+        ": 3 docs, 0 candidate pairs, 0 duplicates (0.00%)\n")
 
 
 def test_dedup_fuzzy_reuse_follows_the_content_not_its_digest_field(tmp_path, capsys):
@@ -260,6 +284,7 @@ def test_dedup_exact_follows_the_content_not_its_digest_field(tmp_path, capsys):
 
 
 _SIGNATURE_1016 = base64.b64encode(bytes(1016)).decode("ascii")
+_VERSION = dedup.SIGNATURE_VERSION
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -272,7 +297,8 @@ _SIGNATURE_1016 = base64.b64encode(bytes(1016)).decode("ascii")
     pytest.param(json.dumps({"doc_id": "2023-14/seg1/1", "digest": "x",
                              "signature": "!" * 1368}), id="bad-base64"),
     pytest.param(json.dumps({"doc_id": "2023-14/seg1/1", "digest": "x",
-                             "signature": _SIGNATURE_1016}), id="1016-bytes"),
+                             "signature": _SIGNATURE_1016, "version": _VERSION}),
+                 id="1016-bytes"),
 ])
 def test_malformed_minhash_sidecar_exits_2_with_one_error_line(tmp_path, line, workers):
     root = tmp_path / "corpus"

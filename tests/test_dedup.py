@@ -33,7 +33,7 @@ from corpusforge.errors import ConfigError, DataError
 from corpusforge.mlmodels import fnv1a64_spans, hash_documents
 from corpusforge.records import content_digest, content_digests, iter_jsonl_gz, write_jsonl_gz
 from corpusforge.textnorm import normalize
-from oracles import oracle_minhash
+from oracles import oracle_lsh_candidates, oracle_minhash
 
 
 def test_bloom_no_false_negatives():
@@ -139,17 +139,20 @@ def _words_signature(words: list[str]) -> np.ndarray:
 
 
 def _oracle(words: list[str]) -> list[int]:
-    return oracle_minhash(words, int(_MH_A), int(_MH_B), _DENSIFY_ORDER.tolist())
+    """The reference signature of `words`, each component cut to its low
+    16 bits."""
+    full = oracle_minhash(words, int(_MH_A), int(_MH_B), _DENSIFY_ORDER.tolist())
+    return [value & 0xFFFF for value in full]
 
 
 def test_minhash_identity_and_determinism():
     text = " ".join(["lorem"] + [f"tok{i}" for i in range(30)])
     sig1, sig2 = (content_signatures([text])[1][0] for _ in range(2))
-    assert sig1.dtype == np.uint64 and len(sig1) == 128
+    assert sig1.dtype == np.uint16 and len(sig1) == 128
     assert np.array_equal(sig1, sig2)
     assert estimate_jaccard(sig1, sig2) == 1.0
     (empty,) = _signatures(np.empty(0, dtype=np.uint64))
-    assert np.all(empty == np.iinfo(np.uint64).max)
+    assert np.all(empty == np.iinfo(np.uint16).max)
 
 
 def test_estimate_jaccard_tracks_overlap():
@@ -226,6 +229,33 @@ def test_minhash_is_unbiased():
         assert max(abs(e) for e in errors) <= 0.15, level
 
 
+def test_chance_matches_of_16_bit_components_stay_rare():
+    """Two different bin winners agree in a 16-bit component with
+    probability 2^-16, so over 1,000 pairs of disjoint shingle sets the
+    mean estimate is expected at 2^-16 = 1.5e-5 (8 bits would give
+    2^-8 = 0.0039)."""
+    pairs, size = 1000, 300
+    hashes = np.random.default_rng(25).integers(
+        0, 1 << 64, size=2 * pairs * size, dtype=np.uint64, endpoint=False)
+    assert len(np.unique(hashes)) == len(hashes)  # every pair disjoint
+    sigs = minhash_signatures(np.repeat(np.arange(2 * pairs), size), hashes, 2 * pairs)
+    assert estimate_jaccard(sigs[0::2], sigs[1::2]).mean() < 0.001
+
+
+def test_distinct_one_window_texts_are_not_near_duplicates():
+    """A text of fewer than 14 words is one window, so every component
+    is a copy of one bin's value. 3,000 distinct such texts: were each
+    copy's low 16 bits that value's, about 3000^2 / 2^17 = 69 pairs would
+    agree in every component."""
+    rng = random.Random(25)
+    texts = sorted({" ".join(f"w{rng.randrange(10**6)}" for _ in range(5)) for _ in range(3000)})
+    slots, sigs = content_signatures(texts)
+    assert len({row.tobytes() for row in sigs}) == len(texts)
+    groups = SignatureGroups()
+    groups.add([f"d{i}" for i in range(len(texts))], "s", sigs[slots])
+    assert groups.duplicates(*pick_banding(0.8), 0.8) == ([], 0)
+
+
 def test_pick_banding():
     for level in (0.7, 0.8, 0.9, 1.0):
         b, r = pick_banding(level)
@@ -238,9 +268,31 @@ def test_lsh_candidates_find_identical_signatures():
     _, (sig_a, sig_c) = content_signatures([" ".join(f"{c}{i}" for i in range(20))
                                             for c in "ac"])
     pairs = lsh_candidates([sig_a, sig_a, sig_c], bands=9, rows=13)
-    assert pairs == {(0, 1)}
+    assert pairs.tolist() == [[0, 1]]
     with pytest.raises(ConfigError):
         lsh_candidates([], bands=10, rows=13)
+
+
+_BANDINGS = [(1, 128), (128, 1), (32, 4), (9, 13), (6, 8), (2, 3)]
+
+
+@settings(deadline=None, max_examples=80)
+@given(pool=st.lists(st.lists(st.sampled_from([0, 1, 0xFFFF]), min_size=128, max_size=128),
+                     min_size=1, max_size=4),
+       picks=st.lists(st.integers(0, 3), max_size=12),
+       banding=st.sampled_from(_BANDINGS))
+@example(pool=[[0] * 128], picks=[], banding=(32, 4))
+@example(pool=[[0] * 128], picks=[0], banding=(1, 128))
+@example(pool=[[0] * 128, [1] * 64 + [0] * 64], picks=[0, 1, 0, 1, 0], banding=(2, 64))
+def test_lsh_candidates_match_dict_reference(pool, picks, banding):
+    """Signatures picked from a small pool of rows over a three-value
+    alphabet, so that buckets reach three and more members: the numpy
+    banding finds the pairs of the per-band dict reference, once each,
+    in ascending order."""
+    sigs = np.array([pool[p % len(pool)] for p in picks], dtype=np.uint16).reshape(-1, 128)
+    pairs = lsh_candidates(sigs, *banding)
+    assert pairs.dtype == np.int64 and pairs.shape[1:] == (2,)
+    assert [tuple(p) for p in pairs.tolist()] == sorted(oracle_lsh_candidates(sigs, *banding))
 
 
 def test_cluster_and_select_deterministic_under_shuffle():
@@ -289,6 +341,8 @@ def _fuzzy_corpus(draw):
 def test_signature_groups_match_per_document_reference(texts):
     docs = [(f"d{i}", f"s{i % 3}") for i in range(len(texts))]
     sigs = [_words_signature(normalize(t).split()) for t in texts]
+    # a signature without shingles is never grouped or paired
+    live = [p for p, sig in enumerate(sigs) if not np.all(sig == 0xFFFF)]
     # each shard's signatures, one per content distinct within the shard
     by_shard = {}
     for pos, (_, shard) in enumerate(docs):
@@ -302,15 +356,28 @@ def test_signature_groups_match_per_document_reference(texts):
             signed[p] = shard_sigs[slot]
     groups = SignatureGroups()
     for pos, (doc_id, shard) in enumerate(docs):
-        groups.add(doc_id, shard, signed[pos])
+        groups.add([doc_id], shard, signed[pos][np.newaxis])
     for threshold in (0.5, 0.8, 1.0):
         bands, rows = pick_banding(threshold)
         pairs = {
-            (a, b) for a, b in lsh_candidates(sigs, bands, rows)
-            if estimate_jaccard(sigs[a], sigs[b]) >= threshold
+            (live[a], live[b])
+            for a, b in oracle_lsh_candidates([sigs[p] for p in live], bands, rows)
+            if estimate_jaccard(sigs[live[a]], sigs[live[b]]) >= threshold
         }
         expected = cluster_and_select(pairs, docs)
         assert groups.duplicates(bands, rows, threshold) == (expected, len(pairs))
+
+
+def test_signature_groups_pass_an_estimate_equal_to_the_threshold():
+    """Two signatures that agree in 96 of 128 components estimate exactly
+    0.75, which passes a threshold of 0.75."""
+    sig = np.arange(128, dtype=np.uint16)
+    other = sig.copy()
+    other[:32] += 1000  # bands 1 to 3 of 4 stay equal
+    groups = SignatureGroups()
+    groups.add(["d0", "d1"], "s", np.stack((sig, other)))
+    records, pairs = groups.duplicates(4, 32, 0.75)
+    assert pairs == 1 and [(r.doc_id, r.kept_representative_id) for r in records] == [("d1", "d0")]
 
 
 class _Recomputed(Exception):
@@ -333,7 +400,7 @@ def test_shard_signatures_one_row_and_record_per_document(tmp_path, monkeypatch)
                         lambda c: signed.append(c) or content_signatures(c))
     rows = shard_signatures(path, ids, contents, force=False)
     assert signed == [contents] and len(content_signatures(contents)[1]) == 2
-    assert rows.dtype == np.uint64 and rows.shape == (4, 128)
+    assert rows.dtype == np.uint16 and rows.shape == (4, 128)
     records = [json.loads(line) for _, line in iter_jsonl_gz(path)]
     assert [r["doc_id"] for r in records] == ids
     assert [r["digest"] for r in records] == list(map(content_digest, contents))
@@ -344,19 +411,19 @@ def test_shard_signatures_one_row_and_record_per_document(tmp_path, monkeypatch)
     assert np.array_equal(shard_signatures(path, ids, contents, force=False), rows)
 
 
-_U64 = st.integers(0, 2**64 - 1)
+_U16 = st.integers(0, 2**16 - 1)
 
 
 @settings(max_examples=50, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(rows=st.lists(st.lists(_U64, min_size=128, max_size=128), min_size=1, max_size=4),
+@given(rows=st.lists(st.lists(_U16, min_size=128, max_size=128), min_size=1, max_size=4),
        picks=st.lists(st.integers(0, 3), max_size=6))
-@example(rows=[[0] * 127 + [2**64 - 1], [2**64 - 1] * 128], picks=[1, 0, 1])
+@example(rows=[[0] * 127 + [2**16 - 1], [2**16 - 1] * 128], picks=[1, 0, 1])
 def test_minhash_sidecar_roundtrip(tmp_path, monkeypatch, rows, picks):
     """A written sidecar reads back as the same signature per document,
-    each component the little-endian uint64 of its 8 bytes; a sidecar
+    each component the little-endian uint16 of its 2 bytes; a sidecar
     for other ids, contents or another document count is stale, and so
     is any sidecar under force: their signatures are recomputed."""
-    signatures = np.array(rows, dtype=np.uint64)
+    signatures = np.array(rows, dtype=np.uint16)
     slots = [pick % len(rows) for pick in picks]
     ids = [f"seg/{i}" for i in range(len(slots))]
     contents = [f"content {slot}" for slot in slots]
@@ -364,7 +431,7 @@ def test_minhash_sidecar_roundtrip(tmp_path, monkeypatch, rows, picks):
     write_jsonl_gz(path, minhash_lines(ids, content_digests(contents), slots, signatures))
     for line, slot in zip(iter_jsonl_gz(path), slots, strict=True):
         data = base64.b64decode(json.loads(line[1])["signature"], validate=True)
-        assert [int.from_bytes(data[i:i + 8], "little") for i in range(0, 1024, 8)] == rows[slot]
+        assert [int.from_bytes(data[i:i + 2], "little") for i in range(0, 256, 2)] == rows[slot]
     decoded = []
     decode = dedup._signature_bytes
     with monkeypatch.context() as patch:
@@ -372,7 +439,7 @@ def test_minhash_sidecar_roundtrip(tmp_path, monkeypatch, rows, picks):
                       lambda text, where: decoded.append(text) or decode(text, where))
         patch.setattr(dedup, "content_signatures", _refuse)
         read = shard_signatures(path, ids, contents, force=False)
-        assert read.dtype == np.uint64 and read.shape == (len(slots), 128)
+        assert read.dtype == np.uint16 and read.shape == (len(slots), 128)
         assert read.tolist() == [rows[s] for s in slots]
         # rows are decoded once: equal rows share one decoding
         assert len(decoded) == len({tuple(rows[s]) for s in slots})
@@ -387,12 +454,12 @@ def test_minhash_sidecar_roundtrip(tmp_path, monkeypatch, rows, picks):
             shard_signatures(path, ids, contents, force=True)
 
 
-@pytest.mark.parametrize("version", [None, 1, "2", 3])
+@pytest.mark.parametrize("version", [None, 1, 2, "3", 4])
 def test_shard_signatures_recompute_another_signature_version(tmp_path, version):
     path = tmp_path / "shard.minhash.jsonl.gz"
     ids, contents = ["seg/0", "seg/1"], ["some words", "some words"]
     current, other = map(json.loads, minhash_lines(
-        ids, content_digests(contents), [0, 0], np.zeros((1, 128), np.uint64)))
+        ids, content_digests(contents), [0, 0], np.zeros((1, 128), np.uint16)))
     other["version"] = version
     if version is None:
         del other["version"]
@@ -406,18 +473,18 @@ def test_shard_signatures_recompute_another_signature_version(tmp_path, version)
 @pytest.mark.parametrize("signature, problem", [
     pytest.param(list(range(128)), "field signature is missing or not a string",
                  id="decimal-list"),
-    pytest.param("A" * 1367 + "=", "signature is not the base64 of 1024 bytes",
-                 id="1023-bytes"),
-    pytest.param(base64.b64encode(bytes(1024)).decode()[:-3] + "B==",
-                 "signature is not the base64 of 1024 bytes", id="nonzero-pad-bits"),
-    pytest.param(base64.b64encode(bytes(1024)).decode() + "\n", "signature is not the base64",
+    pytest.param("A" * 340, "signature is not the base64 of 256 bytes", id="255-bytes"),
+    pytest.param(base64.b64encode(bytes(256)).decode()[:-3] + "B==",
+                 "signature is not the base64 of 256 bytes", id="nonzero-pad-bits"),
+    pytest.param(base64.b64encode(bytes(256)).decode() + "\n", "signature is not the base64",
                  id="trailing-newline"),
-    pytest.param("é" * 1368, "signature is not the base64", id="not-ascii"),
+    pytest.param("é" * 344, "signature is not the base64", id="not-ascii"),
 ])
 def test_shard_signatures_reject_malformed_signature(tmp_path, signature, problem):
     path = tmp_path / "shard.minhash.jsonl.gz"
-    good = next(minhash_lines(["seg/0"], ["d"], [0], np.zeros((1, 128), np.uint64)))
-    bad = json.dumps({"doc_id": "seg/1", "digest": "d", "signature": signature})
+    good = next(minhash_lines(["seg/0"], ["d"], [0], np.zeros((1, 128), np.uint16)))
+    bad = json.dumps({"doc_id": "seg/1", "digest": "d", "signature": signature,
+                      "version": dedup.SIGNATURE_VERSION})
     write_jsonl_gz(path, [good, bad])
     # malformed wins over stale: these ids would not match either
     recompute = "; dedup --force recomputes it"
