@@ -1,12 +1,14 @@
 """Builds the full QualitySignalSet for each document of a shard from
 loaded resources (stop words, blocklists, optional ML models).
 
-A shard's documents are analyzed once and its normalized words numbered
-once (textnorm.number_words). The signals that read the whole shard at
-once take those: natlang, repetition, the ML scores (each distinct word
-FNV-hashed once, mlmodels.hash_words) and the Kneser-Ney perplexity
-(each distinct word mapped to its model id once, one climb for the
-shard); the content, line and code signals read one document's view."""
+annotate_shard alone chooses the signal groups, merges their values per
+document and shapes the span triples. A shard's documents are analyzed
+once and its normalized words numbered once (textnorm.number_words).
+The signals that read the whole shard at once take those: natlang,
+repetition, the ML scores (each distinct word FNV-hashed once,
+mlmodels.hash_words) and the Kneser-Ney perplexity (each distinct word
+mapped to its model id once, one climb for the shard); the content,
+line and code signals read one document's view."""
 
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from urllib.parse import urlsplit
 from .errors import ConfigError, DataError
 from .kneser_ney import KneserNeyLM, perplexity
 from .mlmodels import HashedNgramLM, LinearClassifier, dsir_importance, hash_words
-from .records import Document, QualitySignalSet
+from .records import QualitySignalSet
 from .signal_catalog import (
     ALL_SIGNALS,
     CATEGORICAL_SIGNALS,
@@ -31,14 +33,12 @@ from .signal_catalog import (
 from .signals import (
     Blocklist,
     code_signals,
-    compile_blocklist,
     content_signals,
     doc_natlang_signals,
     doc_repetition_signals,
     line_signals,
-    load_ut1,
 )
-from .textnorm import NumberedWords, TokenizedView, analyze, load_language_wordlist, number_words
+from .textnorm import NumberedWords, analyze, number_words
 
 _BUCKET_CODES = {"head": 0.0, "middle": 1.0, "tail": 2.0}
 
@@ -58,8 +58,8 @@ CLASSIFIER_SIGNALS = {
 
 @dataclass
 class SignalResources:
-    """Immutable lookups and models, loaded once; forked shard workers
-    inherit them."""
+    """Immutable lookups and models, loaded once by
+    pipeline.load_resources; forked shard workers inherit them."""
 
     stopwords: dict[str, frozenset[str]] = field(default_factory=dict)
     ldnoobw: dict[str, Blocklist] = field(default_factory=dict)
@@ -70,19 +70,6 @@ class SignalResources:
     )
     kn_lm: KneserNeyLM | None = None
     provenance: str = "corpusforge"
-
-    @classmethod
-    def load_default(cls, languages=("en",), stopword_dir=None,
-                     ldnoobw_dir=None, ut1_dir=None) -> "SignalResources":
-        """The word lists of `languages` and the UT1 table, each from its
-        directory when one is given, else the vendored copy."""
-        res = cls()
-        for lang in languages:
-            res.stopwords[lang] = load_language_wordlist("stopwords", lang, stopword_dir)
-            res.ldnoobw[lang] = compile_blocklist(
-                load_language_wordlist("ldnoobw", lang, ldnoobw_dir))
-        res.ut1 = load_ut1(ut1_dir)
-        return res
 
 
 def resolve_signal_names(selection) -> list[str]:
@@ -105,11 +92,14 @@ def resolve_signal_names(selection) -> list[str]:
 DEFAULT_SIGNALS = ("ccnet", "natlang", "repetition", "content", "lines")
 
 
-def _for_language(table: dict, doc: Document, doc_id: str, what: str):
-    if doc.language not in table:  # a record's fault, not the config's
-        raise DataError(
-            f"document {doc_id}: no {what} loaded for its language {doc.language!r}")
-    return table[doc.language]
+def _by_language(table: dict, docs, ids, what: str) -> list:
+    """table's entry for the language of each of a shard's documents; a
+    DataError names the first document whose language has none loaded."""
+    for doc, doc_id in zip(docs, ids):
+        if doc.language not in table:  # a record's fault, not the config's
+            raise DataError(
+                f"document {doc_id}: no {what} loaded for its language {doc.language!r}")
+    return [table[doc.language] for doc in docs]
 
 
 def _url_path(url: str) -> str:
@@ -122,17 +112,25 @@ def _url_path(url: str) -> str:
 
 
 def annotate_shard(docs, ids, res: SignalResources, names, snapshot_id: str = ""):
-    """compute_signals of each of a shard's documents, in order, where
-    `ids` are their document ids. Each document is analyzed once, and
-    the signals that read the whole shard come from one call each over
-    all of its documents (see the module docstring)."""
+    """The signal records of a shard's documents, in order, where `ids`
+    are their document ids and `names` are signal names, as
+    resolve_signal_names returns them (see the module docstring). `res`
+    holds a model for every requested ML signal (load_resources checks
+    that at startup)."""
     wanted = frozenset(names)
     views = [analyze(doc.raw_content) for doc in docs]
     words = number_words([view.word_texts for view in views])
-    rows: list[dict] = [{} for _ in docs]
+    rows = [{
+        "ccnet_bucket": _BUCKET_CODES.get(doc.bucket, 2.0),
+        "ccnet_language_score": doc.language_score,
+        "ccnet_length": doc.length,
+        "ccnet_nlines": doc.nlines,
+        "ccnet_original_length": doc.original_length,
+        "ccnet_original_nlines": doc.original_nlines,
+        "ccnet_perplexity": doc.perplexity,
+    } for doc in docs]
     if not wanted.isdisjoint(NATLANG_SIGNALS):
-        stopwords = [_for_language(res.stopwords, doc, doc_id, "stop-word list")
-                     for doc, doc_id in zip(docs, ids)]
+        stopwords = _by_language(res.stopwords, docs, ids, "stop-word list")
         for row, values in zip(rows, doc_natlang_signals(views, stopwords)):
             row.update(values)
     if not wanted.isdisjoint(REPETITION_SIGNALS):
@@ -141,9 +139,44 @@ def annotate_shard(docs, ids, res: SignalResources, names, snapshot_id: str = ""
     for name, column in _model_columns(words, res, wanted).items():
         for row, value in zip(rows, column):
             row[name] = value
+    content = not wanted.isdisjoint(CONTENT_SIGNALS)
+    blocklists = _by_language(res.ldnoobw, docs, ids, "LDNOOBW blocklist") if content else []
+    lines = not wanted.isdisjoint(LINE_SIGNALS)
+    code = not wanted.isdisjoint(CODE_SIGNALS)
     for i, (doc, doc_id, view, row) in enumerate(zip(docs, ids, views, rows)):
-        yield compute_signals(doc, res, wanted, doc_id=doc_id, ordinal=i,
-                              snapshot_id=snapshot_id, view=view, shard_values=row)
+        if content:
+            row.update(content_signals(view, doc.source_domain, blocklists[i], res.ut1))
+        if lines:
+            row.update(line_signals(view))
+        if code:
+            row.update(code_signals(_url_path(doc.url), view))
+        length = len(doc.raw_content)
+        signals: dict[str, list[tuple[int, int, float]]] = {}
+        for name, value in row.items():
+            if name not in wanted:
+                continue
+            if name in LINE_SIGNALS:
+                signals[name] = [
+                    (start, end, float(v)) for (start, end), v in zip(view.lines, value)
+                ]
+            elif name in CATEGORICAL_SIGNALS:
+                # one triple per category id, none when clean
+                signals[name] = [(0, length, float(v)) for v in value]
+            else:
+                signals[name] = [(0, length, float(value))]
+        yield QualitySignalSet(
+            id=doc_id,
+            id_int=i,
+            metadata={
+                "cc_segment": doc.cc_segment,
+                "cc_net_source": res.provenance,
+                "url": doc.url,
+                "source_domain": doc.source_domain,
+                "language": doc.language,
+                "snapshot_id": snapshot_id,
+            },
+            quality_signals=signals,
+        )
 
 
 def _model_columns(words: NumberedWords, res: SignalResources, wanted) -> dict[str, list[float]]:
@@ -163,68 +196,3 @@ def _model_columns(words: NumberedWords, res: SignalResources, wanted) -> dict[s
                 target, source = res.importance_models[key]
                 columns[name] = dsir_importance(hashed, target, source)
     return columns
-
-
-def compute_signals(
-    doc: Document,
-    res: SignalResources,
-    names,
-    *,
-    doc_id: str,
-    ordinal: int,
-    snapshot_id: str,
-    view: TokenizedView,
-    shard_values: dict,
-) -> QualitySignalSet:
-    """Signals of the document `doc_id` at position `ordinal` of its
-    shard, from its `view` and its `shard_values`, the signals computed
-    over the whole shard (see annotate_shard). `names` are signal names,
-    as resolve_signal_names returns them. `res` holds a model for every
-    requested ML signal (load_resources checks that at startup)."""
-    wanted = frozenset(names)
-    values: dict = {
-        "ccnet_bucket": _BUCKET_CODES.get(doc.bucket, 2.0),
-        "ccnet_language_score": doc.language_score,
-        "ccnet_length": doc.length,
-        "ccnet_nlines": doc.nlines,
-        "ccnet_original_length": doc.original_length,
-        "ccnet_original_nlines": doc.original_nlines,
-        "ccnet_perplexity": doc.perplexity,
-        **shard_values,
-    }
-    if not wanted.isdisjoint(CONTENT_SIGNALS):
-        blocklist = _for_language(res.ldnoobw, doc, doc_id, "LDNOOBW blocklist")
-        values.update(content_signals(view, doc.source_domain, blocklist, res.ut1))
-    if not wanted.isdisjoint(LINE_SIGNALS):
-        values.update(line_signals(view))
-    if not wanted.isdisjoint(CODE_SIGNALS):
-        values.update(code_signals(_url_path(doc.url), view))
-
-    length = len(doc.raw_content)
-    signals: dict[str, list[tuple[int, int, float]]] = {}
-    for name, value in values.items():
-        if name not in wanted:
-            continue
-        if name in LINE_SIGNALS:
-            signals[name] = [
-                (start, end, float(v)) for (start, end), v in zip(view.lines, value)
-            ]
-        elif name in CATEGORICAL_SIGNALS:
-            # one triple per category id, none when clean
-            signals[name] = [(0, length, float(v)) for v in value]
-        else:
-            signals[name] = [(0, length, float(value))]
-
-    return QualitySignalSet(
-        id=doc_id,
-        id_int=ordinal,
-        metadata={
-            "cc_segment": doc.cc_segment,
-            "cc_net_source": res.provenance,
-            "url": doc.url,
-            "source_domain": doc.source_domain,
-            "language": doc.language,
-            "snapshot_id": snapshot_id,
-        },
-        quality_signals=signals,
-    )

@@ -129,7 +129,6 @@ def _windows(seq: np.ndarray, starts: np.ndarray, k: int) -> np.ndarray:
 def train_kn_lm(
     documents: list[list[str]],
     order: int = DEFAULT_ORDER,
-    include_unk: bool = True,
 ) -> KneserNeyLM:
     """The model of the token lists `documents`, discounted by
     DEFAULT_DISCOUNT. Grams are counted within each document, never
@@ -139,8 +138,7 @@ def train_kn_lm(
     if not any(len(doc) >= order for doc in documents):
         raise ConfigError(f"training corpus has no document of >= order {order} tokens")
     tokens = list(chain.from_iterable(documents))
-    vocab = set(tokens)
-    ids = _vocab_ids(vocab)
+    ids = _vocab_ids(set(tokens))
     base = len(ids)
     seq = np.fromiter(map(ids.__getitem__, tokens), np.int64, len(tokens))
     # tokens from each position to the end of its document
@@ -163,7 +161,7 @@ def train_kn_lm(
             grams[j - 1] = (_windows(seq, prefix_first[seen], j - 1), cc[seen])
         numbers[at], prefix_first = later, first
     grams[order] = (_windows(seq, prefix_first, order), raw)
-    return _build_lm(order, DEFAULT_DISCOUNT, ids, include_unk or UNK in vocab, grams)
+    return _build_lm(order, DEFAULT_DISCOUNT, ids, True, grams)
 
 
 def _vocab_ids(vocab: set[str]) -> dict[str, int]:

@@ -1,18 +1,18 @@
 """Pipeline orchestration: the shard driver, the annotate/dedup/filter/
 stats commands built on it, and model training entry points.
 
-One driver, `_run_shard_jobs`, serves every command. It finds the
-shards (`discover_document_shards`: newest snapshot first; a file that
-is not a shard name is warned about and skipped), skips those whose
-output exists, reads each shard's documents, builds their ids once and
-calls the command's `job(addr, docs, ids)`. With `workers` > 1 the jobs
-run in that many forked worker processes, which inherit the loaded
-resources and models instead of receiving them and send back only each
-shard's small result, in shard order; a worker that dies is a data
-error naming its shard. Each worker adds its own memory (a peak of about
-53 MB resident, as RUSAGE_CHILDREN reports it, on a 240-page annotate
-with ML models, which holds one 30-page shard's analyzed documents and
-word arrays at a time).
+One driver, `_run_shard_jobs`, serves every command. It finds the shards
+(`discover_document_shards`: newest snapshot first; a file that is not a
+shard name is warned about and skipped), skips those whose output
+exists, reads each shard's documents, builds their ids once and calls
+the command's `job(addr, docs, ids)`. With `workers` > 1 the jobs run in
+that many forked worker processes, which inherit the loaded resources
+and models instead of receiving them and send back only each shard's
+small result and its read warnings, which the main process prints in
+shard order; a worker that dies is a data error naming its shard. Each
+worker adds its own memory (a peak of about 53 MB resident, as
+RUSAGE_CHILDREN reports it, on a 240-page annotate with ML models, which
+holds one 30-page shard's analyzed documents and word arrays at a time).
 
 Both dedup modes key a document by content_digest of its content, never
 by its own `digest` field, which nothing checks against the content.
@@ -64,7 +64,8 @@ from .records import (
     shard_path,
     write_jsonl_gz,
 )
-from .textnorm import normalize, number_words
+from .signals import compile_blocklist, load_ut1
+from .textnorm import load_language_wordlist, normalize, number_words
 
 ENV_PREFIX = "CORPUSFORGE_"
 
@@ -197,19 +198,20 @@ _POLL_S = 0.5  # seconds between checks that the awaited shard's worker lives
 
 
 def _read_and_run(cfg: PipelineConfig, job, addr: ShardAddress):
-    docs = read_documents(os.path.join(cfg.input_root, shard_path(addr, "documents")))
-    return job(addr, docs, [document_id(doc, i) for i, doc in enumerate(docs)])
+    """(job's result, read_documents' warning lines) of one shard."""
+    docs, warnings = read_documents(os.path.join(cfg.input_root, shard_path(addr, "documents")))
+    return job(addr, docs, [document_id(doc, i) for i, doc in enumerate(docs)]), warnings
 
 
 def _pooled_job(index: int):
     """Run shard job `index` in a worker and note the worker's pid. Once a
-    job has raised, the jobs after it that have not started return None
-    without running: the parent, taking results in shard order, raises
-    that job's error before it reaches them. Jobs before it run, as they
-    would serially."""
+    job has raised, the jobs after it that have not started return no
+    result and no warnings without running: the parent, taking results
+    in shard order, raises that job's error before it reaches them. Jobs
+    before it run, as they would serially."""
     cfg, job, shards, first_failed, pids = _POOLED
     if index > first_failed.value:
-        return None
+        return None, []
     pids[index] = os.getpid()
     try:
         return _read_and_run(cfg, job, shards[index])
@@ -242,7 +244,9 @@ def _run_shard_jobs(cfg: PipelineConfig, job, done_kind: str = ""):
     workers = min(cfg.workers, len(shards))
     if workers <= 1:
         for addr in shards:
-            yield addr, _read_and_run(cfg, job, addr)
+            result, warnings = _read_and_run(cfg, job, addr)
+            sys.stderr.writelines(warnings)  # in the main process, in shard order
+            yield addr, result
         return
     # imported here: a serial run does not load it (about 0.2 MB resident)
     import multiprocessing
@@ -262,7 +266,9 @@ def _run_shard_jobs(cfg: PipelineConfig, job, done_kind: str = ""):
                         path = os.path.join(cfg.input_root, shard_path(addr, "documents"))
                         raise DataError(f"{path}: worker process {pid} died running this shard")
                     result.wait(_POLL_S)
-                yield addr, result.get()
+                value, warnings = result.get()
+                sys.stderr.writelines(warnings)
+                yield addr, value
     except BaseException:
         # leaving the pool killed its workers, which cannot remove the
         # .tmp files they were writing (named after the writer's pid)
@@ -307,12 +313,14 @@ def _load_model_as(path: str, kind: str, from_payload):
 
 
 def load_resources(cfg: PipelineConfig) -> annotate_mod.SignalResources:
-    res = annotate_mod.SignalResources.load_default(
-        languages=tuple(cfg.languages),
-        stopword_dir=cfg.stopword_dir or None,
-        ldnoobw_dir=cfg.ldnoobw_dir or None,
-        ut1_dir=cfg.ut1_dir or None,
-    )
+    """The word lists of the configured languages, the UT1 table and the
+    models that annotate reads; ConfigError when one cannot be loaded."""
+    res = annotate_mod.SignalResources()
+    for lang in cfg.languages:
+        res.stopwords[lang] = load_language_wordlist("stopwords", lang, cfg.stopword_dir or None)
+        res.ldnoobw[lang] = compile_blocklist(
+            load_language_wordlist("ldnoobw", lang, cfg.ldnoobw_dir or None))
+    res.ut1 = load_ut1(cfg.ut1_dir or None)
     models = cfg.models or {}
     _check_models(models)
     for key, path in models.get("classifiers", {}).items():

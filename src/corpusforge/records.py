@@ -6,7 +6,8 @@ span triples in signal records are stable across encodings. Writers emit
 a fixed key order and gzip with mtime=0 so reruns are byte-comparable.
 Every reader parses a line with one function, and a bad line is a
 DataError naming the file and the line, except that read_documents
-skips a bad document line with a warning.
+skips a bad document line and returns a warning about it, which the
+shard driver prints in the main process.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import gzip
 import hashlib
 import json
 import os
-import sys
 import zlib
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, get_origin, get_type_hints
@@ -258,24 +258,24 @@ def _json_object(line: str) -> dict:
     return raw
 
 
-def read_documents(path) -> list[Document]:
-    """The documents of a shard. A malformed line is skipped with one
-    warning on stderr; a shard whose share of them is above
+def read_documents(path) -> tuple[list[Document], list[str]]:
+    """(documents, warnings) of a shard. A malformed line is skipped with
+    one warning, a "warning: " line naming the file and the line for the
+    caller to print; a shard whose share of them is above
     ERROR_RATE_THRESHOLD is a DataError."""
-    docs, bad = [], 0
+    docs, warnings = [], []
     for line_number, line in iter_jsonl_gz(path):
         try:
             docs.append(parse_document(line, line_number=line_number))
         except DataError as exc:
-            print(f"warning: {path}: {exc}", file=sys.stderr)
-            bad += 1
-    total = len(docs) + bad
-    if total and bad / total > ERROR_RATE_THRESHOLD:
+            warnings.append(f"warning: {path}: {exc}\n")
+    total = len(docs) + len(warnings)
+    if total and len(warnings) / total > ERROR_RATE_THRESHOLD:
         raise DataError(
-            f"{path}: {bad}/{total} bad records exceeds the "
+            f"{path}: {len(warnings)}/{total} bad records exceeds the "
             f"{ERROR_RATE_THRESHOLD:.0%} threshold"
         )
-    return docs
+    return docs, warnings
 
 
 def iter_json_objects(path, *strings: str) -> Iterator[tuple[str, dict]]:

@@ -2,14 +2,14 @@
 
 Document-level natural-language signals, word n-gram repetition
 statistics, blocklist content signals, per-line signals, and the code
-file heuristics. Every group reads one document's TokenizedView (see
-textnorm.analyze) and splits nothing again; the natlang and repetition
-groups read the views of a whole shard at once, the repetition group
-with the shard's word numbering (textnorm.number_words). Raw-text-based
-rows (curly brackets, all-caps words, uppercase fraction, line lengths)
-use view.text and view.raw_lines; the rest use the normalized text. All
-ratio signals are defined as 0 when their denominator is 0 so every
-signal is total and filterable.
+file heuristics. The content, line and code groups read one document's
+TokenizedView (see textnorm.analyze), the natlang and repetition groups
+the views of a whole shard at once, the repetition group with the
+shard's word numbering (textnorm.number_words); none splits a text
+again. Raw-text-based rows (curly brackets, all-caps words, uppercase
+fraction, line lengths) use view.text and view.raw_lines; the rest use
+the normalized text. All ratio signals are defined as 0 when their
+denominator is 0 so every signal is total and filterable.
 """
 
 from __future__ import annotations

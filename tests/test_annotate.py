@@ -8,7 +8,6 @@ from corpusforge.annotate import (
     CLASSIFIER_SIGNALS,
     DEFAULT_SIGNALS,
     IMPORTANCE_SIGNALS,
-    SignalResources,
     annotate_shard,
     resolve_signal_names,
 )
@@ -25,7 +24,7 @@ from oracles import signal_invariant_warnings
 
 @pytest.fixture(scope="module")
 def resources():
-    return SignalResources.load_default(languages=("en",))
+    return load_resources(PipelineConfig())
 
 
 def _signals_of(doc, res, names, doc_id):
@@ -93,7 +92,7 @@ def test_one_shard_or_three_give_the_same_signals():
     ]
     docs = [make_doc(text) for text in texts]
     ids = [f"seg/{i}" for i in range(len(docs))]
-    res = SignalResources.load_default(languages=("en",))
+    res = load_resources(PipelineConfig())
     reference = [text.lower().split() for text in texts[::2] if text]
     web = [["click", "here", "the", "cat"], ["buy", "now", "on", "sale"]]
     res.kn_lm = train_kn_lm(reference, order=3)
@@ -157,7 +156,7 @@ def test_ml_signals_require_models(resources):
 
     doc = make_doc("some text")
 
-    loaded = SignalResources.load_default(languages=("en",))
+    loaded = load_resources(PipelineConfig())
     loaded.classifiers["wikiref"] = train_classifier(
         [["good"]] * 4, [["bad"]] * 4, epochs=3, seed=0
     )

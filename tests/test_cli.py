@@ -386,16 +386,22 @@ def test_data_error_exit_code(tmp_path, capsys):
     assert "threshold" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_document_in_unloaded_language_exits_2(tmp_path, capsys, workers):
+@pytest.mark.parametrize("workers, signals", [
+    pytest.param("1", [], id="1"), pytest.param("2", [], id="2"),
+    pytest.param("1", ["--signals", "content"], id="content-1"),
+    pytest.param("2", ["--signals", "content"], id="content-2"),
+])
+def test_document_in_unloaded_language_exits_2(tmp_path, capsys, workers, signals):
     # an en_head shard whose second record says "pt": no stop-word or
-    # LDNOOBW list is loaded for it, which is a fault of the record
+    # LDNOOBW list is loaded for it, which is a fault of the record; with
+    # --signals content only the LDNOOBW list is looked up
     root = str(tmp_path / "corpus")
     path = os.path.join(root, shard_path(ShardAddress("2023-14", 0, "en", "head"), "documents"))
     docs = [make_doc("An English line.", cc_segment="2023-14/seg0"),
             make_doc("Uma linha em português.", cc_segment="2023-14/seg0", language="pt")]
     write_jsonl_gz(path, (d.to_json() for d in docs))
-    assert main(["annotate", "--workers", workers, "--input", root, "--output", root]) == 2
+    assert main(["annotate", "--workers", workers, *signals,
+                 "--input", root, "--output", root]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert path in err and "2023-14/seg0/1" in err and "'pt'" in err, err
@@ -784,6 +790,31 @@ def test_worker_warning_reaches_stderr(tmp_path, argv):
     assert len(lines) == 1 and lines[0].startswith(f"warning: {path}: line 101: "), proc.stderr
 
 
+@pytest.mark.parametrize("argv", [["annotate"], ["dedup", "--mode", "exact"], ["stats"]])
+def test_worker_warnings_reach_stderr_in_shard_order(tmp_path, argv):
+    """Shard 0 is large and its bad line is its last; shards 1-3 each open
+    with a bad line, which a second worker reads before shard 0's. The
+    main process prints every warning, in shard order, so stderr is the
+    same from 2 workers as from 1."""
+    root = tmp_path / "corpus"
+    for shard, size in enumerate([3000, 100, 100, 100]):
+        lines = [make_doc(f"shard {shard} document {i} has words.",
+                          cc_segment=f"2023-14/seg{shard}").to_json() for i in range(size)]
+        lines.insert(size if shard == 0 else 0, "{broken")
+        write_jsonl_gz(root / shard_path(ShardAddress("2023-14", shard, "en", "head"),
+                                         "documents"), lines)
+    errs = []
+    for workers in ("1", "2"):
+        proc = _run_cli([*argv, "--workers", workers, "--input", str(root),
+                         "--output", str(tmp_path / f"out{workers}")], {}, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        errs.append(proc.stderr)
+    assert errs[1] == errs[0]
+    lines = errs[0].splitlines()
+    assert len(lines) == 4 and all(line.startswith("warning: ") for line in lines), errs
+    assert ": line 3001: " in lines[0] and all(": line 1: " in line for line in lines[1:])
+
+
 # each case but the last is one bad triple in the signal's list; the last
 # gives the signal the value 5, which is no list at all
 @pytest.mark.parametrize("triple", [[0, 5], [0, 5, "many"],
@@ -883,12 +914,12 @@ def test_line_ids_not_matching_nlines_exits_2(tmp_path, capsys):
 _DYING_WORKER = """
 import multiprocessing, os, sys
 from corpusforge import annotate, cli
-compute_signals = annotate.compute_signals
-def dying(doc, *args, **kw):
-    if doc.raw_content == "shard 2 document 1 has words.":
+line_signals = annotate.line_signals
+def dying(view):
+    if view.text == "shard 2 document 1 has words.":
         os._exit(3)  # as the OOM killer would end the worker, mid-write
-    return compute_signals(doc, *args, **kw)
-annotate.compute_signals = dying
+    return line_signals(view)
+annotate.line_signals = dying
 rc = cli.main(sys.argv[1:])
 assert not multiprocessing.active_children()
 sys.exit(rc)

@@ -6,7 +6,6 @@ import pytest
 
 from corpusforge.annotate import (
     DEFAULT_SIGNALS,
-    SignalResources,
     annotate_shard,
     resolve_signal_names,
 )
@@ -18,6 +17,7 @@ from corpusforge.filtering import (
     load_ruleset,
     preset,
 )
+from corpusforge.pipeline import PipelineConfig, load_resources
 from corpusforge.records import QualitySignalSet
 from corpusforge.signal_catalog import SIGNAL_GROUPS
 
@@ -26,7 +26,7 @@ from conftest import make_doc
 
 @pytest.fixture(scope="module")
 def resources():
-    return SignalResources.load_default(languages=("en",))
+    return load_resources(PipelineConfig())
 
 
 def _signals_for(doc, resources):

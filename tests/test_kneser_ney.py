@@ -30,6 +30,16 @@ def _logprob(lm, tokens):
     return logprob
 
 
+def _train(tokens, order, include_unk):
+    """The model of `tokens`; without include_unk, unless UNK is one of
+    them, the model a payload whose vocab leaves out UNK loads as."""
+    lm = train_kn_lm([tokens], order=order)
+    if include_unk or UNK in tokens:
+        return lm
+    payload = kn_payload(lm)
+    return kn_from_payload({**payload, "vocab": [w for w in payload["vocab"] if w != UNK]})
+
+
 def _random_tokens(rng, n, vocab=("a", "b", "c", "d", "e")):
     return [rng.choice(vocab) for _ in range(n)]
 
@@ -57,7 +67,7 @@ def test_unigram_only_model_is_closed_form():
     # order 1, uniform counts, no unknown token: per-token probability is
     # exactly 1/V so perplexity equals the vocabulary size.
     tokens = ["a", "b", "c", "d"]
-    lm = train_kn_lm([tokens], order=1, include_unk=False)
+    lm = _train(tokens, order=1, include_unk=False)
     assert perplexity(number_words([tokens]), lm) == [pytest.approx(4.0, rel=1e-12)]
 
 
@@ -94,7 +104,7 @@ def test_payload_roundtrip():
 @given(st.integers(1, 5), st.booleans(), st.data())
 def test_scores_equal_recursive_oracle(order, include_unk, data):
     tokens = data.draw(st.lists(st.sampled_from(TRAIN_VOCAB), min_size=order, max_size=60))
-    lm = train_kn_lm([tokens], order=order, include_unk=include_unk)
+    lm = _train(tokens, order, include_unk)
     payload = kn_payload(lm)
     oracle = OracleKneserNey(payload)
     text = data.draw(st.lists(st.sampled_from(QUERY_VOCAB), max_size=30))
@@ -130,7 +140,7 @@ def test_grams_are_counted_within_documents(order, data):
 @given(st.integers(1, 5), st.booleans(),
        st.lists(st.sampled_from(TRAIN_VOCAB), min_size=5, max_size=60))
 def test_payload_roundtrips_exactly(order, include_unk, tokens):
-    payload = kn_payload(train_kn_lm([tokens], order=order, include_unk=include_unk))
+    payload = kn_payload(_train(tokens, order, include_unk))
     assert kn_payload(kn_from_payload(payload)) == payload
 
 

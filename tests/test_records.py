@@ -197,10 +197,12 @@ def test_read_documents_collects_errors(tmp_path, capsys):
         lines = [good] * 99
         lines.insert(1, bad)
         write_jsonl_gz(path, lines)
-        assert len(read_documents(path)) == 99
-        warnings = capsys.readouterr().err.splitlines()
+        docs, warnings = read_documents(path)
+        assert len(docs) == 99
+        assert capsys.readouterr().err == ""  # the caller prints the warnings
         assert len(warnings) == 1
         assert warnings[0].startswith(f"warning: {path}: line 2: {reason}")
+        assert warnings[0].endswith("\n") and warnings[0].count("\n") == 1
     # one in 3 is above the threshold
     write_jsonl_gz(path, lines[:3])
     with pytest.raises(DataError, match="1/3 bad records exceeds the 1% threshold"):
