@@ -1,14 +1,15 @@
-"""Builds the full QualitySignalSet for each document of a shard from
-loaded resources (stop words, blocklists, optional ML models).
+"""Builds the signal records of a shard's documents from loaded
+resources (stop words, blocklists, optional ML models).
 
-annotate_shard alone chooses the signal groups, merges their values per
-document and shapes the span triples. A shard's documents are analyzed
-once and its normalized words numbered once (textnorm.number_words).
-The signals that read the whole shard at once take those: natlang,
-repetition, the ML scores (each distinct word FNV-hashed once,
+annotate_shard alone chooses the signal groups. A shard's documents are
+analyzed once into a textnorm.ShardText, whose normalized words are
+numbered once, and every group reads the whole shard at once and
+returns one column per signal: natlang, repetition, content, lines and
+code (see signals), the ML scores (each distinct word FNV-hashed once,
 mlmodels.hash_words) and the Kneser-Ney perplexity (each distinct word
-mapped to its model id once, one climb for the shard); the content,
-line and code signals read one document's view."""
+mapped to its model id once, one climb for the shard).
+records.signal_lines writes the sidecar lines straight from those
+columns, so no per-document record is built."""
 
 from __future__ import annotations
 
@@ -18,10 +19,10 @@ from urllib.parse import urlsplit
 from .errors import ConfigError, DataError
 from .kneser_ney import KneserNeyLM, perplexity
 from .mlmodels import HashedNgramLM, LinearClassifier, dsir_importance, hash_words
-from .records import QualitySignalSet
+from .records import signal_lines
 from .signal_catalog import (
     ALL_SIGNALS,
-    CATEGORICAL_SIGNALS,
+    CCNET_SIGNALS,
     CODE_SIGNALS,
     CONTENT_SIGNALS,
     LINE_SIGNALS,
@@ -38,7 +39,7 @@ from .signals import (
     doc_repetition_signals,
     line_signals,
 )
-from .textnorm import NumberedWords, analyze, number_words
+from .textnorm import NumberedWords, analyze
 
 _BUCKET_CODES = {"head": 0.0, "middle": 1.0, "tail": 2.0}
 
@@ -111,72 +112,39 @@ def _url_path(url: str) -> str:
         return ""
 
 
-def annotate_shard(docs, ids, res: SignalResources, names, snapshot_id: str = ""):
-    """The signal records of a shard's documents, in order, where `ids`
-    are their document ids and `names` are signal names, as
+def annotate_shard(docs, ids, res: SignalResources, names, snapshot_id: str = "") -> list[str]:
+    """The signal record lines of a shard's documents, in order, where
+    `ids` are their document ids and `names` are signal names, as
     resolve_signal_names returns them (see the module docstring). `res`
     holds a model for every requested ML signal (load_resources checks
     that at startup)."""
     wanted = frozenset(names)
-    views = [analyze(doc.raw_content) for doc in docs]
-    words = number_words([view.word_texts for view in views])
-    rows = [{
-        "ccnet_bucket": _BUCKET_CODES.get(doc.bucket, 2.0),
-        "ccnet_language_score": doc.language_score,
-        "ccnet_length": doc.length,
-        "ccnet_nlines": doc.nlines,
-        "ccnet_original_length": doc.original_length,
-        "ccnet_original_nlines": doc.original_nlines,
-        "ccnet_perplexity": doc.perplexity,
-    } for doc in docs]
+    shard = analyze([doc.raw_content for doc in docs])
+    # each ccnet_<field> signal is the document's <field>, a bucket as its code
+    columns = {name: [getattr(doc, name[len("ccnet_"):]) for doc in docs]
+               for name in CCNET_SIGNALS}
+    columns["ccnet_bucket"] = [_BUCKET_CODES.get(b, 2.0) for b in columns["ccnet_bucket"]]
     if not wanted.isdisjoint(NATLANG_SIGNALS):
         stopwords = _by_language(res.stopwords, docs, ids, "stop-word list")
-        for row, values in zip(rows, doc_natlang_signals(views, stopwords)):
-            row.update(values)
+        columns.update(doc_natlang_signals(shard, stopwords))
     if not wanted.isdisjoint(REPETITION_SIGNALS):
-        for row, values in zip(rows, doc_repetition_signals(views, words)):
-            row.update(values)
-    for name, column in _model_columns(words, res, wanted).items():
-        for row, value in zip(rows, column):
-            row[name] = value
-    content = not wanted.isdisjoint(CONTENT_SIGNALS)
-    blocklists = _by_language(res.ldnoobw, docs, ids, "LDNOOBW blocklist") if content else []
-    lines = not wanted.isdisjoint(LINE_SIGNALS)
-    code = not wanted.isdisjoint(CODE_SIGNALS)
-    for i, (doc, doc_id, view, row) in enumerate(zip(docs, ids, views, rows)):
-        if content:
-            row.update(content_signals(view, doc.source_domain, blocklists[i], res.ut1))
-        if lines:
-            row.update(line_signals(view))
-        if code:
-            row.update(code_signals(_url_path(doc.url), view))
-        length = len(doc.raw_content)
-        signals: dict[str, list[tuple[int, int, float]]] = {}
-        for name, value in row.items():
-            if name not in wanted:
-                continue
-            if name in LINE_SIGNALS:
-                signals[name] = [
-                    (start, end, float(v)) for (start, end), v in zip(view.lines, value)
-                ]
-            elif name in CATEGORICAL_SIGNALS:
-                # one triple per category id, none when clean
-                signals[name] = [(0, length, float(v)) for v in value]
-            else:
-                signals[name] = [(0, length, float(value))]
-        yield QualitySignalSet(
-            id=doc_id,
-            id_int=i,
-            metadata={
-                "cc_segment": doc.cc_segment,
-                "cc_net_source": res.provenance,
-                "url": doc.url,
-                "source_domain": doc.source_domain,
-                "language": doc.language,
-                "snapshot_id": snapshot_id,
-            },
-            quality_signals=signals,
-        )
+        columns.update(doc_repetition_signals(shard))
+    columns.update(_model_columns(shard.words, res, wanted))
+    if not wanted.isdisjoint(CONTENT_SIGNALS):
+        blocklists = _by_language(res.ldnoobw, docs, ids, "LDNOOBW blocklist")
+        columns.update(content_signals(shard, [doc.source_domain for doc in docs],
+                                       blocklists, res.ut1))
+    if not wanted.isdisjoint(LINE_SIGNALS):
+        columns.update(line_signals(shard))
+    if not wanted.isdisjoint(CODE_SIGNALS):
+        columns.update(code_signals(shard, [_url_path(doc.url) for doc in docs]))
+    metadata = {key: [getattr(doc, key) for doc in docs]
+                for key in ("cc_segment", "url", "source_domain", "language")}
+    metadata.update(cc_net_source=[res.provenance] * len(docs),
+                    snapshot_id=[snapshot_id] * len(docs))
+    return signal_lines(ids, metadata, list(map(len, shard.texts)),
+                        (shard.line_counts.tolist(), *shard.line_spans()),
+                        {name: column for name, column in columns.items() if name in wanted})
 
 
 def _model_columns(words: NumberedWords, res: SignalResources, wanted) -> dict[str, list[float]]:

@@ -362,9 +362,9 @@ def cmd_annotate(cfg: PipelineConfig) -> dict:
 
     def job(addr: ShardAddress, docs, ids) -> int:
         out_path = os.path.join(cfg.output_root, shard_path(addr, "quality_signals"))
-        records = annotate_mod.annotate_shard(docs, ids, res, names, addr.snapshot_id)
         try:
-            return write_jsonl_gz(out_path, (record.to_json() for record in records))
+            return write_jsonl_gz(out_path, annotate_mod.annotate_shard(
+                docs, ids, res, names, addr.snapshot_id))
         except DataError as exc:
             path = os.path.join(cfg.input_root, shard_path(addr, "documents"))
             raise DataError(f"{path}: {exc}") from exc

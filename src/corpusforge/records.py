@@ -4,6 +4,9 @@ compressed JSONL IO.
 All character offsets are Unicode code-point counts, never bytes, so the
 span triples in signal records are stable across encodings. Writers emit
 a fixed key order and gzip with mtime=0 so reruns are byte-comparable.
+signal_lines writes a shard's signal records straight from per-signal
+columns, as the same text QualitySignalSet.to_json gives; non-finite
+scores are written as NaN, Infinity and -Infinity, as json.dumps does.
 Every reader parses a line with one function, and a bad line is a
 DataError naming the file and the line, except that read_documents
 skips a bad document line and returns a warning about it, which the
@@ -18,9 +21,11 @@ import json
 import os
 import zlib
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from typing import Iterable, Iterator, get_origin, get_type_hints
 
 from .errors import DataError
+from .signal_catalog import CATEGORICAL_SIGNALS, LINE_SIGNALS
 
 _OPTIONAL_DOC_DEFAULTS = {"title": ""}
 # A shard whose share of malformed document records exceeds this fails
@@ -56,6 +61,10 @@ class Document:
         return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
 
 
+# float() of an integer outside (-_FLOAT_INTS, _FLOAT_INTS) rounds past
+# the largest float
+_FLOAT_INTS = 2**1024 - 2**970
+
 # (field name, runtime type) in declaration order, which is the key
 # order of Document.to_json; list[int] checks as list
 _DOC_FIELDS = tuple(
@@ -66,8 +75,9 @@ _DOC_FIELDS = tuple(
 
 def parse_document(json_line: str, line_number: int | None = None) -> Document:
     """Parse one JSONL document record. Raises DataError for a line that
-    is not a JSON object, a missing field, a wrong field type or a string
-    holding a lone surrogate, its message led by "line <line_number>: "
+    is not a JSON object, a missing field, a wrong field type, an integer
+    too large for a float or a string holding a lone surrogate, its
+    message led by "line <line_number>: "
     when one is given; schema invariants such as length ==
     len(raw_content) are not checked.
 
@@ -86,6 +96,9 @@ def parse_document(json_line: str, line_number: int | None = None) -> Document:
                     continue
                 raise DataError(f"missing required field {name}")
             value = raw[name]
+            if typ is not str and type(value) is int and not -_FLOAT_INTS < value < _FLOAT_INTS:
+                # each number is, or becomes, a float signal score
+                raise DataError(f"field {name} is an integer too large for a float")
             if typ is float and isinstance(value, int) and not isinstance(value, bool):
                 value = float(value)
             if typ is int and isinstance(value, bool):
@@ -154,6 +167,51 @@ class QualitySignalSet:
         }
         return json.dumps(record, ensure_ascii=False, separators=(",", ":"),
                           sort_keys=True)
+
+
+_encode_string = json.JSONEncoder(ensure_ascii=False).encode
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _numbers(values) -> list[str]:
+    """The JSON text of each value as a float, as json.dumps writes it."""
+    return [_NON_FINITE.get(r, r) for r in map(repr, map(float, values))]
+
+
+def signal_lines(ids: list[str], metadata: dict[str, list[str]], lengths: list[int],
+                 line_spans: tuple[list[int], list[int], list[int]],
+                 columns: dict[str, list]) -> list[str]:
+    """The sidecar line of each document of a shard, the text that
+    QualitySignalSet.to_json gives for its record. Document d has id
+    ids[d], id_int d, metadata[key][d] (a string) under each key, and
+    length lengths[d]; line_spans holds each document's number of lines,
+    then the starts and the ends of all lines. A column holds a score per
+    document, whose triple spans the whole document, a list of category
+    ids per document for a CATEGORICAL_SIGNALS name, or a score per line
+    for a LINE_SIGNALS name."""
+    counts, starts, ends = line_spans
+    firsts = list(accumulate(counts, initial=0))
+    spans = [f"[{start},{end}," for start, end in zip(starts, ends)]
+    whole = [f"[0,{length}," for length in lengths]
+
+    def fragments(name: str, values: list) -> list[str]:
+        key = _encode_string(name)
+        if name in LINE_SIGNALS:
+            triples = [f"{span}{v}]" for span, v in zip(spans, _numbers(values))]
+            return [f"{key}:[{','.join(triples[a:b])}]" for a, b in zip(firsts, firsts[1:])]
+        if name in CATEGORICAL_SIGNALS:
+            return [f"{key}:[{','.join(f'{span}{v}]' for v in _numbers(ids_))}]"
+                    for span, ids_ in zip(whole, values)]
+        return [f"{key}:[{span}{v}]]" for span, v in zip(whole, _numbers(values))]
+
+    meta = [[f"{_encode_string(key)}:{_encode_string(value)}" for value in metadata[key]]
+            for key in sorted(metadata)]
+    signals = [fragments(name, columns[name]) for name in sorted(columns)]
+    return [f'{{"id":{_encode_string(doc_id)},"id_int":{d},'
+            f'"metadata":{{{",".join(part[d] for part in meta)}}},'
+            f'"quality_signals":{{{",".join(part[d] for part in signals)}}}}}'
+            for d, doc_id in enumerate(ids)]
+
 
 
 @dataclass(frozen=True, order=True)  # ordered by snapshot, shard, language, bucket
@@ -251,7 +309,9 @@ def _json_object(line: str) -> dict:
     not one, which the caller prefixes with the line's location."""
     try:
         raw = json.loads(line)
-    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
+    # RecursionError: nested too deep; ValueError: malformed, or an integer
+    # past Python's limit on the digits of an integer it converts
+    except (ValueError, RecursionError) as exc:
         raise DataError(f"malformed JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise DataError("record is not a JSON object")

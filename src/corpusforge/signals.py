@@ -2,22 +2,24 @@
 
 Document-level natural-language signals, word n-gram repetition
 statistics, blocklist content signals, per-line signals, and the code
-file heuristics. The content, line and code groups read one document's
-TokenizedView (see textnorm.analyze), the natlang and repetition groups
-the views of a whole shard at once, the repetition group with the
-shard's word numbering (textnorm.number_words); none splits a text
-again. Raw-text-based rows (curly brackets, all-caps words, uppercase
-fraction, line lengths) use view.text and view.raw_lines; the rest use
-the normalized text. All ratio signals are defined as 0 when their
-denominator is 0 so every signal is total and filterable.
+file heuristics. Every group reads a whole shard at once, split once
+into a textnorm.ShardText, and returns one column per signal: a value
+per document, or per line for the line signals. Word tests run once per
+distinct word of the shard's word numbering and are counted per
+document with numpy; character classes (uppercase, digits, letters) are
+counted by one table lookup over the UTF-32 code points of the shard's
+lines. Raw-text-based values (curly brackets, all-caps words, uppercase
+fraction, line lengths, the code metrics) use the raw texts and lines;
+the rest use the normalized text. All ratio signals are defined as 0
+when their denominator is 0 so every signal is total and filterable.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
-from collections import Counter
 from importlib import resources
 from pathlib import Path
 
@@ -25,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .signal_catalog import REPETITION_SIGNALS
-from .textnorm import NumberedWords, TokenizedView, split_sentences
+from .textnorm import NumberedWords, ShardText, number_words, split_sentences
 
 ELLIPSIS_SUFFIXES = ("...", "…")
 
@@ -58,87 +60,89 @@ def _is_all_caps(word: str) -> bool:
     return word.isalpha() and all(map(str.isupper, word))
 
 
-def _mean_line_length(lines: list[str]) -> float:
-    return sum(map(len, lines)) / len(lines) if lines else 0.0
+def _ratio(numerators, denominators) -> list[float]:
+    """numerators / denominators, elementwise, 0 where a denominator is 0."""
+    denominators = np.asarray(denominators)
+    return np.divide(numerators, denominators, out=np.zeros(len(denominators)),
+                     where=denominators != 0).tolist()
 
 
-def doc_natlang_signals(views: list[TokenizedView],
-                        stopwords: list[frozenset[str]]) -> list[dict[str, float]]:
-    """The natural-language signals of each view (a shard's documents),
-    stopwords[i] being view i's stop-word list. Each distinct raw
-    whitespace word of the views is tested for all caps once."""
-    all_caps: dict[str, bool] = {}
-    rows = []
-    for view, stop in zip(views, stopwords):
-        words = view.text.split()
-        all_caps.update((w, _is_all_caps(w)) for w in set(words).difference(all_caps))
-        rows.append(_natlang_row(view, stop, sum(map(all_caps.__getitem__, words)), len(words)))
-    return rows
+def _segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The sums of consecutive segments of `values` with the given
+    lengths. The appended 0 is where an empty last segment starts."""
+    sums = np.add.reduceat(np.append(values, False), np.cumsum(lengths) - lengths,
+                           dtype=np.int64)
+    return np.where(lengths > 0, sums, 0)
 
 
-def _natlang_row(view: TokenizedView, stopwords: frozenset[str], all_caps: int,
-                 raw_word_count: int) -> dict[str, float]:
-    """One view's natural-language signals, given how many of its
-    raw_word_count raw whitespace words are all caps."""
-    raw = view.text
-    words = view.word_texts
-    word_count = len(words)
+def _in_table(words: NumberedWords, tables: list) -> np.ndarray:
+    """For each word occurrence, whether its document's table (tables[d]
+    for document d, a set or a dict) holds it; each distinct word is
+    looked up once per distinct table."""
+    distinct = {id(table): table for table in tables}
+    row = {key: i for i, key in enumerate(distinct)}
+    member = np.array([[w in table for w in words.vocab] for table in distinct.values()],
+                      bool).reshape(len(distinct), len(words.vocab))
+    rows = np.fromiter((row[id(table)] for table in tables), np.int64, len(tables))
+    return member[np.repeat(rows, words.sizes), words.ids]
 
-    raw_lines = view.raw_lines
-    ellipsis_lines = sum(
-        1 for line in raw_lines if line.rstrip().endswith(ELLIPSIS_SUFFIXES)
-    )
 
-    # first-occurrence order, which fixes the order of the entropy sum
-    counts = Counter(words)
-    entropy = 0.0
-    if word_count:
-        for c in counts.values():
-            p = c / word_count
-            entropy += -p * math.log(p)
+def _mean_lengths(texts: list[str], counts: np.ndarray) -> list[float]:
+    """The mean length of the counts[d] items of each text, items that
+    one character separates: all of the text's characters but those."""
+    lengths = np.fromiter(map(len, texts), np.int64, len(texts))
+    return _ratio(lengths - np.maximum(counts - 1, 0), counts)
 
-    stop_count = sum(c for w, c in counts.items() if w in stopwords)
-    no_alpha_count = sum(
-        c for w, c in counts.items() if not any(map(str.isalpha, w))
-    )
 
+def doc_natlang_signals(shard: ShardText,
+                        stopwords: list[frozenset[str]]) -> dict[str, list[float]]:
+    """The natural-language signals of a shard's documents, one column per
+    signal, stopwords[d] being document d's stop-word list. The word tests
+    run once per distinct normalized word (and per distinct raw whitespace
+    word for all caps); the unigram entropy adds its terms in order of
+    first occurrence within each document."""
+    texts, words, sizes = shard.texts, shard.words, shard.words.sizes
+    no_alpha = np.fromiter((not any(map(str.isalpha, w)) for w in words.vocab), bool,
+                           len(words.vocab))
+    stop = _segment_sums(_in_table(words, stopwords), sizes)
+    raw = number_words([text.split() for text in texts])
+    all_caps = np.fromiter(map(_is_all_caps, raw.vocab), bool, len(raw.vocab))
+
+    # each document's distinct words in order of first occurrence, and
+    # their counts, which fix the order of the entropy sum
+    base = max(len(words.vocab), 1)
+    owner = np.repeat(np.arange(len(texts)), sizes)
+    _, first, counts = np.unique(owner * base + words.ids, return_index=True,
+                                 return_counts=True)
+    order = np.argsort(first)
+    counts, distinct_owner = counts[order], owner[first[order]]
+    p = counts / sizes[distinct_owner]
+    terms = (-p * np.fromiter(map(math.log, p.tolist()), np.float64, len(p))).tolist()
+    distinct = np.bincount(distinct_owner, minlength=len(texts))
+    ends = np.cumsum(distinct).tolist()
+    entropy = [functools.reduce(operator.add, terms[end - n:end], 0.0)
+               for n, end in zip(distinct.tolist(), ends)]
+    ellipsis = np.fromiter((line.rstrip().endswith(ELLIPSIS_SUFFIXES) for line in shard.lines),
+                           bool, len(shard.lines))
     return {
-        "rps_doc_curly_bracket": (
-            (raw.count("{") + raw.count("}")) / len(raw) if raw else 0.0
-        ),
-        "rps_doc_frac_all_caps_words": (
-            all_caps / raw_word_count if raw_word_count else 0.0
-        ),
-        "rps_doc_frac_lines_end_with_ellipsis": (
-            ellipsis_lines / len(raw_lines) if raw_lines else 0.0
-        ),
-        "rps_doc_frac_no_alph_words": (
-            no_alpha_count / word_count
-            if word_count
-            else 0.0
-        ),
-        "rps_doc_lorem_ipsum": (
-            view.normalized.count("lorem ipsum") / len(view.normalized)
-            if view.normalized
-            else 0.0
-        ),
-        "rps_doc_mean_word_length": (
-            sum(map(len, words)) / word_count if word_count else 0.0
-        ),
-        "rps_doc_stop_word_fraction": (
-            stop_count / word_count if word_count else 0.0
-        ),
-        "rps_doc_symbol_to_word_ratio": (
-            _count_symbols(raw) / word_count if word_count else 0.0
-        ),
-        "rps_doc_frac_unique_words": (
-            len(counts) / word_count if word_count else 0.0
-        ),
+        "rps_doc_curly_bracket": _ratio(
+            [text.count("{") + text.count("}") for text in texts], list(map(len, texts))),
+        "rps_doc_frac_all_caps_words": _ratio(
+            _segment_sums(all_caps[raw.ids], raw.sizes), raw.sizes),
+        "rps_doc_frac_lines_end_with_ellipsis": _ratio(
+            _segment_sums(ellipsis, shard.line_counts), shard.line_counts),
+        "rps_doc_frac_no_alph_words": _ratio(_segment_sums(no_alpha[words.ids], sizes), sizes),
+        "rps_doc_lorem_ipsum": _ratio([norm.count("lorem ipsum") for norm in shard.normalized],
+                                      list(map(len, shard.normalized))),
+        "rps_doc_mean_word_length": _mean_lengths(shard.normalized, sizes),
+        "rps_doc_stop_word_fraction": _ratio(stop, sizes),
+        "rps_doc_symbol_to_word_ratio": _ratio(list(map(_count_symbols, texts)), sizes),
+        "rps_doc_frac_unique_words": _ratio(distinct, sizes),
         "rps_doc_unigram_entropy": entropy,
-        "rps_doc_word_count": float(word_count),
-        "rps_doc_num_sentences": float(split_sentences(raw)),
-        "rps_doc_stop_word_count": float(stop_count),
-        "rps_doc_mean_line_length": _mean_line_length(raw_lines),
+        "rps_doc_word_count": sizes.tolist(),
+        "rps_doc_num_sentences": list(map(split_sentences, texts)),
+        "rps_doc_stop_word_count": stop.tolist(),
+        "rps_doc_mean_line_length": _mean_lengths(texts, shard.line_counts),
     }
 
 
@@ -149,15 +153,14 @@ DUPE_NGRAM_SIZES = (5, 6, 7, 8, 9, 10)
 TOP_NGRAM_SIZES = (2, 3, 4)
 
 
-def doc_repetition_signals(views: list[TokenizedView],
-                           words: NumberedWords) -> list[dict[str, float]]:
-    """The repetition signals of each view (a shard's documents), where
-    `words` numbers the words of all of them. Characters are those of the
-    normalized content; an occurrence covers its internal separator
-    spaces. A document with fewer than n words has no n-grams and reads 0
-    for n."""
+def doc_repetition_signals(shard: ShardText) -> dict[str, list[float]]:
+    """The repetition signals of a shard's documents, one column per
+    signal. Characters are those of the normalized content; an occurrence
+    covers its internal separator spaces. A document with fewer than n
+    words has no n-grams and reads 0 for n."""
+    words = shard.words
     word_ids, sizes, base = words.ids, words.sizes, len(words.vocab)
-    doc = np.repeat(np.arange(len(views)), sizes)
+    doc = np.repeat(np.arange(len(sizes)), sizes)
     # words from each position to the end of its document
     left = np.repeat(np.cumsum(sizes), sizes) - np.arange(len(word_ids))
     # each word's span in all the normalized texts joined by one space, in
@@ -165,7 +168,7 @@ def doc_repetition_signals(views: list[TokenizedView],
     lengths = np.fromiter(map(len, words.vocab), np.int64, base)[word_ids]
     ends = np.cumsum(lengths + 1) - 1
     starts = ends - lengths
-    totals = np.fromiter((len(v.normalized) for v in views), np.int64, len(views))
+    totals = np.fromiter(map(len, shard.normalized), np.int64, len(sizes))
     # The n-gram at each position is numbered by the pair (number of its
     # (n-1)-gram prefix, its last word), and the 1-grams by (document,
     # word), so equal n-grams of different documents differ. Positions
@@ -183,8 +186,7 @@ def doc_repetition_signals(views: list[TokenizedView],
             at = at[counts[grams[at]] > 1]
             columns[f"rps_doc_frac_chars_dupe_{n}grams"] = _dupe_fractions(
                 starts[at], ends[at + n - 1], doc[at], totals)
-    return [dict(zip(REPETITION_SIGNALS, row))
-            for row in zip(*(columns[name].tolist() for name in REPETITION_SIGNALS))]
+    return {name: columns[name].tolist() for name in REPETITION_SIGNALS}
 
 
 def _top_fractions(repeats, lengths, owner, totals):
@@ -238,8 +240,6 @@ def count_blocklist_phrases(words: list[str], blocklist: Blocklist) -> int:
     """Non-overlapping left-to-right matches of the blocklist's phrases
     against the normalized word sequence; longer phrases win at each
     position."""
-    if blocklist.keys().isdisjoint(words):
-        return 0
     count = 0
     i = 0
     n = len(words)
@@ -264,17 +264,22 @@ def ut1_categories(domain: str, table: dict[str, set[int]]) -> list[int]:
     return sorted(categories)
 
 
-def content_signals(
-    view: TokenizedView,
-    source_domain: str,
-    ldnoobw: Blocklist,
-    ut1: dict[str, set[int]],
-) -> dict:
-    """The blocklist phrase count and the UT1 category ids (a list) of
-    the source domain."""
+def content_signals(shard: ShardText, domains: list[str], ldnoobw: list[Blocklist],
+                    ut1: dict[str, set[int]]) -> dict[str, list]:
+    """The blocklist phrase count of each of a shard's documents,
+    ldnoobw[d] being document d's blocklist, and the UT1 category ids (a
+    list) of each document's source domain. Only a document that holds the
+    first word of a phrase of its blocklist is matched word by word."""
+    words = shard.words
+    ends = np.cumsum(words.sizes).tolist()
+    counts = [0] * len(domains)
+    for d in np.flatnonzero(_segment_sums(_in_table(words, ldnoobw), words.sizes)).tolist():
+        doc_words = [words.vocab[i] for i in words.ids[ends[d] - words.sizes[d]:ends[d]]]
+        counts[d] = count_blocklist_phrases(doc_words, ldnoobw[d])
+    categories = {domain: ut1_categories(domain, ut1) for domain in dict.fromkeys(domains)}
     return {
-        "rps_doc_ldnoobw_words": count_blocklist_phrases(view.word_texts, ldnoobw),
-        "rps_doc_ut1_blacklist": ut1_categories(source_domain, ut1),
+        "rps_doc_ldnoobw_words": counts,
+        "rps_doc_ut1_blacklist": [categories[domain] for domain in domains],
     }
 
 
@@ -306,33 +311,46 @@ def load_ut1(directory=None) -> dict[str, set[int]]:
 # Line-level signals
 
 
-def line_signals(view: TokenizedView) -> dict[str, list]:
-    """Per-line values, one per line of view.raw_lines. The raw-text
-    values read the line itself; the word and digit values read its
-    normalized text from view.normalized_lines."""
-    terminal, javascript, num_words = [], [], []
-    numerical, bullet, uppercase = [], [], []
-    for line, norm in zip(view.raw_lines, view.normalized_lines):
-        stripped = line.strip()
-        norm_words = norm.split()
-        terminal.append(1 if stripped.endswith(TERMINAL_PUNCTUATION) else 0)
-        javascript.append(norm_words.count("javascript"))
-        num_words.append(len(norm_words))
-        numerical.append(
-            sum(map(str.isdigit, norm)) / len(norm) if norm else 0.0
-        )
-        bullet.append(1 if stripped.startswith(BULLET_POINTS) else 0)
-        uppercase.append(
-            sum(map(str.isupper, line)) / len(line) if line else 0.0
-        )
+def line_signals(shard: ShardText) -> dict[str, list]:
+    """Per-line values, one column per signal over all of a shard's lines,
+    document after document. The raw-text values read the line itself;
+    the word and digit values read its normalized text."""
+    lines, norms = shard.lines, shard.normalized_lines
     return {
-        "rps_lines_ending_with_terminal_punctution_mark": terminal,
-        "rps_lines_javascript_counts": javascript,
-        "rps_lines_num_words": num_words,
-        "rps_lines_numerical_chars_fraction": numerical,
-        "rps_lines_start_with_bulletpoint": bullet,
-        "rps_lines_uppercase_letter_fraction": uppercase,
+        "rps_lines_ending_with_terminal_punctution_mark": [
+            line.rstrip().endswith(TERMINAL_PUNCTUATION) for line in lines],
+        "rps_lines_javascript_counts": [
+            norm.split().count("javascript") if "javascript" in norm else 0 for norm in norms],
+        # a normalized text holds its words separated by one space
+        "rps_lines_num_words": [norm.count(" ") + 1 if norm else 0 for norm in norms],
+        "rps_lines_numerical_chars_fraction": _ratio(
+            _count_chars(norms, str.isdigit), list(map(len, norms))),
+        "rps_lines_start_with_bulletpoint": [
+            line.lstrip().startswith(BULLET_POINTS) for line in lines],
+        "rps_lines_uppercase_letter_fraction": _ratio(
+            _count_chars(lines, str.isupper), list(map(len, lines))),
     }
+
+
+@functools.cache
+def _bmp_table(predicate) -> np.ndarray:
+    """predicate, a str method such as str.isupper, of each code point
+    below U+10000, computed once per process."""
+    return np.fromiter(map(predicate, map(chr, range(0x10000))), bool, 0x10000)
+
+
+def _count_chars(texts: list[str], predicate) -> np.ndarray:
+    """How many characters of each text satisfy `predicate`, by one
+    lookup over the UTF-32 code points of all the texts. A code point
+    above U+FFFF is tested on its own, once per distinct one."""
+    points = np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), "<u4")
+    hits = _bmp_table(predicate)[points.view("<u2")[::2]]  # by the low 16 bits
+    astral = np.flatnonzero(points > 0xFFFF)
+    if len(astral):
+        distinct, inverse = np.unique(points[astral], return_inverse=True)
+        hits[astral] = np.fromiter(map(predicate, map(chr, distinct.tolist())), bool,
+                                   len(distinct))[inverse]
+    return _segment_sums(hits, np.fromiter(map(len, texts), np.int64, len(texts)))
 
 
 # ---------------------------------------------------------------------------
@@ -348,25 +366,26 @@ def _code_extensions() -> frozenset[str]:
         return frozenset(line.strip() for line in fh if line.strip())
 
 
-def code_signals(path: str, view: TokenizedView) -> dict[str, float]:
-    """The raw-content metrics behind the code-file heuristics, for a
-    file at `path` (annotate passes the path of the document's URL)."""
-    content = view.text
-    lines = view.raw_lines
-    tokens = content.split()
-    alpha = sum(1 for ch in content if ch.isalpha())
-    name = os.path.basename(path)
+def code_signals(shard: ShardText, paths: list[str]) -> dict[str, list[float]]:
+    """The raw-content metrics behind the code-file heuristics of a
+    shard's documents, document d being a file at paths[d] (annotate
+    passes the path of the document's URL)."""
+    texts = shard.texts
+    line_lengths = np.fromiter(map(len, shard.lines), np.int64, len(shard.lines))
+    longest = np.zeros(len(texts), np.int64)
+    np.maximum.at(longest, np.repeat(np.arange(len(texts)), shard.line_counts), line_lengths)
     extensions = _code_extensions()
-    dot = name.rfind(".")
-    extension_ok = name in extensions or (dot >= 0 and name[dot:] in extensions)
+
+    def extension_ok(path: str) -> bool:
+        name = os.path.basename(path)
+        dot = name.rfind(".")
+        return name in extensions or (dot >= 0 and name[dot:] in extensions)
+
     return {
-        "rps_code_max_line_length": max((len(l) for l in lines), default=0),
-        "rps_code_avg_line_length": _mean_line_length(lines),
-        "rps_code_alnum_prop": (
-            sum(1 for ch in content if ch.isalnum()) / len(content)
-            if content
-            else 0.0
-        ),
-        "rps_code_alpha_token_ratio": alpha / len(tokens) if tokens else 0.0,
-        "rps_code_extension_ok": 1.0 if extension_ok else 0.0,
+        "rps_code_max_line_length": longest.tolist(),
+        "rps_code_avg_line_length": _mean_lengths(texts, shard.line_counts),
+        "rps_code_alnum_prop": _ratio(_count_chars(texts, str.isalnum), list(map(len, texts))),
+        "rps_code_alpha_token_ratio": _ratio(_count_chars(texts, str.isalpha),
+                                             [len(text.split()) for text in texts]),
+        "rps_code_extension_ok": list(map(extension_ok, paths)),
     }

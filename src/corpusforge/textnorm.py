@@ -11,9 +11,10 @@ Every downstream signal number depends on these conventions:
 - normalization commutes with splitting at '\n': a newline is neither
   alphanumeric nor composing, so an apostrophe or hyphen next to one is
   at a line edge either way, and whitespace collapsing turns it into one
-  space. analyze() relies on this: it normalizes line by line and joins
-  the non-empty lines with a space, which equals normalize() of the
-  whole text.
+  space. analyze() relies on this: it splits a whole shard's texts into
+  lines once, normalizes line by line and joins each document's
+  non-empty lines with a space, which equals normalize() of its text,
+  and numbers the shard's words once (number_words).
 - a "word" is a maximal non-space run of the normalized text.
 - a "sentence" is a segment terminated by '.', '!' or '?' followed by
   whitespace or end of text; a trailing unterminated segment containing
@@ -27,7 +28,7 @@ import re
 import unicodedata
 from dataclasses import dataclass
 from importlib import resources
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -104,46 +105,6 @@ def split_sentences(text: str) -> int:
 
 
 @dataclass
-class TokenizedView:
-    """One document split once and shared by every signal group.
-    `raw_lines` is `text.split("\\n")` (empty text has no lines),
-    `lines[i]` the span of raw_lines[i] and its newline (the spans tile
-    [0, len(text)]), `normalized_lines[i]` the normalization of
-    raw_lines[i], `normalized` the non-empty normalized lines joined with
-    a space, and `word_texts` its words."""
-
-    text: str
-    raw_lines: list[str]
-    lines: list[tuple[int, int]]
-    normalized_lines: list[str]
-    normalized: str
-    word_texts: list[str]
-
-
-def analyze(text: str) -> TokenizedView:
-    raw_lines = text.split("\n") if text else []
-    lines = []
-    start = 0
-    for line in raw_lines:
-        end = start + len(line) + 1
-        lines.append((start, end))
-        start = end
-    if lines:
-        lines[-1] = (lines[-1][0], len(text))  # the last line has no newline
-    normalized_lines = [normalize(line) for line in raw_lines]
-    norm = " ".join(n for n in normalized_lines if n)
-    return TokenizedView(
-        text=text,
-        raw_lines=raw_lines,
-        lines=lines,
-        normalized_lines=normalized_lines,
-        normalized=norm,
-        # words are separated by exactly one space in the normalized text
-        word_texts=norm.split(" ") if norm else [],
-    )
-
-
-@dataclass
 class NumberedWords:
     """The words of a batch of documents, numbered once: `vocab` holds
     each distinct word once, in order of first occurrence, `ids` the vocab
@@ -164,6 +125,50 @@ def number_words(documents: list[list[str]]) -> NumberedWords:
         ids=np.fromiter(map(number.__getitem__, words), np.int64, len(words)),
         sizes=np.fromiter(map(len, documents), np.int64, len(documents)),
     )
+
+
+@dataclass
+class ShardText:
+    """A shard's documents split once and shared by every signal group.
+    `texts` are the raw texts; `lines` the lines of every text, document
+    after document (`text.split("\\n")`, and an empty text has none), and
+    `line_counts` each document's number of lines; `normalized_lines[i]`
+    is the normalization of lines[i]. `normalized[d]` is document d's
+    non-empty normalized lines joined with a space, and `words` numbers
+    its words."""
+
+    texts: list[str]
+    lines: list[str]
+    line_counts: np.ndarray
+    normalized_lines: list[str]
+    normalized: list[str]
+    words: NumberedWords
+
+    def line_spans(self) -> tuple[list[int], list[int]]:
+        """(starts, ends) of the lines, each offset within its document: a
+        line's span holds its newline, so a document's spans tile
+        [0, len(text)]."""
+        counts = self.line_counts
+        widths = np.fromiter(map(len, self.lines), np.int64, len(self.lines)) + 1
+        firsts = np.cumsum(counts) - counts
+        widths[(firsts + counts - 1)[counts > 0]] -= 1  # the last line has no newline
+        ends = np.cumsum(widths)
+        # less the ends of the lines of the documents before
+        ends -= np.repeat(np.concatenate(([0], ends))[firsts], counts)
+        return (ends - widths).tolist(), ends.tolist()
+
+
+def analyze(texts: list[str]) -> ShardText:
+    """The ShardText of a shard's raw texts."""
+    split = [text.split("\n") if text else [] for text in texts]
+    lines = list(chain.from_iterable(split))
+    normalized_lines = list(map(normalize, lines))
+    firsts = list(accumulate(map(len, split), initial=0))
+    normalized = [" ".join(filter(None, normalized_lines[first:end]))
+                  for first, end in zip(firsts, firsts[1:])]
+    return ShardText(texts, lines, np.diff(firsts), normalized_lines, normalized,
+                     # words are separated by exactly one space in the normalized text
+                     number_words([norm.split(" ") if norm else [] for norm in normalized]))
 
 
 def load_wordlist(path) -> frozenset[str]:

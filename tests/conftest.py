@@ -3,13 +3,14 @@ and on-disk corpus trees."""
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
-from corpusforge.records import Document, content_digest
+from corpusforge.records import Document, QualitySignalSet, content_digest
 from corpusforge.signals import doc_repetition_signals
-from corpusforge.textnorm import load_language_wordlist, number_words
+from corpusforge.textnorm import analyze, load_language_wordlist
 
 # Vocabulary pools for randomized documents: ordinary words, stop words,
 # punctuation-adjacent tokens, unicode, numerics, and trigger phrases.
@@ -81,9 +82,26 @@ def tricky_text():
     )
 
 
-def repetition_rows(views):
-    """doc_repetition_signals of `views`, the documents of one shard."""
-    return doc_repetition_signals(views, number_words([v.word_texts for v in views]))
+def rows(columns: dict[str, list]) -> list[dict]:
+    """One dict per document of a shard's per-document signal columns."""
+    return [dict(zip(columns, row)) for row in zip(*columns.values())]
+
+
+def repetition_rows(texts: list[str]) -> list[dict]:
+    """doc_repetition_signals of `texts`, the documents of one shard, one
+    dict per document."""
+    return rows(doc_repetition_signals(analyze(texts)))
+
+
+def signal_records(lines: list[str]) -> list[QualitySignalSet]:
+    """The records of signal sidecar lines, each triple a tuple."""
+    records = []
+    for line in lines:
+        raw = json.loads(line)
+        signals = {name: [tuple(t) for t in triples]
+                   for name, triples in raw["quality_signals"].items()}
+        records.append(QualitySignalSet(raw["id"], raw["id_int"], raw["metadata"], signals))
+    return records
 
 
 def make_doc(text: str, **overrides) -> Document:

@@ -47,7 +47,7 @@ from corpusforge.signals import (
 )
 from corpusforge.textnorm import analyze, load_language_wordlist
 
-from conftest import make_doc, random_text, repetition_rows
+from conftest import make_doc, random_text, repetition_rows, rows
 
 
 # ---------------------------------------------------------------------------
@@ -82,10 +82,10 @@ def test_acceptance_1_signals_match_oracle():
     # randomized documents, every signal bit-identical to the reference
     for _ in range(1000):
         text = random_text(rng, max_words=200)
-        view = analyze(text)
-        assert doc_natlang_signals([view], [stop])[0] == oracles.oracle_natlang(text, stop)
-        assert repetition_rows([view])[0] == oracles.oracle_repetition(text)
-        assert line_signals(view) == oracles.oracle_line_signals(text)
+        shard = analyze([text])
+        assert rows(doc_natlang_signals(shard, [stop]))[0] == oracles.oracle_natlang(text, stop)
+        assert repetition_rows([text])[0] == oracles.oracle_repetition(text)
+        assert line_signals(shard) == oracles.oracle_line_signals(text)
 
     # exhaustive n-gram check over all sequences of length <= 12 on a
     # 3-letter alphabet, via canonical equality patterns, all in one call
@@ -93,7 +93,7 @@ def test_acceptance_1_signals_match_oracle():
     alphabet = "abc"
     sizes = (2, 3, 4, 5, 6, 7, 8, 9, 10)
     patterns = [[alphabet[i] for i in seq] for seq in _equality_patterns(12)]
-    reps = repetition_rows([analyze(" ".join(words)) for words in patterns])
+    reps = repetition_rows([" ".join(words) for words in patterns])
     for words, rep in zip(patterns, reps):
         for n in sizes:
             if n in (2, 3, 4):
@@ -111,8 +111,8 @@ def test_acceptance_1_signals_match_oracle():
         length = rng.randint(2, 12)
         seq = [rng.randint(0, 2) for _ in range(length)]
         mapping = rng.sample(letters, 3)
-        base = repetition_rows([analyze(" ".join(alphabet[i] for i in seq))])[0]
-        renamed = repetition_rows([analyze(" ".join(mapping[i] for i in seq))])[0]
+        base = repetition_rows([" ".join(alphabet[i] for i in seq)])[0]
+        renamed = repetition_rows([" ".join(mapping[i] for i in seq)])[0]
         assert base == renamed
 
     assert time.monotonic() - started < 120.0
@@ -302,7 +302,7 @@ def test_acceptance_6_threshold_fidelity():
     code = preset("rpv1_code")
 
     def code_verdict(path, content):
-        record = _signal_record(**code_signals(path, analyze(content)))
+        record = _signal_record(**rows(code_signals(analyze([content]), [path]))[0])
         return evaluate(doc, record, code).verdict
 
     filler = "\n".join(["abcd"] * 99)

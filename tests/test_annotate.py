@@ -18,7 +18,7 @@ from corpusforge.pipeline import PipelineConfig, load_resources
 from corpusforge.records import document_id
 from corpusforge.signal_catalog import SIGNAL_GROUPS
 
-from conftest import make_doc
+from conftest import make_doc, signal_records
 from oracles import signal_invariant_warnings
 
 
@@ -29,7 +29,7 @@ def resources():
 
 def _signals_of(doc, res, names, doc_id):
     """The signals of `doc` as the only document of its shard."""
-    return next(annotate_shard([doc], [doc_id], res, names))
+    return signal_records(annotate_shard([doc], [doc_id], res, names))[0]
 
 
 def test_resolve_signal_names_expands_groups():
@@ -62,8 +62,8 @@ def test_compute_signals_shapes(resources):
     doc = make_doc(text)
     docs = [make_doc("other")] * 3 + [doc]  # doc is the shard's fourth
     ids = [document_id(d, i) for i, d in enumerate(docs)]
-    *_, record = annotate_shard(docs, ids, resources, resolve_signal_names(DEFAULT_SIGNALS),
-                                "2023-14")
+    *_, record = signal_records(annotate_shard(
+        docs, ids, resources, resolve_signal_names(DEFAULT_SIGNALS), "2023-14"))
     assert record.id == f"{doc.cc_segment}/3" and record.id_int == 3
     assert record.metadata["snapshot_id"] == "2023-14"
     assert record.metadata["language"] == "en"
@@ -102,10 +102,10 @@ def test_one_shard_or_three_give_the_same_signals():
         IMPORTANCE_SIGNALS.values(),
         (train_hashed_lm(reference, buckets=64), train_hashed_lm(web, buckets=64)))
     names = resolve_signal_names([*DEFAULT_SIGNALS, "ml"])
-    whole = [r.quality_signals for r in annotate_shard(docs, ids, res, names)]
+    whole = [r.quality_signals for r in signal_records(annotate_shard(docs, ids, res, names))]
     parts = [slice(0, 2), slice(2, 3), slice(3, None)]
     split = [r.quality_signals for part in parts
-             for r in annotate_shard(docs[part], ids[part], res, names)]
+             for r in signal_records(annotate_shard(docs[part], ids[part], res, names))]
     assert split == whole
     assert whole[0]["rps_doc_frac_chars_dupe_5grams"][0][2] > 0.0
     empty = whole[1]
@@ -179,3 +179,38 @@ def test_unknown_language_fails_fast(resources):
     doc = make_doc("texto", language="es")
     with pytest.raises(DataError, match="stop-word"):
         _signals_of(doc, resources, resolve_signal_names(["natlang"]), doc_id="seg/0")
+
+
+# the lines a json.dumps per record wrote, before annotate wrote records
+# from columns
+_NAN_PERPLEXITY_LINE = (
+    '{"id":"seg/0","id_int":0,"metadata":{"cc_net_source":"corpusforge",'
+    '"cc_segment":"crawl-data/CC/segments/0/wet/0.warc.wet.gz","language":"en",'
+    '"snapshot_id":"2023-14","source_domain":"nsfw.example.com",'
+    '"url":"http://example.com/page"},"quality_signals":{"ccnet_bucket":[[0,13,0.0]],'
+    '"ccnet_language_score":[[0,13,0.98]],"ccnet_length":[[0,13,13.0]],'
+    '"ccnet_nlines":[[0,13,2.0]],"ccnet_original_length":[[0,13,13.0]],'
+    '"ccnet_original_nlines":[[0,13,2.0]],"ccnet_perplexity":[[0,13,NaN]],'
+    '"rps_doc_ut1_blacklist":[[0,13,0.0]],"rps_lines_num_words":[[0,10,2.0],[10,13,1.0]]}}')
+_EMPTY_UNDER_KN_LINE = (
+    '{"id":"seg/1","id_int":0,"metadata":{"cc_net_source":"corpusforge",'
+    '"cc_segment":"crawl-data/CC/segments/0/wet/0.warc.wet.gz","language":"en",'
+    '"snapshot_id":"2023-14","source_domain":"example.com",'
+    '"url":"http://example.com/page"},"quality_signals":{"ccnet_bucket":[[0,0,0.0]],'
+    '"ccnet_language_score":[[0,0,0.98]],"ccnet_length":[[0,0,0.0]],'
+    '"ccnet_nlines":[[0,0,0.0]],"ccnet_original_length":[[0,0,0.0]],'
+    '"ccnet_original_nlines":[[0,0,0.0]],"ccnet_perplexity":[[0,0,Infinity]],'
+    '"rps_doc_ut1_blacklist":[],"rps_lines_num_words":[]}}')
+
+
+def test_non_finite_scores_keep_their_bytes():
+    res = load_resources(PipelineConfig())
+    names = resolve_signal_names(["ccnet", "rps_lines_num_words", "rps_doc_ut1_blacklist"])
+    nan_doc = make_doc("One line.\nTwo", perplexity=math.nan,
+                       source_domain="nsfw.example.com")
+    assert annotate_shard([nan_doc], ["seg/0"], res, names, "2023-14") == [
+        _NAN_PERPLEXITY_LINE]
+    # Kneser-Ney perplexity is inf for a document without words
+    res.kn_lm = train_kn_lm([["one", "line"], ["two"]], order=2)
+    assert annotate_shard([make_doc("")], ["seg/1"], res, names, "2023-14") == [
+        _EMPTY_UNDER_KN_LINE]

@@ -699,6 +699,40 @@ def test_bad_shard_or_sidecar_exits_2_with_one_error_line(tmp_path, damage):
     assert str(bad) in lines[0]
 
 
+# a number too large for a float, and an integer past Python's limit on
+# the digits of an integer it converts from text
+@pytest.mark.parametrize("field, value", [("perplexity", "1" * 401), ("nlines", "1" * 5001)],
+                         ids=["float-overflow", "digit-limit"])
+def test_huge_integer_in_a_document_is_a_bad_record(tmp_path, field, value):
+    root = tmp_path / "corpus"
+    lines = [make_doc(f"document number {i}.").to_json() for i in range(100)]
+    good = {"perplexity": '"perplexity":320.5', "nlines": '"nlines":1'}[field]
+    lines.insert(50, make_doc("x").to_json().replace(good, f'"{field}":{value}'))
+    write_jsonl_gz(root / shard_path(ShardAddress("2023-14", 0, "en", "head"), "documents"),
+                   lines)
+    proc = _run_cli(["stats", "--json", "--input", str(root)], {}, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["rows"]["Total"]["all"][0] == 100
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("warning: ") and ": line 51: " in err[0], err
+    assert field in err[0] or "digits" in err[0], err
+
+
+def test_huge_integer_in_a_signals_sidecar_exits_2(tmp_path):
+    root = tmp_path / "corpus"
+    _write_corpus(str(root), ["one two three"])
+    signals = QualitySignalSet("2023-14/seg0/0", 0, {}, {"rps_doc_word_count": [(0, 13, 3)]})
+    sidecar = root / shard_path(ShardAddress("2023-14", 0, "en", "head"), "quality_signals")
+    write_jsonl_gz(sidecar, [signals.to_json().replace("[0,13,3]", f"[0,13,{'1' * 5001}]")])
+    (tmp_path / "rules.json").write_text('{"rps_doc_word_count": {"<": 2}}')
+    proc = _run_cli(["filter", "--preset", "rules.json", "--input", str(root),
+                     "--output", str(tmp_path / "out")], {}, cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {sidecar}: line 1: "), lines
+
+
 @pytest.mark.parametrize("argv, kind", [
     (["annotate"], "quality_signals"),
     (["dedup", "--mode", "fuzzy"], "minhash"),
@@ -914,12 +948,13 @@ def test_line_ids_not_matching_nlines_exits_2(tmp_path, capsys):
 _DYING_WORKER = """
 import multiprocessing, os, sys
 from corpusforge import annotate, cli
-line_signals = annotate.line_signals
-def dying(view):
-    if view.text == "shard 2 document 1 has words.":
-        os._exit(3)  # as the OOM killer would end the worker, mid-write
-    return line_signals(view)
-annotate.line_signals = dying
+annotate_shard = annotate.annotate_shard
+def dying(docs, *args):
+    for i, line in enumerate(annotate_shard(docs, *args)):
+        if i == 1 and docs[0].raw_content == "shard 2 document 0 has words.":
+            os._exit(3)  # as the OOM killer would end the worker, mid-write
+        yield line
+annotate.annotate_shard = dying
 rc = cli.main(sys.argv[1:])
 assert not multiprocessing.active_children()
 sys.exit(rc)

@@ -21,7 +21,7 @@ from corpusforge.pipeline import PipelineConfig, load_resources
 from corpusforge.records import QualitySignalSet
 from corpusforge.signal_catalog import SIGNAL_GROUPS
 
-from conftest import make_doc
+from conftest import make_doc, signal_records
 
 
 @pytest.fixture(scope="module")
@@ -30,8 +30,8 @@ def resources():
 
 
 def _signals_for(doc, resources):
-    return next(annotate_shard([doc], ["seg/0"], resources,
-                               resolve_signal_names(DEFAULT_SIGNALS)))
+    return signal_records(annotate_shard([doc], ["seg/0"], resources,
+                                         resolve_signal_names(DEFAULT_SIGNALS)))[0]
 
 
 def test_compile_structured_ruleset():

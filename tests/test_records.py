@@ -2,11 +2,14 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import corpusforge
 from corpusforge.errors import DataError
@@ -22,9 +25,11 @@ from corpusforge.records import (
     read_signals,
     rewrite_document,
     shard_path,
+    signal_lines,
     write_jsonl_gz,
     iter_jsonl_gz,
 )
+from corpusforge.signal_catalog import ALL_SIGNALS, CATEGORICAL_SIGNALS, LINE_SIGNALS
 
 from conftest import make_doc
 from oracles import document_invariant_warnings, signal_invariant_warnings
@@ -230,3 +235,76 @@ def test_records_loads_neither_numpy_nor_dedup():
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
+
+
+# scores json.dumps writes in its own ways: non-finite, signed zero,
+# subnormal, near the largest float, integral; and strings with quotes,
+# backslashes, control characters and text beyond the BMP
+_SCORES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 3.0, 2]),
+    st.floats(), st.integers(-2**60, 2**60))
+_STRINGS = st.one_of(st.sampled_from(['"', "\\", "a\x00\x1f\x7f", "\U0001F600é", ""]),
+                     st.text())
+_METADATA_KEYS = ["cc_net_source", "cc_segment", "language", "snapshot_id",
+                  "source_domain", "url"]
+
+
+@st.composite
+def _signal_shards(draw):
+    """signal_lines arguments for a few documents, some without lines,
+    and any signals of the catalog."""
+    n = draw(st.integers(0, 4))
+    counts = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    spans = st.lists(st.integers(0, 10**6), min_size=sum(counts), max_size=sum(counts))
+    names = draw(st.sets(st.sampled_from(sorted(ALL_SIGNALS))))
+    columns = {}
+    for name in names:
+        if name in LINE_SIGNALS:
+            size = sum(counts)
+            columns[name] = draw(st.lists(_SCORES, min_size=size, max_size=size))
+        elif name in CATEGORICAL_SIGNALS:
+            columns[name] = draw(st.lists(st.lists(st.integers(0, 40), max_size=3),
+                                          min_size=n, max_size=n))
+        else:
+            columns[name] = draw(st.lists(_SCORES, min_size=n, max_size=n))
+    keys = _METADATA_KEYS + draw(st.lists(_STRINGS, max_size=2))
+    return (draw(st.lists(_STRINGS, min_size=n, max_size=n)),
+            {key: draw(st.lists(_STRINGS, min_size=n, max_size=n)) for key in keys},
+            draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n)),
+            (counts, draw(spans), draw(spans)), columns)
+
+
+# three documents: no lines, with 0 and 3 UT1 category ids, and every
+# signal of the catalog
+_SPECIAL = (
+    ['seg/"0"', "seg\\1", "seg\x01\U0001F600"],
+    dict.fromkeys(_METADATA_KEYS, ['"q"', "back\\slash", "\x1f\U00010348"]),
+    [0, 12, 5],
+    ([0, 2, 1], [0, 6, 0], [6, 12, 5]),
+    {name: ([[], [0, 1, 2], [7]] if name in CATEGORICAL_SIGNALS
+            else [math.nan, math.inf, -math.inf] if name in LINE_SIGNALS
+            else [-0.0, 5e-324, 1e308]) for name in ALL_SIGNALS},
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_signal_shards())
+@example(_SPECIAL)
+def test_signal_lines_equal_to_json(shard):
+    ids, metadata, lengths, (counts, starts, ends), columns = shard
+    expected = []
+    first = 0
+    for d, (doc_id, length, count) in enumerate(zip(ids, lengths, counts)):
+        lines = range(first, first + count)
+        first += count
+        signals = {}
+        for name, values in columns.items():
+            if name in LINE_SIGNALS:
+                signals[name] = [(starts[i], ends[i], float(values[i])) for i in lines]
+            elif name in CATEGORICAL_SIGNALS:
+                signals[name] = [(0, length, float(v)) for v in values[d]]
+            else:
+                signals[name] = [(0, length, float(values[d]))]
+        meta = {key: values[d] for key, values in metadata.items()}
+        expected.append(QualitySignalSet(doc_id, d, meta, signals).to_json())
+    assert signal_lines(ids, metadata, lengths, (counts, starts, ends), columns) == expected

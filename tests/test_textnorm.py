@@ -55,8 +55,13 @@ def test_sentence_counting_matches_oracle(rng):
 
 
 def test_line_spans_tile_and_match_split():
-    for text in ["", "a", "a\nb", "a\n", "\n", "a\n\nb\n", "x" * 5]:
-        spans = analyze(text).lines
+    # the documents of one shard, each document's spans its own
+    texts = ["", "a", "a\nb", "a\n", "\n", "a\n\nb\n", "x" * 5]
+    shard = analyze(texts)
+    starts, ends = shard.line_spans()
+    firsts = [sum(shard.line_counts[:d]) for d in range(len(texts) + 1)]
+    for d, text in enumerate(texts):
+        spans = list(zip(starts, ends))[firsts[d]:firsts[d + 1]]
         assert len(spans) == (len(text.split("\n")) if text else 0)
         pos = 0
         for start, end in spans:
@@ -81,8 +86,9 @@ def test_normalize_is_idempotent(text):
 @example("x'\n'y")
 @example("İ\n'a")
 def test_analyze_matches_normalize(text):
-    view = analyze(text)
-    assert view.normalized == normalize(text) == oracle_normalize(text)
-    assert normalize(view.normalized) == view.normalized
+    shard = analyze([text])
+    assert shard.normalized == [normalize(text)] == [oracle_normalize(text)]
+    assert normalize(shard.normalized[0]) == shard.normalized[0]
     lines = text.split("\n") if text else []
-    assert view.normalized_lines == [oracle_normalize(line) for line in lines]
+    assert shard.lines == lines
+    assert shard.normalized_lines == [oracle_normalize(line) for line in lines]
