@@ -4,18 +4,21 @@ A ruleset is a conjunction of drop rules: a document survives only if no
 document-level rule fires; line-level rules drop individual lines and
 trigger a rewrite. Rule configurations are JSON; the presets shipped
 under data/presets/ cover the C4, Gopher, custom-rules, and code
-heuristics configurations.
+heuristics configurations. evaluate_shard decides a whole shard at once,
+each rule compared once over a column of its signal's values.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import sys
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import accumulate, chain, compress, repeat
 
 from .errors import ConfigError, DataError
-from .records import Document, QualitySignalSet, rewrite_document
+from .records import Document, SignalColumn, rewrite_document
 from .signal_catalog import ALL_SIGNALS, LINE_SIGNALS
 
 _PRESET_DIR = resources.files("corpusforge") / "data" / "presets"
@@ -25,11 +28,11 @@ PRESET_NAMES = tuple(sorted(
 ))
 
 _OPS = {
-    "<": lambda v, t: v < t,
-    "<=": lambda v, t: v <= t,
-    ">": lambda v, t: v > t,
-    ">=": lambda v, t: v >= t,
-    "==": lambda v, t: v == t,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "==": operator.eq,
     "in": lambda v, t: v in t,
 }
 
@@ -41,8 +44,10 @@ class Rule:
     threshold: object
     reason: str
 
-    def fires(self, value) -> bool:
-        return _OPS[self.op](value, self.threshold)
+    def fires(self, values: list) -> list[bool]:
+        """Whether the rule fires on each value, compared by Python's
+        operators, so an int stays exact beyond 2**53."""
+        return list(map(_OPS[self.op], values, repeat(self.threshold)))
 
 
 @dataclass
@@ -57,6 +62,10 @@ class Decision:
     verdict: str  # keep | drop | rewrite
     fired_rules: list[tuple[str, float]] = field(default_factory=list)
     rewritten: Document | None = None
+
+
+KEEP = Decision(verdict="keep")
+DUPLICATE = Decision(verdict="drop", fired_rules=[("duplicate", 1.0)])
 
 
 def _make_rule(signal: str, op: str, threshold, reason: str | None) -> Rule:
@@ -183,87 +192,107 @@ def load_ruleset(spec: str) -> Ruleset:
         raise ConfigError(f"rule file {spec}: {exc}") from exc
 
 
-def _scores(name: str, signals: QualitySignalSet) -> list:
-    """The score of each (start, end, score) triple of one signal;
-    DataError when the value is not a list of triples or a score is not
-    a number (a bool is not one). A signal absent from the record is a
-    ConfigError, never a silent pass: the ruleset does not fit the
-    signals the corpus was annotated with."""
-    triples = signals.quality_signals.get(name)
-    if triples is None:
-        raise ConfigError(f"signal {name} missing from record {signals.id}")
-    if not isinstance(triples, list):
-        raise DataError(
-            f"record {signals.id}: signal {name} is not a list of triples: {triples!r}"
-        )
-    for t in triples:
-        if not (isinstance(t, (list, tuple)) and len(t) == 3
-                and type(t[2]) in (int, float)):
-            raise DataError(
-                f"record {signals.id}: signal {name} has a malformed triple {t!r}"
-            )
-    return [t[2] for t in triples]
+def _first_fault(name: str, column: SignalColumn, docs: list[int], ids: list[str],
+                 nlines: list[int] | None = None) -> tuple[int, Exception | None]:
+    """(position in `docs`, error) of the first of these documents whose
+    value of signal `name` a rule cannot read, else (len(docs), None). A
+    missing signal is a ConfigError, never a silent pass: the ruleset
+    does not fit the signals the corpus was annotated with. A malformed
+    value is a DataError, and so, given `nlines`, is a line signal with
+    another number of spans than its document has lines."""
+    malformed, counts = column.malformed, column.counts
+    if not malformed and (nlines is None or [counts[d] for d in docs] == nlines):
+        return len(docs), None
+    for p, d in enumerate(docs):
+        if d in malformed:
+            if malformed[d] is None:
+                return p, ConfigError(f"signal {name} missing from record {ids[d]}")
+            return p, DataError(f"record {ids[d]}: signal {name} {malformed[d]}")
+        if nlines is not None and counts[d] != nlines[p]:
+            return p, DataError(f"record {ids[d]}: signal {name} has {counts[d]} line spans, "
+                                f"document has {nlines[p]}")
+    return len(docs), None
 
 
-def _doc_value(name: str, signals: QualitySignalSet):
-    scores = _scores(name, signals)
-    if not scores:
-        return 0.0  # no lines, or a categorical signal with no category
+def _doc_values(name: str, column: SignalColumn, docs: list[int]) -> list:
+    """The value a document rule on signal `name` reads for each of these
+    documents: its first score, or the mean score of a line signal; 0.0
+    for none (no lines, or a categorical signal with no category)."""
+    scores, counts = column.scores, column.counts
+    starts = accumulate(counts, initial=0)
     if name in LINE_SIGNALS:
-        # Document-level rule over a line signal: mean of per-line scores.
-        return sum(scores) / len(scores)
-    return scores[0]
+        values = [sum(scores[a:a + c]) / c if c else 0.0 for a, c in zip(starts, counts)]
+    elif counts.count(1) == len(counts):
+        values = scores
+    else:
+        values = [scores[a] if c else 0.0 for a, c in zip(starts, counts)]
+    return values if len(docs) == len(values) else [values[d] for d in docs]
 
 
-def _line_values(name: str, signals: QualitySignalSet, nlines: int):
-    scores = _scores(name, signals)
-    if len(scores) != nlines:
-        raise DataError(
-            f"record {signals.id}: signal {name} has {len(scores)} line spans, "
-            f"document has {nlines}"
-        )
-    return scores
+def evaluate_shard(docs: list[Document], ids: list[str], columns: dict[str, SignalColumn],
+                   rs: Ruleset, duplicates=frozenset()) -> list[Decision]:
+    """The decision on each document of a shard, from `columns`, the
+    SignalColumn of each signal the ruleset reads. A document whose id is
+    in `duplicates` is DUPLICATE, and no rule reads its signals. Each rule
+    is evaluated once over the shard: document rules first; survivors
+    with content go through line rules, which rewrite the content by
+    dropping failing lines. A rewrite that empties the document converts
+    to a drop. The error raised is the first that reading the documents
+    one at a time would meet (see _first_fault); a document to rewrite
+    whose raw_content lines or line_ids do not number nlines is a
+    DataError."""
+    decisions = [DUPLICATE if doc_id in duplicates else KEEP for doc_id in ids]
+    live = [d for d, decision in enumerate(decisions) if decision is KEEP]
+    end, fault = len(live), None
+    for rule in rs.doc_rules:  # the first faulty document; there, the first rule
+        at, exc = _first_fault(rule.signal, columns[rule.signal], live, ids)
+        if at < end:
+            end, fault = at, exc
+    live = live[:end]  # no document after a fault changes the outcome
+    values = {rule.signal: _doc_values(rule.signal, columns[rule.signal], live)
+              for rule in rs.doc_rules}
+    fires = [rule.fires(values[rule.signal]) for rule in rs.doc_rules]
+    dropped = list(map(any, zip(*fires))) if fires else [False] * len(live)
+    for p in compress(range(len(live)), dropped):
+        decisions[live[p]] = Decision(verdict="drop", fired_rules=sorted(
+            [(rule.reason, values[rule.signal][p])
+             for rule, hits in zip(rs.doc_rules, fires) if hits[p]]))
 
-
-def evaluate(doc: Document, signals: QualitySignalSet, rs: Ruleset) -> Decision:
-    """Document rules first; survivors go through line rules, which
-    rewrite the content by dropping failing lines. A rewrite that
-    empties the document converts to a drop. A document to rewrite whose
-    raw_content lines or line_ids do not number nlines is a DataError."""
-    fired = []
-    for rule in rs.doc_rules:
-        value = _doc_value(rule.signal, signals)
-        if rule.fires(value):
-            fired.append((rule.reason, value))
-    if fired:
-        return Decision(verdict="drop", fired_rules=sorted(fired))
-
-    if not rs.line_rules or not doc.raw_content:
-        return Decision(verdict="keep")
-
-    nlines = doc.nlines
-    per_rule = [(rule, _line_values(rule.signal, signals, nlines)) for rule in rs.line_rules]
-    kept = []
-    for i in range(nlines):
-        ok = True
-        for rule, values in per_rule:
-            if rule.fires(values[i]):
-                fired.append((rule.reason, values[i]))
-                ok = False
-        if ok:
-            kept.append(i)
-    if len(kept) == nlines:
-        return Decision(verdict="keep")
-    if not kept:
-        return Decision(
-            verdict="drop",
-            fired_rules=sorted(set(fired)) + [("emptied-by-line-rules", 0.0)],
-        )
-    if doc.raw_content.count("\n") + 1 != nlines or len(doc.line_ids) != nlines:
-        raise DataError(f"record {signals.id}: cannot rewrite it, its raw_content "
-                        f"lines or line_ids do not number nlines={nlines}")
-    return Decision(
-        verdict="rewrite",
-        fired_rules=sorted(set(fired)),
-        rewritten=rewrite_document(doc, kept),
-    )
+    reach = [d for d, drop in zip(live, dropped)
+             if not drop and docs[d].raw_content] if rs.line_rules else []
+    nlines = [docs[d].nlines for d in reach]
+    end = len(reach)
+    for rule in rs.line_rules:
+        at, exc = _first_fault(rule.signal, columns[rule.signal], reach, ids, nlines)
+        if at < end:
+            end, fault = at, exc  # a document before the document rules' fault
+    reach, nlines = reach[:end], nlines[:end]
+    scores = {}
+    for rule in rs.line_rules:  # the scores of the lines of `reach`, in order
+        column = columns[rule.signal]
+        starts = list(accumulate(column.counts, initial=0))
+        scores[rule.signal] = list(chain.from_iterable(
+            column.scores[starts[d]:starts[d] + n] for d, n in zip(reach, nlines)))
+    fires = [rule.fires(scores[rule.signal]) for rule in rs.line_rules]
+    hit = list(map(any, zip(*fires)))
+    last = 0
+    for d, n in zip(reach, nlines):
+        first, last = last, last + n
+        if True not in hit[first:last]:
+            continue
+        fired = [(rule.reason, scores[rule.signal][j]) for j in range(first, last) if hit[j]
+                 for rule, hits in zip(rs.line_rules, fires) if hits[j]]
+        kept = [i for i, h in enumerate(hit[first:last]) if not h]
+        doc = docs[d]
+        if not kept:
+            decisions[d] = Decision(verdict="drop", fired_rules=sorted(set(fired))
+                                    + [("emptied-by-line-rules", 0.0)])
+        elif doc.raw_content.count("\n") + 1 != n or len(doc.line_ids) != n:
+            raise DataError(f"record {ids[d]}: cannot rewrite it, its raw_content "
+                            f"lines or line_ids do not number nlines={n}")
+        else:
+            decisions[d] = Decision(verdict="rewrite", fired_rules=sorted(set(fired)),
+                                    rewritten=rewrite_document(doc, kept))
+    if fault:
+        raise fault
+    return decisions

@@ -16,6 +16,9 @@ holds one 30-page shard's analyzed documents and word arrays at a time).
 
 Both dedup modes key a document by content_digest of its content, never
 by its own `digest` field, which nothing checks against the content.
+filter reads only its rules' signals from a shard's signals sidecar, as
+one column each (records.read_signal_columns), and decides the whole
+shard at once (filtering.evaluate_shard).
 
 Every command is restartable per shard: annotate and filter skip shard
 outputs that already exist unless force is set. dedup rewrites its
@@ -39,7 +42,7 @@ from dataclasses import dataclass, field
 from . import annotate as annotate_mod
 from . import dedup as dedup_mod
 from .errors import ConfigError, DataError
-from .filtering import Decision, Ruleset, evaluate, load_ruleset
+from .filtering import DUPLICATE, Ruleset, evaluate_shard, load_ruleset
 from .kneser_ney import kn_from_payload, kn_payload, train_kn_lm
 from .mlmodels import (
     classifier_from_payload,
@@ -60,7 +63,7 @@ from .records import (
     lone_surrogate,
     parse_shard_path,
     read_documents,
-    read_signals,
+    read_signal_columns,
     shard_path,
     write_jsonl_gz,
 )
@@ -462,8 +465,6 @@ def _dedup_fuzzy(cfg: PipelineConfig) -> dict:
 
 # counts key of each verdict
 _VERDICT_COUNTS = {"keep": "kept", "rewrite": "rewritten", "drop": "dropped"}
-_DUPLICATE = Decision(verdict="drop", fired_rules=[("duplicate", 1.0)])
-_KEEP = Decision(verdict="keep")
 
 
 def cmd_filter(cfg: PipelineConfig) -> dict:
@@ -474,29 +475,25 @@ def cmd_filter(cfg: PipelineConfig) -> dict:
         raise ConfigError(f"filter --output {cfg.output_root} is its --input; "
                           "write the filtered corpus to another directory")
     rs: Ruleset = load_ruleset(cfg.ruleset)
+    names = sorted({rule.signal for rule in rs.doc_rules + rs.line_rules})
 
     def job(addr: ShardAddress, docs, ids) -> Counter:
-        signals = None
-        if rs.doc_rules or rs.line_rules:
-            sig_path = os.path.join(cfg.input_root, shard_path(addr, "quality_signals"))
+        sig_path = os.path.join(cfg.input_root, shard_path(addr, "quality_signals"))
+        columns = {}
+        if names:
             if not os.path.exists(sig_path):
                 raise ConfigError(f"missing signals sidecar for shard "
                                   f"{shard_path(addr, 'documents')}: {sig_path}")
-            signals = read_signals(sig_path, ids)
+            columns = read_signal_columns(sig_path, ids, names)
         dup_path = os.path.join(cfg.input_root, shard_path(addr, "duplicates"))
         duplicates = dedup_mod.read_duplicates(dup_path) if cfg.apply_dedup else set()
+        try:
+            decisions = evaluate_shard(docs, ids, columns, rs, duplicates)
+        except DataError as exc:
+            raise DataError(f"{sig_path}: {exc}") from exc
         out_lines, audit_lines, counts = [], [], Counter()
-        for i, (doc, doc_id) in enumerate(zip(docs, ids)):
-            if doc_id in duplicates:
-                decision, key = _DUPLICATE, "duplicates"
-            elif signals is None:
-                decision, key = _KEEP, "kept"
-            else:
-                try:
-                    decision = evaluate(doc, signals[i], rs)
-                except DataError as exc:
-                    raise DataError(f"{sig_path}: {exc}") from exc
-                key = _VERDICT_COUNTS[decision.verdict]
+        for doc, doc_id, decision in zip(docs, ids, decisions):
+            key = "duplicates" if decision is DUPLICATE else _VERDICT_COUNTS[decision.verdict]
             counts[key] += 1
             if decision.verdict != "keep":
                 audit_lines.append(json.dumps(

@@ -5,12 +5,15 @@ All character offsets are Unicode code-point counts, never bytes, so the
 span triples in signal records are stable across encodings. Writers emit
 a fixed key order and gzip with mtime=0 so reruns are byte-comparable.
 signal_lines writes a shard's signal records straight from per-signal
-columns, as the same text QualitySignalSet.to_json gives; non-finite
+columns, as json.dumps writes a record with sorted keys; non-finite
 scores are written as NaN, Infinity and -Infinity, as json.dumps does.
-Every reader parses a line with one function, and a bad line is a
-DataError naming the file and the line, except that read_documents
-skips a bad document line and returns a warning about it, which the
-shard driver prints in the main process.
+Every reader takes a file in one pass (iter_jsonl_gz: one read,
+decompress and decode, lines split at "\\n" only) and parses a line with
+one function, and a bad line is a DataError naming the file and the
+line, except that read_documents skips a bad document line and returns
+a warning about it, which the shard driver prints in the main process.
+read_signal_columns keeps only the named signals' scores of a signals
+sidecar, one SignalColumn per signal, for filter.
 """
 
 from __future__ import annotations
@@ -71,15 +74,22 @@ _DOC_FIELDS = tuple(
     (name, get_origin(hint) or hint)
     for name, hint in get_type_hints(Document).items()
 )
+# the keys, then the value types, of a record parse_document accepts at
+# once, and the positions of its int fields
+_WELL_FORMED = [*(name for name, _ in _DOC_FIELDS), *(typ for _, typ in _DOC_FIELDS)]
+_INT_FIELDS = [i for i, (_, typ) in enumerate(_DOC_FIELDS) if typ is int]
 
 
 def parse_document(json_line: str, line_number: int | None = None) -> Document:
     """Parse one JSONL document record. Raises DataError for a line that
     is not a JSON object, a missing field, a wrong field type, an integer
     too large for a float or a string holding a lone surrogate, its
-    message led by "line <line_number>: "
-    when one is given; schema invariants such as length ==
-    len(raw_content) are not checked.
+    message led by "line <line_number>: " when one is given; schema
+    invariants such as length == len(raw_content) are not checked.
+    A record holding just the fields, in to_json's order and of their
+    types, is accepted by one comparison; any other goes through the
+    per-field loop, which converts an int in a float field, fills in a
+    missing title or names the fault.
 
     `json_line` must hold no lone surrogate itself, as a line that
     iter_jsonl_gz decoded as strict UTF-8 does. A lone surrogate can then
@@ -88,6 +98,13 @@ def parse_document(json_line: str, line_number: int | None = None) -> Document:
     try:
         raw = _json_object(json_line)
         escaped = "\\ud" in json_line or "\\uD" in json_line
+        values = [*raw.values()]
+        if ([*raw, *map(type, values)] == _WELL_FORMED
+                and all(-_FLOAT_INTS < values[i] < _FLOAT_INTS for i in _INT_FIELDS)
+                and {int}.issuperset(map(type, raw["line_ids"]))
+                and not (escaped and any(type(v) is str and lone_surrogate(v) is not None
+                                         for v in values))):
+            return Document(*values)
         values = {}
         for name, typ in _DOC_FIELDS:
             if name not in raw:
@@ -148,27 +165,6 @@ def document_id(doc: Document, ordinal: int) -> str:
     return f"{doc.cc_segment}/{ordinal}"
 
 
-@dataclass
-class QualitySignalSet:
-    """Dolma-style signal record: signal name -> [(start, end, score)]
-    (lists, not tuples, in a record read from a sidecar)."""
-
-    id: str
-    id_int: int
-    metadata: dict
-    quality_signals: dict[str, list] = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        record = {
-            "id": self.id,
-            "id_int": self.id_int,
-            "metadata": self.metadata,
-            "quality_signals": self.quality_signals,
-        }
-        return json.dumps(record, ensure_ascii=False, separators=(",", ":"),
-                          sort_keys=True)
-
-
 _encode_string = json.JSONEncoder(ensure_ascii=False).encode
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -182,7 +178,8 @@ def signal_lines(ids: list[str], metadata: dict[str, list[str]], lengths: list[i
                  line_spans: tuple[list[int], list[int], list[int]],
                  columns: dict[str, list]) -> list[str]:
     """The sidecar line of each document of a shard, the text that
-    QualitySignalSet.to_json gives for its record. Document d has id
+    json.dumps(record, ensure_ascii=False, separators=(",", ":"),
+    sort_keys=True) gives for its record. Document d has id
     ids[d], id_int d, metadata[key][d] (a string) under each key, and
     length lengths[d]; line_spans holds each document's number of lines,
     then the starts and the ends of all lines. A column holds a score per
@@ -288,20 +285,30 @@ def write_jsonl_gz(path: str | os.PathLike, lines: Iterable[str]) -> int:
 
 
 def iter_jsonl_gz(path: str | os.PathLike) -> Iterator[tuple[int, str]]:
-    """Yield (line_number, line) pairs; line numbers start at 1."""
-    path = os.fspath(path)
-    opener = gzip.open if path.endswith(".gz") else open
+    """Yield (line_number, line) pairs of the non-blank lines; line numbers
+    start at 1. The file is read, decompressed and decoded in one call.
+    Lines end at "\\n" only, and a "\\r" just before it belongs to the line
+    ending; any other "\\r" stays in its line, where JSON reads it as
+    whitespace."""
+    for line_number, line in enumerate(_read_text(os.fspath(path)).split("\n"), start=1):
+        if line:
+            yield line_number, line
+
+
+def _read_text(path: str) -> str:
+    """The text of a (gzip) UTF-8 file, "\\r\\n" read as "\\n"."""
     try:
-        with opener(path, "rt", encoding="utf-8") as fh:
-            for line_number, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if line:
-                    yield line_number, line
+        with open(path, "rb") as fh:
+            data = fh.read()
+        if path.endswith(".gz"):
+            data = gzip.decompress(data)  # every member, as gzip.open reads them
+        text = data.decode("utf-8")
     except OSError as exc:
         raise OSError(f"failed reading {path}: {exc}") from exc
     except (EOFError, zlib.error, UnicodeDecodeError) as exc:
         # a truncated or corrupt gzip stream, or bytes that are not UTF-8
         raise DataError(f"failed reading {path}: {exc}") from exc
+    return text.replace("\r\n", "\n") if "\r" in text else text
 
 
 def _json_object(line: str) -> dict:
@@ -355,28 +362,74 @@ def iter_json_objects(path, *strings: str) -> Iterator[tuple[str, dict]]:
         yield where, raw
 
 
-def read_signals(path, ids: list[str]) -> list[QualitySignalSet]:
-    """The signal records of a shard whose documents have `ids`, which
-    the sidecar holds one per document in document order: record i must
-    carry ids[i] and a JSON object of signals. Anything else is a
-    DataError naming the file and the line. The signal lists are kept as
-    parsed; evaluate checks the triples of the signals it reads."""
-    records = []
-    for where, raw in iter_json_objects(path):
-        i = len(records)
-        if i == len(ids):
+@dataclass
+class SignalColumn:
+    """One signal over the records of a shard. A value is well formed
+    when it is a list of (start, end, score) triples with int or float
+    scores: `scores` holds the scores of the well-formed values in
+    document order, and counts[d] how many document d has. `malformed`
+    maps each other document to why its value is not well formed, or to
+    None for a missing (or null) value; its count is 0."""
+
+    scores: list = field(default_factory=list)
+    counts: list[int] = field(default_factory=list)
+    malformed: dict[int, str | None] = field(default_factory=dict)
+
+
+_NUMBER = frozenset({int, float})
+
+
+def _malformed(value) -> str | None:
+    """Why a value that is not well formed is not; None when missing."""
+    if value is None:
+        return None
+    if type(value) is not list:
+        return f"is not a list of triples: {value!r}"
+    bad = next(t for t in value
+               if not (type(t) is list and len(t) == 3 and type(t[2]) in _NUMBER))
+    return f"has a malformed triple {bad!r}"
+
+
+def read_signal_columns(path, ids: list[str], names: Iterable[str]) -> dict[str, SignalColumn]:
+    """The SignalColumn of each of `names` over the signals sidecar of a
+    shard whose documents have `ids`, which holds one record per document
+    in document order: record i must carry ids[i] and a JSON object of
+    signals. Anything else is a DataError naming the file and the line.
+    Only these signals' scores are kept, so each record goes once read;
+    the rules that read a malformed value report it."""
+    columns = {name: SignalColumn() for name in names}
+    parts = [(name, column.scores, column.counts, column.malformed)
+             for name, column in columns.items()]
+    read = 0
+    for d, (where, raw) in enumerate(iter_json_objects(path)):
+        if d == len(ids):
             raise DataError(f"{where}: extra record, the shard has {len(ids)} documents")
-        if raw.get("id") != ids[i]:
-            raise DataError(f"{where}: record id {raw.get('id')!r}, expected {ids[i]!r}")
+        if raw.get("id") != ids[d]:
+            raise DataError(f"{where}: record id {raw.get('id')!r}, expected {ids[d]!r}")
         signals = raw.get("quality_signals")
         if not isinstance(signals, dict):
             raise DataError(f"{where}: quality_signals is not a JSON object")
-        records.append(QualitySignalSet(
-            ids[i], raw.get("id_int", -1), raw.get("metadata", {}), signals))
-    if len(records) < len(ids):
-        raise DataError(f"{path}: {len(records)} records for {len(ids)} documents; "
-                        f"no record for {ids[len(records)]}")
-    return records
+        for name, scores, counts, malformed in parts:
+            value = signals.get(name)
+            if type(value) is list:
+                # most values are one triple
+                if (len(value) == 1 and type(t := value[0]) is list and len(t) == 3
+                        and type(score := t[2]) in _NUMBER):
+                    scores.append(score)
+                    counts.append(1)
+                    continue
+                got = [t[2] for t in value if type(t) is list and len(t) == 3]
+                if len(got) == len(value) and _NUMBER.issuperset(map(type, got)):
+                    scores += got
+                    counts.append(len(got))
+                    continue
+            malformed[d] = _malformed(value)
+            counts.append(0)
+        read = d + 1
+    if read < len(ids):
+        raise DataError(f"{path}: {read} records for {len(ids)} documents; "
+                        f"no record for {ids[read]}")
+    return columns
 
 
 def rewrite_document(doc: Document, kept_line_indexes: list[int]) -> Document:

@@ -4,13 +4,17 @@ and on-disk corpus trees."""
 from __future__ import annotations
 
 import json
+import os
 import random
+import tempfile
 
 import pytest
 
-from corpusforge.records import Document, QualitySignalSet, content_digest
+from corpusforge.filtering import evaluate_shard
+from corpusforge.records import Document, content_digest, read_signal_columns, write_jsonl_gz
 from corpusforge.signals import doc_repetition_signals
 from corpusforge.textnorm import analyze, load_language_wordlist
+from oracles import QualitySignalSet
 
 # Vocabulary pools for randomized documents: ordinary words, stop words,
 # punctuation-adjacent tokens, unicode, numerics, and trigger phrases.
@@ -102,6 +106,24 @@ def signal_records(lines: list[str]) -> list[QualitySignalSet]:
                    for name, triples in raw["quality_signals"].items()}
         records.append(QualitySignalSet(raw["id"], raw["id_int"], raw["metadata"], signals))
     return records
+
+
+def shard_decisions(docs, records, rs, duplicates=()) -> list:
+    """filtering.evaluate_shard over a shard of `docs` whose signals
+    sidecar holds `records` (QualitySignalSets), read as filter reads it;
+    the document ids are the records' ids."""
+    ids = [r.id for r in records]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "shard.signals.json.gz")
+        write_jsonl_gz(path, [r.to_json() for r in records])
+        columns = read_signal_columns(
+            path, ids, {rule.signal for rule in rs.doc_rules + rs.line_rules})
+    return evaluate_shard(docs, ids, columns, rs, set(duplicates))
+
+
+def decide(doc, record, rs):
+    """The decision on `doc` as the one document of a shard."""
+    return shard_decisions([doc], [record], rs)[0]
 
 
 def make_doc(text: str, **overrides) -> Document:

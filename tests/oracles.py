@@ -1,14 +1,17 @@
 """Independent brute-force reference implementations of the quality
 signals, written against the documented conventions rather than the
-library code. Tests compare library output against these for
-bit-identical agreement. The schema-invariant checkers and `kn_prob` at
-the end are the checks that only tests need."""
+library code, and the per-document rule evaluation that filtering's
+shard-level evaluation must agree with. Tests compare library output
+against these for bit-identical agreement. The schema-invariant
+checkers and `kn_prob` at the end are the checks that only tests need."""
 
 from __future__ import annotations
 
+import json
 import math
 import unicodedata
 from collections import Counter
+from dataclasses import dataclass, field
 
 # ---------------------------------------------------------------------------
 # Normalization (reference): NFC, drop punctuation/symbols except
@@ -478,6 +481,31 @@ def oracle_lsh_candidates(signatures, bands: int, rows: int) -> set[tuple[int, i
 
 
 # ---------------------------------------------------------------------------
+# Signal records (reference): the record records.signal_lines writes as
+# one line, built as a dict and written by json.dumps.
+
+
+@dataclass
+class QualitySignalSet:
+    """Dolma-style signal record: signal name -> [(start, end, score)]."""
+
+    id: str
+    id_int: int
+    metadata: dict
+    quality_signals: dict[str, list] = field(default_factory=dict)
+
+    def to_json(self) -> str:
+        record = {
+            "id": self.id,
+            "id_int": self.id_int,
+            "metadata": self.metadata,
+            "quality_signals": self.quality_signals,
+        }
+        return json.dumps(record, ensure_ascii=False, separators=(",", ":"),
+                          sort_keys=True)
+
+
+# ---------------------------------------------------------------------------
 # Schema invariants of documents and signal records. Reading a record
 # does not check them; tests do, on the records the library writes.
 
@@ -542,3 +570,150 @@ def signal_invariant_warnings(record, doc_length: int | None = None) -> list[str
             if (start, end) != (0, doc_length):
                 warnings.append(f"{name}: span ({start},{end}) != (0,{doc_length})")
     return warnings
+
+
+# ---------------------------------------------------------------------------
+# Document records (reference): every field checked on its own, as
+# records.parse_document does for any record it does not accept at once.
+
+
+def oracle_parse_document(json_line: str):
+    """The Document of one JSONL line, or a DataError naming its first
+    fault: not a JSON object, a missing field (title defaults to ""), a
+    wrong type (an int is a float, a bool is no int), an integer a float
+    cannot hold, a lone surrogate, or line_ids not all integers."""
+    from corpusforge.errors import DataError
+    from corpusforge.records import Document, lone_surrogate
+
+    try:
+        raw = json.loads(json_line)
+    except (ValueError, RecursionError) as exc:
+        raise DataError(f"malformed JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise DataError("record is not a JSON object")
+    limit = 2**1024 - 2**970
+    values = {}
+    for name, typ in Document.__annotations__.items():
+        typ = {"str": str, "int": int, "float": float, "list[int]": list}[typ]
+        if name not in raw:
+            if name == "title":
+                values[name] = ""
+                continue
+            raise DataError(f"missing required field {name}")
+        value = raw[name]
+        if typ is not str and type(value) is int and not -limit < value < limit:
+            raise DataError(f"field {name} is an integer too large for a float")
+        if typ is float and type(value) is int:
+            value = float(value)
+        if typ is int and type(value) is bool:
+            raise DataError(f"field {name} has wrong type bool")
+        if not isinstance(value, typ):
+            raise DataError(f"field {name} has wrong type {type(value).__name__}")
+        if typ is str and (at := lone_surrogate(value)) is not None:
+            raise DataError(f"field {name} holds a lone surrogate at character {at}")
+        values[name] = value
+    if any(type(i) is not int for i in values["line_ids"]):
+        raise DataError("field line_ids must be a list of integers")
+    return Document(**values)
+
+
+# ---------------------------------------------------------------------------
+# Rule evaluation (reference): one document at a time, each rule reading
+# the record's triples of its signal, as filter did before it evaluated
+# whole shards.
+
+_RULE_OPS = {
+    "<": lambda v, t: v < t,
+    "<=": lambda v, t: v <= t,
+    ">": lambda v, t: v > t,
+    ">=": lambda v, t: v >= t,
+    "==": lambda v, t: v == t,
+    "in": lambda v, t: v in t,
+}
+
+
+def _oracle_scores(name: str, signals) -> list:
+    """The scores of one signal's triples in a QualitySignalSet; a
+    ConfigError when it is absent, a DataError when it is not a list of
+    (start, end, number) triples (a bool is not a number)."""
+    from corpusforge.errors import ConfigError, DataError
+
+    triples = signals.quality_signals.get(name)
+    if triples is None:
+        raise ConfigError(f"signal {name} missing from record {signals.id}")
+    if not isinstance(triples, list):
+        raise DataError(
+            f"record {signals.id}: signal {name} is not a list of triples: {triples!r}"
+        )
+    for t in triples:
+        if not (isinstance(t, (list, tuple)) and len(t) == 3
+                and type(t[2]) in (int, float)):
+            raise DataError(
+                f"record {signals.id}: signal {name} has a malformed triple {t!r}"
+            )
+    return [t[2] for t in triples]
+
+
+def oracle_evaluate(doc, signals, rs):
+    """The Decision on one document: document rules first (a line
+    signal's value is the mean of its line scores, an empty signal's is
+    0.0); survivors with content go through line rules, which rewrite
+    the content by dropping failing lines. A rewrite that empties the
+    document converts to a drop. A line signal whose span count is not
+    nlines, or a document to rewrite whose raw_content lines or line_ids
+    do not number nlines, is a DataError."""
+    from corpusforge.errors import DataError
+    from corpusforge.filtering import Decision
+    from corpusforge.records import rewrite_document
+    from corpusforge.signal_catalog import LINE_SIGNALS
+
+    fired = []
+    for rule in rs.doc_rules:
+        scores = _oracle_scores(rule.signal, signals)
+        if not scores:
+            value = 0.0
+        elif rule.signal in LINE_SIGNALS:
+            value = sum(scores) / len(scores)
+        else:
+            value = scores[0]
+        if _RULE_OPS[rule.op](value, rule.threshold):
+            fired.append((rule.reason, value))
+    if fired:
+        return Decision(verdict="drop", fired_rules=sorted(fired))
+    if not rs.line_rules or not doc.raw_content:
+        return Decision(verdict="keep")
+
+    nlines = doc.nlines
+    per_rule = []
+    for rule in rs.line_rules:
+        scores = _oracle_scores(rule.signal, signals)
+        if len(scores) != nlines:
+            raise DataError(
+                f"record {signals.id}: signal {rule.signal} has {len(scores)} line spans, "
+                f"document has {nlines}"
+            )
+        per_rule.append((rule, scores))
+    kept = []
+    for i in range(nlines):
+        ok = True
+        for rule, values in per_rule:
+            if _RULE_OPS[rule.op](values[i], rule.threshold):
+                fired.append((rule.reason, values[i]))
+                ok = False
+        if ok:
+            kept.append(i)
+    if len(kept) == nlines:
+        return Decision(verdict="keep")
+    if not kept:
+        return Decision(
+            verdict="drop",
+            fired_rules=sorted(set(fired)) + [("emptied-by-line-rules", 0.0)],
+        )
+    if doc.raw_content.count("\n") + 1 != nlines or len(doc.line_ids) != nlines:
+        raise DataError(f"record {signals.id}: cannot rewrite it, its raw_content "
+                        f"lines or line_ids do not number nlines={nlines}")
+    return Decision(
+        verdict="rewrite",
+        fired_rules=sorted(set(fired)),
+        rewritten=rewrite_document(doc, kept),
+    )

@@ -24,7 +24,7 @@ from corpusforge.dedup import (
     lsh_candidates,
     minhash_signatures,
 )
-from corpusforge.filtering import evaluate, preset
+from corpusforge.filtering import preset
 from corpusforge.kneser_ney import train_kn_lm
 from corpusforge.mlmodels import (
     dsir_importance,
@@ -34,7 +34,6 @@ from corpusforge.mlmodels import (
     training_accuracy,
 )
 from corpusforge.records import (
-    QualitySignalSet,
     ShardAddress,
     content_digest,
     shard_path,
@@ -47,7 +46,7 @@ from corpusforge.signals import (
 )
 from corpusforge.textnorm import analyze, load_language_wordlist
 
-from conftest import make_doc, random_text, repetition_rows, rows
+from conftest import decide, make_doc, random_text, repetition_rows, rows
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +272,8 @@ def test_acceptance_5_dedup_semantics():
 # 6. Filter threshold fidelity
 
 
-def _signal_record(**scores) -> QualitySignalSet:
-    return QualitySignalSet(
+def _signal_record(**scores) -> oracles.QualitySignalSet:
+    return oracles.QualitySignalSet(
         id="t", id_int=0, metadata={},
         quality_signals={k: [(0, 1, float(v))] for k, v in scores.items()},
     )
@@ -284,8 +283,8 @@ def test_acceptance_6_threshold_fidelity():
     doc = make_doc("x")
 
     wikiref = preset("rpv1_wikiref")
-    drop = evaluate(doc, _signal_record(rps_doc_ml_wikiref_score=0.2499), wikiref)
-    keep = evaluate(doc, _signal_record(rps_doc_ml_wikiref_score=0.2501), wikiref)
+    drop = decide(doc, _signal_record(rps_doc_ml_wikiref_score=0.2499), wikiref)
+    keep = decide(doc, _signal_record(rps_doc_ml_wikiref_score=0.2501), wikiref)
     assert (drop.verdict, keep.verdict) == ("drop", "keep")
 
     custom = preset("custom_rules")
@@ -294,8 +293,8 @@ def test_acceptance_6_threshold_fidelity():
         rps_doc_mean_line_length=80,
         rps_doc_ml_wikiref_score=0.9,
     )
-    drop = evaluate(doc, _signal_record(ccnet_perplexity=30.01, **passing), custom)
-    keep = evaluate(doc, _signal_record(ccnet_perplexity=29.99, **passing), custom)
+    drop = decide(doc, _signal_record(ccnet_perplexity=30.01, **passing), custom)
+    keep = decide(doc, _signal_record(ccnet_perplexity=29.99, **passing), custom)
     assert (drop.verdict, keep.verdict) == ("drop", "keep")
 
     # code heuristics, each metric isolated at its boundary
@@ -303,7 +302,7 @@ def test_acceptance_6_threshold_fidelity():
 
     def code_verdict(path, content):
         record = _signal_record(**rows(code_signals(analyze([content]), [path]))[0])
-        return evaluate(doc, record, code).verdict
+        return decide(doc, record, code).verdict
 
     filler = "\n".join(["abcd"] * 99)
     assert code_verdict("x.py", "a" * 1000 + "\n" + filler) == "keep"

@@ -23,7 +23,6 @@ from corpusforge.mlmodels import (
     train_hashed_lm,
 )
 from corpusforge.records import (
-    QualitySignalSet,
     ShardAddress,
     content_digest,
     shard_path,
@@ -33,6 +32,7 @@ from corpusforge.signal_catalog import SIGNAL_GROUPS
 from corpusforge.textnorm import number_words
 
 from conftest import make_doc
+from oracles import QualitySignalSet
 
 
 def _write_corpus(root, texts, snapshot="2023-14", language="en", bucket="head",
@@ -716,6 +716,23 @@ def test_huge_integer_in_a_document_is_a_bad_record(tmp_path, field, value):
     err = proc.stderr.splitlines()
     assert len(err) == 1 and err[0].startswith("warning: ") and ": line 51: " in err[0], err
     assert field in err[0] or "digits" in err[0], err
+
+
+def test_carriage_return_inside_a_record_is_json_whitespace(tmp_path, capsys):
+    """A raw \\r between the JSON tokens of line 6 leaves it one valid
+    record on one line, so the one bad line, line 150, is the only
+    warning and names its own line."""
+    root = tmp_path / "corpus"
+    lines = [make_doc(f"document number {i}.").to_json() for i in range(200)]
+    lines[5] = lines[5].replace(',"date_download"', ',\r"date_download"', 1)
+    lines[149] = "{broken"
+    write_jsonl_gz(root / shard_path(ShardAddress("2023-14", 0, "en", "head"), "documents"),
+                   lines)
+    assert main(["stats", "--json", "--input", str(root)]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["rows"]["Total"]["all"][0] == 199
+    err = err.splitlines()
+    assert len(err) == 1 and err[0].startswith("warning: ") and ": line 150: " in err[0], err
 
 
 def test_huge_integer_in_a_signals_sidecar_exits_2(tmp_path):

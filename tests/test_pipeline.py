@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 
 from corpusforge import pipeline
 from corpusforge.errors import ConfigError
-from corpusforge.records import QualitySignalSet, ShardAddress, shard_path, write_jsonl_gz
+from corpusforge.records import ShardAddress, shard_path, write_jsonl_gz
 
 from conftest import make_doc
+from oracles import QualitySignalSet
 
 
 def _write_corpus(root, texts, snapshot="2023-14", language="en",

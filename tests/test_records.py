@@ -1,5 +1,6 @@
 """Record schemas, shard naming, and compressed JSONL IO."""
 
+import gzip
 import hashlib
 import json
 import math
@@ -15,14 +16,14 @@ import corpusforge
 from corpusforge.errors import DataError
 from corpusforge.records import (
     Document,
-    QualitySignalSet,
     ShardAddress,
     content_digest,
     document_id,
+    lone_surrogate,
     parse_document,
     parse_shard_path,
     read_documents,
-    read_signals,
+    read_signal_columns,
     rewrite_document,
     shard_path,
     signal_lines,
@@ -32,7 +33,12 @@ from corpusforge.records import (
 from corpusforge.signal_catalog import ALL_SIGNALS, CATEGORICAL_SIGNALS, LINE_SIGNALS
 
 from conftest import make_doc
-from oracles import document_invariant_warnings, signal_invariant_warnings
+from oracles import (
+    QualitySignalSet,
+    document_invariant_warnings,
+    oracle_parse_document,
+    signal_invariant_warnings,
+)
 
 
 def test_document_roundtrip():
@@ -131,10 +137,11 @@ def test_signal_record_roundtrip_and_invariants(tmp_path):
     )
     path = tmp_path / "shard.signals.json.gz"
     write_jsonl_gz(path, [rec.to_json()])
-    (parsed,) = read_signals(path, ["seg/0"])
-    assert (parsed.id, parsed.id_int, parsed.metadata) == ("seg/0", 0, {"language": "en"})
-    assert parsed.quality_signals == {
-        name: [list(t) for t in triples] for name, triples in rec.quality_signals.items()
+    columns = read_signal_columns(path, ["seg/0"], rec.quality_signals)
+    assert {name: (column.scores, column.counts, column.malformed)
+            for name, column in columns.items()} == {
+        name: ([t[2] for t in triples], [len(triples)], {})
+        for name, triples in rec.quality_signals.items()
     }
     assert signal_invariant_warnings(rec, doc_length=10) == []
     bad = QualitySignalSet(
@@ -144,7 +151,7 @@ def test_signal_record_roundtrip_and_invariants(tmp_path):
     assert any("tile" in w for w in signal_invariant_warnings(bad, doc_length=10))
     write_jsonl_gz(path, ['{"id": "x"}'])
     with pytest.raises(DataError, match=f"{path}: line 1: quality_signals"):
-        read_signals(path, ["x"])
+        read_signal_columns(path, ["x"], ["rps_doc_word_count"])
 
 
 def test_write_jsonl_gz_deterministic(tmp_path):
@@ -212,6 +219,93 @@ def test_read_documents_collects_errors(tmp_path, capsys):
     write_jsonl_gz(path, lines[:3])
     with pytest.raises(DataError, match="1/3 bad records exceeds the 1% threshold"):
         read_documents(path)
+
+
+def _text_mode_lines(path) -> list[tuple[int, str]]:
+    """The (line_number, line) pairs of a file's non-blank lines as a
+    text-mode reader gives them, which also ends a line at a lone \\r."""
+    opener = gzip.open if str(path).endswith(".gz") else open
+    with opener(path, "rt", encoding="utf-8") as fh:
+        return [(n, line.rstrip("\n")) for n, line in enumerate(fh, start=1)
+                if line.rstrip("\n")]
+
+
+# files without a lone \r, which a text-mode reader would take for a line end
+@pytest.mark.parametrize("name, data", [
+    pytest.param(name, data, id=name.split(".")[0])
+    for name, data in [
+        ("blank-lines.json.gz", gzip.compress(b'{"a":1}\n\n{"b":2}\n\n\n{"c":3}\n\n')),
+        ("crlf.json.gz", gzip.compress(b'{"a":1}\r\n\r\n{"b": 2}\r\n{"c":3}\r\n')),
+        ("no-final-newline.json.gz", gzip.compress(b'{"a":1}\n{"b":2}')),
+        ("crlf-no-final-newline.json.gz", gzip.compress(b'\r\n{"a":1}\r\n{"b":2}')),
+        ("two-members.json.gz",
+         gzip.compress(b'{"a":1}\n{"b"') + gzip.compress(b':2}\r\n\n{"c":3}\n')),
+        ("plain.jsonl",
+         b'{"a":1}\r\n\n{"t":"\xc3\xa9 \xe2\x80\xa8 \xf0\x9f\x98\x80"}\n'),
+        ("empty.json.gz", gzip.compress(b"")),
+    ]
+])
+def test_iter_jsonl_gz_matches_a_text_mode_reader(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    assert list(iter_jsonl_gz(path)) == _text_mode_lines(path)
+
+
+# values of every JSON type, and those parse_document treats apart: ints
+# a float cannot hold, ints past 2**53, bools, lone surrogates
+_ODD_VALUES = st.sampled_from([
+    0, 7, -3, 2.5, 1e300, math.nan, True, False, None, "s", "", [], [1, 2], [1, True],
+    [1.0], 2**1100, -2**1100, 2**53 + 1, "\ud800", "a\udfffb", "\U0001F600", {"k": 1},
+])
+
+
+@st.composite
+def _document_lines(draw):
+    """A good document record with some fields changed, left out or
+    added, in any key order, as one JSON line (a lone surrogate only as
+    a \\u escape, as a strict UTF-8 file holds it)."""
+    record = json.loads(make_doc("fine\nline").to_json())
+    keys = list(record)
+    for key in draw(st.lists(st.sampled_from(keys), max_size=3)):
+        record[key] = draw(_ODD_VALUES)
+    for key in draw(st.lists(st.sampled_from(keys), max_size=2)):
+        record.pop(key, None)
+    record.update(draw(st.dictionaries(st.sampled_from(["extra", "x"]), _ODD_VALUES,
+                                       max_size=2)))
+    if draw(st.booleans()):
+        record = {key: record[key] for key in draw(st.permutations(list(record)))}
+    lone = any(isinstance(v, str) and lone_surrogate(v) is not None for v in record.values())
+    return json.dumps(record, ensure_ascii=lone or draw(st.booleans()))
+
+
+def _record_line(**changes) -> str:
+    record = json.loads(make_doc("fine").to_json())
+    record.update(changes)
+    return json.dumps({k: v for k, v in record.items() if v is not None})
+
+
+@settings(max_examples=400, deadline=None)
+@given(_document_lines())
+@example(_record_line(title=None))
+@example(_record_line(language_score=1, perplexity=-3))
+@example(_record_line(nlines=True))
+@example(_record_line(original_length=2**1100))
+@example(_record_line(line_ids=[0, 2**1100]))
+@example(_record_line(line_ids=[0, True]))
+@example(_record_line(line_ids=[0, 1.0]))
+@example(_record_line(raw_content="ok \ud800 then"))
+@example(_record_line(extra="key", more=[1]))
+@example(make_doc("fine").to_json())
+def test_parse_document_agrees_with_the_per_field_loop(line):
+    try:
+        expected = oracle_parse_document(line)
+    except DataError as exc:
+        with pytest.raises(DataError) as info:
+            parse_document(line)
+        assert str(info.value) == str(exc)
+    else:
+        # repr tells an int from an equal float
+        assert repr(parse_document(line)) == repr(expected)
 
 
 def test_rewrite_document():
