@@ -192,25 +192,24 @@ def load_ruleset(spec: str) -> Ruleset:
         raise ConfigError(f"rule file {spec}: {exc}") from exc
 
 
-def _first_fault(name: str, column: SignalColumn, docs: list[int], ids: list[str],
-                 nlines: list[int] | None = None) -> tuple[int, Exception | None]:
-    """(position in `docs`, error) of the first of these documents whose
-    value of signal `name` a rule cannot read, else (len(docs), None). A
-    missing signal is a ConfigError, never a silent pass: the ruleset
-    does not fit the signals the corpus was annotated with. A malformed
-    value is a DataError, and so, given `nlines`, is a line signal with
-    another number of spans than its document has lines."""
-    malformed, counts = column.malformed, column.counts
-    if not malformed and (nlines is None or [counts[d] for d in docs] == nlines):
-        return len(docs), None
+def _first_fault(rules: list[Rule], columns: dict[str, SignalColumn], docs: list[int],
+                 ids: list[str], nlines: list[int] | None = None) -> tuple[int, Exception | None]:
+    """(position in `docs`, error) of the first of these documents with a
+    value that one of `rules` cannot read, there the first such rule; else
+    (len(docs), None). A missing signal is a ConfigError, never a silent
+    pass: the ruleset does not fit the signals the corpus was annotated
+    with. A malformed value is a DataError, and so, given `nlines`, is a
+    line signal with another number of spans than its document has lines."""
+    signals = [(rule.signal, columns[rule.signal]) for rule in rules]
     for p, d in enumerate(docs):
-        if d in malformed:
-            if malformed[d] is None:
-                return p, ConfigError(f"signal {name} missing from record {ids[d]}")
-            return p, DataError(f"record {ids[d]}: signal {name} {malformed[d]}")
-        if nlines is not None and counts[d] != nlines[p]:
-            return p, DataError(f"record {ids[d]}: signal {name} has {counts[d]} line spans, "
-                                f"document has {nlines[p]}")
+        for name, column in signals:
+            if d in column.malformed:
+                if column.malformed[d] is None:
+                    return p, ConfigError(f"signal {name} missing from record {ids[d]}")
+                return p, DataError(f"record {ids[d]}: signal {name} {column.malformed[d]}")
+            if nlines is not None and column.counts[d] != nlines[p]:
+                return p, DataError(f"record {ids[d]}: signal {name} has {column.counts[d]} "
+                                    f"line spans, document has {nlines[p]}")
     return len(docs), None
 
 
@@ -219,14 +218,10 @@ def _doc_values(name: str, column: SignalColumn, docs: list[int]) -> list:
     documents: its first score, or the mean score of a line signal; 0.0
     for none (no lines, or a categorical signal with no category)."""
     scores, counts = column.scores, column.counts
-    starts = accumulate(counts, initial=0)
-    if name in LINE_SIGNALS:
-        values = [sum(scores[a:a + c]) / c if c else 0.0 for a, c in zip(starts, counts)]
-    elif counts.count(1) == len(counts):
-        values = scores
-    else:
-        values = [scores[a] if c else 0.0 for a, c in zip(starts, counts)]
-    return values if len(docs) == len(values) else [values[d] for d in docs]
+    starts = list(accumulate(counts, initial=0))
+    mean = name in LINE_SIGNALS
+    return [(sum(scores[starts[d]:starts[d + 1]]) / counts[d] if mean else scores[starts[d]])
+            if counts[d] else 0.0 for d in docs]
 
 
 def evaluate_shard(docs: list[Document], ids: list[str], columns: dict[str, SignalColumn],
@@ -243,11 +238,7 @@ def evaluate_shard(docs: list[Document], ids: list[str], columns: dict[str, Sign
     DataError."""
     decisions = [DUPLICATE if doc_id in duplicates else KEEP for doc_id in ids]
     live = [d for d, decision in enumerate(decisions) if decision is KEEP]
-    end, fault = len(live), None
-    for rule in rs.doc_rules:  # the first faulty document; there, the first rule
-        at, exc = _first_fault(rule.signal, columns[rule.signal], live, ids)
-        if at < end:
-            end, fault = at, exc
+    end, fault = _first_fault(rs.doc_rules, columns, live, ids)
     live = live[:end]  # no document after a fault changes the outcome
     values = {rule.signal: _doc_values(rule.signal, columns[rule.signal], live)
               for rule in rs.doc_rules}
@@ -261,12 +252,9 @@ def evaluate_shard(docs: list[Document], ids: list[str], columns: dict[str, Sign
     reach = [d for d, drop in zip(live, dropped)
              if not drop and docs[d].raw_content] if rs.line_rules else []
     nlines = [docs[d].nlines for d in reach]
-    end = len(reach)
-    for rule in rs.line_rules:
-        at, exc = _first_fault(rule.signal, columns[rule.signal], reach, ids, nlines)
-        if at < end:
-            end, fault = at, exc  # a document before the document rules' fault
-    reach, nlines = reach[:end], nlines[:end]
+    end, line_fault = _first_fault(rs.line_rules, columns, reach, ids, nlines)
+    # a line fault is at a document before the document rules' fault
+    reach, nlines, fault = reach[:end], nlines[:end], line_fault or fault
     scores = {}
     for rule in rs.line_rules:  # the scores of the lines of `reach`, in order
         column = columns[rule.signal]

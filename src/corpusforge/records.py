@@ -285,13 +285,14 @@ def write_jsonl_gz(path: str | os.PathLike, lines: Iterable[str]) -> int:
 
 
 def iter_jsonl_gz(path: str | os.PathLike) -> Iterator[tuple[int, str]]:
-    """Yield (line_number, line) pairs of the non-blank lines; line numbers
-    start at 1. The file is read, decompressed and decoded in one call.
-    Lines end at "\\n" only, and a "\\r" just before it belongs to the line
-    ending; any other "\\r" stays in its line, where JSON reads it as
-    whitespace."""
+    """Yield (line_number, line) pairs of the lines holding more than
+    "\\r"s; line numbers start at 1. The file is read, decompressed and
+    decoded in one call, and its lines stay in memory until the last is
+    read. Lines end at "\\n" only, and a "\\r" just before it belongs to
+    the line ending; any other "\\r" stays in its line, where JSON reads it
+    as whitespace."""
     for line_number, line in enumerate(_read_text(os.fspath(path)).split("\n"), start=1):
-        if line:
+        if line.strip("\r"):
             yield line_number, line
 
 
@@ -308,6 +309,7 @@ def _read_text(path: str) -> str:
     except (EOFError, zlib.error, UnicodeDecodeError) as exc:
         # a truncated or corrupt gzip stream, or bytes that are not UTF-8
         raise DataError(f"failed reading {path}: {exc}") from exc
+    del data  # before the replace copies the text
     return text.replace("\r\n", "\n") if "\r" in text else text
 
 
@@ -412,14 +414,9 @@ def read_signal_columns(path, ids: list[str], names: Iterable[str]) -> dict[str,
         for name, scores, counts, malformed in parts:
             value = signals.get(name)
             if type(value) is list:
-                # most values are one triple
-                if (len(value) == 1 and type(t := value[0]) is list and len(t) == 3
-                        and type(score := t[2]) in _NUMBER):
-                    scores.append(score)
-                    counts.append(1)
-                    continue
-                got = [t[2] for t in value if type(t) is list and len(t) == 3]
-                if len(got) == len(value) and _NUMBER.issuperset(map(type, got)):
+                got = [t[2] for t in value
+                       if type(t) is list and len(t) == 3 and type(t[2]) in _NUMBER]
+                if len(got) == len(value):
                     scores += got
                     counts.append(len(got))
                     continue

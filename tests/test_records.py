@@ -19,6 +19,7 @@ from corpusforge.records import (
     ShardAddress,
     content_digest,
     document_id,
+    iter_json_objects,
     lone_surrogate,
     parse_document,
     parse_shard_path,
@@ -249,6 +250,15 @@ def test_iter_jsonl_gz_matches_a_text_mode_reader(tmp_path, name, data):
     path = tmp_path / name
     path.write_bytes(data)
     assert list(iter_jsonl_gz(path)) == _text_mode_lines(path)
+
+
+def test_a_line_of_carriage_returns_is_blank(tmp_path):
+    # "\r\r\n" is a blank line ending CRLF twice over, as a file converted
+    # from LF to CRLF two times holds one; a "\r" before it is whitespace
+    path = tmp_path / "twice-crlf.json.gz"
+    path.write_bytes(gzip.compress(b'{"a":1}\r\n\r\r\n\r\r\r\n{"b":2}\r\r\n{"c":3}\n'))
+    assert list(iter_jsonl_gz(path)) == [(1, '{"a":1}'), (4, '{"b":2}\r'), (5, '{"c":3}')]
+    assert [raw for _, raw in iter_json_objects(path)] == [{"a": 1}, {"b": 2}, {"c": 3}]
 
 
 # values of every JSON type, and those parse_document treats apart: ints
