@@ -34,6 +34,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_ascii
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -66,9 +67,19 @@ class BloomFilter:
         if not 0.0 < error_rate < 1.0:
             raise ConfigError("bloom error rate must be in (0, 1)")
         self.capacity = capacity
-        self.num_bits = max(8, math.ceil(-capacity * math.log(error_rate) / (LN2 * LN2)))
+        try:
+            self.num_bits = max(8, math.ceil(-capacity * math.log(error_rate) / (LN2 * LN2)))
+            self.bits = bytearray((self.num_bits + 7) // 8)
+        except (OverflowError, MemoryError) as exc:
+            # Decimal sizes a capacity past the largest float too; imported
+            # here, as no run that can allocate its filter needs the module
+            from decimal import Decimal
+
+            size = Decimal(capacity) * Decimal(-math.log(error_rate) / (8 * LN2 * LN2))
+            raise ConfigError(
+                f"bloom capacity {capacity} at error rate {error_rate} asks for "
+                f"{size:.3g} bytes, more than can be allocated") from exc
         self.num_hashes = max(1, round(self.num_bits / capacity * LN2))
-        self.bits = bytearray((self.num_bits + 7) // 8)
         self.inserted_count = 0
         self._warned = False
 
@@ -267,9 +278,10 @@ def minhash_lines(ids: list[str], digests: list[str], slots: list[int],
     definition that computed it. Each row is encoded once."""
     encoded = [base64.b64encode(row.tobytes()).decode("ascii")
                for row in signatures.astype("<u2", copy=False)]
+    # the text json.dumps(record, separators=(",", ":")) gives
     for doc_id, digest, slot in zip(ids, digests, slots):
-        yield json.dumps({"doc_id": doc_id, "digest": digest, "signature": encoded[slot],
-                          "version": SIGNATURE_VERSION}, separators=(",", ":"))
+        yield (f'{{"doc_id":{_json_ascii(doc_id)},"digest":{_json_ascii(digest)},'
+               f'"signature":"{encoded[slot]}","version":{SIGNATURE_VERSION}}}')
 
 
 def read_minhash(path, ids: list[str], digests: list[str]) -> np.ndarray | None:

@@ -8,10 +8,11 @@ numbered once (textnorm.number_words): `hash_words` hashes each distinct
 word once, and each bigram by continuing FNV-1a from its first word's
 hash over "\\x1f" and the second word's bytes. `fnv1a64_spans` hashes
 many byte spans of one buffer at once in numpy uint64: the spans are
-sorted by length and each byte position updates only the spans still
-that long, so the results equal the per-byte definition bit for bit. A
-document's score sums its slice of the batch's feature arrays left to
-right (`running_sums`), as the per-feature definition adds them.
+sorted longest first, by a stable radix sort of 16-bit keys unless a
+span reaches 65,536 bytes, and each byte position updates only the
+spans still that long, so the results equal the per-byte definition bit
+for bit. A document's score sums its slice of the batch's feature arrays
+left to right (`running_sums`), as the per-feature definition adds them.
 Importance weights are the log-likelihood ratio of a document under the
 target vs. source hashed n-gram models with add-alpha smoothing; each
 model holds its per-bucket log-probability table, built once with the
@@ -44,12 +45,15 @@ def fnv1a64_spans(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
     of a uint8 array, as uint64, in span order. Span i starts from
     state[i] when given (the hash of the bytes before it), else from the
     offset basis."""
-    order = np.argsort(-lengths, kind="stable")  # longest first
+    top = lengths.max(initial=0)
+    keys = top - lengths  # 0 for the longest spans
+    # longest first; numpy sorts 16-bit keys stably by radix
+    order = np.argsort(keys.astype(np.uint16) if top < 1 << 16 else keys, kind="stable")
     first = starts[order]
     by_length = lengths[order]
     h = np.full(len(order), _FNV_OFFSET, dtype=np.uint64) if state is None else state[order]
     # live[j]: how many spans (a prefix of `order`) have a byte at position j
-    live = np.searchsorted(-by_length, -np.arange(lengths.max(initial=0)), side="left")
+    live = np.searchsorted(-by_length, -np.arange(top), side="left")
     for j, m in enumerate(live.tolist()):
         part = h[:m]
         part ^= buf[first[:m] + j]

@@ -36,6 +36,9 @@ _OPTIONAL_DOC_DEFAULTS = {"title": ""}
 ERROR_RATE_THRESHOLD = 0.01
 # zlib's default; level 9 took 1.7-3.4x as long on these records for ~2% smaller files
 GZIP_LEVEL = 6
+# characters of lines write_jsonl_gz encodes and compresses at once; larger
+# batches took no less time and hold more memory
+WRITE_BATCH = 1 << 16
 
 
 @dataclass
@@ -75,9 +78,10 @@ _DOC_FIELDS = tuple(
     for name, hint in get_type_hints(Document).items()
 )
 # the keys, then the value types, of a record parse_document accepts at
-# once, and the positions of its int fields
+# once, and the positions of its int and its str fields
 _WELL_FORMED = [*(name for name, _ in _DOC_FIELDS), *(typ for _, typ in _DOC_FIELDS)]
 _INT_FIELDS = [i for i, (_, typ) in enumerate(_DOC_FIELDS) if typ is int]
+_STR_FIELDS = [i for i, (_, typ) in enumerate(_DOC_FIELDS) if typ is str]
 
 
 def parse_document(json_line: str, line_number: int | None = None) -> Document:
@@ -89,21 +93,15 @@ def parse_document(json_line: str, line_number: int | None = None) -> Document:
     A record holding just the fields, in to_json's order and of their
     types, is accepted by one comparison; any other goes through the
     per-field loop, which converts an int in a float field, fills in a
-    missing title or names the fault.
-
-    `json_line` must hold no lone surrogate itself, as a line that
-    iter_jsonl_gz decoded as strict UTF-8 does. A lone surrogate can then
-    only come from a \\ud800-\\udfff escape, so the fields of a line
-    without "\\ud" or "\\uD" are not scanned for one."""
+    missing title or names the fault. Both check each string field with
+    lone_surrogate, which an ASCII string passes at once."""
     try:
         raw = _json_object(json_line)
-        escaped = "\\ud" in json_line or "\\uD" in json_line
         values = [*raw.values()]
         if ([*raw, *map(type, values)] == _WELL_FORMED
                 and all(-_FLOAT_INTS < values[i] < _FLOAT_INTS for i in _INT_FIELDS)
                 and {int}.issuperset(map(type, raw["line_ids"]))
-                and not (escaped and any(type(v) is str and lone_surrogate(v) is not None
-                                         for v in values))):
+                and all(lone_surrogate(values[i]) is None for i in _STR_FIELDS)):
             return Document(*values)
         values = {}
         for name, typ in _DOC_FIELDS:
@@ -122,7 +120,7 @@ def parse_document(json_line: str, line_number: int | None = None) -> Document:
                 raise DataError(f"field {name} has wrong type bool")
             if not isinstance(value, typ):
                 raise DataError(f"field {name} has wrong type {type(value).__name__}")
-            if typ is str and escaped and (at := lone_surrogate(value)) is not None:
+            if typ is str and (at := lone_surrogate(value)) is not None:
                 raise DataError(f"field {name} holds a lone surrogate at character {at}")
             values[name] = value
         if any(not isinstance(i, int) or isinstance(i, bool) for i in values["line_ids"]):
@@ -260,7 +258,11 @@ def parse_shard_path(path: str) -> tuple[ShardAddress, str]:
 
 def write_jsonl_gz(path: str | os.PathLike, lines: Iterable[str]) -> int:
     """Write one record per line, gzip with mtime=0 so identical content
-    yields identical bytes. Returns the number of records written."""
+    yields identical bytes. Returns the number of records written. Lines
+    are encoded and compressed in batches of about WRITE_BATCH characters,
+    so a write holds one batch of text at a time; a deflate stream does
+    not depend on how its input is split, so the bytes are those of one
+    write per line."""
     path = os.fspath(path)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     count = 0
@@ -269,10 +271,10 @@ def write_jsonl_gz(path: str | os.PathLike, lines: Iterable[str]) -> int:
         with open(tmp, "wb") as fh:
             with gzip.GzipFile(filename="", fileobj=fh, mode="wb",
                                compresslevel=GZIP_LEVEL, mtime=0) as gz:
-                for line in lines:
-                    gz.write(line.encode("utf-8"))
-                    gz.write(b"\n")
-                    count += 1
+                for batch in _batches(lines):
+                    count += len(batch)
+                    batch.append("")  # the last line's newline
+                    gz.write("\n".join(batch).encode("utf-8"))
         os.replace(tmp, path)
     except BaseException as exc:
         # also when producing a line fails: no partial .tmp stays behind
@@ -282,6 +284,21 @@ def write_jsonl_gz(path: str | os.PathLike, lines: Iterable[str]) -> int:
             raise OSError(f"failed writing {path}: {exc}") from exc
         raise
     return count
+
+
+def _batches(lines: Iterable[str]) -> Iterator[list[str]]:
+    """The lines in order, in lists that each end at the first line that
+    brings their length to WRITE_BATCH characters, and a last list of the
+    rest, if any."""
+    batch, size = [], 0
+    for line in lines:
+        batch.append(line)
+        size += len(line)
+        if size >= WRITE_BATCH:
+            yield batch
+            batch, size = [], 0
+    if batch:
+        yield batch
 
 
 def iter_jsonl_gz(path: str | os.PathLike) -> Iterator[tuple[int, str]]:

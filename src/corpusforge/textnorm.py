@@ -5,9 +5,10 @@ Every downstream signal number depends on these conventions:
 - normalize(): NFC, lowercase, strip Unicode punctuation/symbol
   characters (categories P* and S*) except apostrophes and hyphens that
   sit between alphanumeric characters (the one before counted after
-  lowercasing), collapse whitespace runs to a single space, strip
-  leading/trailing space, and NFC again the words that lowercasing or
-  stripping left decomposed. Normalizing twice gives the same text.
+  lowercasing), turn each whitespace character into a space, collapse
+  runs of spaces to one, strip leading/trailing spaces, and NFC again
+  the words that lowercasing or stripping left decomposed. Normalizing
+  twice gives the same text.
 - normalization commutes with splitting at '\n': a newline is neither
   alphanumeric nor composing, so an apostrophe or hyphen next to one is
   at a line edge either way, and whitespace collapsing turns it into one
@@ -79,12 +80,20 @@ class _Translation(dict):
 
 
 _TRANSLATION = _Translation()
+# After translation a space is the only whitespace left: _char_class maps
+# each whitespace character to exactly " " and no other to a value
+# holding whitespace. So collapsing runs of " " and stripping " " at the
+# ends gives the words split at any whitespace, joined by one space.
+_SPACE_RUN = re.compile("  +")
 
 
 def normalize(text: str) -> str:
     """The canonical normalization described in the module docstring."""
     text = _LONE_EDGE.sub("", unicodedata.normalize("NFC", text))
-    norm = " ".join(text.translate(_TRANSLATION).split())
+    norm = text.translate(_TRANSLATION)
+    if "  " in norm:
+        norm = _SPACE_RUN.sub(" ", norm)
+    norm = norm.strip(" ")
     if unicodedata.is_normalized("NFC", norm):
         return norm
     return " ".join(unicodedata.normalize("NFC", word) for word in norm.split(" "))

@@ -517,6 +517,8 @@ def test_config_file_and_unknown_key(tmp_path, corpus):
                  id="rule-signal-not-string"),
     pytest.param({}, None, ["dedup", "--mode", "fuzzy", "--jaccard", "1.5"],
                  id="jaccard-above-1"),
+    pytest.param({}, None, ["dedup", "--mode", "exact", "--bloom-capacity", "1" + "0" * 30],
+                 id="bloom-capacity-past-an-index"),
     pytest.param({}, None, ["annotate", "--config", "unreadable/config.json"],
                  id="config-not-utf8"),
     pytest.param({}, None, ["filter", "--preset", "unreadable/rules.json"],

@@ -54,6 +54,24 @@ def test_bloom_sizing_and_validation():
         BloomFilter(capacity=10, error_rate=1.5)
 
 
+def test_bloom_too_large_for_memory_is_a_config_error(monkeypatch):
+    # more bytes than an index holds, and a capacity past the largest float
+    with pytest.raises(ConfigError, match=r"^bloom capacity 1(0{30}) at error rate 0\.01 "
+                                          r"asks for 1\.20e\+30 bytes, more than can be"):
+        BloomFilter(capacity=10**30)
+    with pytest.raises(ConfigError, match=r"asks for 1\.20e\+400 bytes"):
+        BloomFilter(capacity=10**400)
+
+    def no_memory(size):
+        raise MemoryError
+
+    # no array of that size is made: the allocation fails at once
+    monkeypatch.setattr(dedup, "bytearray", no_memory, raising=False)
+    with pytest.raises(ConfigError, match=r"^bloom capacity 1000000000000 at error rate 0\.001 "
+                                          r"asks for 1\.80e\+12 bytes"):
+        BloomFilter(capacity=10**12, error_rate=0.001)
+
+
 def test_bloom_capacity_warning(capsys):
     bloom = BloomFilter(capacity=5, error_rate=0.01)
     for i in range(5):
@@ -452,6 +470,21 @@ def test_minhash_sidecar_roundtrip(tmp_path, monkeypatch, rows, picks):
                 shard_signatures(path, stale_ids, stale_contents, force=False)
         with pytest.raises(_Recomputed):
             shard_signatures(path, ids, contents, force=True)
+
+
+def test_minhash_lines_are_the_text_json_dumps_gives():
+    ids = ["seg/0", 'naïve "q"\\/\n\x00\u2028/1', "日本/\ud800/2"]
+    digests = ["sha256:" + "0" * 64, 'd"\\é', ""]
+    signatures = np.arange(2 * 128, dtype=np.uint16).reshape(2, 128) * 257
+    slots = [1, 0, 1]
+
+    def dumps(doc_id, digest, slot):
+        signature = base64.b64encode(signatures[slot].astype("<u2").tobytes()).decode("ascii")
+        return json.dumps({"doc_id": doc_id, "digest": digest, "signature": signature,
+                           "version": dedup.SIGNATURE_VERSION}, separators=(",", ":"))
+
+    assert list(minhash_lines(ids, digests, slots, signatures)) == list(
+        map(dumps, ids, digests, slots))
 
 
 @pytest.mark.parametrize("version", [None, 1, 2, "3", 4])

@@ -3,6 +3,7 @@ model container format."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from corpusforge.mlmodels import (
     classifier_from_payload,
     classifier_payload,
     dsir_importance,
+    fnv1a64_spans,
     hash_documents,
     hashed_features,
     hashed_lm_from_payload,
@@ -51,6 +53,28 @@ def test_fnv1a64_known_values():
 def test_batched_hashes_equal_per_byte_oracle(keys):
     assert hash_documents([keys]).words.tolist() == [
         oracle_fnv1a64(k.encode("utf-8")) for k in keys]
+
+
+@pytest.mark.parametrize("long_lengths", [
+    pytest.param([0, 1, 65_535], id="16-bit-keys"),
+    pytest.param([0, 1, 65_535, 65_536, 70_000], id="int64-keys"),
+])
+def test_span_hashes_equal_per_byte_oracle(long_lengths):
+    # long spans mixed with short ones, some of equal length, so that the
+    # stable longest-first order matters
+    rng = np.random.default_rng(7)
+    lengths = np.array([*long_lengths, 3, 0, 5, 1, 3, 40, 2, 65_535, 5], dtype=np.int64)
+    lengths = lengths[rng.permutation(len(lengths))]
+    buf = rng.integers(0, 256, int(lengths.sum()) + 11, dtype=np.uint8)
+    starts = np.cumsum(lengths) - lengths + rng.integers(0, 11, len(lengths))
+    starts = np.minimum(starts, len(buf) - lengths)
+    spans = [buf[a:a + n].tobytes() for a, n in zip(starts.tolist(), lengths.tolist())]
+    assert fnv1a64_spans(buf, starts, lengths).tolist() == list(map(oracle_fnv1a64, spans))
+    # from the state of each span's first half, its second half gives the whole
+    half = lengths // 2
+    state = fnv1a64_spans(buf, starts, half)
+    assert fnv1a64_spans(buf, starts + half, lengths - half, state).tolist() == list(
+        map(oracle_fnv1a64, spans))
 
 
 @settings(max_examples=200, deadline=None)

@@ -2,6 +2,7 @@
 
 import gzip
 import hashlib
+import io
 import json
 import math
 import os
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import corpusforge
+from corpusforge import records
 from corpusforge.errors import DataError
 from corpusforge.records import (
     Document,
@@ -80,12 +82,45 @@ def test_parse_document_rejects_lone_surrogates():
 
 @pytest.mark.parametrize("escape", ["\\ud800", "\\uD800", "\\uDfFf", "\\uDE00\\uD83D"])
 def test_lone_surrogate_escape_in_either_case_is_found(escape):
-    # the scan runs only on lines holding a "\\ud" or "\\uD" escape
     line = make_doc("fine").to_json().replace('"fine"', f'"a{escape}b"')
     with pytest.raises(DataError, match="field raw_content holds a lone surrogate"):
         parse_document(line)
     line = line.replace(escape, "\\uD83D\\uDE00")
     assert parse_document(line).raw_content == "a\U0001f600b"
+
+
+# (changes, path): a record whose fields all have their types is accepted
+# by one comparison; an int in a float field sends it through the loop
+_PATHS = [({}, "one-comparison"), ({"language_score": 1}, "per-field")]
+
+
+@pytest.mark.parametrize("changes", [c for c, _ in _PATHS], ids=[i for _, i in _PATHS])
+@pytest.mark.parametrize("ensure_ascii", [False, True])
+def test_non_ascii_fields_without_surrogates_are_accepted(changes, ensure_ascii):
+    record = json.loads(make_doc("naïve 日本 \U0001F600\n\\ud800 is text").to_json())
+    record.update(title="Café", url="http://example.com/ü", **changes)
+    line = json.dumps(record, ensure_ascii=ensure_ascii)
+    # the backslash is escaped, so "\\ud800" is six characters of text
+    assert "\\\\ud800" in line
+    assert ("\\u00ef" in line) == ensure_ascii
+    doc = parse_document(line)
+    assert repr(doc) == repr(oracle_parse_document(line))
+    assert (doc.title, doc.url) == ("Café", "http://example.com/ü")
+    assert doc.raw_content == "naïve 日本 \U0001F600\n\\ud800 is text"
+
+
+@pytest.mark.parametrize("changes", [c for c, _ in _PATHS], ids=[i for _, i in _PATHS])
+@pytest.mark.parametrize("name", ["title", "url", "raw_content"])
+def test_lone_surrogate_escape_in_any_string_field_is_rejected(name, changes):
+    record = json.loads(make_doc("fine").to_json())
+    record.update({name: "naïve \udc00 x"}, **changes)
+    line = json.dumps(record)  # ensure_ascii: the surrogate is a \udc00 escape
+    message = f"^field {name} holds a lone surrogate at character 6$"
+    with pytest.raises(DataError, match=message) as got:
+        parse_document(line)
+    with pytest.raises(DataError) as expected:
+        oracle_parse_document(line)
+    assert str(got.value) == str(expected.value)
 
 
 def test_parse_document_title_optional_and_int_as_float():
@@ -166,7 +201,8 @@ def test_write_jsonl_gz_deterministic(tmp_path):
 
 def test_write_jsonl_gz_leaves_no_tmp_when_a_line_fails(tmp_path):
     def lines(exc):
-        yield '{"a":1}'
+        yield "x" * records.WRITE_BATCH  # a batch of its own, already compressed
+        yield '{"a":1}'  # and one pending when the next line fails
         raise exc
 
     path = tmp_path / "out.json.gz"
@@ -176,6 +212,37 @@ def test_write_jsonl_gz_leaves_no_tmp_when_a_line_fails(tmp_path):
     with pytest.raises(OSError, match=f"failed writing {path}: disk full"):
         write_jsonl_gz(path, lines(OSError("disk full")))
     assert list(tmp_path.iterdir()) == []
+
+
+def _gzip_per_line(lines) -> bytes:
+    """The bytes of a GzipFile written with one write per line."""
+    buf = io.BytesIO()
+    with gzip.GzipFile(filename="", fileobj=buf, mode="wb",
+                       compresslevel=records.GZIP_LEVEL, mtime=0) as gz:
+        for line in lines:
+            gz.write(line.encode("utf-8") + b"\n")
+    return buf.getvalue()
+
+
+_BATCH = records.WRITE_BATCH
+
+
+@pytest.mark.parametrize("lines", [
+    pytest.param([], id="empty"),
+    pytest.param([f'{{"n":{i},"t":"é{"x" * (i % 50)}"}}' for i in range(4000)],
+                 id="short-lines-past-a-batch"),
+    pytest.param(['{"a":1}', "y" * (2 * _BATCH + 5), "", '{"b":"ü"}'],
+                 id="one-line-longer-than-a-batch"),
+    pytest.param(["z" * (_BATCH - 1), "a", "b" * _BATCH, "c"], id="lines-at-a-batch-edge"),
+])
+def test_write_jsonl_gz_bytes_equal_one_write_per_line(tmp_path, lines):
+    path = tmp_path / "out.jsonl.gz"
+    assert write_jsonl_gz(path, lines) == len(lines)
+    assert path.read_bytes() == _gzip_per_line(lines)
+    # from a generator, which is read once
+    assert write_jsonl_gz(path, (line for line in lines)) == len(lines)
+    assert path.read_bytes() == _gzip_per_line(lines)
+    assert os.listdir(tmp_path) == ["out.jsonl.gz"]
 
 
 def _record(**fields):

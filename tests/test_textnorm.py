@@ -5,9 +5,15 @@ from hypothesis import strategies as st
 
 from oracles import oracle_normalize, oracle_sentence_count
 
-from corpusforge.textnorm import analyze, normalize, split_sentences
+from corpusforge.textnorm import _char_class, analyze, normalize, split_sentences
 
 from conftest import random_text, tricky_text
+
+
+# runs of several kinds of whitespace, where they lead, trail, stand alone
+# or surround characters that normalize drops
+_MIXED_SPACE_RUNS = ["\u2003a\t \x1c\u3000b  ", " \u00a0\u2028 ", "a\x85\u2029\x0b\x0cb",
+                     "x  - ’ ;  y\r\n\t", "\u205f\u3000", "c  \u1680d   e ", "  "]
 
 
 def test_normalize_basics():
@@ -31,6 +37,14 @@ def test_normalize_nfc_and_casefold():
     # decomposed e + combining acute composes, then lowercases
     assert normalize("Café") == "café"
     assert normalize("STRASSE Ω") == "strasse ω"
+
+
+def test_normalize_collapses_mixed_whitespace_runs():
+    assert [normalize(text) for text in _MIXED_SPACE_RUNS] == [
+        "a b", "", "a b", "x y", "", "c d e", ""]
+    assert [normalize(text) for text in _MIXED_SPACE_RUNS] == list(
+        map(oracle_normalize, _MIXED_SPACE_RUNS))
+    assert analyze(_MIXED_SPACE_RUNS).normalized == list(map(oracle_normalize, _MIXED_SPACE_RUNS))
 
 
 def test_normalize_matches_oracle_randomized(rng):
@@ -71,6 +85,23 @@ def test_line_spans_tile_and_match_split():
             assert pos == len(text)
             for (start, end), line in zip(spans, text.split("\n")):
                 assert text[start:end].rstrip("\n") == line
+
+
+def test_only_whitespace_translates_to_whitespace():
+    # normalize collapses runs of " " alone, which equals splitting at any
+    # whitespace only while every whitespace character becomes exactly " "
+    # and no other character a value that holds whitespace
+    wrong = []
+    for code_point in range(0x110000):
+        ch = chr(code_point)
+        value = _char_class(ch)
+        if ch.isspace():
+            ok = value == " "
+        else:
+            ok = value is None or not any(map(str.isspace, value))
+        if not ok:
+            wrong.append((hex(code_point), value))
+    assert wrong == []
 
 
 @given(tricky_text())
