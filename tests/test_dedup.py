@@ -56,7 +56,7 @@ def test_bloom_sizing_and_validation():
 
 def test_bloom_too_large_for_memory_is_a_config_error(monkeypatch):
     # more bytes than an index holds, and a capacity past the largest float
-    with pytest.raises(ConfigError, match=r"^bloom capacity 1(0{30}) at error rate 0\.01 "
+    with pytest.raises(ConfigError, match=r"^bloom capacity 10{30} at error rate 0\.01 "
                                           r"asks for 1\.20e\+30 bytes, more than can be"):
         BloomFilter(capacity=10**30)
     with pytest.raises(ConfigError, match=r"asks for 1\.20e\+400 bytes"):
