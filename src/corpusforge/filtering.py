@@ -4,8 +4,8 @@ A ruleset is a conjunction of drop rules: a document survives only if no
 document-level rule fires; line-level rules drop individual lines and
 trigger a rewrite. Rule configurations are JSON; the presets shipped
 under data/presets/ cover the C4, Gopher, custom-rules, and code
-heuristics configurations. evaluate_shard decides a whole shard at once,
-each rule compared once over a column of its signal's values.
+heuristics configurations. evaluate_shard decides the documents of a
+shard one at a time, each from its signal record as the record is read.
 """
 
 from __future__ import annotations
@@ -15,10 +15,10 @@ import operator
 import sys
 from dataclasses import dataclass, field
 from importlib import resources
-from itertools import accumulate, chain, compress, repeat
+from typing import Iterable
 
 from .errors import ConfigError, DataError
-from .records import Document, SignalColumn, rewrite_document
+from .records import Document, rewrite_document
 from .signal_catalog import ALL_SIGNALS, LINE_SIGNALS
 
 _PRESET_DIR = resources.files("corpusforge") / "data" / "presets"
@@ -43,11 +43,6 @@ class Rule:
     op: str
     threshold: object
     reason: str
-
-    def fires(self, values: list) -> list[bool]:
-        """Whether the rule fires on each value, compared by Python's
-        operators, so an int stays exact beyond 2**53."""
-        return list(map(_OPS[self.op], values, repeat(self.threshold)))
 
 
 @dataclass
@@ -97,6 +92,8 @@ def _entry_rule(entry) -> Rule:
         raise ConfigError(f"rule entry {entry!r} needs signal, op and value")
     if not (isinstance(entry["signal"], str) and isinstance(entry["op"], str)):
         raise ConfigError(f"rule entry {entry!r}: signal and op must be strings")
+    if not isinstance(entry.get("reason"), (str, type(None))):
+        raise ConfigError(f"rule entry {entry!r}: reason must be a string or null")
     return _make_rule(entry["signal"], entry["op"], entry["value"],
                       entry.get("reason"))
 
@@ -192,95 +189,98 @@ def load_ruleset(spec: str) -> Ruleset:
         raise ConfigError(f"rule file {spec}: {exc}") from exc
 
 
-def _first_fault(rules: list[Rule], columns: dict[str, SignalColumn], docs: list[int],
-                 ids: list[str], nlines: list[int] | None = None) -> tuple[int, Exception | None]:
-    """(position in `docs`, error) of the first of these documents with a
-    value that one of `rules` cannot read, there the first such rule; else
-    (len(docs), None). A missing signal is a ConfigError, never a silent
-    pass: the ruleset does not fit the signals the corpus was annotated
-    with. A malformed value is a DataError, and so, given `nlines`, is a
-    line signal with another number of spans than its document has lines."""
-    signals = [(rule.signal, columns[rule.signal]) for rule in rules]
-    for p, d in enumerate(docs):
-        for name, column in signals:
-            if d in column.malformed:
-                if column.malformed[d] is None:
-                    return p, ConfigError(f"signal {name} missing from record {ids[d]}")
-                return p, DataError(f"record {ids[d]}: signal {name} {column.malformed[d]}")
-            if nlines is not None and column.counts[d] != nlines[p]:
-                return p, DataError(f"record {ids[d]}: signal {name} has {column.counts[d]} "
-                                    f"line spans, document has {nlines[p]}")
-    return len(docs), None
+def _scores(name: str, doc_id: str, signals: dict) -> list:
+    """The score of each (start, end, score) triple of one signal of a
+    record. A signal absent from the record (or null) is a ConfigError,
+    never a silent pass: the ruleset does not fit the signals the corpus
+    was annotated with. A value that is not a list of triples with int or
+    float scores (a bool is not one) is a DataError."""
+    triples = signals.get(name)
+    if triples is None:
+        raise ConfigError(f"signal {name} missing from record {doc_id}")
+    if type(triples) is not list:
+        raise DataError(f"record {doc_id}: signal {name} is not a list of triples: {triples!r}")
+    scores = [t[2] for t in triples
+              if type(t) is list and len(t) == 3 and type(t[2]) in (int, float)]
+    if len(scores) < len(triples):
+        bad = next(t for t in triples
+                   if not (type(t) is list and len(t) == 3 and type(t[2]) in (int, float)))
+        raise DataError(f"record {doc_id}: signal {name} has a malformed triple {bad!r}")
+    return scores
 
 
-def _doc_values(name: str, column: SignalColumn, docs: list[int]) -> list:
-    """The value a document rule on signal `name` reads for each of these
-    documents: its first score, or the mean score of a line signal; 0.0
-    for none (no lines, or a categorical signal with no category)."""
-    scores, counts = column.scores, column.counts
-    starts = list(accumulate(counts, initial=0))
-    mean = name in LINE_SIGNALS
-    return [(sum(scores[starts[d]:starts[d + 1]]) / counts[d] if mean else scores[starts[d]])
-            if counts[d] else 0.0 for d in docs]
-
-
-def evaluate_shard(docs: list[Document], ids: list[str], columns: dict[str, SignalColumn],
-                   rs: Ruleset, duplicates=frozenset()) -> list[Decision]:
-    """The decision on each document of a shard, from `columns`, the
-    SignalColumn of each signal the ruleset reads. A document whose id is
-    in `duplicates` is DUPLICATE, and no rule reads its signals. Each rule
-    is evaluated once over the shard: document rules first; survivors
-    with content go through line rules, which rewrite the content by
-    dropping failing lines. A rewrite that empties the document converts
-    to a drop. The error raised is the first that reading the documents
-    one at a time would meet (see _first_fault); a document to rewrite
-    whose raw_content lines or line_ids do not number nlines is a
-    DataError."""
-    decisions = [DUPLICATE if doc_id in duplicates else KEEP for doc_id in ids]
-    live = [d for d, decision in enumerate(decisions) if decision is KEEP]
-    end, fault = _first_fault(rs.doc_rules, columns, live, ids)
-    live = live[:end]  # no document after a fault changes the outcome
-    values = {rule.signal: _doc_values(rule.signal, columns[rule.signal], live)
-              for rule in rs.doc_rules}
-    fires = [rule.fires(values[rule.signal]) for rule in rs.doc_rules]
-    dropped = list(map(any, zip(*fires))) if fires else [False] * len(live)
-    for p in compress(range(len(live)), dropped):
-        decisions[live[p]] = Decision(verdict="drop", fired_rules=sorted(
-            [(rule.reason, values[rule.signal][p])
-             for rule, hits in zip(rs.doc_rules, fires) if hits[p]]))
-
-    reach = [d for d, drop in zip(live, dropped)
-             if not drop and docs[d].raw_content] if rs.line_rules else []
-    nlines = [docs[d].nlines for d in reach]
-    end, line_fault = _first_fault(rs.line_rules, columns, reach, ids, nlines)
-    # a line fault is at a document before the document rules' fault
-    reach, nlines, fault = reach[:end], nlines[:end], line_fault or fault
-    scores = {}
-    for rule in rs.line_rules:  # the scores of the lines of `reach`, in order
-        column = columns[rule.signal]
-        starts = list(accumulate(column.counts, initial=0))
-        scores[rule.signal] = list(chain.from_iterable(
-            column.scores[starts[d]:starts[d] + n] for d, n in zip(reach, nlines)))
-    fires = [rule.fires(scores[rule.signal]) for rule in rs.line_rules]
-    hit = list(map(any, zip(*fires)))
-    last = 0
-    for d, n in zip(reach, nlines):
-        first, last = last, last + n
-        if True not in hit[first:last]:
-            continue
-        fired = [(rule.reason, scores[rule.signal][j]) for j in range(first, last) if hit[j]
-                 for rule, hits in zip(rs.line_rules, fires) if hits[j]]
-        kept = [i for i, h in enumerate(hit[first:last]) if not h]
-        doc = docs[d]
-        if not kept:
-            decisions[d] = Decision(verdict="drop", fired_rules=sorted(set(fired))
-                                    + [("emptied-by-line-rules", 0.0)])
-        elif doc.raw_content.count("\n") + 1 != n or len(doc.line_ids) != n:
-            raise DataError(f"record {ids[d]}: cannot rewrite it, its raw_content "
-                            f"lines or line_ids do not number nlines={n}")
+def _decide(doc: Document, doc_id: str, signals: dict, rs: Ruleset) -> Decision:
+    """The decision on one document from its record's signals. Document
+    rules come first. Each compares one value by Python's operators, so an
+    int stays exact beyond 2**53: the mean of a line signal's scores,
+    another signal's first score, or 0.0 for an empty signal. Survivors with
+    content go through line rules, which drop failing lines; dropping
+    every line drops the document. A line signal whose span count is not
+    nlines, or a document to rewrite whose raw_content lines or line_ids
+    do not number nlines, is a DataError."""
+    fired = []
+    for rule in rs.doc_rules:
+        scores = _scores(rule.signal, doc_id, signals)
+        if not scores:
+            value = 0.0
+        elif rule.signal in LINE_SIGNALS:
+            value = sum(scores) / len(scores)
         else:
-            decisions[d] = Decision(verdict="rewrite", fired_rules=sorted(set(fired)),
-                                    rewritten=rewrite_document(doc, kept))
+            value = scores[0]
+        if _OPS[rule.op](value, rule.threshold):
+            fired.append((rule.reason, value))
+    if fired:
+        return Decision(verdict="drop", fired_rules=sorted(fired))
+    if not rs.line_rules or not doc.raw_content:
+        return KEEP
+
+    nlines = doc.nlines
+    per_rule = []
+    for rule in rs.line_rules:
+        scores = _scores(rule.signal, doc_id, signals)
+        if len(scores) != nlines:
+            raise DataError(f"record {doc_id}: signal {rule.signal} has {len(scores)} "
+                            f"line spans, document has {nlines}")
+        per_rule.append((rule, scores))
+    kept = []
+    for i in range(nlines):
+        hits = [(rule.reason, scores[i]) for rule, scores in per_rule
+                if _OPS[rule.op](scores[i], rule.threshold)]
+        fired += hits
+        if not hits:
+            kept.append(i)
+    if len(kept) == nlines:
+        return KEEP
+    if not kept:
+        return Decision(verdict="drop", fired_rules=sorted(set(fired))
+                        + [("emptied-by-line-rules", 0.0)])
+    if doc.raw_content.count("\n") + 1 != nlines or len(doc.line_ids) != nlines:
+        raise DataError(f"record {doc_id}: cannot rewrite it, its raw_content "
+                        f"lines or line_ids do not number nlines={nlines}")
+    return Decision(verdict="rewrite", fired_rules=sorted(set(fired)),
+                    rewritten=rewrite_document(doc, kept))
+
+
+def evaluate_shard(docs: list[Document], ids: list[str], records: Iterable[dict],
+                   rs: Ruleset, duplicates=frozenset(), sidecar: str = "") -> list[Decision]:
+    """The decision on each document of a shard from `records`, its
+    signals in document order (records.iter_signal_records). A document
+    whose id is in `duplicates` is DUPLICATE, and no rule reads its
+    signals. After the first error of a decision the records are still
+    read to their end, so that an error of the reader about a later record
+    is the one raised; else the decision's error is, a DataError led by
+    "<sidecar>: " when `sidecar` is given."""
+    decisions, fault = [], None
+    for signals, doc, doc_id in zip(records, docs, ids):
+        if doc_id in duplicates:
+            decisions.append(DUPLICATE)
+        elif fault is None:
+            try:
+                decisions.append(_decide(doc, doc_id, signals, rs))
+            except (ConfigError, DataError) as exc:
+                fault = exc
+    if sidecar and isinstance(fault, DataError):
+        raise DataError(f"{sidecar}: {fault}") from fault
     if fault:
         raise fault
     return decisions

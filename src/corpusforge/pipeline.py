@@ -16,9 +16,9 @@ holds one 30-page shard's analyzed documents and word arrays at a time).
 
 Both dedup modes key a document by content_digest of its content, never
 by its own `digest` field, which nothing checks against the content.
-filter reads only its rules' signals from a shard's signals sidecar, as
-one column each (records.read_signal_columns), and decides the whole
-shard at once (filtering.evaluate_shard).
+filter reads a shard's signals sidecar one record at a time
+(records.iter_signal_records) and decides each document from its record
+as it is read (filtering.evaluate_shard).
 
 Every command is restartable per shard: annotate and filter skip shard
 outputs that already exist unless force is set. dedup rewrites its
@@ -38,6 +38,7 @@ import sys
 import typing
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from . import annotate as annotate_mod
 from . import dedup as dedup_mod
@@ -60,10 +61,10 @@ from .records import (
     content_digests,
     document_id,
     iter_json_objects,
+    iter_signal_records,
     lone_surrogate,
     parse_shard_path,
     read_documents,
-    read_signal_columns,
     shard_path,
     write_jsonl_gz,
 )
@@ -475,22 +476,18 @@ def cmd_filter(cfg: PipelineConfig) -> dict:
         raise ConfigError(f"filter --output {cfg.output_root} is its --input; "
                           "write the filtered corpus to another directory")
     rs: Ruleset = load_ruleset(cfg.ruleset)
-    names = sorted({rule.signal for rule in rs.doc_rules + rs.line_rules})
 
     def job(addr: ShardAddress, docs, ids) -> Counter:
         sig_path = os.path.join(cfg.input_root, shard_path(addr, "quality_signals"))
-        columns = {}
-        if names:
+        records = repeat({})  # no rule reads a signal
+        if rs.doc_rules or rs.line_rules:
             if not os.path.exists(sig_path):
                 raise ConfigError(f"missing signals sidecar for shard "
                                   f"{shard_path(addr, 'documents')}: {sig_path}")
-            columns = read_signal_columns(sig_path, ids, names)
+            records = iter_signal_records(sig_path, ids)
         dup_path = os.path.join(cfg.input_root, shard_path(addr, "duplicates"))
         duplicates = dedup_mod.read_duplicates(dup_path) if cfg.apply_dedup else set()
-        try:
-            decisions = evaluate_shard(docs, ids, columns, rs, duplicates)
-        except DataError as exc:
-            raise DataError(f"{sig_path}: {exc}") from exc
+        decisions = evaluate_shard(docs, ids, records, rs, duplicates, sig_path)
         out_lines, audit_lines, counts = [], [], Counter()
         for doc, doc_id, decision in zip(docs, ids, decisions):
             key = "duplicates" if decision is DUPLICATE else _VERDICT_COUNTS[decision.verdict]

@@ -12,8 +12,8 @@ decompress and decode, lines split at "\\n" only) and parses a line with
 one function, and a bad line is a DataError naming the file and the
 line, except that read_documents skips a bad document line and returns
 a warning about it, which the shard driver prints in the main process.
-read_signal_columns keeps only the named signals' scores of a signals
-sidecar, one SignalColumn per signal, for filter.
+iter_signal_records yields the signals of a sidecar's records one at a
+time, each checked against its document's id, for filter.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import hashlib
 import json
 import os
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import accumulate
 from typing import Iterable, Iterator, get_origin, get_type_hints
 
@@ -381,44 +381,12 @@ def iter_json_objects(path, *strings: str) -> Iterator[tuple[str, dict]]:
         yield where, raw
 
 
-@dataclass
-class SignalColumn:
-    """One signal over the records of a shard. A value is well formed
-    when it is a list of (start, end, score) triples with int or float
-    scores: `scores` holds the scores of the well-formed values in
-    document order, and counts[d] how many document d has. `malformed`
-    maps each other document to why its value is not well formed, or to
-    None for a missing (or null) value; its count is 0."""
-
-    scores: list = field(default_factory=list)
-    counts: list[int] = field(default_factory=list)
-    malformed: dict[int, str | None] = field(default_factory=dict)
-
-
-_NUMBER = frozenset({int, float})
-
-
-def _malformed(value) -> str | None:
-    """Why a value that is not well formed is not; None when missing."""
-    if value is None:
-        return None
-    if type(value) is not list:
-        return f"is not a list of triples: {value!r}"
-    bad = next(t for t in value
-               if not (type(t) is list and len(t) == 3 and type(t[2]) in _NUMBER))
-    return f"has a malformed triple {bad!r}"
-
-
-def read_signal_columns(path, ids: list[str], names: Iterable[str]) -> dict[str, SignalColumn]:
-    """The SignalColumn of each of `names` over the signals sidecar of a
-    shard whose documents have `ids`, which holds one record per document
-    in document order: record i must carry ids[i] and a JSON object of
-    signals. Anything else is a DataError naming the file and the line.
-    Only these signals' scores are kept, so each record goes once read;
-    the rules that read a malformed value report it."""
-    columns = {name: SignalColumn() for name in names}
-    parts = [(name, column.scores, column.counts, column.malformed)
-             for name, column in columns.items()]
+def iter_signal_records(path, ids: list[str]) -> Iterator[dict]:
+    """The quality_signals object of each record of the signals sidecar of
+    a shard whose documents have `ids`, which holds one record per
+    document in document order: record i must carry ids[i] and a JSON
+    object of signals. Anything else is a DataError naming the file and
+    the line, raised when the reader comes to it."""
     read = 0
     for d, (where, raw) in enumerate(iter_json_objects(path)):
         if d == len(ids):
@@ -428,22 +396,11 @@ def read_signal_columns(path, ids: list[str], names: Iterable[str]) -> dict[str,
         signals = raw.get("quality_signals")
         if not isinstance(signals, dict):
             raise DataError(f"{where}: quality_signals is not a JSON object")
-        for name, scores, counts, malformed in parts:
-            value = signals.get(name)
-            if type(value) is list:
-                got = [t[2] for t in value
-                       if type(t) is list and len(t) == 3 and type(t[2]) in _NUMBER]
-                if len(got) == len(value):
-                    scores += got
-                    counts.append(len(got))
-                    continue
-            malformed[d] = _malformed(value)
-            counts.append(0)
         read = d + 1
+        yield signals
     if read < len(ids):
         raise DataError(f"{path}: {read} records for {len(ids)} documents; "
                         f"no record for {ids[read]}")
-    return columns
 
 
 def rewrite_document(doc: Document, kept_line_indexes: list[int]) -> Document:

@@ -11,7 +11,7 @@ import tempfile
 import pytest
 
 from corpusforge.filtering import evaluate_shard
-from corpusforge.records import Document, content_digest, read_signal_columns, write_jsonl_gz
+from corpusforge.records import Document, content_digest, iter_signal_records, write_jsonl_gz
 from corpusforge.signals import doc_repetition_signals
 from corpusforge.textnorm import analyze, load_language_wordlist
 from oracles import QualitySignalSet
@@ -116,9 +116,7 @@ def shard_decisions(docs, records, rs, duplicates=()) -> list:
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "shard.signals.json.gz")
         write_jsonl_gz(path, [r.to_json() for r in records])
-        columns = read_signal_columns(
-            path, ids, {rule.signal for rule in rs.doc_rules + rs.line_rules})
-    return evaluate_shard(docs, ids, columns, rs, set(duplicates))
+        return evaluate_shard(docs, ids, iter_signal_records(path, ids), rs, set(duplicates))
 
 
 def decide(doc, record, rs):

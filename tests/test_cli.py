@@ -515,6 +515,10 @@ def test_config_file_and_unknown_key(tmp_path, corpus):
                  id="rule-doc-rules-not-list"),
     pytest.param({}, None, ["filter", "--preset", "rules_signal_list.json"],
                  id="rule-signal-not-string"),
+    pytest.param({}, None, ["filter", "--preset", "rules_reason_int.json"],
+                 id="rule-reason-not-string"),
+    pytest.param({}, None, ["filter", "--preset", "rules_reason_list.json"],
+                 id="rule-reason-list"),
     pytest.param({}, None, ["dedup", "--mode", "fuzzy", "--jaccard", "1.5"],
                  id="jaccard-above-1"),
     pytest.param({}, None, ["dedup", "--mode", "exact", "--bloom-capacity", "1" + "0" * 30],
@@ -555,6 +559,13 @@ def test_bad_config_exits_1_with_one_error_line(corpus, tmp_path, env, config, a
     (tmp_path / "rules_doc_rules_int.json").write_text('{"doc_rules": 5}')
     (tmp_path / "rules_signal_list.json").write_text(
         '{"doc_rules": [{"signal": ["rps_doc_word_count"], "op": "<", "value": 5}]}')
+    # rules that fire on every document of the corpus, one with a reason
+    # that is not a string
+    (tmp_path / "rules_reason_int.json").write_text(json.dumps({"doc_rules": [
+        {"signal": "rps_doc_word_count", "op": ">=", "value": 0, "reason": 5},
+        {"signal": "rps_doc_word_count", "op": ">=", "value": 0}]}))
+    (tmp_path / "rules_reason_list.json").write_text(json.dumps({"line_rules": [
+        {"signal": "rps_lines_num_words", "op": ">=", "value": 0, "reason": ["x"]}]}))
     # JSON nested deeper than the parser recurses
     (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
     # Latin-1 files where UTF-8 is expected, and a UT1 category that is a
@@ -890,6 +901,25 @@ def test_malformed_signal_triple_exits_2_with_one_error_line(tmp_path, triple):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
     assert doc_id in lines[0] and "rps_doc_word_count" in lines[0]
+
+
+def test_misaligned_record_after_a_malformed_triple_is_the_error(tmp_path):
+    """A malformed triple in record 1 and a wrong id in record 3: the
+    sidecar's misalignment is reported, though the triple comes first."""
+    root = tmp_path / "corpus"
+    _write_corpus(str(root), ["one two three"] * 3)
+    records = [QualitySignalSet(f"2023-14/seg0/{i}", i, {}, {"rps_doc_word_count": [(0, 13, 3)]})
+               for i in range(3)]
+    records[0].quality_signals["rps_doc_word_count"] = [(0, 13, "three")]
+    records[2].id = "2023-14/seg0/9"
+    sidecar = root / shard_path(ShardAddress("2023-14", 0, "en", "head"), "quality_signals")
+    write_jsonl_gz(sidecar, [r.to_json() for r in records])
+    (tmp_path / "rules.json").write_text('{"rps_doc_word_count": {"<": 2}}')
+    proc = _run_cli(["filter", "--preset", "rules.json", "--input", str(root),
+                     "--output", str(tmp_path / "out")], {}, cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.splitlines() == [
+        f"error: {sidecar}: line 3: record id '2023-14/seg0/9', expected '2023-14/seg0/2'"]
 
 
 def _damage_sidecar(lines: list[str], damage: str) -> list[str]:

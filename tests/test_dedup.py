@@ -4,6 +4,7 @@ import base64
 import hashlib
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,6 +81,20 @@ def test_bloom_capacity_warning(capsys):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1, lines
     assert lines[0].startswith("warning: bloom filter past design capacity 5 ")
+
+
+def test_bloom_fill_ratio_makes_no_copy_of_the_bits():
+    bloom = BloomFilter(capacity=10**6, error_rate=0.01)
+    bloom.bits[:] = random.Random(3).randbytes(len(bloom.bits))
+    expected = int.from_bytes(bloom.bits, "little").bit_count() / bloom.num_bits
+    tracemalloc.start()
+    try:
+        ratio = bloom.fill_ratio()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ratio == expected
+    assert peak < len(bloom.bits) / 8, peak
 
 
 def test_exact_dedup_keeps_first_occurrence():

@@ -22,11 +22,11 @@ from corpusforge.records import (
     content_digest,
     document_id,
     iter_json_objects,
+    iter_signal_records,
     lone_surrogate,
     parse_document,
     parse_shard_path,
     read_documents,
-    read_signal_columns,
     rewrite_document,
     shard_path,
     signal_lines,
@@ -173,12 +173,9 @@ def test_signal_record_roundtrip_and_invariants(tmp_path):
     )
     path = tmp_path / "shard.signals.json.gz"
     write_jsonl_gz(path, [rec.to_json()])
-    columns = read_signal_columns(path, ["seg/0"], rec.quality_signals)
-    assert {name: (column.scores, column.counts, column.malformed)
-            for name, column in columns.items()} == {
-        name: ([t[2] for t in triples], [len(triples)], {})
-        for name, triples in rec.quality_signals.items()
-    }
+    assert list(iter_signal_records(path, ["seg/0"])) == [{
+        name: [list(t) for t in triples] for name, triples in rec.quality_signals.items()
+    }]
     assert signal_invariant_warnings(rec, doc_length=10) == []
     bad = QualitySignalSet(
         id="x", id_int=0, metadata={},
@@ -187,7 +184,7 @@ def test_signal_record_roundtrip_and_invariants(tmp_path):
     assert any("tile" in w for w in signal_invariant_warnings(bad, doc_length=10))
     write_jsonl_gz(path, ['{"id": "x"}'])
     with pytest.raises(DataError, match=f"{path}: line 1: quality_signals"):
-        read_signal_columns(path, ["x"], ["rps_doc_word_count"])
+        list(iter_signal_records(path, ["x"]))
 
 
 def test_write_jsonl_gz_deterministic(tmp_path):
