@@ -1,5 +1,6 @@
-"""Builds the signal records of a shard's documents from loaded
-resources (stop words, blocklists, optional ML models).
+"""Loads annotate's inputs once per command (load_resources: stop words
+for natlang signals, LDNOOBW lists and the UT1 table for content ones,
+every configured model) and builds a shard's signal records from them.
 
 annotate_shard alone chooses the signal groups. A shard's documents are
 analyzed once into a textnorm.ShardText, whose normalized words are
@@ -17,14 +18,24 @@ from dataclasses import dataclass, field
 from urllib.parse import urlsplit
 
 from .errors import ConfigError, DataError
-from .kneser_ney import KneserNeyLM, perplexity
-from .mlmodels import HashedNgramLM, LinearClassifier, dsir_importance, hash_words
+from .kneser_ney import KneserNeyLM, kn_from_payload, perplexity
+from .mlmodels import (
+    HashedNgramLM,
+    LinearClassifier,
+    classifier_from_payload,
+    dsir_importance,
+    hash_words,
+    hashed_lm_from_payload,
+    load_model,
+)
 from .records import signal_lines
 from .signal_catalog import (
     ALL_SIGNALS,
     CCNET_SIGNALS,
+    CLASSIFIER_SIGNALS,
     CODE_SIGNALS,
     CONTENT_SIGNALS,
+    IMPORTANCE_SIGNALS,
     LINE_SIGNALS,
     ML_SIGNALS,
     NATLANG_SIGNALS,
@@ -34,33 +45,22 @@ from .signal_catalog import (
 from .signals import (
     Blocklist,
     code_signals,
+    compile_blocklist,
     content_signals,
     doc_natlang_signals,
     doc_repetition_signals,
     line_signals,
+    load_ut1,
 )
-from .textnorm import NumberedWords, analyze
+from .textnorm import NumberedWords, analyze, load_language_wordlist
 
 _BUCKET_CODES = {"head": 0.0, "middle": 1.0, "tail": 2.0}
-
-# Importance-weight signal name -> model pair key
-IMPORTANCE_SIGNALS = {
-    "rps_doc_books_importance": "books",
-    "rps_doc_openwebtext_importance": "openwebtext",
-    "rps_doc_wikipedia_importance": "wikipedia",
-}
-
-CLASSIFIER_SIGNALS = {
-    "rps_doc_ml_wikiref_score": "wikiref",
-    "rps_doc_ml_palm_score": "palm",
-    "rps_doc_ml_wikipedia_score": "wikipedia",
-}
 
 
 @dataclass
 class SignalResources:
-    """Immutable lookups and models, loaded once by
-    pipeline.load_resources; forked shard workers inherit them."""
+    """Immutable lookups and models, loaded once by load_resources;
+    forked shard workers inherit them."""
 
     stopwords: dict[str, frozenset[str]] = field(default_factory=dict)
     ldnoobw: dict[str, Blocklist] = field(default_factory=dict)
@@ -93,6 +93,71 @@ def resolve_signal_names(selection) -> list[str]:
 DEFAULT_SIGNALS = ("ccnet", "natlang", "repetition", "content", "lines")
 
 
+def load_resources(cfg, names) -> SignalResources:
+    """What annotating the signals `names` (resolve_signal_names) under the
+    pipeline.PipelineConfig `cfg` reads: the stop-word list of each
+    configured language when a natlang signal is requested, its LDNOOBW
+    list and the UT1 table when a content signal is, and every configured
+    model, whose hashes make up the provenance. ConfigError when one
+    cannot be loaded, when no language is configured for the lists, or
+    when a requested model signal has no model behind it."""
+    wanted = frozenset(names)
+    natlang = not wanted.isdisjoint(NATLANG_SIGNALS)
+    content = not wanted.isdisjoint(CONTENT_SIGNALS)
+    if (natlang or content) and not cfg.languages:
+        raise ConfigError("languages is empty, but the natlang and content signals "
+                          "read a word list per language; name the languages to annotate")
+    res = SignalResources()
+    for lang in cfg.languages:
+        if natlang:
+            res.stopwords[lang] = load_language_wordlist(
+                "stopwords", lang, cfg.stopword_dir or None)
+        if content:
+            res.ldnoobw[lang] = compile_blocklist(
+                load_language_wordlist("ldnoobw", lang, cfg.ldnoobw_dir or None))
+    if content:
+        res.ut1 = load_ut1(cfg.ut1_dir or None)
+    classifiers = cfg.models.get("classifiers", {})
+    if not (isinstance(classifiers, dict)
+            and all(isinstance(p, str) for p in classifiers.values())):
+        raise ConfigError(f"models.classifiers={classifiers!r} must map names to model paths")
+    for key, path in classifiers.items():
+        res.classifiers[key], digest = load_model(path, "classifier", classifier_from_payload)
+        res.provenance = f"{res.provenance}+{key}:{digest}"
+    importance = cfg.models.get("importance", {})
+    if not (isinstance(importance, dict) and all(
+            isinstance(pair, dict)
+            and isinstance(pair.get("target"), str)
+            and isinstance(pair.get("source"), str)
+            for pair in importance.values())):
+        raise ConfigError(f"models.importance={importance!r} must map names to "
+                          '{"target": path, "source": path}')
+    for key, pair in importance.items():
+        target, tdigest = load_model(pair["target"], "hashed_lm", hashed_lm_from_payload)
+        source, sdigest = load_model(pair["source"], "hashed_lm", hashed_lm_from_payload)
+        if target.bucket_count != source.bucket_count:
+            raise ConfigError(
+                f"importance pair {key!r}: target {pair['target']} has "
+                f"{target.bucket_count} buckets, source {pair['source']} has "
+                f"{source.bucket_count}")
+        res.importance_models[key] = (target, source)
+        res.provenance = f"{res.provenance}+{key}:{tdigest}/{sdigest}"
+    kn_path = cfg.models.get("kn_lm", "")
+    if not isinstance(kn_path, str):
+        raise ConfigError(f"models.kn_lm={kn_path!r} must be a model path")
+    if kn_path:
+        res.kn_lm, digest = load_model(kn_path, "kneser_ney", kn_from_payload)
+        res.provenance = f"{res.provenance}+kn:{digest}"
+    # fail at startup, not per document, when a model signal has no model
+    for table, loaded, what in ((CLASSIFIER_SIGNALS, res.classifiers, "classifier model"),
+                                (IMPORTANCE_SIGNALS, res.importance_models,
+                                 "importance model pair")):
+        for name, key in table.items():
+            if name in wanted and key not in loaded:
+                raise ConfigError(f"signal {name} requested but no {what} configured")
+    return res
+
+
 def _by_language(table: dict, docs, ids, what: str) -> list:
     """table's entry for the language of each of a shard's documents; a
     DataError names the first document whose language has none loaded."""
@@ -115,9 +180,8 @@ def _url_path(url: str) -> str:
 def annotate_shard(docs, ids, res: SignalResources, names, snapshot_id: str = "") -> list[str]:
     """The signal record lines of a shard's documents, in order, where
     `ids` are their document ids and `names` are signal names, as
-    resolve_signal_names returns them (see the module docstring). `res`
-    holds a model for every requested ML signal (load_resources checks
-    that at startup)."""
+    resolve_signal_names returns them (see the module docstring), and
+    `res` is what load_resources loaded for them."""
     wanted = frozenset(names)
     shard = analyze([doc.raw_content for doc in docs])
     # each ccnet_<field> signal is the document's <field>, a bucket as its code

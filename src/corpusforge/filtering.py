@@ -200,12 +200,11 @@ def _scores(name: str, doc_id: str, signals: dict) -> list:
         raise ConfigError(f"signal {name} missing from record {doc_id}")
     if type(triples) is not list:
         raise DataError(f"record {doc_id}: signal {name} is not a list of triples: {triples!r}")
-    scores = [t[2] for t in triples
-              if type(t) is list and len(t) == 3 and type(t[2]) in (int, float)]
-    if len(scores) < len(triples):
-        bad = next(t for t in triples
-                   if not (type(t) is list and len(t) == 3 and type(t[2]) in (int, float)))
-        raise DataError(f"record {doc_id}: signal {name} has a malformed triple {bad!r}")
+    scores = []
+    for t in triples:
+        if not (type(t) is list and len(t) == 3 and type(t[2]) in (int, float)):
+            raise DataError(f"record {doc_id}: signal {name} has a malformed triple {t!r}")
+        scores.append(t[2])
     return scores
 
 

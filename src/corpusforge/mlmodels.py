@@ -16,7 +16,8 @@ left to right (`running_sums`), as the per-feature definition adds them.
 Importance weights are the log-likelihood ratio of a document under the
 target vs. source hashed n-gram models with add-alpha smoothing; each
 model holds its per-bucket log-probability table, built once with the
-model.
+model. `load_model` builds a model from its container file, or fails
+with a ConfigError.
 """
 
 from __future__ import annotations
@@ -297,8 +298,10 @@ def save_model(path: str, kind: str, payload: dict) -> str:
     return digest
 
 
-def load_model(path: str, kind: str | None = None) -> tuple[str, dict, str]:
-    """Returns (kind, payload, hash)."""
+def load_model(path: str, kind: str, from_payload) -> tuple[object, str]:
+    """(model, hash) of the model container at `path`, the model built by
+    `from_payload` from its payload; ConfigError when the file is not a
+    container of `kind` or its payload does not fit `kind`."""
     try:
         with open(path, encoding="utf-8") as fh:
             container = json.load(fh)
@@ -306,11 +309,12 @@ def load_model(path: str, kind: str | None = None) -> tuple[str, dict, str]:
         raise ConfigError(f"cannot load model {path}: {exc}") from exc
     if not (isinstance(container, dict) and {"kind", "payload", "hash"} <= container.keys()):
         raise ConfigError(f"model {path} is not a model container with kind, payload and hash")
-    if kind is not None and container.get("kind") != kind:
-        raise ConfigError(
-            f"model {path} has kind {container.get('kind')!r}, expected {kind!r}"
-        )
-    return container["kind"], container["payload"], container["hash"]
+    if container["kind"] != kind:
+        raise ConfigError(f"model {path} has kind {container['kind']!r}, expected {kind!r}")
+    try:
+        return from_payload(container["payload"]), container["hash"]
+    except (ConfigError, KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ConfigError(f"model {path} has a malformed {kind} payload: {exc!r}") from exc
 
 
 def hashed_lm_payload(lm: HashedNgramLM) -> dict:

@@ -6,11 +6,11 @@ One driver, `_run_shard_jobs`, serves every command. It finds the shards
 shard name is warned about and skipped), skips those whose output
 exists, reads each shard's documents, builds their ids once and calls
 the command's `job(addr, docs, ids)`. With `workers` > 1 the jobs run in
-that many forked worker processes, which inherit the loaded resources
-and models instead of receiving them and send back only each shard's
-small result and its read warnings, which the main process prints in
-shard order; a worker that dies is a data error naming its shard. Each
-worker adds its own memory (a peak of about 53 MB resident, as
+that many forked worker processes, which inherit annotate's inputs
+(annotate.load_resources) instead of receiving them and send back only
+each shard's small result and its read warnings, which the main process
+prints in shard order; a worker that dies is a data error naming its
+shard. Each worker adds its own memory (a peak of about 53 MB resident, as
 RUSAGE_CHILDREN reports it, on a 240-page annotate with ML models, which
 holds one 30-page shard's analyzed documents and word arrays at a time).
 
@@ -44,13 +44,10 @@ from . import annotate as annotate_mod
 from . import dedup as dedup_mod
 from .errors import ConfigError, DataError
 from .filtering import DUPLICATE, Ruleset, evaluate_shard, load_ruleset
-from .kneser_ney import kn_from_payload, kn_payload, train_kn_lm
+from .kneser_ney import kn_payload, train_kn_lm
 from .mlmodels import (
-    classifier_from_payload,
     classifier_payload,
-    hashed_lm_from_payload,
     hashed_lm_payload,
-    load_model,
     save_model,
     train_classifier,
     train_hashed_lm,
@@ -68,8 +65,7 @@ from .records import (
     shard_path,
     write_jsonl_gz,
 )
-from .signals import compile_blocklist, load_ut1
-from .textnorm import load_language_wordlist, normalize, number_words
+from .textnorm import normalize, number_words
 
 ENV_PREFIX = "CORPUSFORGE_"
 
@@ -284,85 +280,13 @@ def _run_shard_jobs(cfg: PipelineConfig, job, done_kind: str = ""):
         _POOLED = None
 
 
-def _check_models(models: dict) -> None:
-    """ConfigError unless `models` has the shape load_resources reads:
-    {"classifiers": {name: path}, "importance": {name: {"target": path,
-    "source": path}}, "kn_lm": path}, each part optional."""
-    classifiers = models.get("classifiers", {})
-    if not (isinstance(classifiers, dict)
-            and all(isinstance(p, str) for p in classifiers.values())):
-        raise ConfigError(f"models.classifiers={classifiers!r} must map names to model paths")
-    importance = models.get("importance", {})
-    if not (isinstance(importance, dict) and all(
-            isinstance(pair, dict)
-            and isinstance(pair.get("target"), str)
-            and isinstance(pair.get("source"), str)
-            for pair in importance.values())):
-        raise ConfigError(
-            f"models.importance={importance!r} must map names to "
-            '{"target": path, "source": path}'
-        )
-    if not isinstance(models.get("kn_lm", ""), str):
-        raise ConfigError(f"models.kn_lm={models['kn_lm']!r} must be a model path")
-
-
-def _load_model_as(path: str, kind: str, from_payload):
-    """(model, hash) of the model file at `path`; ConfigError when the
-    file's payload does not fit `kind`."""
-    _, payload, digest = load_model(path, kind)
-    try:
-        return from_payload(payload), digest
-    except (ConfigError, KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise ConfigError(f"model {path} has a malformed {kind} payload: {exc!r}") from exc
-
-
-def load_resources(cfg: PipelineConfig) -> annotate_mod.SignalResources:
-    """The word lists of the configured languages, the UT1 table and the
-    models that annotate reads; ConfigError when one cannot be loaded."""
-    res = annotate_mod.SignalResources()
-    for lang in cfg.languages:
-        res.stopwords[lang] = load_language_wordlist("stopwords", lang, cfg.stopword_dir or None)
-        res.ldnoobw[lang] = compile_blocklist(
-            load_language_wordlist("ldnoobw", lang, cfg.ldnoobw_dir or None))
-    res.ut1 = load_ut1(cfg.ut1_dir or None)
-    models = cfg.models or {}
-    _check_models(models)
-    for key, path in models.get("classifiers", {}).items():
-        res.classifiers[key], digest = _load_model_as(
-            path, "classifier", classifier_from_payload)
-        res.provenance = f"{res.provenance}+{key}:{digest}"
-    for key, pair in models.get("importance", {}).items():
-        target, tdigest = _load_model_as(pair["target"], "hashed_lm", hashed_lm_from_payload)
-        source, sdigest = _load_model_as(pair["source"], "hashed_lm", hashed_lm_from_payload)
-        if target.bucket_count != source.bucket_count:
-            raise ConfigError(
-                f"importance pair {key!r}: target {pair['target']} has "
-                f"{target.bucket_count} buckets, source {pair['source']} has "
-                f"{source.bucket_count}")
-        res.importance_models[key] = (target, source)
-        res.provenance = f"{res.provenance}+{key}:{tdigest}/{sdigest}"
-    if models.get("kn_lm"):
-        res.kn_lm, digest = _load_model_as(models["kn_lm"], "kneser_ney", kn_from_payload)
-        res.provenance = f"{res.provenance}+kn:{digest}"
-    # fail at startup, not per document, when a requested ML signal has
-    # no model behind it
-    requested = set(annotate_mod.resolve_signal_names(cfg.signals))
-    for name, key in annotate_mod.CLASSIFIER_SIGNALS.items():
-        if name in requested and key not in res.classifiers:
-            raise ConfigError(f"signal {name} requested but no classifier model configured")
-    for name, key in annotate_mod.IMPORTANCE_SIGNALS.items():
-        if name in requested and key not in res.importance_models:
-            raise ConfigError(f"signal {name} requested but no importance model pair configured")
-    return res
-
-
 # ---------------------------------------------------------------------------
 # annotate
 
 
 def cmd_annotate(cfg: PipelineConfig) -> dict:
-    res = load_resources(cfg)
     names = frozenset(annotate_mod.resolve_signal_names(cfg.signals))
+    res = annotate_mod.load_resources(cfg, names)
 
     def job(addr: ShardAddress, docs, ids) -> int:
         out_path = os.path.join(cfg.output_root, shard_path(addr, "quality_signals"))

@@ -52,14 +52,21 @@ CONTENT_SIGNALS = (
     "rps_doc_ut1_blacklist",
 )
 
-ML_SIGNALS = (
-    "rps_doc_books_importance",
-    "rps_doc_openwebtext_importance",
-    "rps_doc_wikipedia_importance",
-    "rps_doc_ml_wikiref_score",
-    "rps_doc_ml_palm_score",
-    "rps_doc_ml_wikipedia_score",
-)
+# Each model signal -> the key of its model under models.importance
+# (a target/source pair) or models.classifiers
+IMPORTANCE_SIGNALS = {
+    "rps_doc_books_importance": "books",
+    "rps_doc_openwebtext_importance": "openwebtext",
+    "rps_doc_wikipedia_importance": "wikipedia",
+}
+
+CLASSIFIER_SIGNALS = {
+    "rps_doc_ml_wikiref_score": "wikiref",
+    "rps_doc_ml_palm_score": "palm",
+    "rps_doc_ml_wikipedia_score": "wikipedia",
+}
+
+ML_SIGNALS = (*IMPORTANCE_SIGNALS, *CLASSIFIER_SIGNALS)
 
 # Per-line signals; note the vendored spelling of the terminal
 # punctuation tag, kept for compatibility with the published catalog.

@@ -5,18 +5,17 @@ import math
 import pytest
 
 from corpusforge.annotate import (
-    CLASSIFIER_SIGNALS,
     DEFAULT_SIGNALS,
-    IMPORTANCE_SIGNALS,
     annotate_shard,
+    load_resources,
     resolve_signal_names,
 )
 from corpusforge.errors import ConfigError, DataError
 from corpusforge.kneser_ney import train_kn_lm
 from corpusforge.mlmodels import train_classifier, train_hashed_lm
-from corpusforge.pipeline import PipelineConfig, load_resources
+from corpusforge.pipeline import PipelineConfig
 from corpusforge.records import document_id
-from corpusforge.signal_catalog import SIGNAL_GROUPS
+from corpusforge.signal_catalog import CLASSIFIER_SIGNALS, IMPORTANCE_SIGNALS, SIGNAL_GROUPS
 
 from conftest import make_doc, signal_records
 from oracles import signal_invariant_warnings
@@ -24,7 +23,7 @@ from oracles import signal_invariant_warnings
 
 @pytest.fixture(scope="module")
 def resources():
-    return load_resources(PipelineConfig())
+    return load_resources(PipelineConfig(), resolve_signal_names(DEFAULT_SIGNALS))
 
 
 def _signals_of(doc, res, names, doc_id):
@@ -92,7 +91,7 @@ def test_one_shard_or_three_give_the_same_signals():
     ]
     docs = [make_doc(text) for text in texts]
     ids = [f"seg/{i}" for i in range(len(docs))]
-    res = load_resources(PipelineConfig())
+    res = load_resources(PipelineConfig(), resolve_signal_names(DEFAULT_SIGNALS))
     reference = [text.lower().split() for text in texts[::2] if text]
     web = [["click", "here", "the", "cat"], ["buy", "now", "on", "sale"]]
     res.kn_lm = train_kn_lm(reference, order=3)
@@ -152,11 +151,11 @@ def test_ut1_blacklist_is_categorical(resources):
 def test_ml_signals_require_models(resources):
     # a requested ML signal without a model fails when the resources load
     with pytest.raises(ConfigError, match="no classifier model"):
-        load_resources(PipelineConfig(signals=["rps_doc_ml_wikiref_score"]))
+        load_resources(PipelineConfig(), ["rps_doc_ml_wikiref_score"])
 
     doc = make_doc("some text")
 
-    loaded = load_resources(PipelineConfig())
+    loaded = load_resources(PipelineConfig(), resolve_signal_names(DEFAULT_SIGNALS))
     loaded.classifiers["wikiref"] = train_classifier(
         [["good"]] * 4, [["bad"]] * 4, epochs=3, seed=0
     )
@@ -204,7 +203,7 @@ _EMPTY_UNDER_KN_LINE = (
 
 
 def test_non_finite_scores_keep_their_bytes():
-    res = load_resources(PipelineConfig())
+    res = load_resources(PipelineConfig(), resolve_signal_names(DEFAULT_SIGNALS))
     names = resolve_signal_names(["ccnet", "rps_lines_num_words", "rps_doc_ut1_blacklist"])
     nan_doc = make_doc("One line.\nTwo", perplexity=math.nan,
                        source_domain="nsfw.example.com")

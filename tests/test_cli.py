@@ -408,6 +408,30 @@ def test_document_in_unloaded_language_exits_2(tmp_path, capsys, workers, signal
     assert not list(Path(root).rglob("*.tmp"))
 
 
+@pytest.mark.parametrize("env, argv, written", [
+    pytest.param({}, ["--signals", "ccnet,repetition,lines", "--languages", "pt"], ["pt"],
+                 id="no-stop-words-for-pt"),
+    pytest.param({"CORPUSFORGE_UT1_DIR": "missing"}, ["--signals", "natlang"], ["en"],
+                 id="no-ut1-for-natlang"),
+    pytest.param({}, ["--signals", "ccnet,repetition,lines", "--languages", ""], ["en", "pt"],
+                 id="language-free-groups-read-every-language"),
+])
+def test_annotate_loads_only_the_word_lists_its_signals_read(tmp_path, monkeypatch, capsys,
+                                                            env, argv, written):
+    # no stop-word list is vendored for pt, and no UT1 directory exists at
+    # "missing": neither is read unless a natlang or content signal is
+    root = str(tmp_path / "corpus")
+    for language in ("en", "pt"):
+        _write_corpus(root, [LONG_A], language=language)
+    monkeypatch.chdir(tmp_path)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert main(["annotate", *argv, "--input", root, "--output", root]) == 0, \
+        capsys.readouterr().err
+    sidecars = Path(root).rglob("*.signals.json.gz")
+    assert sorted(path.name.split("_")[0] for path in sidecars) == written
+
+
 @pytest.mark.parametrize("total, code", [(100, 0), (99, 2)])
 def test_bad_record_threshold_boundary(tmp_path, capsys, total, code):
     # one bad record in `total`: a share of exactly 1% is processed, above it fails
@@ -542,6 +566,9 @@ def test_config_file_and_unknown_key(tmp_path, corpus):
     pytest.param({"CORPUSFORGE_MODELS": '{"classifiers": {"wikiref": "bias_not_number.json"}}'},
                  None, ["annotate", "--signals", "rps_doc_ml_wikiref_score"],
                  id="model-file-bias-not-number"),
+    pytest.param({}, None, ["annotate", "--languages", ""], id="languages-empty-flag"),
+    pytest.param({"CORPUSFORGE_LANGUAGES": ""}, None, ["annotate"], id="languages-empty-env"),
+    pytest.param({}, {"languages": []}, ["annotate"], id="languages-empty-config"),
     pytest.param({}, None, ["annotate", "--bogus"], id="unknown-option"),
     pytest.param({}, None, ["train", "classifier"], id="train-without-model-output"),
 ])

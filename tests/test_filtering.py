@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from corpusforge.annotate import (
     DEFAULT_SIGNALS,
     annotate_shard,
+    load_resources,
     resolve_signal_names,
 )
 from corpusforge.errors import ConfigError, DataError
@@ -20,7 +21,7 @@ from corpusforge.filtering import (
     load_ruleset,
     preset,
 )
-from corpusforge.pipeline import PipelineConfig, load_resources
+from corpusforge.pipeline import PipelineConfig
 from corpusforge.signal_catalog import SIGNAL_GROUPS
 
 from conftest import decide, make_doc, shard_decisions, signal_records
@@ -29,7 +30,7 @@ from oracles import QualitySignalSet, oracle_evaluate
 
 @pytest.fixture(scope="module")
 def resources():
-    return load_resources(PipelineConfig())
+    return load_resources(PipelineConfig(), resolve_signal_names(DEFAULT_SIGNALS))
 
 
 def _signals_for(doc, resources):

@@ -231,13 +231,12 @@ def test_model_container_roundtrip(tmp_path):
     lm = train_hashed_lm([["a", "b", "c"]], buckets=32)
     path = tmp_path / "lm.json"
     digest = save_model(str(path), "hashed_lm", hashed_lm_payload(lm))
-    kind, payload, loaded_digest = load_model(str(path))
-    assert (kind, loaded_digest) == ("hashed_lm", digest)
-    restored = hashed_lm_from_payload(payload)
+    restored, loaded_digest = load_model(str(path), "hashed_lm", hashed_lm_from_payload)
+    assert loaded_digest == digest
     assert restored.counts == lm.counts
     assert restored.total == lm.total
     with pytest.raises(ConfigError):
-        load_model(str(path), "classifier")  # wrong kind
+        load_model(str(path), "classifier", classifier_from_payload)  # wrong kind
     with pytest.raises(ConfigError):
         save_model(str(path), "nonsense", {})
 
