@@ -99,8 +99,9 @@ def load_resources(cfg, names) -> SignalResources:
     configured language when a natlang signal is requested, its LDNOOBW
     list and the UT1 table when a content signal is, and every configured
     model, whose hashes make up the provenance. ConfigError when one
-    cannot be loaded, when no language is configured for the lists, or
-    when a requested model signal has no model behind it."""
+    cannot be loaded, when no language is configured for the lists, when
+    a models key is unknown, or when a requested model signal has no
+    model behind it."""
     wanted = frozenset(names)
     natlang = not wanted.isdisjoint(NATLANG_SIGNALS)
     content = not wanted.isdisjoint(CONTENT_SIGNALS)
@@ -117,6 +118,9 @@ def load_resources(cfg, names) -> SignalResources:
                 load_language_wordlist("ldnoobw", lang, cfg.ldnoobw_dir or None))
     if content:
         res.ut1 = load_ut1(cfg.ut1_dir or None)
+    bad = sorted(cfg.models.keys() - {"classifiers", "importance", "kn_lm"})
+    if bad:
+        raise ConfigError(f"unknown models key {bad[0]!r}; known: classifiers, importance, kn_lm")
     classifiers = cfg.models.get("classifiers", {})
     if not (isinstance(classifiers, dict)
             and all(isinstance(p, str) for p in classifiers.values())):

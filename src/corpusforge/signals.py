@@ -6,12 +6,14 @@ file heuristics. Every group reads a whole shard at once, split once
 into a textnorm.ShardText, and returns one column per signal: a value
 per document, or per line for the line signals. Word tests run once per
 distinct word of the shard's word numbering and are counted per
-document with numpy; character classes (uppercase, digits, letters) are
-counted by one table lookup over the UTF-32 code points of the shard's
-lines. Raw-text-based values (curly brackets, all-caps words, uppercase
-fraction, line lengths, the code metrics) use the raw texts and lines;
-the rest use the normalized text. All ratio signals are defined as 0
-when their denominator is 0 so every signal is total and filterable.
+document with numpy; an n-gram is numbered only where its (n-1)-gram
+repeats in its document, as no other can repeat. Character classes
+(uppercase, digits, letters) are counted by one table lookup over the
+UTF-32 code points of the shard's lines. Raw-text-based values (curly
+brackets, all-caps words, uppercase fraction, line lengths, the code
+metrics) use the raw texts and lines; the rest use the normalized text.
+All ratio signals are defined as 0 when their denominator is 0 so every
+signal is total and filterable.
 """
 
 from __future__ import annotations
@@ -110,12 +112,12 @@ def doc_natlang_signals(shard: ShardText,
 
     # each document's distinct words in order of first occurrence, and
     # their counts, which fix the order of the entropy sum
-    base = max(len(words.vocab), 1)
+    first, inverse, counts = shard.document_words
+    is_first = np.zeros(len(words.ids), bool)
+    is_first[first] = True
+    firsts = np.flatnonzero(is_first)
     owner = np.repeat(np.arange(len(texts)), sizes)
-    _, first, counts = np.unique(owner * base + words.ids, return_index=True,
-                                 return_counts=True)
-    order = np.argsort(first)
-    counts, distinct_owner = counts[order], owner[first[order]]
+    counts, distinct_owner = counts[inverse[firsts]], owner[firsts]
     p = counts / sizes[distinct_owner]
     terms = (-p * np.fromiter(map(math.log, p.tolist()), np.float64, len(p))).tolist()
     distinct = np.bincount(distinct_owner, minlength=len(texts))
@@ -171,19 +173,26 @@ def doc_repetition_signals(shard: ShardText) -> dict[str, list[float]]:
     totals = np.fromiter(map(len, shard.normalized), np.int64, len(sizes))
     # The n-gram at each position is numbered by the pair (number of its
     # (n-1)-gram prefix, its last word), and the 1-grams by (document,
-    # word), so equal n-grams of different documents differ. Positions
-    # whose n-gram would cross into the next document drop out.
-    _, grams = np.unique(doc * base + word_ids, return_inverse=True)
+    # word), so equal n-grams of different documents differ. An n-gram can
+    # repeat only where its prefix does: only those `live` positions are
+    # numbered, and of them only those whose n-gram ends in its document.
+    _, grams, counts = shard.document_words
+    live, repeats = np.arange(len(word_ids)), counts[grams]
     columns = {}
     for n in range(min(TOP_NGRAM_SIZES), max(DUPE_NGRAM_SIZES) + 1):
-        at = np.flatnonzero(left >= n)
-        _, grams[at], counts = np.unique(grams[at] * base + word_ids[at + n - 1],
-                                         return_inverse=True, return_counts=True)
-        if n in TOP_NGRAM_SIZES:
+        keep = (repeats > 1) & (left[live] >= n)
+        live = live[keep]
+        _, grams, counts = np.unique(grams[keep] * base + word_ids[live + n - 1],
+                                     return_inverse=True, return_counts=True)
+        repeats = counts[grams]
+        if n in TOP_NGRAM_SIZES:  # any n-gram not numbered occurs once
+            at = np.flatnonzero(left >= n)
+            every = np.ones(len(word_ids), np.int64)
+            every[live] = repeats
             columns[f"rps_doc_frac_chars_top_{n}gram"] = _top_fractions(
-                counts[grams[at]], ends[at + n - 1] - starts[at], doc[at], totals)
+                every[at], ends[at + n - 1] - starts[at], doc[at], totals)
         else:
-            at = at[counts[grams[at]] > 1]
+            at = live[repeats > 1]
             columns[f"rps_doc_frac_chars_dupe_{n}grams"] = _dupe_fractions(
                 starts[at], ends[at + n - 1], doc[at], totals)
     return {name: columns[name].tolist() for name in REPETITION_SIGNALS}

@@ -24,6 +24,7 @@ Every downstream signal number depends on these conventions:
 
 from __future__ import annotations
 
+import functools
 import os
 import re
 import unicodedata
@@ -88,8 +89,10 @@ _SPACE_RUN = re.compile("  +")
 
 
 def normalize(text: str) -> str:
-    """The canonical normalization described in the module docstring."""
-    text = _LONE_EDGE.sub("", unicodedata.normalize("NFC", text))
+    """The module docstring's normalization; _LONE_EDGE runs only on a text it can match."""
+    text = unicodedata.normalize("NFC", text)
+    if "'" in text or "’" in text or "-" in text:
+        text = _LONE_EDGE.sub("", text)
     norm = text.translate(_TRANSLATION)
     if "  " in norm:
         norm = _SPACE_RUN.sub(" ", norm)
@@ -143,8 +146,8 @@ class ShardText:
     after document (`text.split("\\n")`, and an empty text has none), and
     `line_counts` each document's number of lines; `normalized_lines[i]`
     is the normalization of lines[i]. `normalized[d]` is document d's
-    non-empty normalized lines joined with a space, and `words` numbers
-    its words."""
+    non-empty normalized lines joined with a space, `words` numbers its
+    words, and `document_words` their (document, word) pairs, once."""
 
     texts: list[str]
     lines: list[str]
@@ -152,6 +155,14 @@ class ShardText:
     normalized_lines: list[str]
     normalized: list[str]
     words: NumberedWords
+
+    @functools.cached_property
+    def document_words(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """np.unique of each word occurrence's (document, word id) pair: the
+        first occurrence, inverse and count of the pairs, by document, then id."""
+        owner = np.repeat(np.arange(len(self.words.sizes)), self.words.sizes)
+        return np.unique(owner * max(len(self.words.vocab), 1) + self.words.ids,
+                         return_index=True, return_inverse=True, return_counts=True)[1:]
 
     def line_spans(self) -> tuple[list[int], list[int]]:
         """(starts, ends) of the lines, each offset within its document: a

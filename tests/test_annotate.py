@@ -152,6 +152,10 @@ def test_ml_signals_require_models(resources):
     # a requested ML signal without a model fails when the resources load
     with pytest.raises(ConfigError, match="no classifier model"):
         load_resources(PipelineConfig(), ["rps_doc_ml_wikiref_score"])
+    # a misspelled models key names no model at all
+    with pytest.raises(ConfigError, match="^unknown models key 'kn'; known: "
+                                          "classifiers, importance, kn_lm$"):
+        load_resources(PipelineConfig(models={"kn": "kn.json"}), ["ccnet_perplexity"])
 
     doc = make_doc("some text")
 

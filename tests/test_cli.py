@@ -531,6 +531,8 @@ def test_config_file_and_unknown_key(tmp_path, corpus):
                  ["annotate"], id="env-models-importance-not-pair"),
     pytest.param({"CORPUSFORGE_MODELS": '{"kn_lm": "no_payload.json"}'}, None,
                  ["annotate"], id="model-file-without-payload"),
+    pytest.param({"CORPUSFORGE_MODELS": '{"kn": "does_not_exist.json"}'}, None,
+                 ["annotate"], id="models-unknown-key"),
     pytest.param({}, None, ["filter", "--preset", "rules_list.json"],
                  id="rule-file-not-object"),
     pytest.param({}, None, ["filter", "--preset", "rules_no_op.json"],

@@ -181,9 +181,26 @@ _SMALL_SHARD = st.lists(st.lists(st.sampled_from("abc"), max_size=14).map(" ".jo
 # A's tail and B's head would repeat A's first 5-gram if they joined
 @example(["a b c d e f g h i j a b c", "d e f g h i j"])
 @example(["", "x", "a b c d e", "a b c d e"])
+# Only positions whose (n-1)-gram repeats are numbered at n: a repeated
+# 4-gram whose fifth words differ, a 10-gram repeated inside one document,
+# a document with no repeated word beside one where every word repeats,
+# and an empty and a one-word document
+@example(["a b c d e x a b c d f"])
+@example(["k a b c d e f g h i j x a b c d e f g h i j y"])
+@example(["p q r s t u v w", "a b c a b c a b c a b c"])
+@example(["", "a"])
 def test_shard_repetition_signals_match_oracle_per_document(texts):
     got = repetition_rows(texts)
     assert got == [oracles.oracle_repetition(text) for text in texts]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_SMALL_SHARD, st.lists(tricky_text(), max_size=4)))
+def test_shard_natlang_signals_match_oracle_per_document(en_stopwords, texts):
+    # the unigram entropy adds each document's terms in the order of its
+    # words' first occurrences, which a shard numbers across documents
+    got = rows(doc_natlang_signals(analyze(texts), [en_stopwords] * len(texts)))
+    assert got == [oracles.oracle_natlang(text, en_stopwords) for text in texts]
 
 
 def test_line_signals_specifics():

@@ -1,5 +1,6 @@
 """Normalization, tokenization, sentence and line segmentation."""
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -45,6 +46,18 @@ def test_normalize_collapses_mixed_whitespace_runs():
     assert [normalize(text) for text in _MIXED_SPACE_RUNS] == list(
         map(oracle_normalize, _MIXED_SPACE_RUNS))
     assert analyze(_MIXED_SPACE_RUNS).normalized == list(map(oracle_normalize, _MIXED_SPACE_RUNS))
+
+
+# texts with one apostrophe, curly apostrophe or hyphen and no other, at a
+# line edge or between alphanumerics; and "İ'", where the character before
+# the apostrophe lowercases to a string that ends in a combining mark
+@pytest.mark.parametrize("text", [
+    *(form.format(ch) for ch in "'’-"
+      for form in ("{}ab", "ab{}", "a\n{}b", "a{}\nb", "a{}b", "1{}x")),
+    "İ'", "İ'a",
+])
+def test_normalize_lone_edge_character_matches_oracle(text):
+    assert normalize(text) == oracle_normalize(text)
 
 
 def test_normalize_matches_oracle_randomized(rng):
